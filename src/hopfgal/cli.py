@@ -22,9 +22,7 @@ from .hopfgalois import HopfElt, RadicalElt, act, e_basis, validate_radicand
 from .profinite import nu_h
 from .smash_end import (QMatrix, SmashElt, decompose_endomorphism, smash_mult,
                         to_end_matrix)
-from .variants import (complements_report, distinct_action_images,
-                       e_containment_check, h_variant_rank_certificate,
-                       variant_action_check, variant_nu_check)
+from .variants import variant_reports
 from .verify import (DEFAULT_SEED, criterion_census, criterion_profinite,
                      full_suite)
 
@@ -149,16 +147,7 @@ def _cmd_profinite(args) -> dict:
 
 def _cmd_variants(args) -> dict:
     a = validate_radicand(args.p, _parse_rational(args.a))
-    reports = [complements_report(args.p, args.n)]
-    indices = [args.i] if args.i is not None else list(range(args.p))
-    for i in indices:
-        reports.append(h_variant_rank_certificate(args.p, args.n, i, a))
-        reports.append(variant_action_check(args.p, args.n, i, a))
-    if args.i is None:
-        reports.append(distinct_action_images(args.p, args.n, a))
-    if args.n >= 3:
-        reports.append(variant_nu_check(args.p, args.n))
-        reports.append(e_containment_check(args.p, args.n, a))
+    reports = variant_reports(args.p, args.n, a, args.i)
     return {"command": "variants", "p": args.p, "n": args.n, "radicand": rat_str(a),
             "reports": [r.to_dict(args.timings) for r in reports]}
 

@@ -234,6 +234,8 @@ class CycloElt:
 
     def shift(self, e: int) -> "CycloElt":
         """Multiply by zeta^e (monomial fast path)."""
+        if not self.nonzero or e % self.field.modulus == 0:
+            return self
         v = [Fraction(0)] * self.field.degree
         for i, c in enumerate(self.coeffs):
             if c:
@@ -279,14 +281,21 @@ def mul(x: CycloElt, y: CycloElt) -> CycloElt:
 
 
 def inverse(x: CycloElt) -> CycloElt:
-    """Field inverse, via the exact linear system (mult-by-x) * v = 1."""
+    """Field inverse: solve (mult-by-x) * v = 1 through the echelon of the
+    system augmented by the right-hand side as column phi."""
     if not x:
         raise ZeroDivisionError("inverse of zero cyclotomic element")
     deg = x.field.degree
     cols = [mul(x, CycloElt.zeta_power(x.field, i)).coeffs for i in range(deg)]
-    rows = [[cols[j][i] for j in range(deg)] for i in range(deg)]
-    rhs = [Fraction(1 if i == 0 else 0) for i in range(deg)]
-    return CycloElt(x.field, linalg.solve_unique(rows, rhs))
+    ech = linalg.SparseEchelon()
+    for i in range(deg):
+        row = {j: col[i] for j, col in enumerate(cols) if col[i]}
+        if i == 0:
+            row[deg] = Fraction(1)
+        ech.insert(row)
+    if ech.pivot_columns() != list(range(deg)):
+        raise ValueError("multiplication by %r is not invertible" % (x,))
+    return CycloElt(x.field, [ech.pivot_rows[j].get(deg, 0) for j in range(deg)])
 
 
 def delta_apply(e: int, x: CycloElt) -> CycloElt:
@@ -342,3 +351,56 @@ def embed_preimage(m: int, n: int, y: CycloElt) -> CycloElt | None:
             return None
         v[i // stretch] = c
     return CycloElt(src, v)
+
+
+# ---------------------------------------------------------------------------
+# grids of cells: flat Q-coordinates and Galois action rows
+#
+# A vector over a grid of cells (group-ring coefficients, w-power
+# coefficients, matrix entries, ...) is the sparse dict {c*phi + A: v}: cell
+# c, coordinate A of a cell of width phi.  Every module that eliminates over
+# such a grid goes through these three functions.
+
+def cells_to_vector(cells) -> dict[int, Rat]:
+    """Flatten cells of one width phi -- `CycloElt`s, or rows of rationals
+    such as matrix rows -- to the sparse vector {c*phi + A: v}."""
+    out: dict[int, Rat] = {}
+    for c, cell in enumerate(cells):
+        coeffs = cell.coeffs if isinstance(cell, CycloElt) else cell
+        base = c * len(coeffs)
+        for A, v in enumerate(coeffs):
+            if v:
+                out[base + A] = v
+    return out
+
+
+def vector_to_cells(field: FieldDescriptor, vec: dict[int, Rat],
+                    ncells: int) -> list[CycloElt]:
+    """Inverse of `cells_to_vector` for `ncells` cells of Q(zeta) coordinates."""
+    phi = field.degree
+    cells = [[Fraction(0)] * phi for _ in range(ncells)]
+    for idx, v in vec.items():
+        c, A = divmod(idx, phi)
+        cells[c][A] = v
+    return [CycloElt(field, coeffs) for coeffs in cells]
+
+
+def action_rows(field: FieldDescriptor, u: int,
+                moves) -> list[dict[int, int]]:
+    """Sparse rows of (g - id) on cells of Q(zeta) coordinates, flat index
+    c*phi + A.  moves[c] = (t, s) says that g sends zeta^A in cell c to
+    zeta^(u*A + s) in cell t; g is then the semilinear map that acts on each
+    cell by zeta -> zeta^u and moves it to its target.  The kernel of the
+    rows is the space fixed by g."""
+    phi = field.degree
+    rows: dict[int, dict[int, int]] = {}
+    for c, (t, s) in enumerate(moves):
+        for A in range(phi):
+            src = c * phi + A
+            for A2, sign in _exp_terms(field, u * A + s).items():
+                row = rows.setdefault(t * phi + A2, {})
+                row[src] = row.get(src, 0) + sign
+            row = rows.setdefault(src, {})
+            row[src] = row.get(src, 0) - 1
+    return [{c: v for c, v in row.items() if v} for row in rows.values()
+            if any(row.values())]

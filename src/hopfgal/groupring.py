@@ -20,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import CycloElt, FieldDescriptor, Rat, rat_str, parse_rat
+from .cyclotomic import (CycloElt, FieldDescriptor, Rat, action_rows,
+                         parse_rat, rat_str, vector_to_cells)
 
 
 class GroupRingElt:
@@ -199,64 +200,17 @@ def diag_action(e: int, x: GroupRingElt) -> GroupRingElt:
 FIXED_RING_DIMENSION_CAP = 20000
 
 
-def _monomial_index(a: int, b: int, group_order: int) -> int:
-    return a * group_order + b
-
-
-def fixed_ring_matrix(p: int, n: int) -> tuple[list[dict[int, Fraction]], int]:
-    """Sparse rows of (diagonal action - identity) on the zeta^a sigma^b basis."""
+def fixed_ring_matrix(p: int, n: int) -> tuple[list[dict[int, int]], int]:
+    """Sparse rows of (diagonal action - id): cell b holds the coefficient
+    of sigma^b, which the generator sends to sigma^(b*pi) under zeta -> zeta^pi."""
     field = FieldDescriptor(p, n)
     go = field.modulus
-    phi = field.degree
-    dim = phi * go
+    dim = field.degree * go
     if dim > FIXED_RING_DIMENSION_CAP:
         raise ValueError("monomial space dimension %d exceeds cap %d"
                          % (dim, FIXED_RING_DIMENSION_CAP))
     pi = field.multiplier
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    images = [cyclo_delta_column(field, a) for a in range(phi)]
-    for a in range(phi):
-        img = images[a]
-        for b in range(go):
-            col = _monomial_index(a, b, go)
-            b2 = (b * pi) % go
-            for a2, c in img.items():
-                key = (a2, b2)
-                row = rows.setdefault(key, {})
-                row[col] = row.get(col, Fraction(0)) + c
-            key = (a, b)
-            row = rows.setdefault(key, {})
-            row[col] = row.get(col, Fraction(0)) - 1
-    ordered = [rows[k] for k in sorted(rows)]
-    return [{c: v for c, v in r.items() if v} for r in ordered], dim
-
-
-def cyclo_delta_column(field: FieldDescriptor, a: int) -> dict[int, Fraction]:
-    """Power-basis coordinates of the Galois generator applied to zeta^a."""
-    from .cyclotomic import delta_apply
-    img = delta_apply(1, CycloElt.zeta_power(field, a))
-    return {i: c for i, c in enumerate(img.coeffs) if c}
-
-
-def _vector_to_elt(field: FieldDescriptor, vec: dict[int, Fraction]) -> GroupRingElt:
-    go = field.modulus
-    phi = field.degree
-    cols = [[Fraction(0)] * phi for _ in range(go)]
-    for idx, val in vec.items():
-        a, b = divmod(idx, go)
-        cols[b][a] = val
-    return GroupRingElt(field, [CycloElt(field, col) for col in cols])
-
-
-def elt_to_vector(x: GroupRingElt) -> dict[int, Fraction]:
-    """Coordinates of x over the zeta^a sigma^b monomial basis (sparse)."""
-    go = x.group_order
-    out: dict[int, Fraction] = {}
-    for b, c in enumerate(x.coeffs):
-        for a, v in enumerate(c.coeffs):
-            if v:
-                out[_monomial_index(a, b, go)] = v
-    return out
+    return action_rows(field, pi, [((b * pi) % go, 0) for b in range(go)]), dim
 
 
 def fixed_ring(p: int, n: int) -> list[GroupRingElt]:
@@ -270,4 +224,4 @@ def fixed_ring(p: int, n: int) -> list[GroupRingElt]:
     field = FieldDescriptor(p, n)
     if len(kernel) != field.modulus:
         raise AssertionError("fixed ring dimension %d != %d" % (len(kernel), field.modulus))
-    return [_vector_to_elt(field, v) for v in kernel]
+    return [GroupRingElt(field, vector_to_cells(field, v, field.modulus)) for v in kernel]

@@ -26,8 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import (CycloElt, FieldDescriptor, Rat, embed, embed_preimage,
-                         parse_rat, rat_str)
+from .cyclotomic import (CycloElt, FieldDescriptor, Rat, cells_to_vector, embed,
+                         embed_preimage, parse_rat, rat_str)
 from .groupring import GroupRingElt
 from .reporting import Report, checked
 
@@ -343,12 +343,14 @@ def fixed_field_check(p: int, n: int, a) -> Report:
             eps = h_counit(p, n, i)
             cols = [act(h, b).coords for b in basis]
             for r in range(go):
-                rows.append([cols[k][r] - (eps if r == k else Fraction(0))
-                             for k in range(go)])
-        kern = linalg.nullspace(rows, go)
-        ok = (len(kern) == 1 and bool(kern[0][0]) and not any(kern[0][1:]))
+                row = {k: col[r] for k, col in enumerate(cols) if col[r]}
+                row[r] = row.get(r, 0) - eps
+                rows.append(row)
+        kern = linalg.sparse_nullspace(rows, go)
+        ok = len(kern) == 1 and set(kern[0]) == {0}
         return ok, {"kernel_dimension": len(kern),
-                    "kernel": [[rat_str(c) for c in v] for v in kern]}
+                    "kernel": [[rat_str(v.get(c, 0)) for c in range(go)]
+                               for v in kern]}
 
     return checked("fixed-field", {"p": p, "n": n, "a": rat_str(a)}, body)
 
@@ -370,7 +372,7 @@ def dual_pairing_report(p: int, n: int) -> Report:
 def fixed_ring_reports(p: int, n: int) -> list[Report]:
     """Kernel dimension of (diagonal action - id), then span equality of the
     kernel with the idempotent basis (mutual containment at equal rank)."""
-    from .groupring import elt_to_vector, fixed_ring_matrix
+    from .groupring import fixed_ring_matrix
     state: dict = {}
 
     def dimension():
@@ -391,7 +393,7 @@ def fixed_ring_reports(p: int, n: int) -> list[Report]:
             kernel_span.insert(vec)
         idem_span = linalg.SparseEchelon()
         for i in range(p ** n):
-            vec = elt_to_vector(e_basis(p, n, i))
+            vec = cells_to_vector(e_basis(p, n, i).coeffs)
             if not kernel_span.contains(vec):
                 return False, {"stage": "idempotent-outside-kernel", "i": i}
             idem_span.insert(vec)

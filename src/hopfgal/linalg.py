@@ -1,19 +1,16 @@
-"""Exact linear algebra over Q (and over field-like element types).
+"""Exact linear algebra over Q: one sparse reduced echelon.
 
-Everything here is plain Gaussian elimination with `fractions.Fraction`
-coefficients -- no floats, no pivoting heuristics that depend on magnitude,
-so results are deterministic and exact.  Two families of routines:
+`SparseEchelon` keeps rows as ``{column: coefficient}`` dicts with
+`fractions.Fraction` values and maintains their reduced row echelon form
+incrementally -- no floats, no pivoting that depends on magnitude.  Every
+stored row is scaled to pivot value 1, has its pivot at its smallest column,
+and is zero in every other pivot column.  That form is unique for a row
+space, so ranks and kernel bases do not depend on the order rows arrive in.
+`sparse_rank` and `sparse_nullspace` are the one-shot wrappers; `mat_mul`
+multiplies small dense matrices.
 
-* dense: `rref`, `rank`, `nullspace`, `solve_unique` for small systems
-  (dimensions up to a few hundred);
-* sparse: `SparseEchelon`, `sparse_nullspace`, `sparse_rank` keep rows as
-  ``{column: coefficient}`` dicts and maintain a reduced (Jordan) echelon
-  incrementally.  Used for the large fixed-subspace kernels, whose matrices
-  are near-permutations with a handful of entries per row.
-
-The generic routines (`field_rank`, `field_nullspace`) run the same
-elimination over any element type supporting ``+ - * /``, equality and
-truthiness (zero test), e.g. cyclotomic field elements.
+Vectors over a grid of cyclotomic cells use the flat layout of
+`cyclotomic.cells_to_vector`: coordinate A of cell c is column c*phi + A.
 """
 
 from __future__ import annotations
@@ -22,138 +19,10 @@ from fractions import Fraction
 from typing import Sequence
 
 
-Vec = list
-Mat = list  # list of rows
-
-
-def _as_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot column list)."""
-    m = _as_fraction_rows(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
-
-
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : M x = 0}, one vector per free column."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
-
-
-def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
-    """Solve M x = rhs when M has full column rank; raises if not unique."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        raise ValueError("inconsistent system")
-    if len(pivots) != ncols:
-        raise ValueError("solution is not unique (rank %d < %d)" % (len(pivots), ncols))
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[-1]
-    return x
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
     bt = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list[Fraction]:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# generic-field elimination (entries need + - * / and truthiness)
-
-def field_rref(rows):
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def field_rank(rows) -> int:
-    return len(field_rref(rows)[1])
-
-
-def field_nullspace(rows, ncols: int, zero, one):
-    """Right kernel over a generic field; `zero`/`one` are the scalar constants."""
-    red, pivots = field_rref(rows)
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for row, p in zip(red, pivots):
-            v[p] = zero - row[f]
-        basis.append(v)
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# sparse elimination
 
 class SparseEchelon:
     """Incrementally maintained reduced echelon of sparse rational rows.
@@ -241,7 +110,7 @@ class SparseEchelon:
         return basis
 
 
-def sparse_rank(rows, ncols: int | None = None) -> int:
+def sparse_rank(rows) -> int:
     ech = SparseEchelon()
     for row in rows:
         ech.insert(row)
@@ -254,13 +123,3 @@ def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
         ech.insert(row)
     return ech.kernel_basis(ncols)
 
-
-def dense_to_sparse(rows) -> list[dict[int, Fraction]]:
-    return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
-
-
-def sparse_to_dense(vec: dict[int, Fraction], ncols: int) -> list[Fraction]:
-    out = [Fraction(0)] * ncols
-    for c, v in vec.items():
-        out[c] = Fraction(v)
-    return out

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cyclotomic import CycloElt, FieldDescriptor, embed
-from .groupring import (GroupRingElt, diag_action, diag_action_unit, elt_to_vector,
-                        fixed_ring)
+from .cyclotomic import CycloElt, FieldDescriptor, cells_to_vector, embed
+from .groupring import GroupRingElt, diag_action, diag_action_unit, fixed_ring
 from .hopfgalois import HopfElt, e_basis, hopf_from_groupring, hopf_to_groupring
 from .reporting import Report, checked
 
@@ -292,8 +291,7 @@ def fixed_truncation_check(p: int, L: int) -> Report:
             es = [e_basis(p, n, i) for i in range(go)]
             if any(diag_action(1, e) != e for e in es):
                 return False, {"level": n, "problem": "idempotent not fixed"}
-            dim = p ** (n - 1) * (p - 1) * go
-            rk = linalg.sparse_rank([elt_to_vector(e) for e in es], dim)
+            rk = linalg.sparse_rank([cells_to_vector(e.coeffs) for e in es])
             if rk != go or len(kernel) != go:
                 return False, {"level": n, "kernel_dim": len(kernel), "span_rank": rk}
             if n >= 2:

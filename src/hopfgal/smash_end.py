@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import Rat, parse_rat, rat_str
+from .cyclotomic import Rat, cells_to_vector, parse_rat, rat_str
 from .reporting import Report, checked
 
 
@@ -140,9 +140,6 @@ class QMatrix:
         return "QMatrix(p=%d, n=%d, a=%s, %r)" % (
             self.p, self.n, self.a, [[str(v) for v in row] for row in self.rows])
 
-    def flat(self) -> list[Fraction]:
-        return [v for row in self.rows for v in row]
-
     def to_json(self) -> dict:
         return {"p": self.p, "n": self.n, "a": rat_str(self.a),
                 "rows": [[rat_str(v) for v in row] for row in self.rows]}
@@ -192,7 +189,7 @@ def iso_check(p: int, n: int, a, seed: int = 20240901, samples: int = 24) -> Rep
     def body():
         basis = [SmashElt.basis(p, n, a, j, i) for j in range(go) for i in range(go)]
         mats = [to_end_matrix(x) for x in basis]
-        rk = linalg.rank([m.flat() for m in mats])
+        rk = linalg.sparse_rank(cells_to_vector(m.rows) for m in mats)
         if rk != go * go:
             return False, {"rank": rk, "expected": go * go}
         if go <= 5:
@@ -276,13 +273,8 @@ def hom_subalgebra_dimension_report(p: int, n: int, m: int, a) -> Report:
         for (j, i) in pairs:
             if i not in allowed_cols:
                 return False, {"stage": "column-support", "pair": [j, i]}
-            mat = to_end_matrix(SmashElt.basis(p, level, a, j, i))
-            vec = {}
-            for r, row in enumerate(mat.rows):
-                for k, v in enumerate(row):
-                    if v:
-                        vec[r * go + k] = v
-            ech.insert(vec)
+            ech.insert(cells_to_vector(
+                to_end_matrix(SmashElt.basis(p, level, a, j, i)).rows))
         if ech.rank != dim:
             return False, {"stage": "rank", "got": ech.rank, "expected": dim}
         return True, None

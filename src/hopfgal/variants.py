@@ -16,13 +16,14 @@ groups on the exponent grid, which the census module consumes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import linalg
-from .cyclotomic import (CycloElt, FieldDescriptor, embed, embed_preimage,
-                         parse_rat, primitive_root, rat_str, unit_apply)
+from .cyclotomic import (CycloElt, FieldDescriptor, action_rows, cells_to_vector,
+                         embed, embed_preimage, parse_rat, primitive_root,
+                         rat_str, unit_apply, vector_to_cells)
 from .reporting import Report, checked
 
 
@@ -340,44 +341,23 @@ def conjugation_exponent(p: int, n: int, i: int) -> int:
 # ---------------------------------------------------------------------------
 # fixed fields (exact kernels on the monomial grid)
 
-def _aut_rows(p: int, n: int, g: TowerAut) -> list[dict[int, Fraction]]:
-    """Sparse rows of (action of g) - id over the basis zeta^A w^B,
-    flat index B*phi + A."""
-    f = FieldDescriptor(p, n)
-    pn, phi = f.modulus, f.degree
-    u, s = g.unit(), g.s
-    zcache = {}
-    rows: dict[int, dict[int, Fraction]] = defaultdict(dict)
-    for B in range(pn):
-        for A in range(phi):
-            src = B * phi + A
-            e = (u * A + s * B) % pn
-            if e not in zcache:
-                zcache[e] = CycloElt.zeta_power(f, e)
-            for A2, c in enumerate(zcache[e].coeffs):
-                if c:
-                    dst = B * phi + A2
-                    rows[dst][src] = rows[dst].get(src, Fraction(0)) + c
-            rows[src][src] = rows[src].get(src, Fraction(0)) - 1
-    return [{c: v for c, v in row.items() if v} for row in rows.values()
-            if any(row.values())]
+def _aut_rows(p: int, n: int, g: TowerAut, copies: int = 1,
+              conj_pow: int = 1) -> list[dict[int, int]]:
+    """Rows of (action of g) - id on `copies` copies of Q(zeta, w), indexed
+    by group powers k: cell k*p^n + B holds the coefficient of w^B in copy k.
+    g multiplies it by zeta^(s*B) and moves copy k to copy conj_pow * k."""
+    pn = p ** n
+    return action_rows(FieldDescriptor(p, n), g.unit(),
+                       [((conj_pow * k) % pn * pn + B, g.s * B)
+                        for k in range(copies) for B in range(pn)])
 
 
 def fixed_field(p: int, n: int, gens, a=Fraction(2)) -> list[BigFieldElt]:
     """Q-basis of the subfield fixed by the subgroup the generators produce."""
     f = FieldDescriptor(p, n)
-    pn, phi = f.modulus, f.degree
-    rows = []
-    for g in gens:
-        rows.extend(_aut_rows(p, n, g))
-    kernel = linalg.sparse_nullspace(rows, pn * phi)
-    out = []
-    for vec in kernel:
-        cs = [[Fraction(0)] * phi for _ in range(pn)]
-        for idx, v in vec.items():
-            cs[idx // phi][idx % phi] = v
-        out.append(BigFieldElt(p, n, a, [CycloElt(f, c) for c in cs]))
-    return out
+    rows = [row for g in gens for row in _aut_rows(p, n, g)]
+    kernel = linalg.sparse_nullspace(rows, f.modulus * f.degree)
+    return [BigFieldElt(p, n, a, vector_to_cells(f, vec, f.modulus)) for vec in kernel]
 
 
 def field_tower_lift(m: int, n: int, x: BigFieldElt) -> BigFieldElt:
@@ -440,32 +420,6 @@ class VariantHopfElt:
         return acc
 
 
-def _twisted_rows(p: int, n: int, g: TowerAut, conj_pow: int):
-    """Rows of (diagonal action of g) - id on the group-ring grid
-    (k, B, A) -> flat (k*p^n + B)*phi + A: g moves coefficients through the
-    field action and sends the group index k to conj_pow * k."""
-    f = FieldDescriptor(p, n)
-    pn, phi = f.modulus, f.degree
-    u, s = g.unit(), g.s
-    zcache = {}
-    rows: dict[int, dict[int, Fraction]] = defaultdict(dict)
-    for k in range(pn):
-        k2 = (conj_pow * k) % pn
-        for B in range(pn):
-            for A in range(phi):
-                src = (k * pn + B) * phi + A
-                e = (u * A + s * B) % pn
-                if e not in zcache:
-                    zcache[e] = CycloElt.zeta_power(f, e)
-                for A2, c in enumerate(zcache[e].coeffs):
-                    if c:
-                        dst = (k2 * pn + B) * phi + A2
-                        rows[dst][src] = rows[dst].get(src, Fraction(0)) + c
-                rows[src][src] = rows[src].get(src, Fraction(0)) - 1
-    return [{c: v for c, v in row.items() if v} for row in rows.values()
-            if any(row.values())]
-
-
 def h_variant(p: int, n: int, i: int, a=Fraction(2)) -> list[VariantHopfElt]:
     """Q-basis of the fixed ring (E_i[N_i])^beta, dimension (p-1)p^n over Q.
 
@@ -477,37 +431,21 @@ def h_variant(p: int, n: int, i: int, a=Fraction(2)) -> list[VariantHopfElt]:
     if n < 2:
         raise ValueError("descent Hopf algebras need level >= 2")
     f = FieldDescriptor(p, n)
-    pn, phi = f.modulus, f.degree
+    pn = f.modulus
     g = complement_generator(p, n, i)
     m = conjugation_exponent(p, n, i)
-    rows = _twisted_rows(p, n, g, 1) + _twisted_rows(p, n, TowerAut.beta(p, n), m)
-    kernel = linalg.sparse_nullspace(rows, pn * pn * phi)
+    rows = _aut_rows(p, n, g, pn) + _aut_rows(p, n, TowerAut.beta(p, n), pn, m)
+    kernel = linalg.sparse_nullspace(rows, pn * pn * f.degree)
     if len(kernel) != (p - 1) * pn:
         raise AssertionError("fixed ring has dimension %d, expected %d"
                              % (len(kernel), (p - 1) * pn))
     basis = []
     for vec in kernel:
-        mats = [[[Fraction(0)] * phi for _ in range(pn)] for _ in range(pn)]
-        for idx, v in vec.items():
-            kk, rest = divmod(idx, pn * phi)
-            mats[kk][rest // phi][rest % phi] = v
+        cells = vector_to_cells(f, vec, pn * pn)
         basis.append(VariantHopfElt(
-            p, n, i, a,
-            [BigFieldElt(p, n, a, [CycloElt(f, row) for row in mat])
-             for mat in mats]))
+            p, n, i, a, [BigFieldElt(p, n, a, cells[k * pn:(k + 1) * pn])
+                         for k in range(pn)]))
     return basis
-
-
-def _hopf_to_vec(h: VariantHopfElt) -> dict[int, Fraction]:
-    pn = h.p ** h.n
-    phi = FieldDescriptor(h.p, h.n).degree
-    vec = {}
-    for k, part in enumerate(h.parts):
-        for B, c in enumerate(part.coeffs):
-            for A, v in enumerate(c.coeffs):
-                if v:
-                    vec[(k * pn + B) * phi + A] = v
-    return vec
 
 
 def h_variant_rank_certificate(p: int, n: int, i: int, a=Fraction(2)) -> Report:
@@ -517,12 +455,13 @@ def h_variant_rank_certificate(p: int, n: int, i: int, a=Fraction(2)) -> Report:
         basis = h_variant(p, n, i, a)
         ech = linalg.SparseEchelon()
         for h in basis:
-            ech.insert(_hopf_to_vec(h))
+            ech.insert(cells_to_vector(c for part in h.parts for c in part.coeffs))
         if ech.rank != (p - 1) * p ** n:
             return False, {"q_dim": ech.rank}
         z1 = CycloElt.zeta_power(FieldDescriptor(p, n), p ** (n - 1))
         for t, h in enumerate(basis):
-            if not ech.contains(_hopf_to_vec(h.scale(z1))):
+            if not ech.contains(cells_to_vector(
+                    c for part in h.scale(z1).parts for c in part.coeffs)):
                 return False, {"not_zeta1_closed_at": t}
         return True, None
 
@@ -554,23 +493,6 @@ def action_matrix(h: VariantHopfElt):
     return rows
 
 
-def _matrix_q_vec(p: int, n: int, mat, z1_power: int) -> dict[int, Fraction]:
-    """Flatten a base-field matrix (times zeta_1^{z1_power}) to Q-coordinates."""
-    pn, deg1 = p ** n, p - 1
-    vec = {}
-    for B2 in range(pn):
-        for B in range(pn):
-            c = mat[B2][B]
-            if not c:
-                continue
-            if z1_power:
-                c = c.shift(z1_power)
-            for j, v in enumerate(c.coeffs):
-                if v:
-                    vec[(B2 * pn + B) * deg1 + j] = v
-    return vec
-
-
 def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
     """The descent Hopf algebra makes Q(zeta_1, w)/Q(zeta_1) Hopf-Galois:
     module endomorphism images span the full p^{2n}-dimensional endomorphism
@@ -580,16 +502,16 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
         f = FieldDescriptor(p, n)
         pn, phi, step, deg1 = f.modulus, f.degree, p ** (n - 1), p - 1
 
-        # the target subfield as a monomial-support subspace of the closure
-        supp = {B * phi + j * step for B in range(pn) for j in range(deg1)}
+        # the target subfield as a monomial-support subspace of the closure:
+        # only zeta-exponents divisible by p^(n-1) in every w-coefficient
         beta_fixed = linalg.sparse_nullspace(_aut_rows(p, n, TowerAut.beta(p, n)),
                                              pn * phi)
         if len(beta_fixed) != deg1 * pn:
             return False, {"stage": "subfield-dimension", "dim": len(beta_fixed)}
         for vec in beta_fixed:
-            if not set(vec) <= supp:
-                return False, {"stage": "subfield-support",
-                               "stray": sorted(set(vec) - supp)[:4]}
+            stray = sorted(k for k in vec if k % phi % step)
+            if stray:
+                return False, {"stage": "subfield-support", "stray": stray[:4]}
 
         # action matrices over the base, with entries certified inside it
         mats = []
@@ -611,24 +533,21 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
             eps.append(e)
 
         # fixed space of the action == the base field (Q-dimension p-1)
+        # (column: the monomial zeta_1^j w^B, in the flat layout)
         dimq = deg1 * pn
         stacked = []
         for t, h in enumerate(basis):
-            rows = defaultdict(dict)
-            for B in range(pn):
-                for j in range(deg1):
-                    col = B * deg1 + j
-                    y = BigFieldElt.monomial(p, n, a, j * step, B)
-                    z = h.apply(y) - y.scale(embed(1, n, eps[t]))
-                    for B2 in range(pn):
-                        c = _base_entry(n, z.coeffs[B2])
-                        if c is None:
-                            return False, {"stage": "fixed-space-support",
-                                           "basis_index": t, "w_power": B}
-                        for j2, v in enumerate(c.coeffs):
-                            if v:
-                                rows[B2 * deg1 + j2][col] = v
-            stacked.extend(dict(r) for r in rows.values() if r)
+            rows: dict[int, dict[int, Fraction]] = {}
+            for col, (B, j) in enumerate(product(range(pn), range(deg1))):
+                y = BigFieldElt.monomial(p, n, a, j * step, B)
+                z = h.apply(y) - y.scale(embed(1, n, eps[t]))
+                cells = [_base_entry(n, c) for c in z.coeffs]
+                if any(c is None for c in cells):
+                    return False, {"stage": "fixed-space-support",
+                                   "basis_index": t, "w_power": B}
+                for r, v in cells_to_vector(cells).items():
+                    rows.setdefault(r, {})[col] = v
+            stacked.extend(rows.values())
         kernel = linalg.sparse_nullspace(stacked, dimq)
         base_cols = {j for j in range(deg1)}          # w-power 0 coordinates
         if len(kernel) != deg1:
@@ -646,7 +565,8 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
                              * (a if (B2 - c) % pn + c >= pn else 1))
                             for B in range(pn)] for B2 in range(pn)]
                 for j in range(deg1):
-                    ech.insert(_matrix_q_vec(p, n, shifted, j))
+                    ech.insert(cells_to_vector(c.shift(j) for row in shifted
+                                               for c in row))
         want = deg1 * pn * pn
         if ech.rank != want:
             return False, {"stage": "endomorphism-rank", "rank": ech.rank,
@@ -673,7 +593,8 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
                 mat = action_matrix(h)
                 if mat is None:
                     return False, {"stage": "image-support", "i": i}
-                vecs.extend(_matrix_q_vec(p, n, mat, j) for j in range(deg1))
+                vecs.extend(cells_to_vector(c.shift(j) for row in mat for c in row)
+                            for j in range(deg1))
             ech = linalg.SparseEchelon()
             for v in vecs:
                 ech.insert(v)
@@ -693,7 +614,7 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
             mat = [[CycloElt.zero(f1)] * pn for _ in range(pn)]
             mat[B][B] = CycloElt.one(f1)
             for j in range(deg1):
-                v = _matrix_q_vec(p, n, mat, j)
+                v = cells_to_vector(c.shift(j) for row in mat for c in row)
                 diag.insert(v)
                 diag_vecs.append(v)
         if not (all(diag.contains(v) for v in vecs_by_i[0])
@@ -726,20 +647,6 @@ def variant_nu(n: int, i: int, x: TowerAut) -> TowerAut:
             return complement_generator(p, n - 1, i).pow(k)
         cur = cur.compose(g)
     raise ValueError("element is not in complement %d" % i)
-
-
-def variant_nu_coeffs(p: int, n: int, i: int, coeffs: dict) -> dict:
-    """The same map on abstract group-ring coefficients {k: weight} over
-    powers of the complement generator: indices collapse mod p^{n-1}."""
-    if not (n >= 3 or (n == 2 and i == 0)):
-        raise ValueError("truncation of complements needs level >= 3 "
-                         "(level 2 only on the i = 0 chain)")
-    tgt = p ** (n - 1)
-    out: dict[int, Fraction] = {}
-    for k, w in coeffs.items():
-        k2 = k % tgt
-        out[k2] = out.get(k2, Fraction(0)) + Fraction(w)
-    return {k: w for k, w in out.items() if w}
 
 
 def variant_nu_check(p: int, n: int) -> Report:
@@ -798,14 +705,15 @@ def e_containment_check(p: int, n: int, a=Fraction(2)) -> Report:
         for j in range(p):
             ech = linalg.SparseEchelon()
             for v in fixed_field(p, n, [complement_generator(p, n, j)], a):
-                ech.insert(_field_vec(v))
+                ech.insert(cells_to_vector(v.coeffs))
             echs.append(ech)
         matrix = []
         for i in range(p):
             low = fixed_field(p, n - 1, [complement_generator(p, n - 1, i)], a)
             if len(low) != (p - 1) * p ** (n - 2):
                 return False, {"stage": "low-dimension", "i": i, "dim": len(low)}
-            lifts = [_field_vec(field_tower_lift(n - 1, n, v)) for v in low]
+            lifts = [cells_to_vector(field_tower_lift(n - 1, n, v).coeffs)
+                     for v in low]
             matrix.append([all(ech.contains(vec) for vec in lifts)
                            for ech in echs])
         expected = [[i == 0] * p for i in range(p)]
@@ -824,16 +732,6 @@ def e_containment_check(p: int, n: int, a=Fraction(2)) -> Report:
                    body)
 
 
-def _field_vec(x: BigFieldElt) -> dict[int, Fraction]:
-    phi = FieldDescriptor(x.p, x.n).degree
-    vec = {}
-    for B, c in enumerate(x.coeffs):
-        for A, v in enumerate(c.coeffs):
-            if v:
-                vec[B * phi + A] = v
-    return vec
-
-
 def complements_report(p: int, n: int) -> Report:
     """Wrap the construction-with-verification of the p normal complements."""
     def body():
@@ -848,3 +746,24 @@ def complements_report(p: int, n: int) -> Report:
             return False, {"error": str(exc)}
 
     return checked("variant-complements", {"p": p, "n": n}, wrapped)
+
+
+def variant_reports(p: int, n: int, a=Fraction(2), i: int | None = None,
+                    algebras: bool = True) -> list[Report]:
+    """The variants suite at one level, in report order: the complements, the
+    rank certificate and action check for every complement index (or only
+    `i`), and the distinct-images check when every index ran; then, from
+    level 3 on, the truncation checks.  With algebras=False only the
+    truncation checks run."""
+    out: list[Report] = []
+    if algebras:
+        out.append(complements_report(p, n))
+        for k in (range(p) if i is None else [i]):
+            out.append(h_variant_rank_certificate(p, n, k, a))
+            out.append(variant_action_check(p, n, k, a))
+        if i is None:
+            out.append(distinct_action_images(p, n, a))
+    if n >= 3:
+        out.append(variant_nu_check(p, n))
+        out.append(e_containment_check(p, n, a))
+    return out

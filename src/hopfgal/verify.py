@@ -22,9 +22,7 @@ from .reporting import Report
 from .smash_end import (hom_subalgebra_closure_check,
                         hom_subalgebra_dimension_report, iso_check,
                         nine_matrices_report)
-from .variants import (complements_report, distinct_action_images,
-                       e_containment_check, h_variant_rank_certificate,
-                       variant_action_check, variant_nu_check)
+from .variants import variant_reports
 
 # Default desk-scale instance families.  The heavier checks run on smaller
 # subsets so each criterion stays inside its runtime budget.
@@ -143,15 +141,9 @@ def criterion_variants(instances=VARIANT_INSTANCES,
         return [skipped("variant-complements", {"instances": []})]
     out: list[Report] = []
     for p, n in instances:
-        out.append(complements_report(p, n))
-        for i in range(p):
-            out.append(h_variant_rank_certificate(p, n, i, a))
-            out.append(variant_action_check(p, n, i, a))
-        out.append(distinct_action_images(p, n, a))
+        out.extend(variant_reports(p, n, a))
     for p, n in nu_instances:
-        if n >= 3:
-            out.append(variant_nu_check(p, n))
-            out.append(e_containment_check(p, n, a))
+        out.extend(variant_reports(p, n, a, algebras=False))
     return out
 
 
@@ -210,11 +202,3 @@ def full_suite(p: int | None = None, n: int | None = None,
         ("variants", criterion_variants(variant, variant_nu, a)),
         ("census", criterion_census(labels, engine, budget_seconds)),
     ]
-
-
-def flatten(groups) -> list[Report]:
-    return [report for _, reports in groups for report in reports]
-
-
-def all_ok(groups) -> bool:
-    return all(report.ok for report in flatten(groups))

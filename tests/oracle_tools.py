@@ -101,6 +101,13 @@ def oracle_nullity(rows, ncols: int) -> int:
     return ncols - to_sympy_matrix(rows).rank()
 
 
+def oracle_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Nonzero rows of the reduced row echelon form, and the pivot columns."""
+    red, pivots = to_sympy_matrix(rows).rref()
+    return ([[Fraction(int(v.p), int(v.q)) for v in red.row(i)]
+             for i in range(len(pivots))], list(pivots))
+
+
 def oracle_multiplicative_order(g: int, modulus: int) -> int:
     return int(sympy.ntheory.n_order(g, modulus))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +247,22 @@ def test_json_output_is_deterministic(capsys):
                       "--format", "json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--p", "3", "--n", "1"),
+    ("variants", "--p", "3", "--n", "2"),
+], ids=["verify_all_p3_n1", "variants_p3_n2"])
+def test_json_output_matches_golden_bytes(capsys, request, argv):
+    # the files hold the output captured before the elimination and
+    # coordinate code was unified; any byte difference is a regression
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    golden = GOLDEN / (request.node.callspec.id + ".json")
+    assert out == golden.read_text()
 
 
 def test_timings_flag_adds_elapsed_ms(capsys):

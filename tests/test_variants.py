@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hopfgal.cyclotomic import FieldDescriptor, action_rows
+from hopfgal.linalg import sparse_nullspace
 from hopfgal.variants import (BigFieldElt, TowerAut, aut_act,
                               complement_elements, complement_generator,
                               complements_report, conjugation_exponent,
@@ -13,6 +15,8 @@ from hopfgal.variants import (BigFieldElt, TowerAut, aut_act,
                               h_variant, h_variant_rank_certificate,
                               normal_complements, variant_action_check,
                               variant_nu, variant_nu_check)
+
+from oracle_tools import oracle_nullity
 
 
 def tower_auts(p, n):
@@ -102,6 +106,19 @@ def test_fixed_field_dimension(i):
     g = complement_generator(p, n, i)
     for x in basis:
         assert aut_act(g, x) == x
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_action_rows_kernel_has_sympy_nullity(i):
+    p, n = 3, 2
+    field = FieldDescriptor(p, n)
+    g = complement_generator(p, n, i)
+    rows = action_rows(field, g.unit(), [(B, g.s * B) for B in range(p ** n)])
+    ncols = p ** n * field.degree
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    kernel = sparse_nullspace(rows, ncols)
+    assert len(kernel) == oracle_nullity(dense, ncols) == field.degree
+    assert len(fixed_field(p, n, [g])) == len(kernel)
 
 
 def test_fixed_field_lift_is_injective_map():
