@@ -16,7 +16,7 @@ from .gp_enum import (CapExceeded, CensusInstance, EnumerationRefusal,
                       FiniteGroup, Perm, SearchBudgetExceeded,
                       UnsupportedInstance, census_instances, census_reports,
                       enumerate_regular_normalized)
-from .groupring import GroupRingElt, TensorElt
+from .groupring import GroupRingElt
 from .hopfgalois import HopfElt, RadicalElt, act, e_basis, validate_radicand
 from .profinite import CoherentH, PadicTrunc, nu_groupring, nu_h
 from .reporting import Report, checked
@@ -31,7 +31,7 @@ __all__ = [
     "BigFieldElt", "CapExceeded", "CensusInstance", "CoherentH", "CycloElt",
     "EnumerationRefusal", "FieldDescriptor", "FiniteGroup", "GroupRingElt",
     "HopfElt", "PadicTrunc", "Perm", "QMatrix", "RadicalElt", "Report",
-    "SearchBudgetExceeded", "SmashElt", "TensorElt", "TowerAut",
+    "SearchBudgetExceeded", "SmashElt", "TowerAut",
     "UnsupportedInstance", "VariantHopfElt", "act", "census_instances",
     "census_reports", "checked", "decompose_endomorphism", "e_basis",
     "enumerate_regular_normalized", "full_suite", "h_variant", "nu_groupring",

@@ -5,8 +5,12 @@ with phi = p^(n-1)(p-1), reduced with the relation
 
     zeta^phi = -(1 + zeta^s + zeta^(2s) + ... + zeta^((p-2)s)),   s = p^(n-1),
 
-i.e. the minimal polynomial x^phi + x^((p-2)s) + ... + x^s + 1.  All
-coefficients are `fractions.Fraction`; nothing here is approximate.
+i.e. the minimal polynomial x^phi + x^((p-2)s) + ... + x^s + 1.  An element
+stores integer numerators over one positive denominator, in lowest terms, and
+all arithmetic runs on those integers; the `fractions.Fraction` coefficients
+are a view (`CycloElt.coeffs`) built when asked for.  Reduction goes through
+a per-field table of zeta^e in the power basis, built on the field's first
+use.  Nothing here is approximate.
 
 The same fixed multiplier (the smallest primitive root mod p^2, which is a
 primitive root mod every p^k for odd p) drives the Galois action at every
@@ -15,9 +19,9 @@ level, so towers of these fields share one generator convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import linalg
 
@@ -67,29 +71,47 @@ def primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found mod %d" % (p * p))
 
 
-@dataclass(frozen=True)
 class FieldDescriptor:
-    """The field Q(zeta) with zeta a primitive p^n-th root of unity."""
-    p: int
-    n: int
+    """The field Q(zeta) with zeta a primitive p^n-th root of unity.
 
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError("p must be an odd prime, got %r" % (self.p,))
-        if self.n < 1:
-            raise ValueError("n must be >= 1, got %r" % (self.n,))
+    There is one instance per (p, n): constructing the same field twice
+    returns the same object, so two descriptors are equal exactly when they
+    are identical.  The instance also holds the field's reduction table,
+    built on first use (see `_reduction_table`).
+    """
 
-    @property
-    def modulus(self) -> int:          # order of zeta
-        return self.p ** self.n
+    __slots__ = ("p", "n", "modulus", "degree", "multiplier", "_table")
+    _instances: dict[tuple[int, int], "FieldDescriptor"] = {}
 
-    @property
-    def degree(self) -> int:           # phi(p^n) = [Q(zeta) : Q]
-        return self.p ** (self.n - 1) * (self.p - 1)
+    def __new__(cls, p: int, n: int):
+        field = cls._instances.get((p, n))
+        if field is not None:
+            return field
+        if not is_prime(p) or p == 2:
+            raise ValueError("p must be an odd prime, got %r" % (p,))
+        if n < 1:
+            raise ValueError("n must be >= 1, got %r" % (n,))
+        field = object.__new__(cls)
+        for name, value in (("p", p), ("n", n),
+                            ("modulus", p ** n),                  # order of zeta
+                            ("degree", p ** (n - 1) * (p - 1)),   # [Q(zeta) : Q]
+                            # generator of the Galois action on exponents
+                            ("multiplier", primitive_root(p)),
+                            ("_table", None)):
+            object.__setattr__(field, name, value)
+        return cls._instances.setdefault((p, n), field)
 
-    @property
-    def multiplier(self) -> int:       # generator of the Galois action on exponents
-        return primitive_root(self.p)
+    def __setattr__(self, *a):
+        raise AttributeError("FieldDescriptor is immutable")
+
+    def __reduce__(self):
+        return FieldDescriptor, (self.p, self.n)
+
+    def __hash__(self):
+        return hash((self.p, self.n))
+
+    def __repr__(self):
+        return "FieldDescriptor(p=%d, n=%d)" % (self.p, self.n)
 
 
 def _exp_terms(field: FieldDescriptor, e: int) -> dict[int, int]:
@@ -102,24 +124,69 @@ def _exp_terms(field: FieldDescriptor, e: int) -> dict[int, int]:
     return {k * s + d: -1 for k in range(field.p - 1)}
 
 
+def _reduction_table(field: FieldDescriptor) -> tuple:
+    """Entry e (0 <= e < p^n) is zeta^e in the power basis, as ((index, +/-1), ...).
+    Built from `_exp_terms` on first use and kept on the field."""
+    table = field._table
+    if table is None:
+        table = tuple(tuple(_exp_terms(field, e).items())
+                      for e in range(field.modulus))
+        object.__setattr__(field, "_table", table)
+    return table
+
+
+def _fold(field: FieldDescriptor, pairs) -> list[int]:
+    """Power-basis numerators of sum c * zeta^e over integer pairs (e, c),
+    exponents taken mod p^n."""
+    m, table = field.modulus, _reduction_table(field)
+    out = [0] * field.degree
+    for e, c in pairs:
+        if c:
+            for i, s in table[e % m]:
+                out[i] += s * c
+    return out
+
+
+def _common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of rationals.
+    Their gcd with the denominator is 1 (the lcm of reduced denominators)."""
+    fracs = [v if type(v) is Fraction else Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
 _ZERO_CACHE: dict = {}            # FieldDescriptor -> the canonical zero element
 
 
 class CycloElt:
-    """An element of Q(zeta), stored as its power-basis coefficient vector."""
+    """An element of Q(zeta): power-basis numerators `nums` over one
+    denominator `den`.
 
-    __slots__ = ("field", "coeffs", "nonzero")
+    The form is canonical: den > 0 and gcd(den, *nums) == 1, so zero is
+    (0, ..., 0)/1 and equal values have equal storage.  `nonzero` is set on
+    construction.  `CycloElt(field, coeffs)` takes rational coefficients;
+    `coeffs` gives them back as `Fraction`s, built on every access.
+    """
+
+    __slots__ = ("field", "nums", "den", "nonzero")
 
     def __init__(self, field: FieldDescriptor, coeffs):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != field.degree:
             raise ValueError("expected %d coefficients, got %d" % (field.degree, len(coeffs)))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "nonzero", any(coeffs))
+        nums, den = _common_denominator(coeffs)
+        _set_field(self, field)
+        _set_nums(self, tuple(nums))
+        _set_den(self, den)
+        _set_nonzero(self, any(nums))
 
     def __setattr__(self, *a):
         raise AttributeError("CycloElt is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.nums)
 
     # -- constructors -------------------------------------------------------
 
@@ -127,8 +194,7 @@ class CycloElt:
     def zero(cls, field: FieldDescriptor) -> "CycloElt":
         elt = _ZERO_CACHE.get(field)
         if elt is None:
-            elt = cls(field, [0] * field.degree)
-            _ZERO_CACHE[field] = elt
+            elt = _ZERO_CACHE[field] = _make(field, (0,) * field.degree, 1)
         return elt
 
     @classmethod
@@ -137,27 +203,38 @@ class CycloElt:
 
     @classmethod
     def rational(cls, field: FieldDescriptor, x) -> "CycloElt":
-        v = [Fraction(0)] * field.degree
-        v[0] = Fraction(x)
-        return cls(field, v)
+        f = Fraction(x)
+        return _make(field, (f.numerator,) + (0,) * (field.degree - 1), f.denominator)
 
     @classmethod
     def zeta_power(cls, field: FieldDescriptor, e: int) -> "CycloElt":
-        v = [Fraction(0)] * field.degree
-        for i, c in _exp_terms(field, e).items():
-            v[i] += c
-        return cls(field, v)
+        return from_exponents(field, ((e, 1),))
 
     # -- ring structure ------------------------------------------------------
 
     def _lift(self, other):
         if isinstance(other, CycloElt):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError("field mismatch: %r vs %r" % (self.field, other.field))
             return other
         if isinstance(other, (int, Fraction)):
             return CycloElt.rational(self.field, other)
         return None
+
+    def _combine(self, o: "CycloElt", sign: int) -> "CycloElt":
+        """self + sign * o over the common denominator."""
+        xd, yd = self.den, o.den
+        if xd == yd:
+            if sign > 0:
+                nums = [a + b for a, b in zip(self.nums, o.nums)]
+            else:
+                nums = [a - b for a, b in zip(self.nums, o.nums)]
+        else:
+            g = gcd(xd, yd)
+            sx, sy = yd // g, sign * (xd // g)
+            nums = [a * sx + b * sy for a, b in zip(self.nums, o.nums)]
+            xd *= sx
+        return _normalized(self.field, nums, xd)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -167,18 +244,18 @@ class CycloElt:
             return o
         if not o.nonzero:
             return self
-        return CycloElt(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElt(self.field, [-a for a in self.coeffs])
+        return _make(self.field, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return CycloElt(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -186,10 +263,13 @@ class CycloElt:
             return NotImplemented
         return o - self
 
+    def _scale(self, f: Fraction) -> "CycloElt":
+        return _normalized(self.field, [a * f.numerator for a in self.nums],
+                           self.den * f.denominator)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycloElt(self.field, [a * f for a in self.coeffs])
+            return self._scale(Fraction(other))
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -199,21 +279,26 @@ class CycloElt:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycloElt(self.field, [a / f for a in self.coeffs])
+            return self._scale(1 / Fraction(other))
         o = self._lift(other)
         if o is None:
             return NotImplemented
         return mul(self, inverse(o))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        return (isinstance(other, CycloElt)
-                and self.field == other.field and self.coeffs == other.coeffs)
+        if isinstance(other, CycloElt):
+            return (self.field is other.field and self.den == other.den
+                    and self.nums == other.nums)
+        if isinstance(other, (int, Fraction)):       # both are in lowest terms
+            return (self.is_rational() and self.nums[0] == other.numerator
+                    and self.den == other.denominator)
+        return False
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        # a rational element equals its Fraction value, so it hashes like it
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field, self.nums, self.den))
 
     def __bool__(self):
         return self.nonzero
@@ -225,59 +310,91 @@ class CycloElt:
     # -- predicates ----------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Rat:
         if not self.is_rational():
             raise ValueError("element is not rational: %r" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def shift(self, e: int) -> "CycloElt":
-        """Multiply by zeta^e (monomial fast path)."""
-        if not self.nonzero or e % self.field.modulus == 0:
+        """Multiply by zeta^e.  Multiplying by a root of unity permutes Z[zeta],
+        so the numerators keep gcd 1 with the denominator."""
+        field = self.field
+        if e % field.modulus == 0 or not self.nonzero:
             return self
-        v = [Fraction(0)] * self.field.degree
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, s in _exp_terms(self.field, i + e).items():
-                    v[j] += c * s
-        return CycloElt(self.field, v)
+        return _make(field, tuple(_fold(field, ((i + e, a) for i, a in enumerate(self.nums)))),
+                     self.den)
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
+        den = self.den
+        out = []
+        for a in self.nums:
+            if a:
+                g = gcd(a, den)
+                out.append("%d/%d" % (a // g, den // g))
+            else:
+                out.append("0/1")             # one shared string for every zero
+        return out
 
     @classmethod
     def from_json(cls, field: FieldDescriptor, data) -> "CycloElt":
         return cls(field, [parse_rat(s) for s in data])
 
 
+_set_field = CycloElt.field.__set__
+_set_nums = CycloElt.nums.__set__
+_set_den = CycloElt.den.__set__
+_set_nonzero = CycloElt.nonzero.__set__
+
+
+def _make(field: FieldDescriptor, nums: tuple, den: int) -> CycloElt:
+    """An element from numerators and denominator already in canonical form."""
+    x = object.__new__(CycloElt)
+    _set_field(x, field)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    _set_nonzero(x, any(nums))
+    return x
+
+
+def _normalized(field: FieldDescriptor, nums: list, den: int) -> CycloElt:
+    """An element from integer numerators over a positive denominator."""
+    g = gcd(den, *nums)
+    if g != 1:
+        return _make(field, tuple(a // g for a in nums), den // g)
+    return _make(field, tuple(nums), den)
+
+
+def from_exponents(field: FieldDescriptor, pairs, den: int = 1) -> CycloElt:
+    """(1/den) * sum c * zeta^e over integer pairs (e, c), e taken mod p^n.
+
+    Passing `enumerate(sums)` folds a table of exponent sums; every entry
+    goes through the reduction table, with no shortcut for special sums."""
+    return _normalized(field, _fold(field, pairs), den)
+
+
 def reduce_terms(field: FieldDescriptor, terms: dict[int, Rat]) -> CycloElt:
     """Canonical form of a formal sum  sum_e terms[e] * zeta^e  (e arbitrary ints)."""
-    v = [Fraction(0)] * field.degree
-    for e, c in terms.items():
-        if not c:
-            continue
-        for i, s in _exp_terms(field, e).items():
-            v[i] += c * s
-    return CycloElt(field, v)
+    nums, den = _common_denominator(terms.values())
+    return from_exponents(field, zip(terms, nums), den)
 
 
 def mul(x: CycloElt, y: CycloElt) -> CycloElt:
-    if x.field != y.field:
+    field = x.field
+    if y.field is not field:
         raise ValueError("field mismatch")
-    if not x or not y:
-        return CycloElt.zero(x.field)
-    terms: dict[int, Fraction] = {}
-    for i, a in enumerate(x.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(y.coeffs):
-            if not b:
-                continue
-            terms[i + j] = terms.get(i + j, Fraction(0)) + a * b
-    return reduce_terms(x.field, terms)
+    if not x.nonzero or not y.nonzero:
+        return CycloElt.zero(field)
+    acc = [0] * (2 * field.degree - 1)
+    ys = [(j, b) for j, b in enumerate(y.nums) if b]
+    for i, a in enumerate(x.nums):
+        if a:
+            for j, b in ys:
+                acc[i + j] += a * b
+    return from_exponents(field, enumerate(acc), x.den * y.den)
 
 
 def inverse(x: CycloElt) -> CycloElt:
@@ -310,12 +427,9 @@ def unit_apply(u: int, x: CycloElt) -> CycloElt:
     field = x.field
     if u % field.p == 0:
         raise ValueError("exponent multiplier %d is not a unit mod %d" % (u, field.modulus))
-    terms: dict[int, Fraction] = {}
-    for i, c in enumerate(x.coeffs):
-        if c:
-            e = (i * u) % field.modulus
-            terms[e] = terms.get(e, Fraction(0)) + c
-    return reduce_terms(field, terms)
+    # an automorphism permutes Z[zeta], so the numerators keep gcd 1 with den
+    return _make(field, tuple(_fold(field, ((i * u, a) for i, a in enumerate(x.nums)))),
+                 x.den)
 
 
 def embed(m: int, n: int, x: CycloElt) -> CycloElt:
@@ -330,10 +444,9 @@ def embed(m: int, n: int, x: CycloElt) -> CycloElt:
         raise ValueError("embed needs m <= n, got m=%d > n=%d" % (m, n))
     tgt = FieldDescriptor(x.field.p, n)
     stretch = x.field.p ** (n - m)
-    v = [Fraction(0)] * tgt.degree
-    for i, c in enumerate(x.coeffs):
-        v[i * stretch] = c
-    return CycloElt(tgt, v)
+    v = [0] * tgt.degree
+    v[::stretch] = x.nums
+    return _make(tgt, tuple(v), x.den)
 
 
 def embed_preimage(m: int, n: int, y: CycloElt) -> CycloElt | None:
@@ -343,14 +456,9 @@ def embed_preimage(m: int, n: int, y: CycloElt) -> CycloElt | None:
         raise ValueError("bad levels m=%d, n=%d for element at level %d" % (m, n, y.field.n))
     src = FieldDescriptor(y.field.p, m)
     stretch = y.field.p ** (n - m)
-    v = [Fraction(0)] * src.degree
-    for i, c in enumerate(y.coeffs):
-        if not c:
-            continue
-        if i % stretch:
-            return None
-        v[i // stretch] = c
-    return CycloElt(src, v)
+    if any(a for i, a in enumerate(y.nums) if i % stretch):
+        return None
+    return _make(src, y.nums[::stretch], y.den)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +474,17 @@ def cells_to_vector(cells) -> dict[int, Rat]:
     such as matrix rows -- to the sparse vector {c*phi + A: v}."""
     out: dict[int, Rat] = {}
     for c, cell in enumerate(cells):
-        coeffs = cell.coeffs if isinstance(cell, CycloElt) else cell
-        base = c * len(coeffs)
-        for A, v in enumerate(coeffs):
-            if v:
-                out[base + A] = v
+        if isinstance(cell, CycloElt):
+            nums, den = cell.nums, cell.den
+            base = c * len(nums)
+            for A, a in enumerate(nums):
+                if a:
+                    out[base + A] = a if den == 1 else Fraction(a, den)
+        else:
+            base = c * len(cell)
+            for A, v in enumerate(cell):
+                if v:
+                    out[base + A] = v
     return out
 
 
@@ -378,11 +492,18 @@ def vector_to_cells(field: FieldDescriptor, vec: dict[int, Rat],
                     ncells: int) -> list[CycloElt]:
     """Inverse of `cells_to_vector` for `ncells` cells of Q(zeta) coordinates."""
     phi = field.degree
-    cells = [[Fraction(0)] * phi for _ in range(ncells)]
+    parts: dict[int, dict[int, Rat]] = {}
     for idx, v in vec.items():
         c, A = divmod(idx, phi)
-        cells[c][A] = v
-    return [CycloElt(field, coeffs) for coeffs in cells]
+        parts.setdefault(c, {})[A] = v
+    cells = [CycloElt.zero(field)] * ncells
+    for c, entries in parts.items():
+        nums, den = _common_denominator(entries.values())
+        full = [0] * phi
+        for A, a in zip(entries, nums):
+            full[A] = a
+        cells[c] = _make(field, tuple(full), den)
+    return cells
 
 
 def action_rows(field: FieldDescriptor, u: int,
@@ -392,12 +513,12 @@ def action_rows(field: FieldDescriptor, u: int,
     zeta^(u*A + s) in cell t; g is then the semilinear map that acts on each
     cell by zeta -> zeta^u and moves it to its target.  The kernel of the
     rows is the space fixed by g."""
-    phi = field.degree
+    phi, m, table = field.degree, field.modulus, _reduction_table(field)
     rows: dict[int, dict[int, int]] = {}
     for c, (t, s) in enumerate(moves):
         for A in range(phi):
             src = c * phi + A
-            for A2, sign in _exp_terms(field, u * A + s).items():
+            for A2, sign in table[(u * A + s) % m]:
                 row = rows.setdefault(t * phi + A2, {})
                 row[src] = row.get(src, 0) + sign
             row = rows.setdefault(src, {})

@@ -1,14 +1,11 @@
-"""Group rings Q(zeta)[C] for C a cyclic p-power group, with their Hopf structure
-and the diagonal Galois action whose fixed ring is the object of interest.
+"""Group rings Q(zeta)[C] for C a cyclic p-power group, and the diagonal Galois
+action whose fixed ring is the object of interest.
 
 An element is a coefficient vector indexed by group exponents 0..group_order-1,
 with cyclotomic coefficients.  The coefficient field level and the group order
 are independent: truncating the group (see `profinite`) shrinks the group while
 the coefficients stay where they are.  The common case is group_order == p^n
 with coefficients in Q(zeta_{p^n}).
-
-Hopf structure on the group ring: group elements are group-like
-(comul g = g (x) g, counit g = 1, antipode g = g^{-1}).
 
 The diagonal action sends  c * sigma^b  to  (zeta->zeta^u)(c) * sigma^(u*b)
 with u = multiplier^e; its fixed ring is computed as the exact kernel of
@@ -36,11 +33,21 @@ class GroupRingElt:
         if len(coeffs) != group_order:
             raise ValueError("expected %d coefficients, got %d" % (group_order, len(coeffs)))
         for c in coeffs:
-            if not isinstance(c, CycloElt) or c.field != field:
+            if not isinstance(c, CycloElt) or c.field is not field:
                 raise ValueError("coefficients must be CycloElt over %r" % (field,))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "group_order", group_order)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _unchecked(cls, field: FieldDescriptor, coeffs, group_order: int) -> "GroupRingElt":
+        """An element from coefficients that library code built over `field`;
+        skips the per-coefficient check of the public constructor."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "field", field)
+        object.__setattr__(x, "group_order", group_order)
+        object.__setattr__(x, "coeffs", tuple(coeffs))
+        return x
 
     def __setattr__(self, *a):
         raise AttributeError("GroupRingElt is immutable")
@@ -48,7 +55,7 @@ class GroupRingElt:
     @classmethod
     def zero(cls, field: FieldDescriptor, group_order: int | None = None) -> "GroupRingElt":
         go = field.modulus if group_order is None else group_order
-        return cls(field, [CycloElt.zero(field)] * go, go)
+        return cls._unchecked(field, [CycloElt.zero(field)] * go, go)
 
     @classmethod
     def one(cls, field: FieldDescriptor, group_order: int | None = None) -> "GroupRingElt":
@@ -60,34 +67,34 @@ class GroupRingElt:
         go = field.modulus if group_order is None else group_order
         v = [CycloElt.zero(field)] * go
         v[b % go] = CycloElt.one(field)
-        return cls(field, v, go)
+        return cls._unchecked(field, v, go)
 
     def _check(self, other: "GroupRingElt"):
-        if self.field != other.field or self.group_order != other.group_order:
+        if self.field is not other.field or self.group_order != other.group_order:
             raise ValueError("mismatched group rings")
 
     def __add__(self, other):
         self._check(other)
-        return GroupRingElt(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)],
-                            self.group_order)
+        return GroupRingElt._unchecked(
+            self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)], self.group_order)
 
     def __sub__(self, other):
         self._check(other)
-        return GroupRingElt(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)],
-                            self.group_order)
+        return GroupRingElt._unchecked(
+            self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)], self.group_order)
 
     def __neg__(self):
-        return GroupRingElt(self.field, [-a for a in self.coeffs], self.group_order)
+        return GroupRingElt._unchecked(self.field, [-a for a in self.coeffs], self.group_order)
 
     def scale(self, c) -> "GroupRingElt":
         """Multiply by a scalar (rational or cyclotomic)."""
         if isinstance(c, (int, Fraction)):
             c = CycloElt.rational(self.field, c)
-        return GroupRingElt(self.field, [c * a if a else a for a in self.coeffs],
-                            self.group_order)
+        return GroupRingElt._unchecked(
+            self.field, [c * a if a else a for a in self.coeffs], self.group_order)
 
     def __eq__(self, other):
-        return (isinstance(other, GroupRingElt) and self.field == other.field
+        return (isinstance(other, GroupRingElt) and self.field is other.field
                 and self.group_order == other.group_order and self.coeffs == other.coeffs)
 
     def __hash__(self):
@@ -110,69 +117,6 @@ class GroupRingElt:
         return cls(field, [CycloElt.from_json(field, row) for row in data], group_order)
 
 
-class TensorElt:
-    """Element of the tensor square (over the coefficient field), in the normal
-    form of a {(exponent, exponent): coefficient} table over basis pairs."""
-
-    __slots__ = ("field", "group_order", "terms")
-
-    def __init__(self, field: FieldDescriptor, terms: dict, group_order: int | None = None):
-        go = field.modulus if group_order is None else group_order
-        clean = {}
-        for (b1, b2), c in terms.items():
-            if isinstance(c, (int, Fraction)):
-                c = CycloElt.rational(field, c)
-            if c:
-                clean[(b1 % go, b2 % go)] = c
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "group_order", go)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TensorElt is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElt) and self.field == other.field
-                and self.group_order == other.group_order and self.terms == other.terms)
-
-    def __repr__(self):
-        return "TensorElt(%r)" % (self.terms,)
-
-
-def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
-    x._check(y)
-    go = x.group_order
-    acc = [CycloElt.zero(x.field) for _ in range(go)]
-    for b1, c1 in enumerate(x.coeffs):
-        if not c1:
-            continue
-        for b2, c2 in enumerate(y.coeffs):
-            if c2:
-                b = (b1 + b2) % go
-                acc[b] = acc[b] + c1 * c2
-    return GroupRingElt(x.field, acc, go)
-
-
-def gr_comul(x: GroupRingElt) -> TensorElt:
-    return TensorElt(x.field, {(b, b): c for b, c in enumerate(x.coeffs) if c},
-                     x.group_order)
-
-
-def gr_counit(x: GroupRingElt) -> CycloElt:
-    acc = CycloElt.zero(x.field)
-    for c in x.coeffs:
-        acc = acc + c
-    return acc
-
-
-def gr_antipode(x: GroupRingElt) -> GroupRingElt:
-    go = x.group_order
-    v = [CycloElt.zero(x.field)] * go
-    for b, c in enumerate(x.coeffs):
-        v[(-b) % go] = c
-    return GroupRingElt(x.field, v, go)
-
-
 def diag_action_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     """zeta -> zeta^u on coefficients and sigma^b -> sigma^(u b), u a unit mod p."""
     from .cyclotomic import unit_apply
@@ -182,9 +126,8 @@ def diag_action_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     v = [CycloElt.zero(x.field)] * go
     for b, c in enumerate(x.coeffs):
         if c:
-            b2 = (b * u) % go
-            v[b2] = v[b2] + unit_apply(u, c)
-    return GroupRingElt(x.field, v, go)
+            v[(b * u) % go] = unit_apply(u, c)      # b -> u*b permutes Z/go
+    return GroupRingElt._unchecked(x.field, v, go)
 
 
 def diag_action(e: int, x: GroupRingElt) -> GroupRingElt:

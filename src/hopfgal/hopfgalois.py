@@ -24,10 +24,11 @@ cyclotomic combinations of the idempotents.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .cyclotomic import (CycloElt, FieldDescriptor, Rat, cells_to_vector, embed,
-                         embed_preimage, parse_rat, rat_str)
+                         embed_preimage, from_exponents, parse_rat, rat_str)
 from .groupring import GroupRingElt
 from .reporting import Report, checked
 
@@ -78,21 +79,21 @@ def e_basis(p: int, n: int, i: int) -> GroupRingElt:
     """The i-th idempotent (1/p^n) sum_j zeta^(-ij) sigma^j, as a group-ring element."""
     field = FieldDescriptor(p, n)
     go = field.modulus
-    unit = Fraction(1, go)
-    coeffs = [CycloElt.zeta_power(field, (-i * j) % go) * unit for j in range(go)]
-    return GroupRingElt(field, coeffs)
+    return GroupRingElt._unchecked(
+        field, [from_exponents(field, ((-i * j, 1),), go) for j in range(go)], go)
 
 
 def dual_pairing(p: int, n: int, i: int, k: int) -> Rat:
     """<e_i, sigma^k> = (1/p^n) sum_j zeta^(-ij) * zeta^(kj), evaluated as the
-    full character sum in the cyclotomic field (no Kronecker shortcut)."""
+    full character sum in the cyclotomic field (no Kronecker shortcut): the
+    p^n terms are counted in a table by exponent, and every entry is folded
+    through the field's reduction."""
     field = FieldDescriptor(p, n)
     go = field.modulus
-    acc = CycloElt.zero(field)
+    sums = [0] * go
     for j in range(go):
-        acc = acc + CycloElt.zeta_power(field, (-i * j) % go) * CycloElt.zeta_power(field, (k * j) % go)
-    acc = acc * Fraction(1, go)
-    return acc.rational_value()
+        sums[(-i * j + k * j) % go] += 1
+    return from_exponents(field, enumerate(sums), go).rational_value()
 
 
 def h_comul(p: int, n: int, i: int) -> list[tuple[int, int]]:
@@ -102,10 +103,6 @@ def h_comul(p: int, n: int, i: int) -> list[tuple[int, int]]:
 
 def h_counit(p: int, n: int, i: int) -> Rat:
     return Fraction(1 if i % (p ** n) == 0 else 0)
-
-
-def h_antipode(p: int, n: int, i: int) -> int:
-    return (-i) % (p ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +178,20 @@ class HopfElt:
 
 
 def hopf_to_groupring(h: HopfElt) -> GroupRingElt:
+    """sum_i c_i e_i: the coefficient of sigma^j is (1/p^n) sum_i c_i zeta^(-ij),
+    summed over a common denominator in one exponent table per j."""
     field = FieldDescriptor(h.p, h.n)
-    acc = GroupRingElt.zero(field)
-    for i, c in enumerate(h.coords):
-        if c:
-            acc = acc + e_basis(h.p, h.n, i).scale(c)
-    return acc
+    go = field.modulus
+    den = lcm(*(c.denominator for c in h.coords))
+    terms = [(i, c.numerator * (den // c.denominator))
+             for i, c in enumerate(h.coords) if c]
+    coeffs = []
+    for j in range(go):
+        sums = [0] * go
+        for i, a in terms:
+            sums[(-i * j) % go] += a
+        coeffs.append(from_exponents(field, enumerate(sums), den * go))
+    return GroupRingElt._unchecked(field, coeffs, go)
 
 
 def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
@@ -194,18 +199,23 @@ def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
 
     Evaluation against the group basis (the Fourier transform sigma^k ->
     sum_b x_b zeta^(bk)) carries the idempotent span exactly onto rational
-    vectors; a non-rational evaluation certifies non-membership.
+    vectors; a non-rational evaluation certifies non-membership.  Each
+    evaluation sums numerators over a common denominator in one exponent
+    table and folds it once.
     """
     field = x.field
     if x.group_order != field.modulus:
         raise ValueError("expected a full-level group ring element")
     go = field.modulus
+    den = lcm(*(c.den for c in x.coeffs))
+    terms = [(b, A, a * (den // c.den)) for b, c in enumerate(x.coeffs)
+             for A, a in enumerate(c.nums) if a]
     coords = []
     for k in range(go):
-        acc = CycloElt.zero(field)
-        for b, c in enumerate(x.coeffs):
-            if c:
-                acc = acc + c.shift(b * k)
+        sums = [0] * go
+        for b, A, a in terms:
+            sums[(A + b * k) % go] += a
+        acc = from_exponents(field, enumerate(sums), den)
         if not acc.is_rational():
             raise ValueError("element is not in the idempotent span "
                              "(evaluation at exponent %d is irrational)" % k)

@@ -29,11 +29,11 @@ def nu_groupring(j: int, i: int, x: GroupRingElt) -> GroupRingElt:
     if not (1 <= i < j):
         raise ValueError("need 1 <= target < source, got %d -> %d" % (j, i))
     tgt = x.field.p ** i
-    acc = [CycloElt.zero(x.field) for _ in range(tgt)]
+    acc = [CycloElt.zero(x.field)] * tgt
     for b, c in enumerate(x.coeffs):
         if c:
             acc[b % tgt] = acc[b % tgt] + c
-    return GroupRingElt(x.field, acc, tgt)
+    return GroupRingElt._unchecked(x.field, acc, tgt)
 
 
 def nu_h(n: int, h: HopfElt) -> HopfElt:

@@ -206,11 +206,10 @@ class BigFieldElt:
                                                       [c for c in self.coeffs])
 
     def to_json(self) -> dict:
-        phi = self.field.degree
+        cells = [c.to_json() for c in self.coeffs]
         return {
             "p": self.p, "n": self.n, "radicand": rat_str(self.a),
-            "coeffs": [[rat_str(self.coeffs[b].coeffs[aexp])
-                        for b in range(self.p ** self.n)] for aexp in range(phi)],
+            "coeffs": [list(row) for row in zip(*cells)],
         }
 
     @classmethod

@@ -1,0 +1,81 @@
+"""Hopf structure maps on group rings and idempotent indices, for tests.
+
+The library needs only the group ring's vector-space structure and the
+diagonal action; these maps (product, coproduct into the tensor square,
+counit, antipode, and the antipode on idempotent indices) exist so that the
+tests can check the Hopf-algebra axioms the paper's construction rests on.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hopfgal.cyclotomic import CycloElt, FieldDescriptor
+from hopfgal.groupring import GroupRingElt
+
+
+class TensorElt:
+    """Element of the tensor square (over the coefficient field), in the normal
+    form of a {(exponent, exponent): coefficient} table over basis pairs."""
+
+    __slots__ = ("field", "group_order", "terms")
+
+    def __init__(self, field: FieldDescriptor, terms: dict, group_order: int | None = None):
+        go = field.modulus if group_order is None else group_order
+        clean = {}
+        for (b1, b2), c in terms.items():
+            if isinstance(c, (int, Fraction)):
+                c = CycloElt.rational(field, c)
+            if c:
+                clean[(b1 % go, b2 % go)] = c
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "group_order", go)
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, *a):
+        raise AttributeError("TensorElt is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, TensorElt) and self.field == other.field
+                and self.group_order == other.group_order and self.terms == other.terms)
+
+    def __repr__(self):
+        return "TensorElt(%r)" % (self.terms,)
+
+
+def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
+    x._check(y)
+    go = x.group_order
+    acc = [CycloElt.zero(x.field) for _ in range(go)]
+    for b1, c1 in enumerate(x.coeffs):
+        if not c1:
+            continue
+        for b2, c2 in enumerate(y.coeffs):
+            if c2:
+                b = (b1 + b2) % go
+                acc[b] = acc[b] + c1 * c2
+    return GroupRingElt(x.field, acc, go)
+
+
+def gr_comul(x: GroupRingElt) -> TensorElt:
+    return TensorElt(x.field, {(b, b): c for b, c in enumerate(x.coeffs) if c},
+                     x.group_order)
+
+
+def gr_counit(x: GroupRingElt) -> CycloElt:
+    acc = CycloElt.zero(x.field)
+    for c in x.coeffs:
+        acc = acc + c
+    return acc
+
+
+def gr_antipode(x: GroupRingElt) -> GroupRingElt:
+    go = x.group_order
+    v = [CycloElt.zero(x.field)] * go
+    for b, c in enumerate(x.coeffs):
+        v[(-b) % go] = c
+    return GroupRingElt(x.field, v, go)
+
+
+def h_antipode(p: int, n: int, i: int) -> int:
+    return (-i) % (p ** n)

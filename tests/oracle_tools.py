@@ -73,14 +73,21 @@ def oracle_idempotent(p: int, n: int, i: int) -> list[list[Fraction]]:
     return out
 
 
+def oracle_character_sum(p: int, n: int, exps) -> list[Fraction]:
+    """sum over e in exps of x^e, reduced modulo the minimal polynomial.
+    Exponents are taken mod p^n first, which x^(p^n) == 1 allows."""
+    go = p ** n
+    counts = [0] * go
+    for e in exps:
+        counts[e % go] += 1
+    return poly_to_vec(p, n, vec_to_poly(counts))
+
+
 def oracle_pairing(p: int, n: int, i: int, k: int) -> Fraction:
     """(1/p^n) * sum_j zeta^((k-i) j), which the root-of-unity geometric sum
     makes the indicator of k == i mod p^n."""
     go = p ** n
-    counts = [0] * go
-    for j in range(go):
-        counts[((k - i) * j) % go] += 1
-    vec = poly_to_vec(p, n, vec_to_poly(counts))
+    vec = oracle_character_sum(p, n, [(k - i) * j for j in range(go)])
     assert all(c == 0 for c in vec[1:]), "pairing value must be rational"
     return Fraction(vec[0], go)
 

@@ -255,10 +255,13 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("argv", [
     ("verify-all", "--p", "3", "--n", "1"),
     ("variants", "--p", "3", "--n", "2"),
-], ids=["verify_all_p3_n1", "variants_p3_n2"])
+    ("profinite", "--p", "3", "--level", "3"),
+    ("basis", "--p", "3", "--n", "2"),
+], ids=["verify_all_p3_n1", "variants_p3_n2", "profinite_p3_l3", "basis_p3_n2"])
 def test_json_output_matches_golden_bytes(capsys, request, argv):
-    # the files hold the output captured before the elimination and
-    # coordinate code was unified; any byte difference is a regression
+    # each file holds the output captured before a rewrite of the code it
+    # runs through (the unified elimination and coordinates, the integer
+    # cyclotomic core); any byte difference is a regression
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     golden = GOLDEN / (request.node.callspec.id + ".json")

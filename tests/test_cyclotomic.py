@@ -1,6 +1,7 @@
 """Cyclotomic arithmetic against sympy polynomial-quotient oracles."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,7 @@ from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, delta_apply, embed,
 
 from oracle_tools import (oracle_cyclo_inverse, oracle_cyclo_mul,
                           oracle_multiplicative_order, oracle_primitive_root,
-                          oracle_zeta_power)
+                          oracle_zeta_power, poly_to_vec, vec_to_poly)
 
 FIELDS = [(3, 1), (3, 2), (5, 1), (7, 1), (3, 3)]
 
@@ -68,6 +69,66 @@ def test_descriptor_shape(p, n):
     assert f.degree == p ** (n - 1) * (p - 1)
     # one multiplier serves the whole tower: order (p-1)p^(n-1) mod p^n
     assert oracle_multiplicative_order(f.multiplier, f.modulus) == f.degree
+
+
+def test_descriptor_is_one_instance_per_field():
+    assert FieldDescriptor(3, 2) is FieldDescriptor(3, 2)
+    assert FieldDescriptor(3, 2) != FieldDescriptor(3, 1)
+    with pytest.raises(ValueError):
+        FieldDescriptor(4, 1)
+    with pytest.raises(ValueError):
+        FieldDescriptor(3, 0)
+
+
+# -- canonical integer form ---------------------------------------------------
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+    assert x.nonzero == any(x.nums)
+
+
+def test_rational_elements_hash_like_their_value():
+    f = FieldDescriptor(3, 1)
+    assert CycloElt.one(f) == 1
+    assert len({CycloElt.one(f), Fraction(1)}) == 1
+    assert hash(CycloElt.rational(f, Fraction(-2, 3))) == hash(Fraction(-2, 3))
+    assert hash(CycloElt.zero(f)) == hash(0)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@given(data=st.data())
+def test_canonical_form_does_not_depend_on_the_route(p, n, data):
+    f = FieldDescriptor(p, n)
+    m = f.modulus
+    terms = data.draw(st.dictionaries(st.integers(0, 3 * m - 1), frac,
+                                      max_size=f.degree + 2))
+    dense = [Fraction(0)] * (max(terms, default=0) + 1)
+    for e, c in terms.items():
+        dense[e] = c
+    want = poly_to_vec(p, n, vec_to_poly(dense))
+    r = data.draw(frac.filter(bool))
+    e = data.draw(st.integers(-m, 2 * m))
+    u = data.draw(st.sampled_from([v for v in range(1, m) if v % p]))
+    x = CycloElt(f, want)
+    routes = [x, reduce_terms(f, terms),
+              mul(x * r, CycloElt.rational(f, 1 / r)),
+              mul(x, CycloElt.zeta_power(f, e)).shift(-e),
+              x.shift(e).shift(-e),
+              unit_apply(pow(u, -1, m), unit_apply(u, x)),
+              embed_preimage(n, n + 1, embed(n, n + 1, x))]
+    for y in routes:
+        assert_canonical(y)
+        assert y == x and hash(y) == hash(x)
+        assert all(type(c) is Fraction for c in y.coeffs)
+        assert list(y.coeffs) == want
+    f2 = FieldDescriptor(p, n + 1)
+    lifted = embed(n, n + 1, x)
+    assert_canonical(lifted)
+    dilated = CycloElt(f2, [want[i // p] if i % p == 0 else 0 for i in range(f2.degree)])
+    assert lifted == dilated and hash(lifted) == hash(dilated)
 
 
 # -- power-basis reduction ----------------------------------------------------

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal.cyclotomic import CycloElt, FieldDescriptor
-from hopfgal.groupring import (GroupRingElt, TensorElt, diag_action,
-                               diag_action_unit, fixed_ring,
-                               fixed_ring_matrix, gr_antipode, gr_comul,
-                               gr_counit, gr_mul)
+from hopfgal.groupring import (GroupRingElt, diag_action, diag_action_unit,
+                               fixed_ring, fixed_ring_matrix)
 from hopfgal.hopfgalois import e_basis
 from hopfgal.linalg import sparse_nullspace
 
+from groupring_tools import TensorElt, gr_antipode, gr_comul, gr_counit, gr_mul
 from oracle_tools import oracle_nullity
 
 frac = st.fractions(min_value=-2, max_value=2, max_denominator=3)

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal.cyclotomic import FieldDescriptor
-from hopfgal.groupring import GroupRingElt, gr_mul
+from hopfgal.groupring import GroupRingElt
 from hopfgal.hopfgalois import (HopfElt, RadicalElt, act, base_change_report,
                                 base_change_sigma, dual_pairing,
                                 dual_pairing_report, e_basis,
                                 fixed_field_check, fixed_ring_reports,
-                                h_antipode, h_comul, h_counit,
+                                h_comul, h_counit,
                                 hopf_from_groupring, hopf_to_groupring,
                                 is_pth_power, measuring_check,
                                 validate_radicand)
 
-from oracle_tools import oracle_idempotent, oracle_pairing
+from groupring_tools import gr_mul, h_antipode
+from oracle_tools import oracle_character_sum, oracle_idempotent, oracle_pairing
 
 frac = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -70,6 +71,58 @@ def test_dual_pairing_sampled_against_oracle():
     for (p, n, i, k) in [(3, 1, 1, 1), (3, 1, 1, 2), (3, 2, 4, 4),
                          (3, 2, 4, 7), (5, 1, 0, 3), (7, 1, 6, 6)]:
         assert dual_pairing(p, n, i, k) == oracle_pairing(p, n, i, k)
+
+
+# -- exponent-table character sums against sympy ----------------------------------
+
+SUM_FIELDS = [(3, 1), (3, 2), (5, 1)]
+
+
+def oracle_combination(p, n, weighted_exps):
+    """sum of c * zeta^e over (e, c) pairs, through the sympy reduction."""
+    out = [Fraction(0)] * FieldDescriptor(p, n).degree
+    for e, c in weighted_exps:
+        for A, v in enumerate(oracle_character_sum(p, n, [e])):
+            out[A] += c * v
+    return out
+
+
+@pytest.mark.parametrize("p,n", SUM_FIELDS)
+def test_dual_pairing_matches_character_sum_oracle(p, n):
+    go = p ** n
+    for i in range(go):
+        for k in range(go):
+            vec = oracle_character_sum(p, n, [(k - i) * j for j in range(go)])
+            assert not any(vec[1:])
+            assert dual_pairing(p, n, i, k) == Fraction(vec[0], go)
+
+
+@pytest.mark.parametrize("p,n", SUM_FIELDS)
+@given(data=st.data())
+def test_groupring_maps_match_character_sum_oracle(p, n, data):
+    go = p ** n
+    coords = data.draw(st.lists(frac, min_size=go, max_size=go))
+    x = hopf_to_groupring(HopfElt(p, n, coords))
+    for j, c in enumerate(x.coeffs):
+        want = oracle_combination(p, n, [(-i * j, Fraction(ci, go))
+                                         for i, ci in enumerate(coords)])
+        assert list(c.coeffs) == want
+    h = hopf_from_groupring(x)
+    for k in range(go):
+        value = oracle_combination(p, n, [(A + b * k, v)
+                                          for b, c in enumerate(x.coeffs)
+                                          for A, v in enumerate(c.coeffs)])
+        assert not any(value[1:])
+        assert h.coords[k] == value[0]
+    # off the span: the first irrational evaluation names the exponent
+    r = data.draw(frac.filter(bool))
+    y = x + GroupRingElt.sigma_power(x.field, 1).scale(r)
+    first = next(k for k in range(go)
+                 if any(oracle_combination(p, n, [(A + b * k, v)
+                                                  for b, c in enumerate(y.coeffs)
+                                                  for A, v in enumerate(c.coeffs)])[1:]))
+    with pytest.raises(ValueError, match="at exponent %d is irrational" % first):
+        hopf_from_groupring(y)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 3)])
