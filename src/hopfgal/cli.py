@@ -10,6 +10,7 @@ byte-deterministic for fixed inputs (timings are included only with
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -38,7 +39,7 @@ EXIT_REFUSED = 3
 def _parse_rational(text: str) -> Fraction:
     try:
         return parse_rat(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ValueError("expected a rational as 'num/den' or 'num', got %r" % text)
 
 
@@ -194,10 +195,17 @@ def _collect_statuses(payload: dict) -> list[dict]:
     return list(payload.get("reports", []))
 
 
-def _render_text(payload: dict) -> str:
+def _json_chunks(payload: dict):
+    """The indented, key-sorted JSON text of `payload`, as encoder chunks."""
+    return json.JSONEncoder(indent=2, sort_keys=True, default=str).iterencode(payload)
+
+
+def _render_text(payload: dict):
+    """Report lines and a totals line, as chunks of text; payloads without
+    reports (data commands such as `basis`) fall back to JSON."""
     reports = _collect_statuses(payload)
     if not reports:
-        return json.dumps(payload, indent=2, sort_keys=True, default=str)
+        return _json_chunks(payload)
     lines = []
     groups = (payload["criteria"] if "criteria" in payload
               else [{"name": payload.get("command", "reports"),
@@ -218,18 +226,28 @@ def _render_text(payload: dict) -> str:
     lines.append("%d checks: %d pass, %d fail, %d skipped"
                  % (len(reports), totals["pass"], totals["fail"],
                     totals["skipped"]))
-    return "\n".join(lines)
+    return ["\n".join(lines)]
+
+
+def _write_chunks(stream, chunks) -> None:
+    """Write the chunks joined in batches, so that the whole text is never
+    held in memory at once, then a final newline."""
+    chunks = iter(chunks)
+    while batch := "".join(itertools.islice(chunks, 65536)):
+        stream.write(batch)
+    stream.write("\n")
 
 
 def _emit(args, payload: dict) -> int:
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+        chunks = _json_chunks(payload)
     else:
-        text = _render_text(payload)
+        chunks = _render_text(payload)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with open(args.out, "w") as stream:
+            _write_chunks(stream, chunks)
     else:
-        print(text)
+        _write_chunks(sys.stdout, chunks)
     failed = any(r["status"] == "fail" for r in _collect_statuses(payload))
     return EXIT_REPORT_FAILURE if failed else EXIT_PASS
 

@@ -29,12 +29,14 @@ Rat = Fraction
 
 
 def rat_str(x: Rat | int) -> str:
-    f = Fraction(x)
-    return "%d/%d" % (f.numerator, f.denominator)
+    return "%d/%d" % (x.numerator, x.denominator)
 
 def parse_rat(s: str) -> Rat:
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    den = int(den) if den else 1
+    if den == 0:
+        raise ValueError("zero denominator in %r" % (s,))
+    return Fraction(int(num), den)
 
 
 def is_prime(m: int) -> bool:
@@ -71,6 +73,7 @@ def primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found mod %d" % (p * p))
 
 
+# Hand-rolled rather than a dataclass: interned through `__new__`.
 class FieldDescriptor:
     """The field Q(zeta) with zeta a primitive p^n-th root of unity.
 
@@ -158,6 +161,8 @@ def _common_denominator(values) -> tuple[list[int], int]:
 _ZERO_CACHE: dict = {}            # FieldDescriptor -> the canonical zero element
 
 
+# Hand-rolled rather than a dataclass: the public constructor takes rationals,
+# while `_make` writes the slots directly on the hot path.
 class CycloElt:
     """An element of Q(zeta): power-basis numerators `nums` over one
     denominator `den`.

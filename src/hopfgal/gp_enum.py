@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .reporting import Report, checked
 from .variants import beta_images, cyclo_gen_images, sigma_images
@@ -60,7 +60,7 @@ NAIVE_MAX_DEGREE = 10
 # ---------------------------------------------------------------------------
 # permutations and permutation groups
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Perm:
     """A permutation of 0..d-1 given by its image vector."""
 
@@ -139,30 +139,37 @@ def mulclose(gens, limit: int | None = None):
     return seen
 
 
+# eq=False: equality and hashing are on the element set, whatever generators
+# produced it, so `__eq__` and `__hash__` stay hand-written
+@dataclass(frozen=True, slots=True, eq=False)
 class FiniteGroup:
-    """A concrete permutation group: closed element list plus generators."""
+    """A concrete permutation group: closed element list plus generators.
 
-    __slots__ = ("degree", "elements", "generators", "_set")
+    `elements`, when given, must be the closure of the generators; it is
+    replaced by the sorted closure either way.
+    """
 
-    def __init__(self, generators, elements=None):
-        gens = tuple(generators)
+    generators: tuple
+    elements: tuple | None = field(default=None, repr=False)
+    degree: int = field(init=False)
+    _set: frozenset = field(init=False, repr=False)
+
+    def __post_init__(self):
+        gens = tuple(self.generators)
         if not gens:
             raise ValueError("need at least one generator")
         degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise ValueError("generators act on different point sets")
         closure = mulclose(gens)
-        if elements is not None:
-            if set(elements) != closure:
+        if self.elements is not None:
+            if set(self.elements) != closure:
                 raise ValueError("element list is not the closure of the "
                                  "generators")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "elements", tuple(sorted(closure)))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_set", frozenset(closure))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
 
     @property
     def order(self) -> int:
@@ -190,9 +197,6 @@ class FiniteGroup:
 
     def is_cyclic(self) -> bool:
         return any(g.order() == self.order for g in self.elements)
-
-    def __repr__(self) -> str:
-        return "FiniteGroup(order=%d, degree=%d)" % (self.order, self.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +720,10 @@ def instance_from_json(data: dict):
     """Parse {degree, gamma_generators, delta_generators} into groups."""
     degree = int(data["degree"])
     def parse(key):
-        gens = [Perm(tuple(int(x) for x in images))
-                for images in data[key]]
+        rows = data[key]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("instance field %r must be a list of lists" % key)
+        gens = [Perm(tuple(int(x) for x in images)) for images in rows]
         if not gens:
             gens = [Perm.identity(degree)]
         for g in gens:
@@ -779,7 +785,7 @@ def beta_subgroup(p: int, n: int) -> FiniteGroup:
     return FiniteGroup([Perm(tuple(beta_images(p, n)))])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CensusInstance:
     label: str
     gamma: FiniteGroup

@@ -14,6 +14,7 @@ with u = multiplier^e; its fixed ring is computed as the exact kernel of
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -21,22 +22,24 @@ from .cyclotomic import (CycloElt, FieldDescriptor, Rat, action_rows,
                          parse_rat, rat_str, vector_to_cells)
 
 
+@dataclass(frozen=True, slots=True)
 class GroupRingElt:
     """Element of Q(zeta_{p^n})[C_{group_order}] (group written as sigma-powers)."""
 
-    __slots__ = ("field", "group_order", "coeffs")
+    field: FieldDescriptor
+    coeffs: tuple
+    group_order: int | None = None
 
-    def __init__(self, field: FieldDescriptor, coeffs, group_order: int | None = None):
-        if group_order is None:
-            group_order = field.modulus
-        coeffs = tuple(coeffs)
-        if len(coeffs) != group_order:
-            raise ValueError("expected %d coefficients, got %d" % (group_order, len(coeffs)))
+    def __post_init__(self):
+        field, coeffs = self.field, tuple(self.coeffs)
+        if self.group_order is None:
+            object.__setattr__(self, "group_order", field.modulus)
+        if len(coeffs) != self.group_order:
+            raise ValueError("expected %d coefficients, got %d"
+                             % (self.group_order, len(coeffs)))
         for c in coeffs:
             if not isinstance(c, CycloElt) or c.field is not field:
                 raise ValueError("coefficients must be CycloElt over %r" % (field,))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "group_order", group_order)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
@@ -48,9 +51,6 @@ class GroupRingElt:
         object.__setattr__(x, "group_order", group_order)
         object.__setattr__(x, "coeffs", tuple(coeffs))
         return x
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroupRingElt is immutable")
 
     @classmethod
     def zero(cls, field: FieldDescriptor, group_order: int | None = None) -> "GroupRingElt":
@@ -93,20 +93,8 @@ class GroupRingElt:
         return GroupRingElt._unchecked(
             self.field, [c * a if a else a for a in self.coeffs], self.group_order)
 
-    def __eq__(self, other):
-        return (isinstance(other, GroupRingElt) and self.field is other.field
-                and self.group_order == other.group_order and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.group_order, self.coeffs))
-
     def __bool__(self):
         return any(self.coeffs)
-
-    def __repr__(self):
-        nz = {b: c for b, c in enumerate(self.coeffs) if c}
-        return "GroupRingElt(p=%d, n=%d, order=%d, %r)" % (
-            self.field.p, self.field.n, self.group_order, nz)
 
     def to_json(self) -> list[list[str]]:
         return [c.to_json() for c in self.coeffs]

@@ -23,6 +23,7 @@ cyclotomic combinations of the idempotents.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -108,21 +109,19 @@ def h_counit(p: int, n: int, i: int) -> Rat:
 # ---------------------------------------------------------------------------
 # elements
 
+@dataclass(frozen=True, slots=True)
 class HopfElt:
     """Element of the acting Hopf algebra in idempotent coordinates."""
 
-    __slots__ = ("p", "n", "coords")
+    p: int
+    n: int
+    coords: tuple
 
-    def __init__(self, p: int, n: int, coords):
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != p ** n:
-            raise ValueError("expected %d coordinates" % (p ** n,))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
+    def __post_init__(self):
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
+        if len(coords) != self.p ** self.n:
+            raise ValueError("expected %d coordinates" % (self.p ** self.n,))
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HopfElt is immutable")
 
     @classmethod
     def basis_vector(cls, p: int, n: int, i: int) -> "HopfElt":
@@ -156,18 +155,8 @@ class HopfElt:
         if not isinstance(other, HopfElt) or (self.p, self.n) != (other.p, other.n):
             raise ValueError("mismatched Hopf elements")
 
-    def __eq__(self, other):
-        return (isinstance(other, HopfElt)
-                and (self.p, self.n, self.coords) == (other.p, other.n, other.coords))
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.coords))
-
     def __bool__(self):
         return any(self.coords)
-
-    def __repr__(self):
-        return "HopfElt(p=%d, n=%d, %s)" % (self.p, self.n, [str(c) for c in self.coords])
 
     def to_json(self) -> list[str]:
         return [rat_str(c) for c in self.coords]
@@ -223,23 +212,22 @@ def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
     return HopfElt(field.p, field.n, coords)
 
 
+@dataclass(frozen=True, slots=True)
 class RadicalElt:
     """Element of K = Q(w), w^(p^n) = a, over the basis 1, w, ..., w^(p^n - 1)."""
 
-    __slots__ = ("p", "n", "a", "coords")
+    p: int
+    n: int
+    a: Rat
+    coords: tuple
 
-    def __init__(self, p: int, n: int, a, coords):
-        a = Fraction(a)
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != p ** n:
-            raise ValueError("expected %d coordinates" % (p ** n,))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
+    def __post_init__(self):
+        a = Fraction(self.a)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
+        if len(coords) != self.p ** self.n:
+            raise ValueError("expected %d coordinates" % (self.p ** self.n,))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RadicalElt is immutable")
 
     @classmethod
     def w_power(cls, p: int, n: int, a, k: int) -> "RadicalElt":
@@ -282,20 +270,8 @@ class RadicalElt:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return (isinstance(other, RadicalElt) and
-                (self.p, self.n, self.a, self.coords)
-                == (other.p, other.n, other.a, other.coords))
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.a, self.coords))
-
     def __bool__(self):
         return any(self.coords)
-
-    def __repr__(self):
-        return "RadicalElt(p=%d, n=%d, a=%s, %s)" % (
-            self.p, self.n, self.a, [str(c) for c in self.coords])
 
     def to_json(self) -> dict:
         return {"radicand": rat_str(self.a), "coords": [rat_str(c) for c in self.coords]}

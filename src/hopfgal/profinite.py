@@ -84,7 +84,7 @@ def commute_square_check(p: int, jn: int, i: int) -> Report:
 # ---------------------------------------------------------------------------
 # coherent sequences
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoherentH:
     """A sequence (h_1, ..., h_L), h_n at level n, with nu_h(h_n) == h_(n-1)."""
     p: int
@@ -133,7 +133,7 @@ def generator_sequence(p: int, L: int, i1: int = 1) -> CoherentH:
 # ---------------------------------------------------------------------------
 # p-adic residue model
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadicTrunc:
     """Residues (a_1, ..., a_L), a_k mod p^k, with a_k == a_m (mod p^m) for m <= k.
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -25,28 +26,31 @@ from .cyclotomic import Rat, cells_to_vector, parse_rat, rat_str
 from .reporting import Report, checked
 
 
+@dataclass(frozen=True, slots=True)
 class SmashElt:
-    """Element of K # H: a table {(j, i): coefficient} over the w^j # e_i basis."""
+    """Element of K # H: a table {(j, i): coefficient} over the w^j # e_i basis.
 
-    __slots__ = ("p", "n", "a", "terms")
+    Unhashable, since `terms` is a dict.
+    """
 
-    def __init__(self, p: int, n: int, a, terms: dict):
-        a = Fraction(a)
-        go = p ** n
+    p: int
+    n: int
+    a: Rat
+    terms: dict
+
+    def __post_init__(self):
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        go = self.p ** self.n
         clean = {}
-        for (j, i), c in terms.items():
-            c = Fraction(c)
+        for (j, i), c in self.terms.items():
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 key = (j % go, i % go)
-                clean[key] = clean.get(key, Fraction(0)) + c
-        clean = {k: v for k, v in clean.items() if v}
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SmashElt is immutable")
+                prev = clean.get(key)
+                clean[key] = c if prev is None else prev + c
+        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v})
 
     @classmethod
     def basis(cls, p: int, n: int, a, j: int, i: int) -> "SmashElt":
@@ -77,14 +81,10 @@ class SmashElt:
     def __mul__(self, other):
         return smash_mult(self, other)
 
-    def __eq__(self, other):
-        return (isinstance(other, SmashElt)
-                and (self.p, self.n, self.a) == (other.p, other.n, other.a)
-                and self.terms == other.terms)
-
     def __bool__(self):
         return bool(self.terms)
 
+    # hand-written: `iso_check` puts this rendering in its failure witness
     def __repr__(self):
         return "SmashElt(p=%d, n=%d, a=%s, %r)" % (
             self.p, self.n, self.a, {k: str(v) for k, v in sorted(self.terms.items())})
@@ -104,41 +104,32 @@ def smash_mult(x: SmashElt, y: SmashElt) -> SmashElt:
     return SmashElt(x.p, x.n, x.a, terms)
 
 
+@dataclass(frozen=True, slots=True)
 class QMatrix:
     """A p^n x p^n rational matrix over the 1, w, ..., w^(p^n - 1) basis of K.
 
     Column k holds the coordinates of the image of w^k.
     """
 
-    __slots__ = ("p", "n", "a", "rows")
+    p: int
+    n: int
+    a: Rat
+    rows: tuple
 
-    def __init__(self, p: int, n: int, a, rows):
-        a = Fraction(a)
-        go = p ** n
-        rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    def __post_init__(self):
+        a = Fraction(self.a)
+        go = self.p ** self.n
+        rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+                     for row in self.rows)
         if len(rows) != go or any(len(r) != go for r in rows):
             raise ValueError("expected a %d x %d matrix" % (go, go))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QMatrix is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, QMatrix)
-                and (self.p, self.n, self.a, self.rows)
-                == (other.p, other.n, other.a, other.rows))
 
     def __mul__(self, other):
         if (self.p, self.n, self.a) != (other.p, other.n, other.a):
             raise ValueError("mismatched matrices")
         return QMatrix(self.p, self.n, self.a, linalg.mat_mul(self.rows, other.rows))
-
-    def __repr__(self):
-        return "QMatrix(p=%d, n=%d, a=%s, %r)" % (
-            self.p, self.n, self.a, [[str(v) for v in row] for row in self.rows])
 
     def to_json(self) -> dict:
         return {"p": self.p, "n": self.n, "a": rat_str(self.a),
@@ -146,8 +137,11 @@ class QMatrix:
 
     @classmethod
     def from_json(cls, data) -> "QMatrix":
+        rows = data["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("matrix field 'rows' must be a list of lists")
         return cls(data["p"], data["n"], parse_rat(data["a"]),
-                   [[parse_rat(v) for v in row] for row in data["rows"]])
+                   [[parse_rat(v) for v in row] for row in rows])
 
 
 def to_end_matrix(x: SmashElt) -> QMatrix:

@@ -30,7 +30,7 @@ from .reporting import Report, checked
 # ---------------------------------------------------------------------------
 # the Galois group over Q(zeta_1)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TowerAut:
     """Automorphism (s, b): w -> zeta^s * w, zeta -> zeta^{pi^{(p-1)b}}.
 
@@ -97,24 +97,24 @@ class TowerAut:
 # ---------------------------------------------------------------------------
 # the ambient field Q(zeta, w)
 
+@dataclass(frozen=True, slots=True)
 class BigFieldElt:
     """Element of Q(zeta, w), w^{p^n} = a: a w-power vector of cyclotomic
     coefficients, fully reduced (zeta mod the cyclotomic polynomial, w-exponents
     mod p^n with a factor of the radicand on wrap)."""
 
-    __slots__ = ("p", "n", "a", "coeffs")
+    p: int
+    n: int
+    a: Fraction
+    coeffs: tuple
 
-    def __init__(self, p: int, n: int, a: Fraction, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != p ** n:
-            raise ValueError("expected %d w-coefficients" % p ** n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", Fraction(a))
+    def __post_init__(self):
+        coeffs = tuple(self.coeffs)
+        if len(coeffs) != self.p ** self.n:
+            raise ValueError("expected %d w-coefficients" % self.p ** self.n)
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("BigFieldElt is immutable")
 
     @property
     def field(self) -> FieldDescriptor:
@@ -175,35 +175,8 @@ class BigFieldElt:
                 acc[b] = acc[b] + term
         return BigFieldElt(self.p, self.n, self.a, acc)
 
-    def mul_monomial(self, c: CycloElt, w_exp: int) -> "BigFieldElt":
-        """self * (c * w^{w_exp}) without the full convolution."""
-        pn = self.p ** self.n
-        f = self.field
-        acc = [CycloElt.zero(f)] * pn
-        for b1, c1 in enumerate(self.coeffs):
-            if not c1:
-                continue
-            b, wrap = (b1 + w_exp) % pn, (b1 + w_exp) // pn
-            term = c1 * c
-            if wrap:
-                term = term * self.a
-            acc[b] = term
-        return BigFieldElt(self.p, self.n, self.a, acc)
-
-    def __eq__(self, other):
-        return (isinstance(other, BigFieldElt)
-                and (self.p, self.n, self.a) == (other.p, other.n, other.a)
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.a, self.coeffs))
-
     def __bool__(self):
         return any(self.coeffs)
-
-    def __repr__(self):
-        return "BigFieldElt(p=%d, n=%d, a=%s, %r)" % (self.p, self.n, self.a,
-                                                      [c for c in self.coeffs])
 
     def to_json(self) -> dict:
         cells = [c.to_json() for c in self.coeffs]
@@ -375,33 +348,23 @@ def field_tower_lift(m: int, n: int, x: BigFieldElt) -> BigFieldElt:
 # ---------------------------------------------------------------------------
 # the descent Hopf algebras
 
+@dataclass(frozen=True, slots=True)
 class VariantHopfElt:
     """Element of the fixed ring (E_i[N_i])^beta: a vector of p^n ambient-field
     coefficients indexed by powers of the complement generator."""
 
-    __slots__ = ("p", "n", "i", "a", "parts")
+    p: int
+    n: int
+    i: int
+    a: Fraction
+    parts: tuple
 
-    def __init__(self, p: int, n: int, i: int, a, parts):
-        parts = tuple(parts)
-        if len(parts) != p ** n:
-            raise ValueError("expected %d group-ring coefficients" % p ** n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "a", Fraction(a))
+    def __post_init__(self):
+        parts = tuple(self.parts)
+        if len(parts) != self.p ** self.n:
+            raise ValueError("expected %d group-ring coefficients" % self.p ** self.n)
+        object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, *args):
-        raise AttributeError("VariantHopfElt is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, VariantHopfElt)
-                and (self.p, self.n, self.i, self.a) ==
-                    (other.p, other.n, other.i, other.a)
-                and self.parts == other.parts)
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.i, self.a, self.parts))
 
     def scale(self, c) -> "VariantHopfElt":
         return VariantHopfElt(self.p, self.n, self.i, self.a,

@@ -129,6 +129,23 @@ def test_decompose_malformed_json(capsys, tmp_path):
     assert main(["decompose", "--matrix", str(path)]) == 2
 
 
+def _malformed_matrix(**change) -> dict:
+    data = to_end_matrix(SmashElt.basis(3, 1, 2, 0, 0)).to_json()
+    data.update(change)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    _malformed_matrix(rows=[["1/0", "0/1", "0/1"]] + [["0/1"] * 3] * 2),
+    _malformed_matrix(rows=5),
+], ids=["zero-denominator", "rows-not-a-list"])
+def test_decompose_malformed_matrix_is_a_usage_error(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["decompose", "--matrix", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # truncation
 
@@ -194,6 +211,14 @@ def test_census_accepts_instance_file(capsys, tmp_path):
     assert payload["command"] == "census"
     assert payload["count"] == 1
     assert payload["subgroups"][0]["cyclic"] is True
+
+
+def test_census_malformed_instance_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"degree": 3, "gamma_generators": 5,
+                                "delta_generators": []}))
+    assert main(["census", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_census_refuses_oversized_instance(capsys, tmp_path):
@@ -285,6 +310,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text)["command"] == "basis"
+
+
+def test_out_file_bytes_equal_stdout_bytes(capsys, tmp_path):
+    argv = ["basis", "--p", "3", "--n", "2", "--format", "json"]
+    code, out = run(capsys, *argv)
+    path = tmp_path / "basis.json"
+    assert main(argv + ["--out", str(path)]) == code == 0
+    assert path.read_bytes() == out.encode()
+    assert out == (GOLDEN / "basis_p3_n2.json").read_text()
 
 
 def test_text_renderer_summary_line(capsys):

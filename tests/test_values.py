@@ -1,0 +1,144 @@
+"""The library's value classes: frozen, slotted, compared by value.
+
+Every value class is a `dataclass(frozen=True, slots=True)`.  For each one
+this checks that fields cannot be set and no attribute can be added, that equal values are
+`==` and hash equal (where the class is hashable), and that `to_json` /
+`from_json` round-trip (where the class has them).  A source scan keeps the
+hand-rolled idiom confined to the two classes that need it.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from hopfgal.cyclotomic import FieldDescriptor
+from hopfgal.gp_enum import FiniteGroup, Perm, census_instances
+from hopfgal.groupring import GroupRingElt
+from hopfgal.hopfgalois import HopfElt, RadicalElt, e_basis
+from hopfgal.profinite import CoherentH, PadicTrunc, generator_sequence
+from hopfgal.smash_end import QMatrix, SmashElt, to_end_matrix
+from hopfgal.variants import BigFieldElt, TowerAut, VariantHopfElt
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hopfgal"
+
+
+def _variant_elt():
+    parts = [BigFieldElt.monomial(3, 1, 2, k, k) for k in range(3)]
+    return VariantHopfElt(3, 1, 0, 2, parts)
+
+
+# name -> (build one value, build an equal value another way)
+VALUES = {
+    "GroupRingElt": (lambda: e_basis(3, 2, 4),
+                     lambda: GroupRingElt.from_json(FieldDescriptor(3, 2),
+                                                    e_basis(3, 2, 4).to_json())),
+    "HopfElt": (lambda: HopfElt(3, 1, [1, Fraction(1, 2), 0]),
+                lambda: HopfElt(3, 1, ["1", "1/2", Fraction(0)])),
+    "RadicalElt": (lambda: RadicalElt(3, 1, 2, [0, 1, 0]),
+                   lambda: RadicalElt.w_power(3, 1, Fraction(2), 1)),
+    "SmashElt": (lambda: SmashElt.basis(3, 1, 2, 1, 2),
+                 lambda: SmashElt(3, 1, Fraction(2), {(4, 5): 1, (0, 0): 0})),
+    "QMatrix": (lambda: to_end_matrix(SmashElt.basis(3, 1, 2, 1, 2)),
+                lambda: QMatrix(3, 1, 2, [[0, 0, 2], [0, 0, 0], [0, 0, 0]])),
+    "BigFieldElt": (lambda: BigFieldElt.monomial(3, 2, 2, 1, 1),
+                    lambda: BigFieldElt.monomial(3, 2, Fraction(2), 10, 10)),
+    "VariantHopfElt": (_variant_elt, _variant_elt),
+    "FiniteGroup": (lambda: FiniteGroup([Perm((1, 2, 0))]),
+                    lambda: FiniteGroup([Perm((2, 0, 1))])),
+    "Perm": (lambda: Perm((1, 2, 0)), lambda: Perm((1, 2, 0)).inverse().inverse()),
+    "TowerAut": (lambda: TowerAut(3, 2, 1, 1), lambda: TowerAut(3, 2, 10, 4)),
+    "CoherentH": (lambda: generator_sequence(3, 2),
+                  lambda: CoherentH.from_json(generator_sequence(3, 2).to_json())),
+    "PadicTrunc": (lambda: PadicTrunc.from_int(3, 3, 5),
+                   lambda: PadicTrunc(3, 3, (2, 5, 32))),
+    "CensusInstance": (lambda: census_instances()[0],
+                       lambda: census_instances()[0]),
+}
+
+UNHASHABLE = {"SmashElt"}                   # its terms are a dict
+
+# name -> (to JSON, back from JSON)
+ROUND_TRIPS = {
+    "GroupRingElt": (lambda x: x.to_json(),
+                     lambda d: GroupRingElt.from_json(FieldDescriptor(3, 2), d)),
+    "HopfElt": (lambda x: x.to_json(), lambda d: HopfElt.from_json(3, 1, d)),
+    "RadicalElt": (lambda x: x.to_json(), lambda d: RadicalElt.from_json(3, 1, d)),
+    "QMatrix": (lambda x: x.to_json(), QMatrix.from_json),
+    "BigFieldElt": (lambda x: x.to_json(), BigFieldElt.from_json),
+    "CoherentH": (lambda x: x.to_json(), CoherentH.from_json),
+    "PadicTrunc": (lambda x: x.to_json(), PadicTrunc.from_json),
+}
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_is_frozen_and_slotted(name):
+    x = VALUES[name][0]()
+    params = type(x).__dataclass_params__
+    assert params.frozen and "__slots__" in vars(type(x))
+    field = dataclasses.fields(x)[0].name
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(x, field))
+    # a name that is not a field has no slot; CPython 3.11's frozen
+    # __setattr__ on a slotted class reports that as TypeError
+    with pytest.raises((AttributeError, TypeError)):
+        x.extra = 1
+    assert not hasattr(x, "__dict__")
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equal_values_are_equal_and_hash_equal(name):
+    build, build_other = VALUES[name]
+    x, y = build(), build_other()
+    assert x is not y and x == y and not (x != y)
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_json_round_trip(name):
+    x = VALUES[name][0]()
+    dump, load = ROUND_TRIPS[name]
+    y = load(dump(x))
+    assert y == x and dump(y) == dump(x)
+
+
+def _class_defs():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                yield node
+
+
+def _defined_names(node: ast.ClassDef) -> set[str]:
+    names = set()
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_only_the_interned_and_hot_path_classes_define_setattr():
+    hand_rolled = sorted(node.name for node in _class_defs()
+                         if "__setattr__" in _defined_names(node))
+    assert hand_rolled == ["CycloElt", "FieldDescriptor"]
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_classes_leave_slots_and_comparison_to_the_dataclass(name):
+    node = next(node for node in _class_defs() if node.name == name)
+    written = _defined_names(node) & {"__slots__", "__eq__", "__hash__"}
+    # FiniteGroup compares its element set, not its generators
+    assert written == ({"__eq__", "__hash__"} if name == "FiniteGroup" else set())
+    decorator = ast.unparse(node.decorator_list[0])
+    assert decorator.startswith("dataclass(")
+    assert "frozen=True" in decorator and "slots=True" in decorator
