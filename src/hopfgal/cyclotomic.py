@@ -32,7 +32,11 @@ def rat_str(x: Rat | int) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 def parse_rat(s: str) -> Rat:
-    num, _, den = s.partition("/")
+    try:
+        num, _, den = s.partition("/")
+    except AttributeError:
+        raise ValueError("expected a rational as a 'num/den' string, got %r"
+                         % (s,)) from None
     den = int(den) if den else 1
     if den == 0:
         raise ValueError("zero denominator in %r" % (s,))

@@ -12,10 +12,12 @@ provided and cross-checked in tests:
   length (cyclic candidates) and over commuting pairs of fixed-point-free
   p-elements (elementary abelian candidates), then the normalization
   filter — feasible for degree <= 10;
-* a holomorph engine: for each abstract candidate group G, enumerate
-  homomorphisms from the action image into the holomorph of G, read off a
-  compatible labeling of S by G, and take the translation subgroup —
-  feasible up to the prime-power cap.
+* a holomorph engine: for each abstract candidate group G, assign to each
+  generator of the action image an element of the holomorph of G, keep the
+  assignments that admit an equivariant bijective labeling of S by G (the
+  labeling conjugates the action image onto the assigned elements, so it
+  is the homomorphism into the holomorph), and take the translation
+  subgroup — feasible up to the prime-power cap.
 
 Degrees whose group types are not exhausted by "cyclic or elementary
 abelian of rank 2" are refused rather than enumerated incompletely.
@@ -117,7 +119,7 @@ def mulclose(gens, limit: int | None = None):
     """Closure of a set of permutations under composition.
 
     Returns the set of group elements, or None if `limit` is given and the
-    closure grows past it (used to prune non-homomorphic assignments).
+    closure grows past it.
     """
     gens = list(gens)
     if not gens:
@@ -540,40 +542,15 @@ def _translations_elementary(p: int) -> list[Perm]:
     return out
 
 
-def _pair_closure_is_graph(gen_pairs, group_order: int) -> dict | None:
-    """Close pairs (g, h) under componentwise composition.
-
-    The assignment g_i -> h_i extends to a homomorphism exactly when the
-    closure has one pair per group element; in that case the closure *is*
-    the graph of the homomorphism and is returned as a dict.
-    """
-    degree_l = gen_pairs[0][0].degree
-    degree_r = gen_pairs[0][1].degree
-    ident = (Perm.identity(degree_l), Perm.identity(degree_r))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gen_pairs:
-                y = (x[0] * g[0], x[1] * g[1])
-                if y not in seen:
-                    if len(seen) >= group_order:
-                        return None
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    if len(seen) != group_order:
-        return None
-    return dict(seen)
-
-
 def _label_cosets(size: int, lam_gens, hol_images) -> list | None:
     """Equivariant labeling of the cosets by group points, basepoint 0 -> 0.
 
     Walks the action graph; every edge is checked, so an inconsistent
     assignment (one that does not factor through the point stabilizer) is
-    rejected, as is a non-bijective labeling.
+    rejected, as is a non-bijective labeling.  A labeling L that passes has
+    L(g_i(x)) = h_i(L(x)) for every point x and generator g_i, so
+    h_i = L g_i L^-1 and the assignment extends to the homomorphism
+    g -> L g L^-1.
     """
     labels = [-1] * size
     labels[0] = 0
@@ -602,8 +579,11 @@ def _holomorph_search(size: int, lam_group: FiniteGroup, hol: list[Perm],
     Every such subgroup N yields, after labeling the cosets by N from a
     basepoint, a homomorphism of the action image into the holomorph of
     the abstract model (the normalizer of its translation group), under
-    which the labeling is equivariant.  Enumerating the homomorphisms and
-    re-reading labelings therefore recovers every N.
+    which the labeling is equivariant.  The search assigns holomorph
+    elements to the generators and keeps an assignment exactly when
+    `_label_cosets` finds such a labeling; the image acts transitively, so
+    that labeling checks every edge and *is* the homomorphism.  Re-reading
+    the labelings therefore recovers every N.
     """
     lam_gens = _generating_sequence(lam_group.elements)
     gen_orders = [g.order() for g in lam_gens]
@@ -616,10 +596,6 @@ def _holomorph_search(size: int, lam_group: FiniteGroup, hol: list[Perm],
         count += 1
         if count % 512 == 0:
             _deadline_check(deadline)
-        rho = _pair_closure_is_graph(list(zip(lam_gens, assignment)),
-                                     lam_group.order)
-        if rho is None:
-            continue
         labels = _label_cosets(size, lam_gens, assignment)
         if labels is None:
             continue
@@ -718,12 +694,19 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
 
 def instance_from_json(data: dict):
     """Parse {degree, gamma_generators, delta_generators} into groups."""
-    degree = int(data["degree"])
+    if not isinstance(data, dict):
+        raise ValueError("instance JSON must be an object, got %s"
+                         % type(data).__name__)
+    degree = data["degree"]
+    if type(degree) is not int:
+        raise ValueError("instance field 'degree' must be an integer")
     def parse(key):
         rows = data[key]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("instance field %r must be a list of lists" % key)
-        gens = [Perm(tuple(int(x) for x in images)) for images in rows]
+        if any(type(x) is not int for images in rows for x in images):
+            raise ValueError("instance field %r must hold integers" % key)
+        gens = [Perm(tuple(images)) for images in rows]
         if not gens:
             gens = [Perm.identity(degree)]
         for g in gens:

@@ -137,6 +137,12 @@ class QMatrix:
 
     @classmethod
     def from_json(cls, data) -> "QMatrix":
+        if not isinstance(data, dict):
+            raise ValueError("matrix JSON must be an object, got %s"
+                             % type(data).__name__)
+        for key in ("p", "n"):
+            if type(data[key]) is not int:
+                raise ValueError("matrix field %r must be an integer" % key)
         rows = data["rows"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("matrix field 'rows' must be a list of lists")

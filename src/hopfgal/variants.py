@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import linalg
 from .cyclotomic import (CycloElt, FieldDescriptor, action_rows, cells_to_vector,
@@ -126,15 +125,13 @@ class BigFieldElt:
         return cls(p, n, a, [CycloElt.zero(f)] * p ** n)
 
     @classmethod
-    def one(cls, p: int, n: int, a) -> "BigFieldElt":
-        return cls.monomial(p, n, a, 0, 0)
-
-    @classmethod
     def monomial(cls, p: int, n: int, a, zeta_exp: int, w_exp: int,
                  coeff=1) -> "BigFieldElt":
         f = FieldDescriptor(p, n)
         cs = [CycloElt.zero(f)] * p ** n
-        cs[w_exp % p ** n] = CycloElt.zeta_power(f, zeta_exp) * coeff
+        wrap, b = divmod(w_exp, p ** n)
+        c = CycloElt.zeta_power(f, zeta_exp) * coeff
+        cs[b] = c * Fraction(a) ** wrap if wrap else c
         return cls(p, n, a, cs)
 
     def _check(self, other: "BigFieldElt"):
@@ -145,14 +142,6 @@ class BigFieldElt:
         self._check(other)
         return BigFieldElt(self.p, self.n, self.a,
                            [x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return BigFieldElt(self.p, self.n, self.a,
-                           [x - y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return BigFieldElt(self.p, self.n, self.a, [-x for x in self.coeffs])
 
     def scale(self, c) -> "BigFieldElt":
         return BigFieldElt(self.p, self.n, self.a, [x * c for x in self.coeffs])
@@ -435,11 +424,6 @@ def h_variant_rank_certificate(p: int, n: int, i: int, a=Fraction(2)) -> Report:
 # ---------------------------------------------------------------------------
 # the action on Q(zeta_1, w) and its verification
 
-def _base_entry(n: int, c: CycloElt):
-    """Read a level-n coefficient as a level-1 one; None if it is not."""
-    return embed_preimage(1, n, c)
-
-
 def action_matrix(h: VariantHopfElt):
     """Matrix of h on Q(zeta_1, w) over Q(zeta_1), columns indexed by w-powers;
     None if some image leaves that subfield (it never should)."""
@@ -448,11 +432,19 @@ def action_matrix(h: VariantHopfElt):
     for B in range(pn):
         img = h.apply(BigFieldElt.monomial(p, n, h.a, 0, B))
         for B2 in range(pn):
-            entry = _base_entry(n, img.coeffs[B2])
+            entry = embed_preimage(1, n, img.coeffs[B2])
             if entry is None:
                 return None
             rows[B2][B] = entry
     return rows
+
+
+def _zeta1_multiples(cells) -> list[dict]:
+    """Flat Q-vectors of zeta_1^j * cells for j < p-1, for level-1 cells: a
+    Q-basis of the Q(zeta_1)-line through them."""
+    cells = list(cells)
+    return [cells_to_vector(c.shift(j) for c in cells)
+            for j in range(cells[0].field.p - 1)]
 
 
 def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
@@ -483,32 +475,27 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
                 return False, {"stage": "image-support", "basis_index": t}
             mats.append(mat)
 
-        # counits: h(1) must be a base-field multiple of 1
-        eps = []
-        for t, h in enumerate(basis):
-            img = h.apply(BigFieldElt.one(p, n, a))
-            if any(img.coeffs[B] for B in range(1, pn)):
+        # counits: h(1), column 0 of the matrix, must be a base-field
+        # multiple of 1
+        for t, mat in enumerate(mats):
+            if any(mat[B2][0] for B2 in range(1, pn)):
                 return False, {"stage": "counit-support", "basis_index": t}
-            e = _base_entry(n, img.coeffs[0])
-            if e is None:
-                return False, {"stage": "counit-value", "basis_index": t}
-            eps.append(e)
 
         # fixed space of the action == the base field (Q-dimension p-1)
-        # (column: the monomial zeta_1^j w^B, in the flat layout)
+        # (column: the monomial zeta_1^j w^B, in the flat layout).  Each h
+        # is Q(zeta_1)-linear, so h - eps(h) sends zeta_1^j w^B to zeta_1^j
+        # times column B of (M - eps I)
         dimq = deg1 * pn
         stacked = []
-        for t, h in enumerate(basis):
+        for mat in mats:
+            eps = mat[0][0]
             rows: dict[int, dict[int, Fraction]] = {}
-            for col, (B, j) in enumerate(product(range(pn), range(deg1))):
-                y = BigFieldElt.monomial(p, n, a, j * step, B)
-                z = h.apply(y) - y.scale(embed(1, n, eps[t]))
-                cells = [_base_entry(n, c) for c in z.coeffs]
-                if any(c is None for c in cells):
-                    return False, {"stage": "fixed-space-support",
-                                   "basis_index": t, "w_power": B}
-                for r, v in cells_to_vector(cells).items():
-                    rows.setdefault(r, {})[col] = v
+            for B in range(pn):
+                column = [mat[B2][B] - eps if B2 == B else mat[B2][B]
+                          for B2 in range(pn)]
+                for j, vec in enumerate(_zeta1_multiples(column)):
+                    for r, v in vec.items():
+                        rows.setdefault(r, {})[B * deg1 + j] = v
             stacked.extend(rows.values())
         kernel = linalg.sparse_nullspace(stacked, dimq)
         base_cols = {j for j in range(deg1)}          # w-power 0 coordinates
@@ -526,9 +513,8 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
                 shifted = [[(mat[(B2 - c) % pn][B]
                              * (a if (B2 - c) % pn + c >= pn else 1))
                             for B in range(pn)] for B2 in range(pn)]
-                for j in range(deg1):
-                    ech.insert(cells_to_vector(c.shift(j) for row in shifted
-                                               for c in row))
+                for vec in _zeta1_multiples(x for row in shifted for x in row):
+                    ech.insert(vec)
         want = deg1 * pn * pn
         if ech.rank != want:
             return False, {"stage": "endomorphism-rank", "rank": ech.rank,
@@ -544,7 +530,7 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
     the i = 0 span is exactly the diagonal algebra, matching the level-0
     idempotent action on w-powers."""
     def body():
-        pn, deg1 = p ** n, p - 1
+        pn = p ** n
         f1 = FieldDescriptor(p, 1)
         spans = []
         vecs_by_i = []
@@ -555,8 +541,7 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
                 mat = action_matrix(h)
                 if mat is None:
                     return False, {"stage": "image-support", "i": i}
-                vecs.extend(cells_to_vector(c.shift(j) for row in mat for c in row)
-                            for j in range(deg1))
+                vecs.extend(_zeta1_multiples(c for row in mat for c in row))
             ech = linalg.SparseEchelon()
             for v in vecs:
                 ech.insert(v)
@@ -575,8 +560,7 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
         for B in range(pn):
             mat = [[CycloElt.zero(f1)] * pn for _ in range(pn)]
             mat[B][B] = CycloElt.one(f1)
-            for j in range(deg1):
-                v = cells_to_vector(c.shift(j) for row in mat for c in row)
+            for v in _zeta1_multiples(c for row in mat for c in row):
                 diag.insert(v)
                 diag_vecs.append(v)
         if not (all(diag.contains(v) for v in vecs_by_i[0])

@@ -138,7 +138,12 @@ def _malformed_matrix(**change) -> dict:
 @pytest.mark.parametrize("data", [
     _malformed_matrix(rows=[["1/0", "0/1", "0/1"]] + [["0/1"] * 3] * 2),
     _malformed_matrix(rows=5),
-], ids=["zero-denominator", "rows-not-a-list"])
+    _malformed_matrix(rows=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    _malformed_matrix(a=2),
+    _malformed_matrix(p="3"),
+    [_malformed_matrix()],
+], ids=["zero-denominator", "rows-not-a-list", "integer-entries",
+        "integer-radicand", "string-prime", "top-level-list"])
 def test_decompose_malformed_matrix_is_a_usage_error(capsys, tmp_path, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -217,6 +222,17 @@ def test_census_malformed_instance_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"degree": 3, "gamma_generators": 5,
                                 "delta_generators": []}))
+    assert main(["census", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [
+    {"degree": 3, "gamma_generators": [[1, None, 0]], "delta_generators": []},
+    [{"degree": 3, "gamma_generators": [[1, 2, 0]], "delta_generators": []}],
+], ids=["null-generator-entry", "top-level-list"])
+def test_census_mistyped_instance_is_a_usage_error(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
     assert main(["census", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -259,6 +259,7 @@ def test_galois_group_orders():
 
 @pytest.mark.parametrize("p,n,builder", [
     (3, 1, "full"),    # degree 3
+    (3, 2, "full"),    # degree 9 over Q
     (3, 2, "zeta1"),   # degree 9
 ])
 def test_engines_agree(p, n, builder):
@@ -282,6 +283,31 @@ def test_engines_agree_on_cyclic_4_regular():
     assert sorted(g.is_cyclic() for g in naive) == [False, True]
     for g in naive:
         assert is_regular(g, 4)
+
+
+def affine_action(p: int, unit: int) -> tuple[FiniteGroup, FiniteGroup]:
+    """AGL(1, p) on F_p, from x -> x + 1 and x -> unit * x (unit primitive),
+    with the stabilizer of 0."""
+    scale = Perm(tuple(unit * x % p for x in range(p)))
+    return FiniteGroup([cycle(p), scale]), FiniteGroup([scale])
+
+
+@pytest.mark.parametrize("gamma,delta,count", [
+    # the regular C2 x C2: itself, and the three cyclic C4, each normal in
+    # a dihedral Sylow 2-subgroup of S4 that contains it
+    (FiniteGroup([Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1))]), trivial_group(4), 4),
+    # the regular C3 x C3, the largest elementary-abelian search
+    (FiniteGroup([Perm((3, 4, 5, 6, 7, 8, 0, 1, 2)),
+                  Perm((1, 2, 0, 4, 5, 3, 7, 8, 6))]), trivial_group(9), 9),
+    # AGL(1, p) over the stabilizer of 0: only the translations
+    (*affine_action(5, 2), 1),
+    (*affine_action(7, 3), 1),
+], ids=["regular-C2xC2", "regular-C3xC3", "AGL(1,5)", "AGL(1,7)"])
+def test_engines_agree_on_regular_and_affine_actions(gamma, delta, count):
+    naive = enumerate_regular_normalized(gamma, delta, engine="naive")
+    holo = enumerate_regular_normalized(gamma, delta, engine="holomorph")
+    assert [g.elements for g in naive] == [g.elements for g in holo]
+    assert len(naive) == count
 
 
 def test_enumeration_is_deterministic():

@@ -46,7 +46,7 @@ VALUES = {
     "QMatrix": (lambda: to_end_matrix(SmashElt.basis(3, 1, 2, 1, 2)),
                 lambda: QMatrix(3, 1, 2, [[0, 0, 2], [0, 0, 0], [0, 0, 0]])),
     "BigFieldElt": (lambda: BigFieldElt.monomial(3, 2, 2, 1, 1),
-                    lambda: BigFieldElt.monomial(3, 2, Fraction(2), 10, 10)),
+                    lambda: BigFieldElt.monomial(3, 2, Fraction(2), 10, 1)),
     "VariantHopfElt": (_variant_elt, _variant_elt),
     "FiniteGroup": (lambda: FiniteGroup([Perm((1, 2, 0))]),
                     lambda: FiniteGroup([Perm((2, 0, 1))])),
@@ -100,6 +100,13 @@ def test_equal_values_are_equal_and_hash_equal(name):
     else:
         assert hash(x) == hash(y)
         assert len({x, y}) == 1
+
+
+def test_big_field_monomial_wraps_into_the_radicand():
+    # w^(p^n) = a, so w^10 = a * w at p^n = 9
+    for a in (2, Fraction(3, 5)):
+        assert (BigFieldElt.monomial(3, 2, a, 0, 10)
+                == BigFieldElt.monomial(3, 2, a, 0, 1).scale(a))
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfgal.cyclotomic import FieldDescriptor, action_rows
+from hopfgal.cyclotomic import CycloElt, FieldDescriptor, action_rows
 from hopfgal.linalg import sparse_nullspace
 from hopfgal.variants import (BigFieldElt, TowerAut, aut_act,
                               complement_elements, complement_generator,
@@ -138,6 +138,22 @@ def test_variant_basis_and_rank(i):
     # rational dimension (p - 1) p^n; rank p^n over the fixed field
     assert len(basis) == (p - 1) * p ** n
     assert h_variant_rank_certificate(p, n, i, Fraction(2)).status == "pass"
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_variant_algebra_is_zeta1_linear(i):
+    # each complement element fixes zeta_1 = zeta^(p^(n-1)), so h commutes
+    # with multiplication by zeta_1; the action check reads the fixed space
+    # from the action matrix on that basis
+    p, n, a = 3, 2, Fraction(2)
+    f, step = FieldDescriptor(p, n), p ** (n - 1)
+    for h in h_variant(p, n, i, a):
+        for B in range(p ** n):
+            image = h.apply(BigFieldElt.monomial(p, n, a, 0, B))
+            for j in range(p - 1):
+                zeta1_j = CycloElt.zeta_power(f, j * step)
+                assert image.scale(zeta1_j) == h.apply(
+                    BigFieldElt.monomial(p, n, a, j * step, B))
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
