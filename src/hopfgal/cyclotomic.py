@@ -421,7 +421,8 @@ def inverse(x: CycloElt) -> CycloElt:
         ech.insert(row)
     if ech.pivot_columns() != list(range(deg)):
         raise ValueError("multiplication by %r is not invertible" % (x,))
-    return CycloElt(x.field, [ech.pivot_rows[j].get(deg, 0) for j in range(deg)])
+    rows = ech.pivot_rows
+    return CycloElt(x.field, [rows[j].get(deg, 0) for j in range(deg)])
 
 
 def delta_apply(e: int, x: CycloElt) -> CycloElt:

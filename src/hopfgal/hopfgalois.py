@@ -33,6 +33,8 @@ from .cyclotomic import (CycloElt, FieldDescriptor, Rat, cells_to_vector, embed,
 from .groupring import GroupRingElt
 from .reporting import Report, checked
 
+_ZERO = Fraction(0)
+
 
 # ---------------------------------------------------------------------------
 # radicand validation
@@ -286,7 +288,8 @@ def act(h: HopfElt, x: RadicalElt) -> RadicalElt:
     """Action on K: the i-th idempotent projects onto the w^i component."""
     if (h.p, h.n) != (x.p, x.n):
         raise ValueError("mismatched levels")
-    return RadicalElt(x.p, x.n, x.a, [h.coords[k] * x.coords[k] for k in range(x.p ** x.n)])
+    return RadicalElt(x.p, x.n, x.a, [c * v if c and v else _ZERO
+                                      for c, v in zip(h.coords, x.coords)])
 
 
 # ---------------------------------------------------------------------------

@@ -316,10 +316,9 @@ def hom_subalgebra_closure_check(p: int, n: int, m: int, a) -> Report:
         pairs, _ = hom_subalgebra_basis(p, n, m)
         level = max(n, m)
         allowed = set(pairs)
-        for (j1, i1) in pairs:
-            x = SmashElt.basis(p, level, a, j1, i1)
-            for (j2, i2) in pairs:
-                y = SmashElt.basis(p, level, a, j2, i2)
+        basis = [SmashElt.basis(p, level, a, j, i) for (j, i) in pairs]
+        for (j1, i1), x in zip(pairs, basis):
+            for (j2, i2), y in zip(pairs, basis):
                 for key in smash_mult(x, y).terms:
                     if key not in allowed:
                         return False, {"left": (j1, i1), "right": (j2, i2),

@@ -9,8 +9,9 @@ tests can check the Hopf-algebra axioms the paper's construction rests on.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from hopfgal.cyclotomic import CycloElt, FieldDescriptor
+from hopfgal.cyclotomic import CycloElt, FieldDescriptor, from_exponents
 from hopfgal.groupring import GroupRingElt
 
 
@@ -43,18 +44,31 @@ class TensorElt:
         return "TensorElt(%r)" % (self.terms,)
 
 
+def _numerators(x: GroupRingElt) -> tuple[list[tuple[int, list[tuple[int, int]]]], int]:
+    """The nonzero cells of x as (b, [(A, numerator), ...]) over one common
+    denominator."""
+    den = lcm(*(c.den for c in x.coeffs))
+    cells = [(b, [(A, a * (den // c.den)) for A, a in enumerate(c.nums) if a])
+             for b, c in enumerate(x.coeffs) if c]
+    return cells, den
+
+
 def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
+    """Convolution product: output cell b sums the zeta-exponents of
+    c1 * c2 over b1 + b2 = b in one integer table, folded once."""
     x._check(y)
-    go = x.group_order
-    acc = [CycloElt.zero(x.field) for _ in range(go)]
-    for b1, c1 in enumerate(x.coeffs):
-        if not c1:
-            continue
-        for b2, c2 in enumerate(y.coeffs):
-            if c2:
-                b = (b1 + b2) % go
-                acc[b] = acc[b] + c1 * c2
-    return GroupRingElt(x.field, acc, go)
+    field, go = x.field, x.group_order
+    xs, dx = _numerators(x)
+    ys, dy = _numerators(y)
+    acc = [[0] * (2 * field.degree - 1) for _ in range(go)]
+    for b1, t1 in xs:
+        for b2, t2 in ys:
+            cell = acc[(b1 + b2) % go]
+            for A1, a1 in t1:
+                for A2, a2 in t2:
+                    cell[A1 + A2] += a1 * a2
+    return GroupRingElt(field, [from_exponents(field, enumerate(cell), dx * dy)
+                                for cell in acc], go)
 
 
 def gr_comul(x: GroupRingElt) -> TensorElt:

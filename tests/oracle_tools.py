@@ -115,6 +115,12 @@ def oracle_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
              for i in range(len(pivots))], list(pivots))
 
 
+def oracle_mat_mul(a, b) -> list[list[Fraction]]:
+    prod = to_sympy_matrix(a) * to_sympy_matrix(b)
+    return [[Fraction(int(v.p), int(v.q)) for v in prod.row(i)]
+            for i in range(prod.rows)]
+
+
 def oracle_multiplicative_order(g: int, modulus: int) -> int:
     return int(sympy.ntheory.n_order(g, modulus))
 

@@ -10,7 +10,7 @@ from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, cells_to_vector,
                                 vector_to_cells)
 from hopfgal.linalg import SparseEchelon, mat_mul, sparse_nullspace, sparse_rank
 
-from oracle_tools import oracle_rank, oracle_rref
+from oracle_tools import oracle_mat_mul, oracle_rank, oracle_rref
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -103,6 +103,60 @@ def test_sparse_insert_reports_rank_growth():
     assert ech.insert({0: Fraction(5)}) is False
     assert ech.insert({1: Fraction(1)}) is True
     assert ech.rank == 2 and ech.pivot_columns() == [0, 1]
+
+
+def test_nullspace_refuses_columns_past_ncols():
+    # the matrix has 4 columns; asking for a 2-column kernel must not
+    # silently drop columns 2 and 3
+    with pytest.raises(ValueError, match="column 3.* 2 columns"):
+        sparse_nullspace([{0: 1, 1: 1}, {1: 1, 3: 1}], 2)
+    assert len(sparse_nullspace([{0: 1, 1: 1}, {1: 1, 3: 1}], 4)) == 2
+
+
+# -- the integer core: Fractions only at the boundary ----------------------------
+
+scales = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12).filter(bool),
+                   st.integers(1, 10 ** 6))
+
+
+def rref_kernel(red, pivots, ncols) -> list[dict[int, Fraction]]:
+    """One kernel vector per free column, read off the dense rref."""
+    return [{f: Fraction(1), **{p: -red[r][f] for r, p in enumerate(pivots)
+                                if red[r][f]}}
+            for f in range(ncols) if f not in pivots]
+
+
+@given(matrices(), st.data())
+def test_row_scale_does_not_change_the_echelon(rows, data):
+    red, pivots = oracle_rref(rows)
+    ncols = len(rows[0])
+    scaled = []
+    for row in sparse(rows):
+        k = data.draw(scales)
+        scaled.append({c: k * v for c, v in row.items()})
+    plain, big = echelon(sparse(rows)), echelon(scaled)
+    assert big.pivot_rows == plain.pivot_rows
+    assert [big.pivot_rows[c] for c in pivots] == sparse(red)
+    kernel = big.kernel_basis(ncols)
+    assert kernel == plain.kernel_basis(ncols) == rref_kernel(red, pivots, ncols)
+    # Fractions at the boundary, whatever the integer scale inside
+    for vec in [*big.pivot_rows.values(), *kernel]:
+        assert all(type(v) is Fraction for v in vec.values())
+
+
+def mixed_matrix(m, n):
+    entry = st.one_of(st.integers(-6, 6), frac)
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+       .flatmap(lambda d: st.tuples(mixed_matrix(d[0], d[1]),
+                                    mixed_matrix(d[1], d[2]))))
+def test_mat_mul_matches_sympy(ab):
+    a, b = ab
+    prod = mat_mul(a, b)
+    assert prod == oracle_mat_mul(a, b)
+    assert all(type(v) is Fraction for row in prod for v in row)
 
 
 # -- the flat cell layout ---------------------------------------------------------
