@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Run the benchmark on one or more checkouts and write one BENCH_<label>.json.
+"""Benchmark a change against its parent and write one BENCH_<label>.json.
 
-    python3 scripts/bench.py --label NAME --seeds 1 2 3 [--seconds 20]
-        [--checkout old=../parent --checkout new=.]
+    python3 scripts/bench.py --label NAME --seeds 1 2 3 \\
+        --parent ../parent --change .
 
-For each seed, each of the four workloads of ``perfbench/run.py`` runs once
-per checkout with ``--trace 0``; the checkouts take turns at going first.
-Then each checkout runs ``hopfgal verify-all --format json --timings`` once,
-for the wall time of each criterion.  Without ``--checkout`` the one
-checkout is the one this script lives in.
+For each seed, each workload that BENCHMARK.json lists runs once per
+checkout, ``perfbench/run.py --trace 0`` for BENCHMARK.json's
+``run_seconds``; the two checkouts take turns at going first.  Then each
+checkout runs ``hopfgal verify-all --format json --timings`` once, for the
+wall time of each criterion.  A run that fails, times out or prints no JSON
+stops the script, naming the checkout and the command.
 
 The output, BENCH_<label>.json at the root of this checkout, holds the
-machine, every run's end-to-end metrics, and each metric's median and
-quartiles.  With two checkouts it also holds, per workload and metric, the
-number of seeds on which the second checkout did better, in the direction
-BENCHMARK.json gives for that metric.
+machine, every run's end-to-end metrics, each metric's median and quartiles,
+and per workload and metric the number of seeds on which the change did
+better than the parent, in the direction BENCHMARK.json gives for that
+metric.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("tower", "kernels", "census", "queries")
 RUN_TIMEOUT_S = 300
 
 
@@ -56,29 +56,37 @@ def commit(path: Path) -> dict:
     return {"head": head or None, "modified": bool(dirty)}
 
 
-def run_workload(path: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=path, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+def run_json(path: Path, cmd: list[str], **kwargs) -> dict:
+    """The JSON a command run in `path` prints on stdout."""
+    where = "%s in %s" % (" ".join(cmd[1:]), path)
     try:
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-    except (IndexError, json.JSONDecodeError):
-        raise SystemExit("%s in %s failed:\n%s" % (" ".join(cmd[1:]), path,
-                                                    proc.stderr[-2000:]))
-    return {"seed": seed, "correct": result["correct"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+        proc = subprocess.run(cmd, cwd=path, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S, **kwargs)
+    except subprocess.TimeoutExpired:
+        raise SystemExit("%s timed out after %d s" % (where, RUN_TIMEOUT_S))
+    if proc.returncode != 0:
+        raise SystemExit("%s exited %d:\n%s" % (where, proc.returncode,
+                                                proc.stderr[-2000:]))
+    try:
+        return json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        raise SystemExit("%s printed no JSON:\n%s" % (where, proc.stderr[-2000:]))
+
+
+def run_workload(path: Path, workload: str, seed: int, seconds: float) -> dict:
+    result = run_json(path, [sys.executable, "perfbench/run.py", "--workload", workload,
+                             "--seed", str(seed), "--seconds", str(seconds),
+                             "--trace", "0"])
+    return {"seed": seed, "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
 def criterion_times(path: Path) -> dict:
     cmd = [sys.executable, "-m", "hopfgal.cli", "verify-all", "--format", "json",
            "--timings"]
-    env = dict(os.environ, PYTHONPATH=str(path / "src"))
     start = time.monotonic()
-    proc = subprocess.run(cmd, cwd=path, env=env, capture_output=True, text=True)
+    data = run_json(path, cmd, env=dict(os.environ, PYTHONPATH=str(path / "src")))
     wall = time.monotonic() - start
-    data = json.loads(proc.stdout)
-    return {"exit_code": proc.returncode, "wall_s": round(wall, 3),
+    return {"wall_s": round(wall, 3),
             "criteria_ms": {c["name"]: sum(r["elapsed_ms"] for r in c["reports"])
                             for c in data["criteria"]}}
 
@@ -87,18 +95,15 @@ def summary(runs: list[dict]) -> dict:
     out = {}
     for name in runs[0]["metrics"]:
         values = [r["metrics"][name] for r in runs]
-        q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                       if len(values) > 1 else values * 3)
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
         out[name] = {"median": med, "q1": q1, "q3": q3}
     return out
 
 
-def wins(first: list[dict], second: list[dict]) -> dict:
-    better = {m["name"]: m["better"] for m in
-              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+def change_wins(parent: list[dict], change: list[dict], better: dict) -> dict:
     out = {}
     for name, direction in better.items():
-        pairs = [(a["metrics"][name], b["metrics"][name]) for a, b in zip(first, second)]
+        pairs = [(a["metrics"][name], b["metrics"][name]) for a, b in zip(parent, change)]
         out[name] = sum((b < a) if direction == "lower" else (b > a) for a, b in pairs)
     return out
 
@@ -107,25 +112,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--checkout", action="append", default=[],
-                        metavar="NAME=PATH")
+    parser.add_argument("--parent", type=Path, required=True, metavar="PATH")
+    parser.add_argument("--change", type=Path, required=True, metavar="PATH")
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("--seeds wants at least two seeds, for quartiles")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for path in checkouts.values():
+        if not (path / "perfbench" / "run.py").is_file():
+            parser.error("not a source checkout: %s" % path)
 
-    checkouts = {}
-    for spec in args.checkout or ["this=%s" % ROOT]:
-        name, sep, path = spec.partition("=")
-        if not sep or not (Path(path) / "perfbench" / "run.py").is_file():
-            parser.error("--checkout wants NAME=PATH of a source checkout: %r" % spec)
-        checkouts[name] = Path(path).resolve()
-    names = list(checkouts)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    runs = {name: {w: [] for w in WORKLOADS} for name in names}
+    runs = {name: {w: [] for w in workloads} for name in checkouts}
     for k, seed in enumerate(args.seeds):
-        order = names[k % len(names):] + names[:k % len(names)]
-        for workload in WORKLOADS:
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        for workload in workloads:
             for name in order:
-                run = run_workload(checkouts[name], workload, seed, args.seconds)
+                run = run_workload(checkouts[name], workload, seed, seconds)
                 runs[name][workload].append(run)
                 print("%s seed %d %s: verdict_s %.3f" % (
                     workload, seed, name, run["metrics"]["verdict_s"]),
@@ -134,17 +141,16 @@ def main(argv=None) -> int:
     record = {
         "label": args.label,
         "machine": machine(),
-        "command": "perfbench/run.py --trace 0 --seconds %g" % args.seconds,
+        "command": "perfbench/run.py --trace 0 --seconds %g" % seconds,
         "seeds": args.seeds,
-        "checkouts": {name: {"commit": commit(checkouts[name]),
-                             "verify_all": criterion_times(checkouts[name]),
+        "checkouts": {name: {"commit": commit(path),
+                             "verify_all": criterion_times(path),
                              "workloads": {w: {"summary": summary(rs), "runs": rs}
                                            for w, rs in runs[name].items()}}
-                      for name in names},
+                      for name, path in checkouts.items()},
+        "change_wins": {w: change_wins(runs["parent"][w], runs["change"][w], better)
+                        for w in workloads},
     }
-    if len(names) == 2:
-        record["second_wins"] = {w: wins(runs[names[0]][w], runs[names[1]][w])
-                                 for w in WORKLOADS}
     out = ROOT / ("BENCH_%s.json" % args.label)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(out)

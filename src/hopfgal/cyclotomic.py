@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
 
@@ -154,14 +154,6 @@ def _fold(field: FieldDescriptor, pairs) -> list[int]:
     return out
 
 
-def _common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator of rationals.
-    Their gcd with the denominator is 1 (the lcm of reduced denominators)."""
-    fracs = [v if type(v) is Fraction else Fraction(v) for v in values]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
-
-
 _ZERO_CACHE: dict = {}            # FieldDescriptor -> the canonical zero element
 
 
@@ -183,7 +175,7 @@ class CycloElt:
         coeffs = tuple(coeffs)
         if len(coeffs) != field.degree:
             raise ValueError("expected %d coefficients, got %d" % (field.degree, len(coeffs)))
-        nums, den = _common_denominator(coeffs)
+        nums, den = linalg.common_denominator(coeffs)
         _set_field(self, field)
         _set_nums(self, tuple(nums))
         _set_den(self, den)
@@ -387,7 +379,7 @@ def from_exponents(field: FieldDescriptor, pairs, den: int = 1) -> CycloElt:
 
 def reduce_terms(field: FieldDescriptor, terms: dict[int, Rat]) -> CycloElt:
     """Canonical form of a formal sum  sum_e terms[e] * zeta^e  (e arbitrary ints)."""
-    nums, den = _common_denominator(terms.values())
+    nums, den = linalg.common_denominator(terms.values())
     return from_exponents(field, zip(terms, nums), den)
 
 
@@ -508,7 +500,7 @@ def vector_to_cells(field: FieldDescriptor, vec: dict[int, Rat],
         parts.setdefault(c, {})[A] = v
     cells = [CycloElt.zero(field)] * ncells
     for c, entries in parts.items():
-        nums, den = _common_denominator(entries.values())
+        nums, den = linalg.common_denominator(entries.values())
         full = [0] * phi
         for A, a in zip(entries, nums):
             full[A] = a

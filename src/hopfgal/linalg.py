@@ -30,20 +30,29 @@ from typing import Mapping, Sequence
 _ONE = Fraction(1)
 
 
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of ints or Fractions over the lcm of their
+    denominators.  Their gcd with that denominator is 1."""
+    values = list(values)
+    den = lcm(*[v.denominator for v in values])
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _integer_row(row) -> dict[int, int]:
     """The nonzero entries of a row of ints or Fractions, times the lcm of
     their denominators."""
-    den = lcm(*[v.denominator for v in row.values()])
-    if den == 1:
-        return {c: v.numerator for c, v in row.items() if v}
-    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+    nums, _ = common_denominator(row.values())
+    return {c: a for c, a in zip(row, nums) if a}
 
 
 def _integer_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """Integer numerators of a dense matrix of ints or Fractions over one
     common denominator."""
-    den = lcm(*[v.denominator for row in rows for v in row])
-    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+    nums, den = common_denominator([v for row in rows for v in row])
+    it = iter(nums)
+    return [[next(it) for _ in row] for row in rows], den
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
