@@ -477,6 +477,8 @@ def cells_to_vector(cells) -> dict[int, Rat]:
     out: dict[int, Rat] = {}
     for c, cell in enumerate(cells):
         if isinstance(cell, CycloElt):
+            if not cell.nonzero:
+                continue
             nums, den = cell.nums, cell.den
             base = c * len(nums)
             for A, a in enumerate(nums):

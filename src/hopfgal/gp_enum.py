@@ -2,25 +2,26 @@
 
 A finite Galois group acting on the left cosets of a subgroup turns the
 coset set S into a transitive permutation module.  This module lists every
-regular subgroup of Perm(S) normalized by the image of that action, and
-separately lists the normal complements of the subgroup inside the big
-group ("descent" data); pushing a complement through the coset action
-always lands in the enumerated family.  Two independent engines are
-provided and cross-checked in tests:
+regular subgroup of Perm(S) normalized by the image of that action, with
+two independent engines that are cross-checked in tests:
 
 * a naive engine: exhaustive search over fixed-point-free cycles of full
   length (cyclic candidates) and over commuting pairs of fixed-point-free
   p-elements (elementary abelian candidates), then the normalization
   filter — feasible for degree <= 10;
-* a holomorph engine: for each abstract candidate group G, assign to each
-  generator of the action image an element of the holomorph of G, keep the
-  assignments that admit an equivariant bijective labeling of S by G (the
-  labeling conjugates the action image onto the assigned elements, so it
-  is the homomorphism into the holomorph), and take the translation
-  subgroup — feasible up to the prime-power cap.
+* a holomorph engine: for each model N, a regular group given by its
+  generators, Hol(N) = N·Aut(N) with Aut(N) read off equivariant
+  labelings; each generator of the action image gets an element of
+  Hol(N), and an assignment is kept when S admits an equivariant bijective
+  labeling by N, which is then the homomorphism into Hol(N) — feasible
+  up to the prime-power cap.
 
-Degrees whose group types are not exhausted by "cyclic or elementary
-abelian of rank 2" are refused rather than enumerated incompletely.
+The normal complements of the subgroup in the big group ("descent" data)
+are the kernels of its retractions, found by an edge-checked walk over the
+big group that shares no code with either engine; pushing a complement
+through the coset action always lands in the enumerated family.  Degrees
+whose group types are not exhausted by "cyclic or elementary abelian of
+rank 2" are refused rather than enumerated incompletely.
 """
 
 from __future__ import annotations
@@ -263,72 +264,65 @@ def action_image(gamma: FiniteGroup, delta: FiniteGroup):
 
 
 # ---------------------------------------------------------------------------
-# normal subgroups and almost-classical complements
+# almost-classical complements: kernels of retractions
 
-def _normal_closure(gamma: FiniteGroup, seed: Perm) -> frozenset:
-    conjugates = {seed}
-    frontier = [seed]
+def _retraction(gamma: FiniteGroup, gens, images) -> dict | None:
+    """The homomorphism on gamma with gens[i] -> images[i], or None.
+
+    Walks gamma (generated by `gens`) from the identity along x -> x*g and
+    checks every edge, r(x*g) = r(x)*r(g): the first conflict refutes the
+    assignment, and a map that passes is a homomorphism.
+    """
+    ident = gamma.identity()
+    r = {ident: ident}
+    frontier = [ident]
     while frontier:
         new = []
         for x in frontier:
-            for g in gamma.generators:
-                y = g * x * g.inverse()
-                if y not in conjugates:
-                    conjugates.add(y)
+            for g, h in zip(gens, images):
+                y, want = x * g, r[x] * h
+                got = r.get(y)
+                if got is None:
+                    r[y] = want
                     new.append(y)
+                elif got != want:
+                    return None
         frontier = new
-    return frozenset(mulclose(conjugates))
-
-
-def normal_subgroups(gamma: FiniteGroup) -> list[frozenset]:
-    """All normal subgroups, as element sets.
-
-    Every normal subgroup is the join of the normal closures of its
-    elements, so closing the single-element normal closures under join
-    is exhaustive.
-    """
-    ident = gamma.identity()
-    found = {frozenset([ident])}
-    for x in gamma.elements:
-        found.add(_normal_closure(gamma, x))
-    worklist = list(found)
-    while worklist:
-        fresh = []
-        for a in list(found):
-            for b in worklist:
-                if a <= b or b <= a:
-                    continue
-                join = frozenset(mulclose(a | b))
-                if join not in found:
-                    found.add(join)
-                    fresh.append(join)
-        worklist = fresh
-    return sorted(found, key=lambda s: (len(s), sorted(p.images for p in s)))
+    return r
 
 
 def almost_classical(gamma: FiniteGroup, delta: FiniteGroup) -> list[FiniteGroup]:
-    """Normal complements of delta in gamma.
+    """Normal complements of delta in gamma, as subgroups of gamma.
 
-    Returns every normal subgroup N with N ∩ delta trivial and
-    N·delta = gamma, as subgroups of gamma (not of the coset symmetric
-    group); push them through the coset action to land in the enumerated
-    regular family.
+    N is a normal complement (N ∩ delta = 1, N·delta = gamma) exactly when
+    it is the kernel of a retraction r: gamma -> delta, r|delta = id, and
+    then r(n·d) = d is unique.  Each generator in an irredundant generating
+    sequence of gamma is sent to itself if it lies in delta, else to each
+    element of delta of order dividing its own; the candidates `_retraction`
+    extends that fix delta's generators give the complements.  Push them
+    through the coset action to land in the enumerated regular family.
     """
     if not delta <= gamma:
         raise ValueError("delta is not a subgroup of gamma")
     ident = gamma.identity()
     index = gamma.order // delta.order
+    gens, closed = [], {ident}
+    for g in gamma.generators:
+        if g not in closed:
+            gens.append(g)
+            closed = mulclose(gens)
+    candidates = [[g] if g in delta else
+                  [d for d in delta.elements if g.order() % d.order() == 0]
+                  for g in gens]
     out = []
-    for nset in normal_subgroups(gamma):
+    for images in itertools.product(*candidates):
+        r = _retraction(gamma, gens, images)
+        if r is None or any(r[d] != d for d in delta.generators):
+            continue
+        nset = frozenset(x for x, y in r.items() if y == ident)
         if len(nset) != index:
-            continue
-        if any(x != ident and x in delta for x in nset):
-            continue
-        products = {a * b for a in nset for b in delta.elements}
-        if len(products) != gamma.order:
             raise AssertionError("order count violated by a complement")
-        gens = _generating_sequence(sorted(nset))
-        out.append(FiniteGroup(gens, nset))
+        out.append(FiniteGroup(_generating_sequence(nset), nset))
     out.sort(key=lambda g: [p.images for p in g.elements])
     return out
 
@@ -497,51 +491,6 @@ def _naive_elementary(size: int, p: int, lam_gens, deadline) -> set:
 # ---------------------------------------------------------------------------
 # the holomorph engine: label the cosets by an abstract group
 
-def _holomorph_cyclic(m: int) -> list[Perm]:
-    """x -> t + u*x mod m for all translations t and units u."""
-    out = []
-    for u in range(1, m):
-        a, b = u, m
-        while b:
-            a, b = b, a % b
-        if a != 1:
-            continue
-        for t in range(m):
-            out.append(Perm(tuple((t + u * x) % m for x in range(m))))
-    return out
-
-
-def _holomorph_elementary(p: int) -> list[Perm]:
-    """x -> v + M*x on F_p^2 (index a*p+b) for all v and all M in GL_2."""
-    m = p * p
-    out = []
-    for a, b, c, d in itertools.product(range(p), repeat=4):
-        if (a * d - b * c) % p == 0:
-            continue
-        for v0, v1 in itertools.product(range(p), repeat=2):
-            images = []
-            for x in range(m):
-                x0, x1 = divmod(x, p)
-                images.append(((v0 + a * x0 + b * x1) % p) * p
-                              + (v1 + c * x0 + d * x1) % p)
-            out.append(Perm(tuple(images)))
-    return out
-
-
-def _translations_cyclic(m: int) -> list[Perm]:
-    return [Perm(tuple((t + x) % m for x in range(m))) for t in range(m)]
-
-
-def _translations_elementary(p: int) -> list[Perm]:
-    m = p * p
-    out = []
-    for t in range(m):
-        t0, t1 = divmod(t, p)
-        out.append(Perm(tuple(((t0 + x // p) % p) * p + (t1 + x % p) % p
-                              for x in range(m))))
-    return out
-
-
 def _label_cosets(size: int, lam_gens, hol_images) -> list | None:
     """Equivariant labeling of the cosets by group points, basepoint 0 -> 0.
 
@@ -550,7 +499,8 @@ def _label_cosets(size: int, lam_gens, hol_images) -> list | None:
     rejected, as is a non-bijective labeling.  A labeling L that passes has
     L(g_i(x)) = h_i(L(x)) for every point x and generator g_i, so
     h_i = L g_i L^-1 and the assignment extends to the homomorphism
-    g -> L g L^-1.
+    g -> L g L^-1.  Against a regular group's own generators, with each h_i
+    in the group, the labelings are its automorphisms (see `_holomorph`).
     """
     labels = [-1] * size
     labels[0] = 0
@@ -572,24 +522,38 @@ def _label_cosets(size: int, lam_gens, hol_images) -> list | None:
     return labels
 
 
-def _holomorph_search(size: int, lam_group: FiniteGroup, hol: list[Perm],
-                      translations: list[Perm], deadline) -> set:
-    """Regular subgroups of a fixed abstract type normalized by the image.
+def _holomorph(model: FiniteGroup) -> list[Perm]:
+    """Hol(N) = N·Aut(N) for a regular permutation group N, the model.
 
-    Every such subgroup N yields, after labeling the cosets by N from a
-    basepoint, a homomorphism of the action image into the holomorph of
-    the abstract model (the normalizer of its translation group), under
-    which the labeling is equivariant.  The search assigns holomorph
-    elements to the generators and keeps an assignment exactly when
-    `_label_cosets` finds such a labeling; the image acts transitively, so
-    that labeling checks every edge and *is* the homomorphism.  Re-reading
-    the labelings therefore recovers every N.
+    A permutation fixing 0 normalizes N exactly when it is a `_label_cosets`
+    labeling against N's generators, each sent to an element of its order.
     """
+    candidates = [[h for h in model.elements if h.order() == g.order()]
+                  for g in model.generators]
+    aut = []
+    for images in itertools.product(*candidates):
+        labels = _label_cosets(model.degree, model.generators, images)
+        if labels is not None:
+            aut.append(Perm(tuple(labels)))
+    return [t * a for t in model.elements for a in aut]
+
+
+def _holomorph_search(lam_group: FiniteGroup, model: FiniteGroup,
+                      deadline) -> set:
+    """Regular subgroups of the model's abstract type normalized by the image.
+
+    Labeling the cosets by such an N from a basepoint gives a homomorphism
+    of the action image into Hol(model), under which the labeling is
+    equivariant.  So holomorph elements are assigned to the generators, and
+    an assignment is kept exactly when `_label_cosets` finds that labeling
+    (the image is transitive, so it checks every edge and *is* the
+    homomorphism); moving the model back along it recovers every N.
+    """
+    size = model.degree
+    hol = _holomorph(model)
     lam_gens = _generating_sequence(lam_group.elements)
-    gen_orders = [g.order() for g in lam_gens]
-    candidates = []
-    for o in gen_orders:
-        candidates.append([h for h in hol if o % h.order() == 0])
+    candidates = [[h for h in hol if g.order() % h.order() == 0]
+                  for g in lam_gens]
     found: set[frozenset] = set()
     count = 0
     for assignment in itertools.product(*candidates):
@@ -604,7 +568,7 @@ def _holomorph_search(size: int, lam_group: FiniteGroup, hol: list[Perm],
             position[lab] = x
         members = frozenset(
             Perm(tuple(position[tr(labels[x])] for x in range(size)))
-            for tr in translations)
+            for tr in model.elements)
         if members in found:
             continue
         if not _normalizes(lam_group.generators, members):
@@ -672,13 +636,14 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
         if pp is not None and pp[1] == 2:
             found |= _naive_elementary(size, pp[0], lam_gens, deadline)
     else:
-        found |= _holomorph_search(size, lam_group, _holomorph_cyclic(size),
-                                   _translations_cyclic(size), deadline)
+        models = [[Perm(tuple((x + 1) % size for x in range(size)))]]
         if pp is not None and pp[1] == 2:
             p = pp[0]
-            found |= _holomorph_search(size, lam_group,
-                                       _holomorph_elementary(p),
-                                       _translations_elementary(p), deadline)
+            models.append([Perm(tuple((x + p) % size for x in range(size))),
+                           Perm(tuple(x - x % p + (x + 1) % p
+                                      for x in range(size)))])
+        for gens in models:
+            found |= _holomorph_search(lam_group, FiniteGroup(gens), deadline)
 
     results = []
     for members in sorted(found, key=lambda s: sorted(p.images for p in s)):

@@ -3,7 +3,8 @@
 Everything here goes through sympy (polynomial arithmetic modulo the explicit
 minimal polynomial, exact matrices) or direct counting, never through the
 library's own reduction/elimination code, so a test comparing the two routes
-is a genuine dual computation.
+is a genuine dual computation.  The normal complements are filtered from the
+whole lattice of normal subgroups, never through retractions.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import sympy
+
+from hopfgal.gp_enum import FiniteGroup, _generating_sequence, mulclose
 
 _X = sympy.Symbol("x")
 
@@ -127,3 +130,69 @@ def oracle_multiplicative_order(g: int, modulus: int) -> int:
 
 def oracle_primitive_root(modulus: int) -> int:
     return int(sympy.ntheory.primitive_root(modulus))
+
+
+# ---------------------------------------------------------------------------
+# normal subgroups and normal complements, from the whole lattice
+
+
+def _normal_closure(gamma: FiniteGroup, seed) -> frozenset:
+    conjugates = {seed}
+    frontier = [seed]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gamma.generators:
+                y = g * x * g.inverse()
+                if y not in conjugates:
+                    conjugates.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(mulclose(conjugates))
+
+
+def oracle_normal_subgroups(gamma: FiniteGroup) -> list[frozenset]:
+    """All normal subgroups, as element sets.
+
+    Every normal subgroup is the join of the normal closures of its
+    elements, so closing the single-element normal closures under join
+    is exhaustive.
+    """
+    ident = gamma.identity()
+    found = {frozenset([ident])}
+    for x in gamma.elements:
+        found.add(_normal_closure(gamma, x))
+    worklist = list(found)
+    while worklist:
+        fresh = []
+        for a in list(found):
+            for b in worklist:
+                if a <= b or b <= a:
+                    continue
+                join = frozenset(mulclose(a | b))
+                if join not in found:
+                    found.add(join)
+                    fresh.append(join)
+        worklist = fresh
+    return sorted(found, key=lambda s: (len(s), sorted(p.images for p in s)))
+
+
+def oracle_normal_complements(gamma: FiniteGroup,
+                              delta: FiniteGroup) -> list[FiniteGroup]:
+    """Every normal subgroup N with N ∩ delta trivial and N·delta = gamma,
+    with the generators and order that `gp_enum.almost_classical` uses."""
+    ident = gamma.identity()
+    index = gamma.order // delta.order
+    out = []
+    for nset in oracle_normal_subgroups(gamma):
+        if len(nset) != index:
+            continue
+        if any(x != ident and x in delta for x in nset):
+            continue
+        products = {a * b for a in nset for b in delta.elements}
+        if len(products) != gamma.order:
+            raise AssertionError("order count violated by a complement")
+        gens = _generating_sequence(sorted(nset))
+        out.append(FiniteGroup(gens, nset))
+    out.sort(key=lambda g: [p.images for p in g.elements])
+    return out

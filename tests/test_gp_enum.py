@@ -2,10 +2,15 @@
 
 The enumeration has two independent engines (exhaustive naive search and
 holomorph-based search); they are cross-checked against each other here,
-and counts are pinned against hand-checked small cases.
+and counts are pinned against hand-checked small cases.  The normal
+complements (retraction kernels) are checked against the normal-subgroup
+lattice in `oracle_tools`, and the holomorphs against counting formulas.
 """
 
 from __future__ import annotations
+
+import time
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,12 +36,13 @@ from hopfgal.gp_enum import (
     instance_from_json,
     instance_to_json,
     is_regular,
+    _holomorph,
     mulclose,
-    normal_subgroups,
     push_through_action,
     results_to_json,
     zeta1_galois_group,
 )
+from oracle_tools import oracle_normal_complements, oracle_normal_subgroups
 
 
 def cycle(degree: int) -> Perm:
@@ -206,14 +212,61 @@ def test_is_regular_rejects_point_stabilizer():
 
 
 def test_normal_subgroups_symmetric_3():
-    sizes = sorted(len(n) for n in normal_subgroups(symmetric_3()))
+    sizes = sorted(len(n) for n in oracle_normal_subgroups(symmetric_3()))
     assert sizes == [1, 3, 6]  # trivial, alternating, full
 
 
 def test_normal_subgroups_cyclic_4():
     # every subgroup of an abelian group is normal
-    sizes = sorted(len(n) for n in normal_subgroups(cyclic_group(4)))
+    sizes = sorted(len(n) for n in oracle_normal_subgroups(cyclic_group(4)))
     assert sizes == [1, 2, 4]
+
+
+def klein_4() -> FiniteGroup:
+    return FiniteGroup([Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1))])
+
+
+COMPLEMENT_CASES = {
+    "cubic-radical-over-Q":
+        lambda: (full_galois_group(3, 1), cyclotomic_subgroup(3, 1)),
+    "ninth-root-radical-over-Q":
+        lambda: (full_galois_group(3, 2), cyclotomic_subgroup(3, 2)),
+    "ninth-root-radical-over-cyclotomic":
+        lambda: (zeta1_galois_group(3, 2), beta_subgroup(3, 2)),
+    "S3/C2": lambda: (symmetric_3(), FiniteGroup([Perm((1, 0, 2))])),
+    "C4/1": lambda: (cyclic_group(4), trivial_group(4)),
+    "C4/C4": lambda: (cyclic_group(4), cyclic_group(4)),
+    # C4 does not split over its subgroup of order 2
+    "C4/C2": lambda: (cyclic_group(4), FiniteGroup([cycle(4) * cycle(4)])),
+    "V4/C2": lambda: (klein_4(), FiniteGroup([Perm((1, 0, 3, 2))])),
+    "AGL(1,5)": lambda: affine_action(5, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEMENT_CASES))
+def test_almost_classical_matches_lattice_oracle(case):
+    gamma, delta = COMPLEMENT_CASES[case]()
+    got = almost_classical(gamma, delta)
+    want = oracle_normal_complements(gamma, delta)
+    assert [g.elements for g in got] == [g.elements for g in want]
+    assert [g.generators for g in got] == [g.generators for g in want]
+    if case == "C4/C2":
+        assert got == []
+
+
+def test_almost_classical_ignores_redundant_generators():
+    # degree 9 over Q, with gamma given by six generators of which two
+    # suffice; only the irredundant ones get images in delta
+    base, delta = full_galois_group(3, 2), cyclotomic_subgroup(3, 2)
+    s, c = base.generators
+    gamma = FiniteGroup([s, c, s * c, c * s, s * s, c * c * s])
+    assert gamma == base and len(gamma.generators) == 6
+    start = time.perf_counter()
+    got = almost_classical(gamma, delta)
+    assert time.perf_counter() - start < 1.0
+    want = almost_classical(base, delta)
+    assert [g.elements for g in got] == [g.elements for g in want]
+    assert [g.generators for g in got] == [g.generators for g in want]
 
 
 def test_almost_classical_symmetric_3():
@@ -308,6 +361,35 @@ def test_engines_agree_on_regular_and_affine_actions(gamma, delta, count):
     holo = enumerate_regular_normalized(gamma, delta, engine="holomorph")
     assert [g.elements for g in naive] == [g.elements for g in holo]
     assert len(naive) == count
+
+
+# ---------------------------------------------------------------------------
+# holomorphs, checked by counting rather than by labelings
+
+
+def _assert_holomorph(model: FiniteGroup, order: int):
+    hol = _holomorph(model)
+    assert len(hol) == len(set(hol)) == order
+    members = set(model.elements)
+    for h in hol:
+        hi = h.inverse()
+        assert all(h * n * hi in members for n in model.generators)
+
+
+@pytest.mark.parametrize("m", sorted(m for m in COMPLETE_ORDERS if m >= 2))
+def test_cyclic_holomorph_has_m_phi_m_elements(m):
+    phi = sum(1 for u in range(1, m) if gcd(u, m) == 1)
+    _assert_holomorph(cyclic_group(m), m * phi)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_elementary_holomorph_is_affine_group(p):
+    # |AGL(2, p)| = p^2 |GL(2, p)| = p^2 (p^2 - 1)(p^2 - p)
+    m = p * p
+    model = FiniteGroup([
+        Perm(tuple((x + p) % m for x in range(m))),
+        Perm(tuple(x - x % p + (x + 1) % p for x in range(m)))])
+    _assert_holomorph(model, m * (m - 1) * (m - p))
 
 
 def test_enumeration_is_deterministic():
@@ -440,6 +522,35 @@ def test_census_reports_pass(label):
     assert [r.claim for r in reports] == ["census-counts", "census-cyclic"]
     for report in reports:
         assert report.ok, report.witness
+
+
+def test_census_degree_25_over_zeta5():
+    # Q(zeta_25, 2^(1/25)) over Q(zeta_5): 5 structures, all cyclic, and
+    # 5 complements, each pushed into the enumerated family
+    instance = CensusInstance("degree-25-over-zeta5", zeta1_galois_group(5, 2),
+                              beta_subgroup(5, 2), expected_structures=5,
+                              expected_almost_classical=5)
+    reports = census_reports(instance)
+    for report in reports:
+        assert report.ok, report.witness
+
+
+def test_complements_degree_25_over_Q():
+    # the structure count over Q (1) is a 13 s search, so it is left out
+    gamma, delta = full_galois_group(5, 2), cyclotomic_subgroup(5, 2)
+    complements = almost_classical(gamma, delta)
+    assert [c.order for c in complements] == [25]
+
+
+def test_census_detects_wrong_complement_count():
+    base = census_instances()[0]
+    wrong = CensusInstance(base.label, base.gamma, base.delta,
+                           expected_structures=1,
+                           expected_almost_classical=2)
+    counts_report = census_reports(wrong)[0]
+    assert not counts_report.ok
+    assert counts_report.witness == {"stage": "complement-count",
+                                     "got": 1, "expected": 2}
 
 
 def test_census_detects_wrong_expectation():
