@@ -33,10 +33,10 @@ from hopfgal.gp_enum import (
     cyclotomic_subgroup,
     enumerate_regular_normalized,
     full_galois_group,
+    _holomorph,
     instance_from_json,
     instance_to_json,
     is_regular,
-    _holomorph,
     mulclose,
     push_through_action,
     results_to_json,
