@@ -61,6 +61,13 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
         raise ValueError("%s must hold two integers, got %r" % (what, text))
 
 
+def _read_json(path: str | None):
+    """The JSON document at `path`, or on stdin when `path` is None or '-'."""
+    if path is None or path == "-":
+        return json.load(sys.stdin)
+    return json.loads(Path(path).read_text())
+
+
 def _smash_terms_json(x: SmashElt) -> list[list]:
     return [[j, i, rat_str(c)] for (j, i), c in sorted(x.terms.items())]
 
@@ -112,11 +119,7 @@ def _cmd_smash(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
-    if args.matrix is None or args.matrix == "-":
-        data = json.load(sys.stdin)
-    else:
-        data = json.loads(Path(args.matrix).read_text())
-    matrix = QMatrix.from_json(data)
+    matrix = QMatrix.from_json(_read_json(args.matrix))
     for flag, got in (("--p", args.p), ("--n", args.n)):
         if got is not None and got != getattr(matrix, flag[2:]):
             raise ValueError("%s=%d contradicts the matrix header" % (flag, got))
@@ -155,11 +158,7 @@ def _cmd_variants(args) -> dict:
 
 def _cmd_census(args) -> dict:
     if args.instance is not None:
-        if args.instance == "-":
-            data = json.load(sys.stdin)
-        else:
-            data = json.loads(Path(args.instance).read_text())
-        gamma, delta = instance_from_json(data)
+        gamma, delta = instance_from_json(_read_json(args.instance))
         results = enumerate_regular_normalized(
             gamma, delta, engine=args.engine,
             budget_seconds=args.budget_seconds)

@@ -14,20 +14,22 @@ two independent engines that are cross-checked in tests:
   labelings; each generator of the action image gets an element of
   Hol(N), and an assignment is kept when S admits an equivariant bijective
   labeling by N, which is then the homomorphism into Hol(N) — feasible
-  up to the prime-power cap.
+  up to `MAX_DEGREE`.
 
 The normal complements of the subgroup in the big group ("descent" data)
 are the kernels of its retractions, found by an edge-checked walk over the
 big group that shares no code with either engine; pushing a complement
-through the coset action always lands in the enumerated family.  Degrees
-whose group types are not exhausted by "cyclic or elementary abelian of
-rank 2" are refused rather than enumerated incompletely.
+through the coset action always lands in the enumerated family.  The
+models come from one catalogue (`_models`): every group of order m is
+cyclic when gcd(m, phi(m)) = 1, and of order p^2 cyclic or elementary
+abelian; any other degree is refused rather than enumerated incompletely.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from math import gcd, isqrt
 from dataclasses import dataclass, field
 
 from .reporting import Report, checked
@@ -52,10 +54,8 @@ class SearchBudgetExceeded(EnumerationRefusal):
     pass
 
 
-# degrees whose finite groups are all cyclic or elementary abelian of
-# rank two: 1, primes, squares of primes, and square-free m coprime to
-# the orders of the unit groups of its prime factors (cyclic-only m)
-COMPLETE_ORDERS = frozenset({1, 2, 3, 4, 5, 7, 9, 11, 13, 15, 17, 19, 23, 25})
+# the largest degree the census enumerates; larger ones are refused for cost
+MAX_DEGREE = 25
 
 NAIVE_MAX_DEGREE = 10
 
@@ -544,15 +544,17 @@ def _holomorph_search(lam_group: FiniteGroup, model: FiniteGroup,
 
     Labeling the cosets by such an N from a basepoint gives a homomorphism
     of the action image into Hol(model), under which the labeling is
-    equivariant.  So holomorph elements are assigned to the generators, and
-    an assignment is kept exactly when `_label_cosets` finds that labeling
-    (the image is transitive, so it checks every edge and *is* the
-    homomorphism); moving the model back along it recovers every N.
+    equivariant.  So each generator g_i is assigned a holomorph element h_i
+    of exactly its own order (a labeling L that passes makes h_i =
+    L g_i L^-1, a conjugate of g_i), and an assignment is kept exactly when
+    `_label_cosets` finds that labeling (the image is transitive, so it
+    checks every edge and *is* the homomorphism); moving the model back
+    along it recovers every N.
     """
     size = model.degree
     hol = _holomorph(model)
     lam_gens = _generating_sequence(lam_group.elements)
-    candidates = [[h for h in hol if g.order() % h.order() == 0]
+    candidates = [[h for h in hol if h.order() == g.order()]
                   for g in lam_gens]
     found: set[frozenset] = set()
     count = 0
@@ -581,47 +583,46 @@ def _holomorph_search(lam_group: FiniteGroup, model: FiniteGroup,
 # ---------------------------------------------------------------------------
 # the public enumeration
 
-def _prime_power(m: int):
-    if m < 2:
-        return None
-    for p in range(2, m + 1):
-        if p * p > m:
-            break
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-    return (m, 1)
+def _models(size: int) -> list[FiniteGroup] | None:
+    """Every group of order `size`, each as a regular permutation group on
+    0..size-1, or None when the catalogue does not cover that order.
+
+    Every group of order m is cyclic exactly when gcd(m, phi(m)) = 1
+    (Szele, 1947); a group of order p^2, p prime, is cyclic or elementary
+    abelian.  Those are the only orders covered.
+    """
+    cyclic = FiniteGroup([Perm(tuple((x + 1) % size for x in range(size)))])
+    phi = sum(1 for u in range(1, size + 1) if gcd(u, size) == 1)
+    if gcd(size, phi) == 1:
+        return [cyclic]
+    p = isqrt(size)
+    if p * p == size and phi == size - p:      # phi(p^2) = p^2 - p: p prime
+        return [cyclic, FiniteGroup([
+            Perm(tuple((x + p) % size for x in range(size))),
+            Perm(tuple(x - x % p + (x + 1) % p for x in range(size)))])]
+    return None
 
 
 def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
                                  engine: str = "auto",
-                                 cap_generic: int = 15,
-                                 cap_prime_power: int = 27,
                                  budget_seconds: float = 60.0
                                  ) -> list[FiniteGroup]:
     """All regular subgroups of the coset symmetric group normalized by
     the image of gamma, deduplicated and canonically sorted.
 
-    Refuses degrees over the cap (generic vs prime-power), degrees whose
-    group types go beyond cyclic / elementary abelian of rank two, and
-    searches that blow the time budget.
+    Refuses degrees over `MAX_DEGREE`, degrees whose group types `_models`
+    does not list, and searches that blow the time budget.
     """
     if engine not in ("auto", "naive", "holomorph"):
         raise ValueError("unknown engine %r" % (engine,))
     size, lam_group, action = action_image(gamma, delta)
-    pp = _prime_power(size)
-    cap = cap_prime_power if pp is not None else cap_generic
-    if size > cap:
-        raise CapExceeded(size, cap)
-    if size not in COMPLETE_ORDERS:
+    if size > MAX_DEGREE:
+        raise CapExceeded(size, MAX_DEGREE)
+    models = _models(size)
+    if models is None:
         raise UnsupportedInstance(
             "degree %d admits group types beyond cyclic and elementary "
             "abelian of rank two; refusing an incomplete enumeration" % size)
-    if size == 1:
-        return [FiniteGroup([Perm.identity(1)])]
     if engine == "naive" and size > NAIVE_MAX_DEGREE:
         raise UnsupportedInstance(
             "the naive engine is limited to degree <= %d, got %d"
@@ -633,17 +634,11 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
     found: set[frozenset] = set()
     if engine == "naive":
         found |= _naive_cyclic(size, lam_gens, deadline)
-        if pp is not None and pp[1] == 2:
-            found |= _naive_elementary(size, pp[0], lam_gens, deadline)
+        if any(not model.is_cyclic() for model in models):
+            found |= _naive_elementary(size, isqrt(size), lam_gens, deadline)
     else:
-        models = [[Perm(tuple((x + 1) % size for x in range(size)))]]
-        if pp is not None and pp[1] == 2:
-            p = pp[0]
-            models.append([Perm(tuple((x + p) % size for x in range(size))),
-                           Perm(tuple(x - x % p + (x + 1) % p
-                                      for x in range(size)))])
-        for gens in models:
-            found |= _holomorph_search(lam_group, FiniteGroup(gens), deadline)
+        for model in models:
+            found |= _holomorph_search(lam_group, model, deadline)
 
     results = []
     for members in sorted(found, key=lambda s: sorted(p.images for p in s)):

@@ -36,6 +36,13 @@ def nu_groupring(j: int, i: int, x: GroupRingElt) -> GroupRingElt:
     return GroupRingElt._unchecked(x.field, acc, tgt)
 
 
+def _lift_coefficients(x: GroupRingElt) -> GroupRingElt:
+    """x with its coefficients embedded one field level up; the group stays."""
+    n = x.field.n
+    return GroupRingElt(FieldDescriptor(x.field.p, n + 1),
+                        [embed(n, n + 1, c) for c in x.coeffs], x.group_order)
+
+
 def nu_h(n: int, h: HopfElt) -> HopfElt:
     """Truncation on idempotent coordinates: index p*i' survives to i', others die."""
     if h.n != n or n < 2:
@@ -51,12 +58,7 @@ def nu_consistency_check(p: int, n: int) -> Report:
         for i in range(go):
             via_gr = nu_groupring(n, n - 1, e_basis(p, n, i))
             down = nu_h(n, HopfElt.basis_vector(p, n, i))
-            expand = hopf_to_groupring(down)
-            lifted = GroupRingElt(
-                FieldDescriptor(p, n),
-                [embed(n - 1, n, c) for c in expand.coeffs],
-                p ** (n - 1))
-            if via_gr != lifted:
+            if via_gr != _lift_coefficients(hopf_to_groupring(down)):
                 return False, {"index": i}
         return True, None
 
@@ -303,11 +305,7 @@ def fixed_truncation_check(p: int, L: int) -> Report:
                 # ...and onto it: every lower idempotent is hit
                 for i2 in range(p ** (n - 1)):
                     down = nu_groupring(n, n - 1, es[p * i2])
-                    lifted = GroupRingElt(
-                        FieldDescriptor(p, n),
-                        [embed(n - 1, n, cc) for cc in prev_es[i2].coeffs],
-                        p ** (n - 1))
-                    if down != lifted:
+                    if down != _lift_coefficients(prev_es[i2]):
                         return False, {"level": n, "problem": "surjectivity", "index": i2}
             details.append({"level": n, "dimension": go})
             prev_es = es

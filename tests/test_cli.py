@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from hopfgal.cli import main
-from hopfgal.gp_enum import full_galois_group, cyclotomic_subgroup, instance_to_json
+from hopfgal.gp_enum import (beta_subgroup, cyclotomic_subgroup,
+                             full_galois_group, instance_to_json,
+                             zeta1_galois_group)
 from hopfgal.reporting import Report
 from hopfgal.smash_end import SmashElt, to_end_matrix
 
@@ -298,15 +300,28 @@ GOLDEN = Path(__file__).parent / "golden"
     ("variants", "--p", "3", "--n", "2"),
     ("profinite", "--p", "3", "--level", "3"),
     ("basis", "--p", "3", "--n", "2"),
-], ids=["verify_all_p3_n1", "variants_p3_n2", "profinite_p3_l3", "basis_p3_n2"])
+    ("census",),
+], ids=["verify_all_p3_n1", "variants_p3_n2", "profinite_p3_l3", "basis_p3_n2",
+        "census"])
 def test_json_output_matches_golden_bytes(capsys, request, argv):
     # each file holds the output captured before a rewrite of the code it
     # runs through (the unified elimination and coordinates, the integer
-    # cyclotomic core); any byte difference is a regression
+    # cyclotomic core, the census catalogue); any byte difference is a
+    # regression
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     golden = GOLDEN / (request.node.callspec.id + ".json")
     assert out == golden.read_text()
+
+
+def test_census_instance_matches_golden_bytes(capsys, tmp_path):
+    # degree 9 over Q(zeta_3): three structures, with their elements and flags
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_json(zeta1_galois_group(3, 2),
+                                                beta_subgroup(3, 2))))
+    code, out = run(capsys, "census", str(path), "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / "census_deg9_over_zeta3.json").read_text()
 
 
 def test_timings_flag_adds_elapsed_ms(capsys):

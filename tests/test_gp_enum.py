@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from sympy.combinatorics import Permutation as SymPerm
 
 from hopfgal.gp_enum import (
-    COMPLETE_ORDERS,
+    MAX_DEGREE,
     CapExceeded,
     CensusInstance,
     FiniteGroup,
@@ -34,6 +34,7 @@ from hopfgal.gp_enum import (
     enumerate_regular_normalized,
     full_galois_group,
     _holomorph,
+    _models,
     instance_from_json,
     instance_to_json,
     is_regular,
@@ -61,6 +62,11 @@ def trivial_group(degree: int) -> FiniteGroup:
 
 def symmetric_3() -> FiniteGroup:
     return FiniteGroup([Perm((1, 2, 0)), Perm((1, 0, 2))])
+
+
+# the degrees the census catalogue covers under the cost cap: 1, the m with
+# gcd(m, phi(m)) = 1, and the squares of primes
+ACCEPTED_DEGREES = {1, 2, 3, 4, 5, 7, 9, 11, 13, 15, 17, 19, 23, 25}
 
 
 def perms(degree: int):
@@ -376,20 +382,57 @@ def _assert_holomorph(model: FiniteGroup, order: int):
         assert all(h * n * hi in members for n in model.generators)
 
 
-@pytest.mark.parametrize("m", sorted(m for m in COMPLETE_ORDERS if m >= 2))
+@pytest.mark.parametrize("m", sorted(m for m in ACCEPTED_DEGREES if m >= 2))
 def test_cyclic_holomorph_has_m_phi_m_elements(m):
     phi = sum(1 for u in range(1, m) if gcd(u, m) == 1)
-    _assert_holomorph(cyclic_group(m), m * phi)
+    model = next(g for g in _models(m) if g.is_cyclic())
+    _assert_holomorph(model, m * phi)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_elementary_holomorph_is_affine_group(p):
     # |AGL(2, p)| = p^2 |GL(2, p)| = p^2 (p^2 - 1)(p^2 - p)
     m = p * p
-    model = FiniteGroup([
-        Perm(tuple((x + p) % m for x in range(m))),
-        Perm(tuple(x - x % p + (x + 1) % p for x in range(m)))])
+    model = next(g for g in _models(m) if not g.is_cyclic())
     _assert_holomorph(model, m * (m - 1) * (m - p))
+
+
+# ---------------------------------------------------------------------------
+# the catalogue of model groups, and the gate derived from it
+
+
+@pytest.mark.parametrize("m", sorted(ACCEPTED_DEGREES))
+def test_models_are_regular_with_one_cyclic(m):
+    models = _models(m)
+    assert len(models) == (2 if m in (4, 9, 25) else 1)
+    assert all(is_regular(g, m) for g in models)
+    assert sum(g.is_cyclic() for g in models) == 1
+
+
+def _gate_outcome(m: int) -> str:
+    """What the census does at degree m, without running a search.
+
+    A degree under the cap that the catalogue lists is accepted; any other
+    degree is refused by the enumeration before its search starts.
+    """
+    if m <= MAX_DEGREE and _models(m) is not None:
+        return "accepted"
+    try:
+        enumerate_regular_normalized(cyclic_group(m), trivial_group(m))
+    except CapExceeded as exc:
+        assert (exc.size, exc.cap) == (m, 25)
+        return "cap"
+    except UnsupportedInstance:
+        return "unsupported"
+    return "enumerated"
+
+
+def test_catalogue_gate_on_degrees_1_to_100():
+    outcomes = {m: _gate_outcome(m) for m in range(1, 101)}
+    assert {m for m, o in outcomes.items() if o == "accepted"} == ACCEPTED_DEGREES
+    assert {m for m, o in outcomes.items() if o == "unsupported"} == {
+        6, 8, 10, 12, 14, 16, 18, 20, 21, 22, 24}
+    assert {m for m, o in outcomes.items() if o == "cap"} == set(range(26, 101))
 
 
 def test_enumeration_is_deterministic():
@@ -412,17 +455,17 @@ def test_trivial_coset_space():
 def test_cap_exceeded_generic():
     with pytest.raises(CapExceeded) as exc:
         enumerate_regular_normalized(cyclic_group(30), trivial_group(30))
-    assert exc.value.size == 30 and exc.value.cap == 15
+    assert exc.value.size == 30 and exc.value.cap == 25
 
 
 def test_cap_exceeded_prime_power():
     with pytest.raises(CapExceeded) as exc:
         enumerate_regular_normalized(cyclic_group(81), trivial_group(81))
-    assert exc.value.size == 81 and exc.value.cap == 27
+    assert exc.value.size == 81 and exc.value.cap == 25
 
 
 def test_incomplete_degree_refused():
-    assert 6 not in COMPLETE_ORDERS
+    assert _models(6) is None
     for engine in ("auto", "naive", "holomorph"):
         with pytest.raises(UnsupportedInstance):
             enumerate_regular_normalized(cyclic_group(6), trivial_group(6),
@@ -535,8 +578,19 @@ def test_census_degree_25_over_zeta5():
         assert report.ok, report.witness
 
 
+def test_census_degree_25_over_Q():
+    # Q(zeta_25, 2^(1/25)) over Q: 1 structure, cyclic, and 1 complement
+    # pushed into it
+    instance = CensusInstance("degree-25-over-Q", full_galois_group(5, 2),
+                              cyclotomic_subgroup(5, 2), expected_structures=1,
+                              expected_almost_classical=1)
+    reports = census_reports(instance)
+    for report in reports:
+        assert report.ok, report.witness
+
+
 def test_complements_degree_25_over_Q():
-    # the structure count over Q (1) is a 13 s search, so it is left out
+    # the structure count is pinned in test_census_degree_25_over_Q
     gamma, delta = full_galois_group(5, 2), cyclotomic_subgroup(5, 2)
     complements = almost_classical(gamma, delta)
     assert [c.order for c in complements] == [25]
