@@ -596,7 +596,7 @@ def _models(size: int) -> list[FiniteGroup] | None:
     if gcd(size, phi) == 1:
         return [cyclic]
     p = isqrt(size)
-    if p * p == size and phi == size - p:      # phi(p^2) = p^2 - p: p prime
+    if p * p == size and phi == size - p:  # phi(p^2) = p^2 - p iff p is prime
         return [cyclic, FiniteGroup([
             Perm(tuple((x + p) % size for x in range(size))),
             Perm(tuple(x - x % p + (x + 1) % p for x in range(size)))])]
