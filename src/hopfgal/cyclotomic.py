@@ -10,7 +10,8 @@ stores integer numerators over one positive denominator, in lowest terms, and
 all arithmetic runs on those integers; the `fractions.Fraction` coefficients
 are a view (`CycloElt.coeffs`) built when asked for.  Reduction goes through
 a per-field table of zeta^e in the power basis, built on the field's first
-use.  Nothing here is approximate.
+use; the automorphism zeta -> zeta^u reads a table of the basis images,
+built on the first use of u.  Nothing here is approximate.
 
 The same fixed multiplier (the smallest primitive root mod p^2, which is a
 primitive root mod every p^k for odd p) drives the Galois action at every
@@ -84,10 +85,12 @@ class FieldDescriptor:
     There is one instance per (p, n): constructing the same field twice
     returns the same object, so two descriptors are equal exactly when they
     are identical.  The instance also holds the field's reduction table,
-    built on first use (see `_reduction_table`).
+    built on first use (see `_reduction_table`), and the image tables of
+    the automorphisms applied so far (see `_unit_table`).
     """
 
-    __slots__ = ("p", "n", "modulus", "degree", "multiplier", "_table")
+    __slots__ = ("p", "n", "modulus", "degree", "multiplier", "_table",
+                 "_unit_tables")
     _instances: dict[tuple[int, int], "FieldDescriptor"] = {}
 
     def __new__(cls, p: int, n: int):
@@ -104,7 +107,7 @@ class FieldDescriptor:
                             ("degree", p ** (n - 1) * (p - 1)),   # [Q(zeta) : Q]
                             # generator of the Galois action on exponents
                             ("multiplier", primitive_root(p)),
-                            ("_table", None)):
+                            ("_table", None), ("_unit_tables", {})):
             object.__setattr__(field, name, value)
         return cls._instances.setdefault((p, n), field)
 
@@ -139,6 +142,19 @@ def _reduction_table(field: FieldDescriptor) -> tuple:
         table = tuple(tuple(_exp_terms(field, e).items())
                       for e in range(field.modulus))
         object.__setattr__(field, "_table", table)
+    return table
+
+
+def _unit_table(field: FieldDescriptor, u: int) -> tuple:
+    """Entry i is zeta^(i*u) in the power basis, for i < phi: the images of
+    the basis under zeta -> zeta^u.  Built on first use of u mod p^n and kept
+    on the field."""
+    u %= field.modulus
+    table = field._unit_tables.get(u)
+    if table is None:
+        red = _reduction_table(field)
+        table = tuple(red[(i * u) % field.modulus] for i in range(field.degree))
+        field._unit_tables[u] = table
     return table
 
 
@@ -429,9 +445,13 @@ def unit_apply(u: int, x: CycloElt) -> CycloElt:
     field = x.field
     if u % field.p == 0:
         raise ValueError("exponent multiplier %d is not a unit mod %d" % (u, field.modulus))
+    table, out = _unit_table(field, u), [0] * field.degree
+    for i, a in enumerate(x.nums):
+        if a:
+            for j, s in table[i]:
+                out[j] += s * a
     # an automorphism permutes Z[zeta], so the numerators keep gcd 1 with den
-    return _make(field, tuple(_fold(field, ((i * u, a) for i, a in enumerate(x.nums)))),
-                 x.den)
+    return _make(field, tuple(out), x.den)
 
 
 def embed(m: int, n: int, x: CycloElt) -> CycloElt:
@@ -469,7 +489,7 @@ def embed_preimage(m: int, n: int, y: CycloElt) -> CycloElt | None:
 # A vector over a grid of cells (group-ring coefficients, w-power
 # coefficients, matrix entries, ...) is the sparse dict {c*phi + A: v}: cell
 # c, coordinate A of a cell of width phi.  Every module that eliminates over
-# such a grid goes through these three functions.
+# such a grid goes through these functions.
 
 def cells_to_vector(cells) -> dict[int, Rat]:
     """Flatten cells of one width phi -- `CycloElt`s, or rows of rationals
@@ -492,21 +512,33 @@ def cells_to_vector(cells) -> dict[int, Rat]:
     return out
 
 
-def vector_to_cells(field: FieldDescriptor, vec: dict[int, Rat],
-                    ncells: int) -> list[CycloElt]:
-    """Inverse of `cells_to_vector` for `ncells` cells of Q(zeta) coordinates."""
+def vector_to_terms(field: FieldDescriptor,
+                    vec: dict[int, Rat]) -> list[tuple[int, CycloElt]]:
+    """The cells of Q(zeta) coordinates that `vec` touches, as (cell, element)
+    pairs sorted by cell; a cell with only zero entries is left out."""
     phi = field.degree
     parts: dict[int, dict[int, Rat]] = {}
     for idx, v in vec.items():
-        c, A = divmod(idx, phi)
-        parts.setdefault(c, {})[A] = v
-    cells = [CycloElt.zero(field)] * ncells
-    for c, entries in parts.items():
+        if v:
+            c, A = divmod(idx, phi)
+            parts.setdefault(c, {})[A] = v
+    terms = []
+    for c in sorted(parts):
+        entries = parts[c]
         nums, den = linalg.common_denominator(entries.values())
         full = [0] * phi
         for A, a in zip(entries, nums):
             full[A] = a
-        cells[c] = _make(field, tuple(full), den)
+        terms.append((c, _make(field, tuple(full), den)))
+    return terms
+
+
+def vector_to_cells(field: FieldDescriptor, vec: dict[int, Rat],
+                    ncells: int) -> list[CycloElt]:
+    """Inverse of `cells_to_vector` for `ncells` cells of Q(zeta) coordinates."""
+    cells = [CycloElt.zero(field)] * ncells
+    for c, x in vector_to_terms(field, vec):
+        cells[c] = x
     return cells
 
 

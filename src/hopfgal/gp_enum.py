@@ -615,7 +615,10 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
     """
     if engine not in ("auto", "naive", "holomorph"):
         raise ValueError("unknown engine %r" % (engine,))
-    size, lam_group, action = action_image(gamma, delta)
+    if not delta <= gamma:
+        raise ValueError("delta is not a subgroup of gamma")
+    # the degree is the index, known from the orders: refuse before the action
+    size = gamma.order // delta.order
     if size > MAX_DEGREE:
         raise CapExceeded(size, MAX_DEGREE)
     models = _models(size)
@@ -627,6 +630,7 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
         raise UnsupportedInstance(
             "the naive engine is limited to degree <= %d, got %d"
             % (NAIVE_MAX_DEGREE, size))
+    _, lam_group, _ = action_image(gamma, delta)
     deadline = (time.monotonic() + budget_seconds
                 if budget_seconds is not None else None)
     lam_gens = lam_group.generators

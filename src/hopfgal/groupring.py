@@ -1,11 +1,14 @@
 """Group rings Q(zeta)[C] for C a cyclic p-power group, and the diagonal Galois
 action whose fixed ring is the object of interest.
 
-An element is a coefficient vector indexed by group exponents 0..group_order-1,
-with cyclotomic coefficients.  The coefficient field level and the group order
-are independent: truncating the group (see `profinite`) shrinks the group while
-the coefficients stay where they are.  The common case is group_order == p^n
-with coefficients in Q(zeta_{p^n}).
+An element stores only its nonzero cells: the (exponent, coefficient) pairs
+with exponent in 0..group_order-1, sorted by exponent, with cyclotomic
+coefficients.  No zero cell is ever stored, so equal elements have equal
+storage; `coeffs` is the dense view, one cell per group exponent.  The
+coefficient field level and the group order are independent: truncating the
+group (see `profinite`) shrinks the group while the coefficients stay where
+they are.  The common case is group_order == p^n with coefficients in
+Q(zeta_{p^n}).
 
 The diagonal action sends  c * sigma^b  to  (zeta->zeta^u)(c) * sigma^(u*b)
 with u = multiplier^e; its fixed ring is computed as the exact kernel of
@@ -18,44 +21,76 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import (CycloElt, FieldDescriptor, Rat, action_rows,
-                         parse_rat, rat_str, vector_to_cells)
+from .cyclotomic import (CycloElt, FieldDescriptor, action_rows, unit_apply,
+                         vector_to_terms)
+
+
+def _canonical_terms(cells: dict) -> tuple:
+    """The terms of {exponent: coefficient}: zero cells dropped, sorted by exponent."""
+    return tuple(sorted((b, c) for b, c in cells.items() if c))
 
 
 @dataclass(frozen=True, slots=True)
 class GroupRingElt:
-    """Element of Q(zeta_{p^n})[C_{group_order}] (group written as sigma-powers)."""
+    """Element of Q(zeta_{p^n})[C_{group_order}] (group written as sigma-powers).
+
+    `terms` is the tuple of (exponent, CycloElt) pairs of the nonzero cells,
+    sorted by exponent.  The constructor accepts the pairs in any order and
+    drops zero cells, so `GroupRingElt(field, enumerate(cells))` builds an
+    element from dense cells; an exponent outside 0..group_order-1 or given
+    twice is an error.
+    """
 
     field: FieldDescriptor
-    coeffs: tuple
+    terms: tuple
     group_order: int | None = None
 
     def __post_init__(self):
-        field, coeffs = self.field, tuple(self.coeffs)
+        field = self.field
         if self.group_order is None:
             object.__setattr__(self, "group_order", field.modulus)
-        if len(coeffs) != self.group_order:
-            raise ValueError("expected %d coefficients, got %d"
-                             % (self.group_order, len(coeffs)))
-        for c in coeffs:
+        go = self.group_order
+        cells = {}
+        for b, c in self.terms:
             if not isinstance(c, CycloElt) or c.field is not field:
                 raise ValueError("coefficients must be CycloElt over %r" % (field,))
-        object.__setattr__(self, "coeffs", coeffs)
+            if type(b) is not int or not 0 <= b < go:
+                raise ValueError("group exponent %r outside 0..%d" % (b, go - 1))
+            if b in cells:
+                raise ValueError("group exponent %d given twice" % b)
+            cells[b] = c
+        object.__setattr__(self, "terms", _canonical_terms(cells))
 
     @classmethod
-    def _unchecked(cls, field: FieldDescriptor, coeffs, group_order: int) -> "GroupRingElt":
-        """An element from coefficients that library code built over `field`;
-        skips the per-coefficient check of the public constructor."""
+    def _unchecked(cls, field: FieldDescriptor, terms: tuple, group_order: int) -> "GroupRingElt":
+        """An element from terms that library code built over `field`, already
+        canonical (sorted, in range, no zero cell); skips the checks of the
+        public constructor."""
         x = object.__new__(cls)
         object.__setattr__(x, "field", field)
         object.__setattr__(x, "group_order", group_order)
-        object.__setattr__(x, "coeffs", tuple(coeffs))
+        object.__setattr__(x, "terms", terms)
         return x
+
+    @classmethod
+    def _from_dict(cls, field: FieldDescriptor, cells: dict,
+                   group_order: int) -> "GroupRingElt":
+        """An element from {exponent: coefficient} cells that library code
+        built; zero cells, as a cancellation leaves them, are dropped."""
+        return cls._unchecked(field, _canonical_terms(cells), group_order)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense view: one coefficient per group exponent, zeros included."""
+        cells = [CycloElt.zero(self.field)] * self.group_order
+        for b, c in self.terms:
+            cells[b] = c
+        return tuple(cells)
 
     @classmethod
     def zero(cls, field: FieldDescriptor, group_order: int | None = None) -> "GroupRingElt":
         go = field.modulus if group_order is None else group_order
-        return cls._unchecked(field, [CycloElt.zero(field)] * go, go)
+        return cls._unchecked(field, (), go)
 
     @classmethod
     def one(cls, field: FieldDescriptor, group_order: int | None = None) -> "GroupRingElt":
@@ -65,9 +100,7 @@ class GroupRingElt:
     def sigma_power(cls, field: FieldDescriptor, b: int,
                     group_order: int | None = None) -> "GroupRingElt":
         go = field.modulus if group_order is None else group_order
-        v = [CycloElt.zero(field)] * go
-        v[b % go] = CycloElt.one(field)
-        return cls._unchecked(field, v, go)
+        return cls._unchecked(field, ((b % go, CycloElt.one(field)),), go)
 
     def _check(self, other: "GroupRingElt"):
         if self.field is not other.field or self.group_order != other.group_order:
@@ -75,47 +108,62 @@ class GroupRingElt:
 
     def __add__(self, other):
         self._check(other)
-        return GroupRingElt._unchecked(
-            self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)], self.group_order)
+        cells = dict(self.terms)
+        for b, c in other.terms:
+            a = cells.get(b)
+            cells[b] = c if a is None else a + c
+        return GroupRingElt._from_dict(self.field, cells, self.group_order)
 
     def __sub__(self, other):
         self._check(other)
-        return GroupRingElt._unchecked(
-            self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)], self.group_order)
+        cells = dict(self.terms)
+        for b, c in other.terms:
+            a = cells.get(b)
+            cells[b] = -c if a is None else a - c
+        return GroupRingElt._from_dict(self.field, cells, self.group_order)
 
     def __neg__(self):
-        return GroupRingElt._unchecked(self.field, [-a for a in self.coeffs], self.group_order)
+        return GroupRingElt._unchecked(
+            self.field, tuple((b, -c) for b, c in self.terms), self.group_order)
 
     def scale(self, c) -> "GroupRingElt":
         """Multiply by a scalar (rational or cyclotomic)."""
         if isinstance(c, (int, Fraction)):
             c = CycloElt.rational(self.field, c)
+        if not c:
+            return GroupRingElt.zero(self.field, self.group_order)
+        # a product of nonzero field elements is nonzero: no cell drops out
         return GroupRingElt._unchecked(
-            self.field, [c * a if a else a for a in self.coeffs], self.group_order)
+            self.field, tuple((b, c * a) for b, a in self.terms), self.group_order)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.terms)
 
     def to_json(self) -> list[list[str]]:
-        return [c.to_json() for c in self.coeffs]
+        out = [None] * self.group_order
+        for b, c in self.terms:
+            out[b] = c.to_json()
+        zero = CycloElt.zero(self.field)
+        return [zero.to_json() if cell is None else cell for cell in out]
 
     @classmethod
     def from_json(cls, field: FieldDescriptor, data,
                   group_order: int | None = None) -> "GroupRingElt":
-        return cls(field, [CycloElt.from_json(field, row) for row in data], group_order)
+        """The element from its dense JSON: one cell per group exponent."""
+        go = field.modulus if group_order is None else group_order
+        if len(data) != go:
+            raise ValueError("expected %d coefficients, got %d" % (go, len(data)))
+        return cls(field, enumerate(CycloElt.from_json(field, row) for row in data), go)
 
 
 def diag_action_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     """zeta -> zeta^u on coefficients and sigma^b -> sigma^(u b), u a unit mod p."""
-    from .cyclotomic import unit_apply
     if u % x.field.p == 0:
         raise ValueError("%d is not a unit multiplier" % u)
     go = x.group_order
-    v = [CycloElt.zero(x.field)] * go
-    for b, c in enumerate(x.coeffs):
-        if c:
-            v[(b * u) % go] = unit_apply(u, c)      # b -> u*b permutes Z/go
-    return GroupRingElt._unchecked(x.field, v, go)
+    # b -> u*b permutes Z/go, and an automorphism keeps every cell nonzero
+    terms = sorted(((b * u) % go, unit_apply(u, c)) for b, c in x.terms)
+    return GroupRingElt._unchecked(x.field, tuple(terms), go)
 
 
 def diag_action(e: int, x: GroupRingElt) -> GroupRingElt:
@@ -131,15 +179,23 @@ def diag_action(e: int, x: GroupRingElt) -> GroupRingElt:
 FIXED_RING_DIMENSION_CAP = 20000
 
 
+def fixed_ring_dimension(p: int, n: int) -> int:
+    """The rational dimension p^n * phi(p^n) of the monomial space that the
+    fixed ring at level n is eliminated over; ValueError above the cap.
+    It needs only the two numbers, so a caller can refuse before any work."""
+    dim = p ** n * p ** (n - 1) * (p - 1)
+    if dim > FIXED_RING_DIMENSION_CAP:
+        raise ValueError("monomial space dimension %d exceeds cap %d"
+                         % (dim, FIXED_RING_DIMENSION_CAP))
+    return dim
+
+
 def fixed_ring_matrix(p: int, n: int) -> tuple[list[dict[int, int]], int]:
     """Sparse rows of (diagonal action - id): cell b holds the coefficient
     of sigma^b, which the generator sends to sigma^(b*pi) under zeta -> zeta^pi."""
     field = FieldDescriptor(p, n)
     go = field.modulus
-    dim = field.degree * go
-    if dim > FIXED_RING_DIMENSION_CAP:
-        raise ValueError("monomial space dimension %d exceeds cap %d"
-                         % (dim, FIXED_RING_DIMENSION_CAP))
+    dim = fixed_ring_dimension(p, n)
     pi = field.multiplier
     return action_rows(field, pi, [((b * pi) % go, 0) for b in range(go)]), dim
 
@@ -155,4 +211,5 @@ def fixed_ring(p: int, n: int) -> list[GroupRingElt]:
     field = FieldDescriptor(p, n)
     if len(kernel) != field.modulus:
         raise AssertionError("fixed ring dimension %d != %d" % (len(kernel), field.modulus))
-    return [GroupRingElt(field, vector_to_cells(field, v, field.modulus)) for v in kernel]
+    return [GroupRingElt._unchecked(field, tuple(vector_to_terms(field, v)), field.modulus)
+            for v in kernel]

@@ -82,8 +82,9 @@ def e_basis(p: int, n: int, i: int) -> GroupRingElt:
     """The i-th idempotent (1/p^n) sum_j zeta^(-ij) sigma^j, as a group-ring element."""
     field = FieldDescriptor(p, n)
     go = field.modulus
+    # every cell is +/- zeta^k / p^n, never zero
     return GroupRingElt._unchecked(
-        field, [from_exponents(field, ((-i * j, 1),), go) for j in range(go)], go)
+        field, tuple((j, from_exponents(field, ((-i * j, 1),), go)) for j in range(go)), go)
 
 
 def dual_pairing(p: int, n: int, i: int, k: int) -> Rat:
@@ -170,19 +171,19 @@ class HopfElt:
 
 def hopf_to_groupring(h: HopfElt) -> GroupRingElt:
     """sum_i c_i e_i: the coefficient of sigma^j is (1/p^n) sum_i c_i zeta^(-ij),
-    summed over a common denominator in one exponent table per j."""
+    its integer numerators over a common denominator folded once per j.  A
+    cell whose sum vanishes is left out."""
     field = FieldDescriptor(h.p, h.n)
     go = field.modulus
     den = lcm(*(c.denominator for c in h.coords))
     terms = [(i, c.numerator * (den // c.denominator))
              for i, c in enumerate(h.coords) if c]
-    coeffs = []
+    cells = []
     for j in range(go):
-        sums = [0] * go
-        for i, a in terms:
-            sums[(-i * j) % go] += a
-        coeffs.append(from_exponents(field, enumerate(sums), den * go))
-    return GroupRingElt._unchecked(field, coeffs, go)
+        c = from_exponents(field, ((-i * j, a) for i, a in terms), den * go)
+        if c:
+            cells.append((j, c))
+    return GroupRingElt._unchecked(field, tuple(cells), go)
 
 
 def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
@@ -198,8 +199,8 @@ def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
     if x.group_order != field.modulus:
         raise ValueError("expected a full-level group ring element")
     go = field.modulus
-    den = lcm(*(c.den for c in x.coeffs))
-    terms = [(b, A, a * (den // c.den)) for b, c in enumerate(x.coeffs)
+    den = lcm(*(c.den for _, c in x.terms))
+    terms = [(b, A, a * (den // c.den)) for b, c in x.terms
              for A, a in enumerate(c.nums) if a]
     coords = []
     for k in range(go):

@@ -29,18 +29,20 @@ def nu_groupring(j: int, i: int, x: GroupRingElt) -> GroupRingElt:
     if not (1 <= i < j):
         raise ValueError("need 1 <= target < source, got %d -> %d" % (j, i))
     tgt = x.field.p ** i
-    acc = [CycloElt.zero(x.field)] * tgt
-    for b, c in enumerate(x.coeffs):
-        if c:
-            acc[b % tgt] = acc[b % tgt] + c
-    return GroupRingElt._unchecked(x.field, acc, tgt)
+    acc: dict = {}
+    for b, c in x.terms:
+        k = b % tgt
+        a = acc.get(k)
+        acc[k] = c if a is None else a + c
+    return GroupRingElt._from_dict(x.field, acc, tgt)
 
 
 def _lift_coefficients(x: GroupRingElt) -> GroupRingElt:
     """x with its coefficients embedded one field level up; the group stays."""
     n = x.field.n
-    return GroupRingElt(FieldDescriptor(x.field.p, n + 1),
-                        [embed(n, n + 1, c) for c in x.coeffs], x.group_order)
+    return GroupRingElt._unchecked(FieldDescriptor(x.field.p, n + 1),
+                                   tuple((b, embed(n, n + 1, c)) for b, c in x.terms),
+                                   x.group_order)
 
 
 def nu_h(n: int, h: HopfElt) -> HopfElt:
@@ -293,7 +295,7 @@ def fixed_truncation_check(p: int, L: int) -> Report:
             es = [e_basis(p, n, i) for i in range(go)]
             if any(diag_action(1, e) != e for e in es):
                 return False, {"level": n, "problem": "idempotent not fixed"}
-            rk = linalg.sparse_rank([cells_to_vector(e.coeffs) for e in es])
+            rk = linalg.sparse_rank(cells_to_vector(e.coeffs) for e in es)
             if rk != go or len(kernel) != go:
                 return False, {"level": n, "kernel_dim": len(kernel), "span_rank": rk}
             if n >= 2:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gp_enum import census_instances, census_reports
+from .groupring import fixed_ring_dimension
 from .hopfgalois import (base_change_report, dual_pairing_report,
                          fixed_field_check, fixed_ring_reports,
                          measuring_check)
@@ -106,6 +107,10 @@ def criterion_profinite(primes=PROFINITE_PRIMES,
     residue-model action, and fixed points of the limit action."""
     if not primes:
         return [skipped("truncation-compat", {"primes": []})]
+    for p in primes:
+        # the fixed ring at the top level is the largest elimination:
+        # refuse an over-cap tower before any report runs
+        fixed_ring_dimension(p, level)
     out: list[Report] = []
     for p in primes:
         for source in range(2, level + 1):

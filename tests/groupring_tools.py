@@ -67,8 +67,8 @@ def gr_mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
             for A1, a1 in t1:
                 for A2, a2 in t2:
                     cell[A1 + A2] += a1 * a2
-    return GroupRingElt(field, [from_exponents(field, enumerate(cell), dx * dy)
-                                for cell in acc], go)
+    return GroupRingElt(field, enumerate(from_exponents(field, enumerate(cell), dx * dy)
+                                         for cell in acc), go)
 
 
 def gr_comul(x: GroupRingElt) -> TensorElt:
@@ -88,8 +88,48 @@ def gr_antipode(x: GroupRingElt) -> GroupRingElt:
     v = [CycloElt.zero(x.field)] * go
     for b, c in enumerate(x.coeffs):
         v[(-b) % go] = c
-    return GroupRingElt(x.field, v, go)
+    return GroupRingElt(x.field, enumerate(v), go)
 
 
 def h_antipode(p: int, n: int, i: int) -> int:
     return (-i) % (p ** n)
+
+
+# -- dense references ---------------------------------------------------------
+#
+# The library stores only the nonzero cells of a group-ring element.  These
+# maps work cell by cell on the dense view `coeffs`, zero cells included, and
+# return the list of output cells; the automorphism of a coefficient goes
+# through `from_exponents` rather than the library's per-unit image tables.
+
+def dense_add(x: GroupRingElt, y: GroupRingElt) -> list[CycloElt]:
+    return [a + b for a, b in zip(x.coeffs, y.coeffs)]
+
+
+def dense_sub(x: GroupRingElt, y: GroupRingElt) -> list[CycloElt]:
+    return [a - b for a, b in zip(x.coeffs, y.coeffs)]
+
+
+def dense_neg(x: GroupRingElt) -> list[CycloElt]:
+    return [-a for a in x.coeffs]
+
+
+def dense_scale(x: GroupRingElt, c: CycloElt) -> list[CycloElt]:
+    return [c * a for a in x.coeffs]
+
+
+def dense_diag_action_unit(u: int, x: GroupRingElt) -> list[CycloElt]:
+    go = x.group_order
+    out = [None] * go
+    for b, c in enumerate(x.coeffs):
+        out[(b * u) % go] = from_exponents(
+            x.field, ((A * u, a) for A, a in enumerate(c.nums)), c.den)
+    return out
+
+
+def dense_nu(i: int, x: GroupRingElt) -> list[CycloElt]:
+    tgt = x.field.p ** i
+    out = [CycloElt.zero(x.field)] * tgt
+    for b, c in enumerate(x.coeffs):
+        out[b % tgt] = out[b % tgt] + c
+    return out

@@ -86,6 +86,17 @@ def oracle_character_sum(p: int, n: int, exps) -> list[Fraction]:
     return poly_to_vec(p, n, vec_to_poly(counts))
 
 
+def oracle_unit_apply(p: int, n: int, u: int, coeffs) -> list[Fraction]:
+    """The automorphism zeta -> zeta^u on power-basis coefficients: x^i goes
+    to x^(i*u), exponents taken mod p^n (x^(p^n) == 1 modulo the minimal
+    polynomial), and sympy reduces the result."""
+    go = p ** n
+    image = [sympy.Rational(0)] * go
+    for i, c in enumerate(coeffs):
+        image[(i * u) % go] += _to_rational(c)
+    return poly_to_vec(p, n, vec_to_poly(image))
+
+
 def oracle_pairing(p: int, n: int, i: int, k: int) -> Fraction:
     """(1/p^n) * sum_j zeta^((k-i) j), which the root-of-unity geometric sum
     makes the indicator of k == i mod p^n."""

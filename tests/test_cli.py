@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from hopfgal import verify
 from hopfgal.cli import main
 from hopfgal.gp_enum import (beta_subgroup, cyclotomic_subgroup,
                              full_galois_group, instance_to_json,
@@ -183,6 +184,17 @@ def test_profinite_suite_passes(capsys):
     assert code == 0
     assert data["reports"] and all(r["status"] == "pass"
                                    for r in data["reports"])
+
+
+def test_profinite_refuses_an_over_cap_level_before_any_report(capsys, monkeypatch):
+    def no_report(p, n):
+        raise AssertionError("a report ran before the size refusal")
+
+    monkeypatch.setattr(verify, "nu_consistency_check", no_report)
+    assert main(["profinite", "--p", "3", "--level", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "monomial space dimension 39366 exceeds cap 20000" in captured.err
 
 
 def test_variants_level_two_skips_truncation_checks(capsys):

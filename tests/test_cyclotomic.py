@@ -14,11 +14,13 @@ from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, delta_apply, embed,
 
 from oracle_tools import (oracle_cyclo_inverse, oracle_cyclo_mul,
                           oracle_multiplicative_order, oracle_primitive_root,
-                          oracle_zeta_power, poly_to_vec, vec_to_poly)
+                          oracle_unit_apply, oracle_zeta_power, poly_to_vec,
+                          vec_to_poly)
 
 FIELDS = [(3, 1), (3, 2), (5, 1), (7, 1), (3, 3)]
 
 frac = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+small_frac = st.sampled_from([Fraction(k, d) for d in (1, 2, 5) for k in range(-3, 4)])
 
 
 def elements(p, n):
@@ -208,6 +210,23 @@ def test_unit_apply_on_zeta_powers(p, n):
         for e in range(p ** n):
             assert unit_apply(u, CycloElt.zeta_power(f, e)) == \
                 CycloElt.zeta_power(f, (u * e) % p ** n)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (7, 1), (3, 4), (5, 3)])
+@given(data=st.data())
+def test_unit_apply_matches_sympy_substitution(p, n, data):
+    f = FieldDescriptor(p, n)
+    units = [v for v in range(1, f.modulus) if v % p]
+    if f.modulus > 25:          # the large fields: one sampled unit per example
+        units = [data.draw(st.sampled_from(units))]
+    # fractions sampled from a fixed set: st.fractions' per-draw flatmap
+    # would dominate at 54 and 100 coordinates
+    x = CycloElt(f, data.draw(st.lists(small_frac, min_size=f.degree,
+                                       max_size=f.degree)))
+    for u in units:
+        want = oracle_unit_apply(p, n, u, x.coeffs)
+        assert list(unit_apply(u, x).coeffs) == want
+        assert list(unit_apply(u + f.modulus, x).coeffs) == want
 
 
 def test_delta_apply_is_multiplier_power():

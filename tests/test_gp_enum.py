@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 from sympy.combinatorics import Permutation as SymPerm
 
+from hopfgal import gp_enum
 from hopfgal.gp_enum import (
     MAX_DEGREE,
     CapExceeded,
@@ -462,6 +463,18 @@ def test_cap_exceeded_prime_power():
     with pytest.raises(CapExceeded) as exc:
         enumerate_regular_normalized(cyclic_group(81), trivial_group(81))
     assert exc.value.size == 81 and exc.value.cap == 25
+
+
+def test_over_cap_degree_refused_before_the_coset_action(monkeypatch):
+    def no_action(gamma, delta):
+        raise AssertionError("coset_action called for a refused degree")
+
+    monkeypatch.setattr(gp_enum, "coset_action", no_action)
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_regular_normalized(cyclic_group(81), trivial_group(81))
+    assert exc.value.size == 81 and exc.value.cap == 25
+    with pytest.raises(UnsupportedInstance):
+        enumerate_regular_normalized(cyclic_group(6), trivial_group(6))
 
 
 def test_incomplete_degree_refused():

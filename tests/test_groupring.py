@@ -10,8 +10,11 @@ from hopfgal.groupring import (GroupRingElt, diag_action, diag_action_unit,
                                fixed_ring, fixed_ring_matrix)
 from hopfgal.hopfgalois import e_basis
 from hopfgal.linalg import sparse_nullspace
+from hopfgal.profinite import nu_groupring
 
-from groupring_tools import TensorElt, gr_antipode, gr_comul, gr_counit, gr_mul
+from groupring_tools import (TensorElt, dense_add, dense_diag_action_unit,
+                             dense_neg, dense_nu, dense_scale, dense_sub,
+                             gr_antipode, gr_comul, gr_counit, gr_mul)
 from oracle_tools import oracle_nullity
 
 # The values of st.fractions(min_value=-2, max_value=2, max_denominator=3),
@@ -29,9 +32,31 @@ def ring_elements(p, n):
     def build(flat):
         coeffs = [CycloElt(field, flat[b * deg:(b + 1) * deg])
                   for b in range(go)]
-        return GroupRingElt(field, coeffs, go)
+        return GroupRingElt(field, enumerate(coeffs), go)
 
     return st.lists(frac, min_size=go * deg, max_size=go * deg).map(build)
+
+
+def cyclo_elements(field):
+    return st.lists(frac, min_size=field.degree, max_size=field.degree).map(
+        lambda cs: CycloElt(field, cs))
+
+
+def sparse_elements(p, n, max_cells=3):
+    """Elements with at most `max_cells` nonzero cells, built from terms."""
+    field = FieldDescriptor(p, n)
+    return st.dictionaries(st.integers(0, field.modulus - 1), cyclo_elements(field),
+                           max_size=max_cells).map(
+        lambda cells: GroupRingElt(field, cells.items()))
+
+
+def assert_matches_dense(x, cells):
+    """x is the element with these dense cells, in canonical sparse form."""
+    assert x.coeffs == tuple(cells)
+    assert x == GroupRingElt(x.field, enumerate(cells), x.group_order)
+    exponents = [b for b, _ in x.terms]
+    assert exponents == sorted(set(exponents))
+    assert all(c for _, c in x.terms)
 
 
 # -- ring and Hopf structure --------------------------------------------------
@@ -70,6 +95,86 @@ def test_counit_and_antipode_are_linear(p, n, data):
     assert gr_antipode(x + y) == gr_antipode(x) + gr_antipode(y)
     # antipode is an algebra map here (commutative ring)
     assert gr_antipode(gr_mul(x, y)) == gr_mul(gr_antipode(x), gr_antipode(y))
+
+
+# -- sparse cells against the dense reference ---------------------------------
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@given(data=st.data())
+def test_sparse_maps_match_dense_reference(p, n, data):
+    x = data.draw(sparse_elements(p, n))
+    y = data.draw(sparse_elements(p, n))
+    c = data.draw(cyclo_elements(x.field))
+    assert_matches_dense(x + y, dense_add(x, y))
+    assert_matches_dense(x - y, dense_sub(x, y))
+    assert_matches_dense(-x, dense_neg(x))
+    assert_matches_dense(x.scale(c), dense_scale(x, c))
+    for u in range(1, p ** n):
+        if u % p:
+            assert_matches_dense(diag_action_unit(u, x), dense_diag_action_unit(u, x))
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3)])
+@given(data=st.data())
+def test_sparse_truncation_matches_dense_reference(p, n, data):
+    x = data.draw(sparse_elements(p, n, max_cells=5))
+    for i in range(1, n):
+        assert_matches_dense(nu_groupring(n, i, x), dense_nu(i, x))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@given(data=st.data())
+def test_cancellation_leaves_no_zero_cell(p, n, data):
+    x = data.draw(sparse_elements(p, n))
+    z = data.draw(sparse_elements(p, n))
+    assert (x + -x).terms == () and (x - x).terms == ()
+    assert not x - x and (x - x) == GroupRingElt.zero(x.field)
+    assert ((x + z) - x).terms == z.terms
+    if x:
+        head = GroupRingElt(x.field, x.terms[:1])
+        assert (x - head).terms == x.terms[1:]
+    assert x.scale(0).terms == ()
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3)])
+@given(data=st.data())
+def test_truncation_drops_a_cancelled_cell(p, n, data):
+    field = FieldDescriptor(p, n)
+    i = data.draw(st.integers(1, n - 1))
+    b = data.draw(st.integers(0, field.modulus - p ** i - 1))
+    c = data.draw(cyclo_elements(field).filter(bool))
+    x = GroupRingElt(field, [(b, c), (b + p ** i, -c)])
+    assert len(x.terms) == 2
+    down = nu_groupring(n, i, x)
+    assert down.terms == () and down == GroupRingElt.zero(field, p ** i)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@given(data=st.data())
+def test_dense_and_sparse_construction_agree(p, n, data):
+    x = data.draw(sparse_elements(p, n))
+    y = data.draw(sparse_elements(p, n))
+    u = data.draw(st.sampled_from([v for v in range(1, p ** n) if v % p]))
+    for z in (x, x + y, diag_action_unit(u, x - y)):
+        for dense in (GroupRingElt.from_json(z.field, z.to_json()),
+                      GroupRingElt(z.field, enumerate(z.coeffs))):
+            assert dense == z and hash(dense) == hash(z)
+            assert dense.terms == z.terms
+
+
+def test_constructor_refuses_bad_terms():
+    field = FieldDescriptor(3, 1)
+    one = CycloElt.one(field)
+    with pytest.raises(ValueError):
+        GroupRingElt(field, [(3, one)])                 # exponent out of range
+    with pytest.raises(ValueError):
+        GroupRingElt(field, [(1, one), (1, one)])       # exponent given twice
+    with pytest.raises(ValueError):
+        GroupRingElt(field, [(0, CycloElt.one(FieldDescriptor(3, 2)))])
+    with pytest.raises(ValueError):
+        GroupRingElt.from_json(field, [one.to_json()] * 2)   # one cell short
+    x = GroupRingElt(field, [(2, one), (0, CycloElt.zero(field)), (1, -one)])
+    assert x.terms == ((1, -one), (2, one))
 
 
 # -- diagonal action -----------------------------------------------------------
