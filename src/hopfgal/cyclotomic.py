@@ -484,18 +484,21 @@ def embed_preimage(m: int, n: int, y: CycloElt) -> CycloElt | None:
 
 
 # ---------------------------------------------------------------------------
-# grids of cells: flat Q-coordinates and Galois action rows
+# grids of cells: flat Q-coordinates and fixed spaces by Galois descent
 #
 # A vector over a grid of cells (group-ring coefficients, w-power
 # coefficients, matrix entries, ...) is the sparse dict {c*phi + A: v}: cell
 # c, coordinate A of a cell of width phi.  Every module that eliminates over
-# such a grid goes through these functions.
+# such a grid flattens through these functions.  A space fixed by maps that
+# permute the cells and act semilinearly on each one is found orbit by orbit
+# (`fixed_space`), with one elimination on phi columns per orbit of cells.
 
-def cells_to_vector(cells) -> dict[int, Rat]:
-    """Flatten cells of one width phi -- `CycloElt`s, or rows of rationals
-    such as matrix rows -- to the sparse vector {c*phi + A: v}."""
+def terms_to_vector(terms) -> dict[int, Rat]:
+    """Flatten (cell, value) pairs -- `CycloElt`s, or rows of rationals such
+    as matrix rows, all of one width phi -- to the sparse vector
+    {c*phi + A: v}."""
     out: dict[int, Rat] = {}
-    for c, cell in enumerate(cells):
+    for c, cell in terms:
         if isinstance(cell, CycloElt):
             if not cell.nonzero:
                 continue
@@ -512,52 +515,95 @@ def cells_to_vector(cells) -> dict[int, Rat]:
     return out
 
 
-def vector_to_terms(field: FieldDescriptor,
-                    vec: dict[int, Rat]) -> list[tuple[int, CycloElt]]:
-    """The cells of Q(zeta) coordinates that `vec` touches, as (cell, element)
-    pairs sorted by cell; a cell with only zero entries is left out."""
-    phi = field.degree
-    parts: dict[int, dict[int, Rat]] = {}
-    for idx, v in vec.items():
-        if v:
-            c, A = divmod(idx, phi)
-            parts.setdefault(c, {})[A] = v
-    terms = []
-    for c in sorted(parts):
-        entries = parts[c]
-        nums, den = linalg.common_denominator(entries.values())
-        full = [0] * phi
-        for A, a in zip(entries, nums):
-            full[A] = a
-        terms.append((c, _make(field, tuple(full), den)))
-    return terms
+def cells_to_vector(cells) -> dict[int, Rat]:
+    """Flatten a list of cells of one width phi: cell c is `terms_to_vector`'s
+    pair (c, cell)."""
+    return terms_to_vector(enumerate(cells))
 
 
-def vector_to_cells(field: FieldDescriptor, vec: dict[int, Rat],
-                    ncells: int) -> list[CycloElt]:
-    """Inverse of `cells_to_vector` for `ncells` cells of Q(zeta) coordinates."""
-    cells = [CycloElt.zero(field)] * ncells
-    for c, x in vector_to_terms(field, vec):
-        cells[c] = x
-    return cells
+def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
+    """Q-basis of the vectors over `ncells` cells of Q(zeta) coordinates that
+    every generator fixes.
 
+    A generator is a pair (u, moves) with moves[c] = (t, s): it sends x in
+    cell c to zeta^s * sigma_u(x) in cell t, where sigma_u is zeta -> zeta^u.
+    The targets must permute the cells and u must be a unit mod p^n
+    (ValueError otherwise).
 
-def action_rows(field: FieldDescriptor, u: int,
-                moves) -> list[dict[int, int]]:
-    """Sparse rows of (g - id) on cells of Q(zeta) coordinates, flat index
-    c*phi + A.  moves[c] = (t, s) says that g sends zeta^A in cell c to
-    zeta^(u*A + s) in cell t; g is then the semilinear map that acts on each
-    cell by zeta -> zeta^u and moves it to its target.  The kernel of the
-    rows is the space fixed by g."""
-    phi, m, table = field.degree, field.modulus, _reduction_table(field)
-    rows: dict[int, dict[int, int]] = {}
-    for c, (t, s) in enumerate(moves):
-        for A in range(phi):
-            src = c * phi + A
-            for A2, sign in table[(u * A + s) % m]:
-                row = rows.setdefault(t * phi + A2, {})
-                row[src] = row.get(src, 0) + sign
-            row = rows.setdefault(src, {})
-            row[src] = row.get(src, 0) - 1
-    return [{c: v for c, v in row.items() if v} for row in rows.values()
-            if any(row.values())]
+    Galois descent (Speiser's lemma): in each orbit of cells, a fixed vector
+    is determined by its value x at the orbit's representative, its largest
+    cell, and x may be any element fixed by the representative's stabiliser.
+    A breadth-first walk records each cell's transport from the
+    representative as exponents (S, U), meaning x -> zeta^S * sigma_U(x);
+    every edge that closes a cycle gives one stabiliser element, in the same
+    form.  Their fixed field is a kernel on phi columns, and each of its
+    vectors is spread over the orbit through the transports.
+
+    Each basis vector is a tuple of (cell, nonzero `CycloElt`) pairs sorted
+    by cell.  Flattened by `terms_to_vector`, the basis is the reduced one
+    that `linalg.SparseEchelon.kernel_basis` gives for the rows of every
+    (g - id) on all ncells*phi columns, in its order: each vector's largest
+    column is 1, the other vectors are 0 there, and the vectors are sorted by
+    that column.  All of an orbit's vectors take their largest column in the
+    representative, so the small kernel's basis, spread, is already that one.
+    """
+    m, phi, table = field.modulus, field.degree, _reduction_table(field)
+    gens = []
+    for u, moves in generators:
+        if u % field.p == 0:
+            raise ValueError("exponent multiplier %d is not a unit mod %d" % (u, m))
+        moves = list(moves)
+        # the orbit walk needs bijections
+        if len(moves) != ncells or sorted(t for t, _ in moves) != list(range(ncells)):
+            raise ValueError("a generator's moves must permute the %d cells" % ncells)
+        gens.append((u % m, moves))
+    transport: list = [None] * ncells
+    found = []
+    for rep in range(ncells - 1, -1, -1):
+        if transport[rep] is not None:
+            continue
+        transport[rep] = (0, 1)
+        orbit, stabiliser = [rep], set()
+        for c in orbit:                           # breadth first; orbit grows
+            S, U = transport[c]
+            for u, moves in gens:
+                t, s = moves[c]
+                S2, U2 = (s + u * S) % m, (u * U) % m
+                if transport[t] is None:
+                    transport[t] = (S2, U2)
+                    orbit.append(t)
+                else:
+                    # zeta^St sigma_Ut(x) = zeta^S2 sigma_U2(x): x is fixed by
+                    # sigma_Ut^-1 after zeta^(S2-St) sigma_U2
+                    St, Ut = transport[t]
+                    inv = pow(Ut, -1, m)
+                    stabiliser.add(((S2 - St) * inv % m, U2 * inv % m))
+        stabiliser.discard((0, 1))
+        ech = linalg.SparseEchelon()
+        for S, U in sorted(stabiliser):
+            rows: dict[int, dict[int, int]] = {A: {A: -1} for A in range(phi)}
+            for A in range(phi):
+                for A2, sign in table[(U * A + S) % m]:
+                    row = rows[A2]
+                    row[A] = row.get(A, 0) + sign
+            for row in rows.values():
+                ech.insert(row)
+            if ech.rank == phi:
+                break
+        kernel = ech.kernel_basis(phi)
+        if not kernel:
+            continue
+        orbit.sort()
+        for vec in kernel:
+            nums, den = linalg.common_denominator(vec.values())
+            pairs = list(zip(vec, nums))
+            terms = []
+            for c in orbit:
+                S, U = transport[c]
+                # zeta^S sigma_U permutes Z[zeta] up to sign: nums/den stays
+                # in lowest terms
+                terms.append((c, _make(field, tuple(_fold(
+                    field, ((S + U * A, a) for A, a in pairs))), den)))
+            found.append((rep * phi + max(vec), tuple(terms)))
+    found.sort(key=lambda entry: entry[0])
+    return [terms for _, terms in found]

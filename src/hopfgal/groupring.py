@@ -11,8 +11,9 @@ they are.  The common case is group_order == p^n with coefficients in
 Q(zeta_{p^n}).
 
 The diagonal action sends  c * sigma^b  to  (zeta->zeta^u)(c) * sigma^(u*b)
-with u = multiplier^e; its fixed ring is computed as the exact kernel of
-(action - identity) on the full rational monomial basis.
+with u = multiplier^e.  It permutes the cells, so its fixed ring, the exact
+kernel of (action - identity) on the rational monomial basis, is found one
+orbit of cells at a time (`cyclotomic.fixed_space`).
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-from .cyclotomic import (CycloElt, FieldDescriptor, action_rows, unit_apply,
-                         vector_to_terms)
+from .cyclotomic import CycloElt, FieldDescriptor, fixed_space, unit_apply
 
 
 def _canonical_terms(cells: dict) -> tuple:
@@ -175,13 +174,13 @@ def diag_action(e: int, x: GroupRingElt) -> GroupRingElt:
 # ---------------------------------------------------------------------------
 # fixed ring
 
-# Hard cap on the rational dimension of the monomial space we will eliminate over.
+# Hard cap on the rational dimension of the monomial space a fixed ring lives in.
 FIXED_RING_DIMENSION_CAP = 20000
 
 
 def fixed_ring_dimension(p: int, n: int) -> int:
     """The rational dimension p^n * phi(p^n) of the monomial space that the
-    fixed ring at level n is eliminated over; ValueError above the cap.
+    fixed ring at level n lives in; ValueError above the cap.
     It needs only the two numbers, so a caller can refuse before any work."""
     dim = p ** n * p ** (n - 1) * (p - 1)
     if dim > FIXED_RING_DIMENSION_CAP:
@@ -190,26 +189,26 @@ def fixed_ring_dimension(p: int, n: int) -> int:
     return dim
 
 
-def fixed_ring_matrix(p: int, n: int) -> tuple[list[dict[int, int]], int]:
-    """Sparse rows of (diagonal action - id): cell b holds the coefficient
-    of sigma^b, which the generator sends to sigma^(b*pi) under zeta -> zeta^pi."""
+def fixed_ring_kernel(p: int, n: int) -> list[tuple]:
+    """The space fixed by the diagonal generator, as `fixed_space` basis
+    vectors over the p^n cells: cell b holds the coefficient of sigma^b,
+    which the generator sends to sigma^(b*pi) under zeta -> zeta^pi.
+    ValueError above the cap (`fixed_ring_dimension`)."""
+    fixed_ring_dimension(p, n)
     field = FieldDescriptor(p, n)
-    go = field.modulus
-    dim = fixed_ring_dimension(p, n)
-    pi = field.multiplier
-    return action_rows(field, pi, [((b * pi) % go, 0) for b in range(go)]), dim
+    go, pi = field.modulus, field.multiplier
+    return fixed_space(field, [(pi, [((b * pi) % go, 0) for b in range(go)])], go)
 
 
 def fixed_ring(p: int, n: int) -> list[GroupRingElt]:
     """Q-basis of the fixed ring of the diagonal action on Q(zeta)[C_{p^n}].
 
-    Computed as the exact kernel of (action - id); the returned basis has
-    exactly p^n elements.
+    Computed as the exact kernel of (action - id), orbit by orbit; the
+    returned basis has exactly p^n elements.
     """
-    rows, dim = fixed_ring_matrix(p, n)
-    kernel = linalg.sparse_nullspace(rows, dim)
+    kernel = fixed_ring_kernel(p, n)
     field = FieldDescriptor(p, n)
     if len(kernel) != field.modulus:
         raise AssertionError("fixed ring dimension %d != %d" % (len(kernel), field.modulus))
-    return [GroupRingElt._unchecked(field, tuple(vector_to_terms(field, v)), field.modulus)
-            for v in kernel]
+    # the terms are sorted by cell and hold no zero cell: canonical already
+    return [GroupRingElt._unchecked(field, terms, field.modulus) for terms in kernel]

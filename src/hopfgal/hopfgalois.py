@@ -29,8 +29,9 @@ from math import lcm
 
 from . import linalg
 from .cyclotomic import (CycloElt, FieldDescriptor, Rat, cells_to_vector, embed,
-                         embed_preimage, from_exponents, parse_rat, rat_str)
-from .groupring import GroupRingElt
+                         embed_preimage, from_exponents, parse_rat, rat_str,
+                         terms_to_vector)
+from .groupring import GroupRingElt, fixed_ring_kernel
 from .reporting import Report, checked
 
 _ZERO = Fraction(0)
@@ -362,12 +363,10 @@ def dual_pairing_report(p: int, n: int) -> Report:
 def fixed_ring_reports(p: int, n: int) -> list[Report]:
     """Kernel dimension of (diagonal action - id), then span equality of the
     kernel with the idempotent basis (mutual containment at equal rank)."""
-    from .groupring import fixed_ring_matrix
     state: dict = {}
 
     def dimension():
-        rows, dim = fixed_ring_matrix(p, n)
-        kernel = linalg.sparse_nullspace(rows, dim)
+        kernel = [terms_to_vector(terms) for terms in fixed_ring_kernel(p, n)]
         state["kernel"] = kernel
         if len(kernel) != p ** n:
             return False, {"dimension": len(kernel), "expected": p ** n}

@@ -17,6 +17,9 @@ integer numerators.
 
 Vectors over a grid of cyclotomic cells use the flat layout of
 `cyclotomic.cells_to_vector`: coordinate A of cell c is column c*phi + A.
+A space fixed by Galois maps that permute such cells is not eliminated on
+the whole grid: `cyclotomic.fixed_space` runs one `SparseEchelon` on phi
+columns per orbit of cells.
 """
 
 from __future__ import annotations

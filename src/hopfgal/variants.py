@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import (CycloElt, FieldDescriptor, action_rows, cells_to_vector,
-                         embed, embed_preimage, parse_rat, primitive_root,
-                         rat_str, unit_apply, vector_to_cells)
+from .cyclotomic import (CycloElt, FieldDescriptor, cells_to_vector, embed,
+                         embed_preimage, fixed_space, parse_rat, primitive_root,
+                         rat_str, terms_to_vector, unit_apply)
 from .reporting import Report, checked
 
 
@@ -300,25 +300,30 @@ def conjugation_exponent(p: int, n: int, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fixed fields (exact kernels on the monomial grid)
+# fixed fields (exact kernels on the monomial grid, orbit by orbit)
 
-def _aut_rows(p: int, n: int, g: TowerAut, copies: int = 1,
-              conj_pow: int = 1) -> list[dict[int, int]]:
-    """Rows of (action of g) - id on `copies` copies of Q(zeta, w), indexed
-    by group powers k: cell k*p^n + B holds the coefficient of w^B in copy k.
-    g multiplies it by zeta^(s*B) and moves copy k to copy conj_pow * k."""
+def _aut_generator(p: int, n: int, g: TowerAut, copies: int = 1,
+                   conj_pow: int = 1) -> tuple[int, list[tuple[int, int]]]:
+    """g as a `fixed_space` generator (u, moves) on `copies` copies of
+    Q(zeta, w), indexed by group powers k: cell k*p^n + B holds the
+    coefficient of w^B in copy k.  g multiplies it by zeta^(s*B) and moves
+    copy k to copy conj_pow * k."""
     pn = p ** n
-    return action_rows(FieldDescriptor(p, n), g.unit(),
-                       [((conj_pow * k) % pn * pn + B, g.s * B)
-                        for k in range(copies) for B in range(pn)])
+    return g.unit(), [((conj_pow * k) % pn * pn + B, g.s * B)
+                      for k in range(copies) for B in range(pn)]
 
 
 def fixed_field(p: int, n: int, gens, a=Fraction(2)) -> list[BigFieldElt]:
     """Q-basis of the subfield fixed by the subgroup the generators produce."""
     f = FieldDescriptor(p, n)
-    rows = [row for g in gens for row in _aut_rows(p, n, g)]
-    kernel = linalg.sparse_nullspace(rows, f.modulus * f.degree)
-    return [BigFieldElt(p, n, a, vector_to_cells(f, vec, f.modulus)) for vec in kernel]
+    zero = CycloElt.zero(f)
+    basis = []
+    for terms in fixed_space(f, [_aut_generator(p, n, g) for g in gens], f.modulus):
+        cells = [zero] * f.modulus
+        for B, x in terms:
+            cells[B] = x
+        basis.append(BigFieldElt(p, n, a, cells))
+    return basis
 
 
 def field_tower_lift(m: int, n: int, x: BigFieldElt) -> BigFieldElt:
@@ -355,10 +360,6 @@ class VariantHopfElt:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "parts", parts)
 
-    def scale(self, c) -> "VariantHopfElt":
-        return VariantHopfElt(self.p, self.n, self.i, self.a,
-                              [x.scale(c) for x in self.parts])
-
     def apply(self, y: BigFieldElt) -> BigFieldElt:
         """The group-ring action: sum_k x_k * g^k(y)."""
         g = complement_generator(self.p, self.n, self.i)
@@ -374,10 +375,12 @@ class VariantHopfElt:
 def h_variant(p: int, n: int, i: int, a=Fraction(2)) -> list[VariantHopfElt]:
     """Q-basis of the fixed ring (E_i[N_i])^beta, dimension (p-1)p^n over Q.
 
-    The ring is cut out inside the full field-coefficient group ring by two
-    exact kernels at once: the complement generator acting on coefficients
-    only (coefficients in the fixed field), and beta acting on coefficients
-    together with conjugation on the group index.
+    The ring is the subspace of the full field-coefficient group ring fixed
+    by two maps: the complement generator acting on coefficients only
+    (coefficients in the fixed field), and beta acting on coefficients
+    together with conjugation on the group index.  Both permute the p^{2n}
+    cells (copy k, w-power B), so `fixed_space` finds the ring by Galois
+    descent, one small fixed-field problem per orbit of cells.
     """
     if n < 2:
         raise ValueError("descent Hopf algebras need level >= 2")
@@ -385,17 +388,21 @@ def h_variant(p: int, n: int, i: int, a=Fraction(2)) -> list[VariantHopfElt]:
     pn = f.modulus
     g = complement_generator(p, n, i)
     m = conjugation_exponent(p, n, i)
-    rows = _aut_rows(p, n, g, pn) + _aut_rows(p, n, TowerAut.beta(p, n), pn, m)
-    kernel = linalg.sparse_nullspace(rows, pn * pn * f.degree)
+    kernel = fixed_space(f, [_aut_generator(p, n, g, pn),
+                             _aut_generator(p, n, TowerAut.beta(p, n), pn, m)],
+                         pn * pn)
     if len(kernel) != (p - 1) * pn:
         raise AssertionError("fixed ring has dimension %d, expected %d"
                              % (len(kernel), (p - 1) * pn))
+    zero = CycloElt.zero(f)
     basis = []
-    for vec in kernel:
-        cells = vector_to_cells(f, vec, pn * pn)
+    for terms in kernel:
+        parts = [[zero] * pn for _ in range(pn)]
+        for c, x in terms:
+            k, B = divmod(c, pn)
+            parts[k][B] = x
         basis.append(VariantHopfElt(
-            p, n, i, a, [BigFieldElt(p, n, a, cells[k * pn:(k + 1) * pn])
-                         for k in range(pn)]))
+            p, n, i, a, [BigFieldElt(p, n, a, cells) for cells in parts]))
     return basis
 
 
@@ -409,10 +416,11 @@ def h_variant_rank_certificate(p: int, n: int, i: int, a=Fraction(2)) -> Report:
             ech.insert(cells_to_vector(c for part in h.parts for c in part.coeffs))
         if ech.rank != (p - 1) * p ** n:
             return False, {"q_dim": ech.rank}
-        z1 = CycloElt.zeta_power(FieldDescriptor(p, n), p ** (n - 1))
+        # multiplying by zeta_1 = zeta^(p^(n-1)) shifts every coefficient
+        step = p ** (n - 1)
         for t, h in enumerate(basis):
             if not ech.contains(cells_to_vector(
-                    c for part in h.scale(z1).parts for c in part.coeffs)):
+                    c.shift(step) for part in h.parts for c in part.coeffs)):
                 return False, {"not_zeta1_closed_at": t}
         return True, None
 
@@ -458,8 +466,8 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
 
         # the target subfield as a monomial-support subspace of the closure:
         # only zeta-exponents divisible by p^(n-1) in every w-coefficient
-        beta_fixed = linalg.sparse_nullspace(_aut_rows(p, n, TowerAut.beta(p, n)),
-                                             pn * phi)
+        beta_fixed = [terms_to_vector(terms) for terms in fixed_space(
+            f, [_aut_generator(p, n, TowerAut.beta(p, n))], pn)]
         if len(beta_fixed) != deg1 * pn:
             return False, {"stage": "subfield-dimension", "dim": len(beta_fixed)}
         for vec in beta_fixed:

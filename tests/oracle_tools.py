@@ -65,6 +65,33 @@ def oracle_zeta_power(p: int, n: int, e: int) -> list[Fraction]:
     return poly_to_vec(p, n, sympy.Poly([1] + [0] * e, _X, domain="QQ"))
 
 
+@lru_cache(maxsize=None)
+def _zeta_power_terms(p: int, n: int, e: int) -> tuple:
+    """zeta^e in the power basis as ((index, coefficient), ...), by sympy."""
+    return tuple((i, c) for i, c in enumerate(oracle_zeta_power(p, n, e)) if c)
+
+
+def action_rows(field, u: int, moves) -> list[dict[int, Fraction]]:
+    """Sparse rows of (g - id) on the whole grid of cells of Q(zeta)
+    coordinates, flat index c*phi + A: the full-grid problem that
+    `hopfgal.cyclotomic.fixed_space` solves orbit by orbit.  moves[c] = (t, s)
+    says that g sends zeta^A in cell c to zeta^(u*A + s) in cell t; powers of
+    zeta are reduced by sympy.  The kernel of the rows is the space fixed by
+    g."""
+    p, n, phi, m = field.p, field.n, field.degree, field.modulus
+    rows: dict[int, dict[int, Fraction]] = {}
+    for c, (t, s) in enumerate(moves):
+        for A in range(phi):
+            src = c * phi + A
+            for A2, v in _zeta_power_terms(p, n, (u * A + s) % m):
+                row = rows.setdefault(t * phi + A2, {})
+                row[src] = row.get(src, 0) + v
+            row = rows.setdefault(src, {})
+            row[src] = row.get(src, 0) - 1
+    return [{c: v for c, v in row.items() if v} for row in rows.values()
+            if any(row.values())]
+
+
 def oracle_idempotent(p: int, n: int, i: int) -> list[list[Fraction]]:
     """Coefficient vector (per group exponent j) of the i-th idempotent:
     (1/p^n) * zeta^(-i j) at sigma^j."""

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, delta_apply, embed,
-                                embed_preimage, inverse, is_prime, mul,
-                                multiplicative_order, parse_rat,
+                                embed_preimage, fixed_space, inverse, is_prime,
+                                mul, multiplicative_order, parse_rat,
                                 primitive_root, rat_str, reduce_terms,
-                                unit_apply)
+                                terms_to_vector, unit_apply)
+from hopfgal.linalg import sparse_nullspace
 
-from oracle_tools import (oracle_cyclo_inverse, oracle_cyclo_mul,
+from oracle_tools import (action_rows, oracle_cyclo_inverse, oracle_cyclo_mul,
                           oracle_multiplicative_order, oracle_primitive_root,
                           oracle_unit_apply, oracle_zeta_power, poly_to_vec,
                           vec_to_poly)
@@ -261,3 +262,80 @@ def test_embed_sends_generator_to_power():
 def test_embed_preimage_detects_outsiders():
     # the level-2 generator is not in the level-1 subfield
     assert embed_preimage(1, 2, CycloElt.zeta_power(FieldDescriptor(3, 2), 1)) is None
+
+
+# -- fixed spaces by Galois descent ------------------------------------------------
+
+def twisted_permutation(p, n, gauge):
+    """A `fixed_space` generator on len(gauge) cells: a unit u mod p^n, a
+    permutation c -> t of the cells, and the shift a_t - u*a_c + e_c for the
+    gauge a and a drawn error e.  With e = 0 the generator is conjugate, by
+    zeta^(a_c) on cell c, to an untwisted one, so its fixed space is not 0
+    and the twists are nontrivial; a random e mostly leaves 0."""
+    m, ncells = p ** n, len(gauge)
+    return st.tuples(
+        st.integers(1, m - 1).filter(lambda u: u % p),
+        st.permutations(range(ncells)),
+        st.lists(st.one_of(st.just(0), st.integers(0, m - 1)),
+                 min_size=ncells, max_size=ncells),
+    ).map(lambda g: (g[0], [(t, (gauge[t] - g[0] * gauge[c] + e) % m)
+                            for c, (t, e) in enumerate(zip(g[1], g[2]))]))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@given(data=st.data())
+def test_fixed_space_matches_full_grid_kernel(p, n, data):
+    """Same vectors in the same order as the canonical kernel of the rows of
+    every (g - id) on the whole grid."""
+    field = FieldDescriptor(p, n)
+    ncells = data.draw(st.integers(1, 6))
+    gauge = data.draw(st.lists(st.integers(0, p ** n - 1),
+                               min_size=ncells, max_size=ncells))
+    gens = data.draw(st.lists(twisted_permutation(p, n, gauge),
+                              min_size=1, max_size=2))
+    rows = [row for u, moves in gens for row in action_rows(field, u, moves)]
+    basis = fixed_space(field, gens, ncells)
+    assert [terms_to_vector(t) for t in basis] == sparse_nullspace(
+        rows, ncells * field.degree)
+    for terms in basis:
+        assert [c for c, _ in terms] == sorted({c for c, _ in terms})
+        assert all(x.nonzero and x.field is field for _, x in terms)
+
+
+@pytest.mark.parametrize("u1,u2", [(2, 4), (2, 5), (4, 7)])
+def test_fixed_space_untwists_a_stabiliser_met_off_the_representative(u1, u2):
+    """Two gauge-twisted swaps of two cells with different units.  The second
+    generator's edge out of the representative, cell 1, lands on cell 0,
+    whose transport carries sigma_u1: the stabiliser element it gives must be
+    untwisted by sigma_u1^-1, shift included."""
+    field = FieldDescriptor(3, 2)
+    gauge = (0, 1)
+    gens = [(u, [(1 - c, (gauge[1 - c] - u * gauge[c]) % 9) for c in range(2)])
+            for u in (u1, u2)]
+    rows = [row for u, moves in gens for row in action_rows(field, u, moves)]
+    basis = fixed_space(field, gens, 2)
+    assert basis
+    assert [terms_to_vector(t) for t in basis] == sparse_nullspace(
+        rows, 2 * field.degree)
+
+
+def test_fixed_space_without_generators_is_the_whole_grid():
+    field = FieldDescriptor(3, 1)
+    basis = fixed_space(field, [], 2)
+    assert [terms_to_vector(t) for t in basis] == [{k: 1} for k in range(4)]
+
+
+@pytest.mark.parametrize("moves", [
+    [(0, 0), (0, 0), (2, 0)],             # two cells sent to cell 0
+    [(1, 0), (2, 0), (3, 0)],             # a target outside the cells
+    [(1, 0), (0, 0)],                     # too few moves
+])
+def test_fixed_space_refuses_moves_that_do_not_permute_the_cells(moves):
+    with pytest.raises(ValueError, match="permute"):
+        fixed_space(FieldDescriptor(3, 2), [(2, moves)], 3)
+
+
+@pytest.mark.parametrize("u", [0, 3, 6])
+def test_fixed_space_refuses_a_non_unit_multiplier(u):
+    with pytest.raises(ValueError, match="not a unit"):
+        fixed_space(FieldDescriptor(3, 2), [(u, [(0, 0), (1, 0)])], 2)

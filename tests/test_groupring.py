@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfgal.cyclotomic import CycloElt, FieldDescriptor
+from hopfgal.cyclotomic import CycloElt, FieldDescriptor, cells_to_vector
 from hopfgal.groupring import (GroupRingElt, diag_action, diag_action_unit,
-                               fixed_ring, fixed_ring_matrix)
+                               fixed_ring)
 from hopfgal.hopfgalois import e_basis
 from hopfgal.linalg import sparse_nullspace
 from hopfgal.profinite import nu_groupring
@@ -15,7 +15,7 @@ from hopfgal.profinite import nu_groupring
 from groupring_tools import (TensorElt, dense_add, dense_diag_action_unit,
                              dense_neg, dense_nu, dense_scale, dense_sub,
                              gr_antipode, gr_comul, gr_counit, gr_mul)
-from oracle_tools import oracle_nullity
+from oracle_tools import action_rows, oracle_nullity
 
 # The values of st.fractions(min_value=-2, max_value=2, max_denominator=3),
 # simplest first.  Sampling them directly skips the per-draw flatmap of
@@ -223,13 +223,32 @@ def test_diag_action_fixes_every_idempotent(p, n):
 
 # -- fixed ring -----------------------------------------------------------------
 
+def fixed_ring_rows(p, n):
+    """The full-grid rows of (diagonal generator - id) and their column
+    count: cell b holds the coefficient of sigma^b, sent to sigma^(b*pi)."""
+    field = FieldDescriptor(p, n)
+    go, pi = field.modulus, field.multiplier
+    return (action_rows(field, pi, [((b * pi) % go, 0) for b in range(go)]),
+            go * field.degree)
+
+
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
 def test_fixed_ring_dimension_matches_sympy(p, n):
-    rows, ncols = fixed_ring_matrix(p, n)
+    rows, ncols = fixed_ring_rows(p, n)
     kernel = sparse_nullspace(rows, ncols)
     assert len(kernel) == p ** n
     dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
     assert oracle_nullity(dense, ncols) == p ** n
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1),
+                                 (5, 2), (5, 3), (7, 1), (7, 2)])
+def test_fixed_ring_is_the_full_grid_kernel_basis(p, n):
+    """The orbit-wise basis is the canonical kernel basis of the full-grid
+    rows: the same vectors in the same order."""
+    rows, ncols = fixed_ring_rows(p, n)
+    assert ([cells_to_vector(x.coeffs) for x in fixed_ring(p, n)]
+            == sparse_nullspace(rows, ncols))
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2)])

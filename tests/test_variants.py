@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfgal.cyclotomic import CycloElt, FieldDescriptor, action_rows
+from hopfgal.cyclotomic import CycloElt, FieldDescriptor, cells_to_vector
 from hopfgal.linalg import sparse_nullspace
 from hopfgal.variants import (BigFieldElt, TowerAut, aut_act,
                               complement_elements, complement_generator,
@@ -16,7 +16,7 @@ from hopfgal.variants import (BigFieldElt, TowerAut, aut_act,
                               normal_complements, variant_action_check,
                               variant_nu, variant_nu_check)
 
-from oracle_tools import oracle_nullity
+from oracle_tools import action_rows, oracle_nullity
 
 
 def tower_auts(p, n):
@@ -119,6 +119,40 @@ def test_action_rows_kernel_has_sympy_nullity(i):
     kernel = sparse_nullspace(rows, ncols)
     assert len(kernel) == oracle_nullity(dense, ncols) == field.degree
     assert len(fixed_field(p, n, [g])) == len(kernel)
+
+
+def aut_moves(p, n, g, copies=1, conj_pow=1):
+    """The cell moves of g on `copies` copies of Q(zeta, w): cell k*p^n + B
+    (w^B in copy k) goes to copy conj_pow * k, times zeta^(s*B)."""
+    pn = p ** n
+    return [((conj_pow * k) % pn * pn + B, g.s * B)
+            for k in range(copies) for B in range(pn)]
+
+
+@pytest.mark.parametrize("p,n,i", [(3, 2, 0), (3, 2, 1), (3, 2, 2),
+                                   (3, 3, 0), (3, 3, 1), (3, 3, 2)])
+def test_fixed_field_is_the_full_grid_kernel_basis(p, n, i):
+    field = FieldDescriptor(p, n)
+    g = complement_generator(p, n, i)
+    rows = action_rows(field, g.unit(), aut_moves(p, n, g))
+    assert ([cells_to_vector(x.coeffs) for x in fixed_field(p, n, [g])]
+            == sparse_nullspace(rows, p ** n * field.degree))
+
+
+@pytest.mark.parametrize("p,n,i", [(3, 2, 0), (3, 2, 1), (3, 2, 2),
+                                   (3, 3, 0), (3, 3, 1), (3, 3, 2), (5, 2, 1)])
+def test_h_variant_is_the_full_grid_kernel_basis(p, n, i):
+    """The orbit-wise basis of (E_i[N_i])^beta is the canonical kernel
+    basis of the full-grid rows of both generators, in the same order."""
+    field = FieldDescriptor(p, n)
+    pn = p ** n
+    g, beta = complement_generator(p, n, i), TowerAut.beta(p, n)
+    rows = (action_rows(field, g.unit(), aut_moves(p, n, g, pn))
+            + action_rows(field, beta.unit(),
+                          aut_moves(p, n, beta, pn, conjugation_exponent(p, n, i))))
+    basis = h_variant(p, n, i)
+    assert ([cells_to_vector(c for part in h.parts for c in part.coeffs)
+             for h in basis] == sparse_nullspace(rows, pn * pn * field.degree))
 
 
 def test_fixed_field_lift_is_injective_map():
