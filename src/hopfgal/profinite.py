@@ -291,11 +291,13 @@ def fixed_truncation_check(p: int, L: int) -> Report:
         prev_es = None
         for n in range(1, L + 1):
             go = p ** n
-            kernel = fixed_ring(p, n)                    # exact kernel; asserts dim
             es = [e_basis(p, n, i) for i in range(go)]
             if any(diag_action(1, e) != e for e in es):
                 return False, {"level": n, "problem": "idempotent not fixed"}
             rk = linalg.sparse_rank(cells_to_vector(e.coeffs) for e in es)
+            # built after that elimination, so that the two are not held
+            # at once: the kernel and the idempotents set the peak memory
+            kernel = fixed_ring(p, n)                    # exact kernel; asserts dim
             if rk != go or len(kernel) != go:
                 return False, {"level": n, "kernel_dim": len(kernel), "span_rank": rk}
             if n >= 2:
