@@ -1,7 +1,8 @@
 """Command-line interface: construction commands, verification suites, reports.
 
 Exit codes: 0 all reports pass (or pure data command succeeded), 1 at least
-one report failed, 2 usage or value error, 3 enumeration cap or budget refusal.
+one report failed, 2 usage or value error, 3 refusal: a census cap or budget,
+or a `basis` or `profinite` request over `MAX_REQUEST_SIZE`.
 Rationals cross the boundary as "num/den" strings; JSON output is
 byte-deterministic for fixed inputs (timings are included only with
 ``--timings``).
@@ -16,9 +17,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cyclotomic import parse_rat, rat_str
-from .gp_enum import (EnumerationRefusal, enumerate_regular_normalized,
-                      instance_from_json, results_to_json)
+from .cyclotomic import FieldDescriptor, parse_rat, rat_str
+from .gp_enum import (SEARCH_BUDGET_SECONDS, EnumerationRefusal,
+                      enumerate_regular_normalized, instance_from_json,
+                      results_to_json)
 from .hopfgalois import HopfElt, RadicalElt, act, e_basis, validate_radicand
 from .profinite import nu_h
 from .smash_end import (QMatrix, SmashElt, decompose_endomorphism, smash_mult,
@@ -31,6 +33,11 @@ EXIT_PASS = 0
 EXIT_REPORT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+
+# The one size bound of `basis` and `profinite`: idempotents built times the
+# p^n * phi(p^n) rationals of each.  (3,5) = 9,565,938 ran in 12.9 s and 147 MB,
+# (7,3) = 34,588,806 in 43 s and 517 MB (2-core host); the bound sits between.
+MAX_REQUEST_SIZE = 16_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +79,24 @@ def _smash_terms_json(x: SmashElt) -> list[list]:
     return [[j, i, rat_str(c)] for (j, i), c in sorted(x.terms.items())]
 
 
+def _guard_size(p: int, n: int, all_indices: bool) -> None:
+    """Refuse a request over `MAX_REQUEST_SIZE` (p^n idempotents at level n,
+    or one without `all_indices`) before any field table or element is built;
+    a p or n that names no field stays a usage error at any size."""
+    field = FieldDescriptor(p, n)  # validates p and n; builds no table
+    count = field.modulus if all_indices else 1
+    size = count * field.modulus * field.degree
+    if size > MAX_REQUEST_SIZE:
+        raise EnumerationRefusal(
+            "p=%d n=%d: %d idempotents x %d rationals = size %d exceeds the "
+            "bound %d" % (p, n, count, size // count, size, MAX_REQUEST_SIZE))
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns the output payload dict)
 
 def _cmd_basis(args) -> dict:
+    _guard_size(args.p, args.n, args.i is None)
     go = args.p ** args.n
     indices = [args.i % go] if args.i is not None else list(range(go))
     elements = [{"i": i, "coefficients": e_basis(args.p, args.n, i).to_json()}
@@ -144,6 +165,7 @@ def _cmd_nu(args) -> dict:
 
 
 def _cmd_profinite(args) -> dict:
+    _guard_size(args.p, args.level, True)
     reports = criterion_profinite((args.p,), args.level)
     return {"command": "profinite", "p": args.p, "level": args.level,
             "reports": [r.to_dict(args.timings) for r in reports]}
@@ -160,12 +182,11 @@ def _cmd_census(args) -> dict:
     if args.instance is not None:
         gamma, delta = instance_from_json(_read_json(args.instance))
         results = enumerate_regular_normalized(
-            gamma, delta, engine=args.engine,
-            budget_seconds=args.budget_seconds)
+            gamma, delta, budget_seconds=args.budget_seconds)
         payload = results_to_json(gamma, delta, results)
         payload["command"] = "census"
         return payload
-    reports = criterion_census(None, args.engine, args.budget_seconds)
+    reports = criterion_census(None, args.budget_seconds)
     return {"command": "census",
             "reports": [r.to_dict(args.timings) for r in reports]}
 
@@ -174,7 +195,7 @@ def _cmd_verify_all(args) -> dict:
     # each check validates the radicand against its own prime
     a = _parse_rational(args.a)
     groups = full_suite(p=args.p, n=args.n, a=a, seed=args.seed,
-                        engine=args.engine, budget_seconds=args.budget_seconds)
+                        budget_seconds=args.budget_seconds)
     criteria = [{"name": name,
                  "reports": [r.to_dict(args.timings) for r in reports]}
                 for name, reports in groups]
@@ -324,18 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
              "enumerate regular normalized subgroups (pinned instances or JSON input)")
     sp.add_argument("instance", nargs="?", metavar="PATH",
                     help="instance JSON ('-': stdin; omitted: pinned instances)")
-    sp.add_argument("--engine", choices=("auto", "naive", "holomorph"),
-                    default="auto")
-    sp.add_argument("--budget-seconds", type=float, default=300.0)
+    sp.add_argument("--budget-seconds", type=float, default=SEARCH_BUDGET_SECONDS)
 
     sp = add("verify-all", _cmd_verify_all, "run the full verification suite")
     sp.add_argument("--p", type=int, help="filter the instance matrix by prime")
     sp.add_argument("--n", type=int, help="filter the instance matrix by level")
     sp.add_argument("--a", default="2", help="radicand as 'num/den' (default 2)")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--engine", choices=("auto", "naive", "holomorph"),
-                    default="auto")
-    sp.add_argument("--budget-seconds", type=float, default=300.0)
+    sp.add_argument("--budget-seconds", type=float, default=SEARCH_BUDGET_SECONDS)
 
     return parser
 

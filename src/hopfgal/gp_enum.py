@@ -5,12 +5,12 @@ coset set S into a transitive permutation module.  This module lists every
 regular subgroup of Perm(S) normalized by the image of that action, with
 two independent engines that are cross-checked in tests:
 
-* a naive engine: exhaustive search over fixed-point-free cycles of full
-  length (cyclic candidates) and over commuting pairs of fixed-point-free
-  p-elements (elementary abelian candidates), then the normalization
-  filter — feasible for degree <= 10;
-* a holomorph engine: for each model N, a regular group given by its
-  generators, Hol(N) = N·Aut(N) with Aut(N) read off equivariant
+* a naive engine, the tests' reference: exhaustive search over
+  fixed-point-free cycles of full length (cyclic candidates) and over
+  commuting pairs of fixed-point-free p-elements (elementary abelian
+  candidates), then the normalization filter — feasible for degree <= 10;
+* a holomorph engine, the default: for each model N, a regular group given
+  by its generators, Hol(N) = N·Aut(N) with Aut(N) read off equivariant
   labelings; each generator of the action image gets an element of
   Hol(N), and an assignment is kept when S admits an equivariant bijective
   labeling by N, which is then the homomorphism into Hol(N) — feasible
@@ -58,6 +58,9 @@ class SearchBudgetExceeded(EnumerationRefusal):
 MAX_DEGREE = 25
 
 NAIVE_MAX_DEGREE = 10
+
+# the default wall-clock budget of one enumeration, in seconds
+SEARCH_BUDGET_SECONDS = 300.0
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +607,8 @@ def _models(size: int) -> list[FiniteGroup] | None:
 
 
 def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
-                                 engine: str = "auto",
-                                 budget_seconds: float = 60.0
+                                 engine: str = "holomorph",
+                                 budget_seconds: float = SEARCH_BUDGET_SECONDS
                                  ) -> list[FiniteGroup]:
     """All regular subgroups of the coset symmetric group normalized by
     the image of gamma, deduplicated and canonically sorted.
@@ -613,7 +616,7 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
     Refuses degrees over `MAX_DEGREE`, degrees whose group types `_models`
     does not list, and searches that blow the time budget.
     """
-    if engine not in ("auto", "naive", "holomorph"):
+    if engine not in ("naive", "holomorph"):
         raise ValueError("unknown engine %r" % (engine,))
     if not delta <= gamma:
         raise ValueError("delta is not a subgroup of gamma")
@@ -755,8 +758,8 @@ def census_instances() -> list[CensusInstance]:
     ]
 
 
-def census_reports(instance: CensusInstance, engine: str = "auto",
-                   budget_seconds: float = 300.0) -> list[Report]:
+def census_reports(instance: CensusInstance,
+                   budget_seconds: float = SEARCH_BUDGET_SECONDS) -> list[Report]:
     """Count check plus cyclic-structure check for one census instance."""
     params = {"label": instance.label,
               "gamma_order": instance.gamma.order,
@@ -766,8 +769,7 @@ def census_reports(instance: CensusInstance, engine: str = "auto",
     def counts():
         size, action = coset_action(instance.gamma, instance.delta)
         results = enumerate_regular_normalized(
-            instance.gamma, instance.delta, engine=engine,
-            budget_seconds=budget_seconds)
+            instance.gamma, instance.delta, budget_seconds=budget_seconds)
         state["results"] = results
         state["size"] = size
         if len(results) != instance.expected_structures:

@@ -13,7 +13,8 @@ Q(zeta_{p^n}).
 The diagonal action sends  c * sigma^b  to  (zeta->zeta^u)(c) * sigma^(u*b)
 with u = multiplier^e.  It permutes the cells, so its fixed ring, the exact
 kernel of (action - identity) on the rational monomial basis, is found one
-orbit of cells at a time (`cyclotomic.fixed_space`).
+orbit of cells at a time (`cyclotomic.fixed_space`), at any level: no size
+is checked here; the CLI decides which requests are too large to start.
 """
 
 from __future__ import annotations
@@ -174,27 +175,11 @@ def diag_action(e: int, x: GroupRingElt) -> GroupRingElt:
 # ---------------------------------------------------------------------------
 # fixed ring
 
-# Hard cap on the rational dimension of the monomial space a fixed ring lives in.
-FIXED_RING_DIMENSION_CAP = 20000
-
-
-def fixed_ring_dimension(p: int, n: int) -> int:
-    """The rational dimension p^n * phi(p^n) of the monomial space that the
-    fixed ring at level n lives in; ValueError above the cap.
-    It needs only the two numbers, so a caller can refuse before any work."""
-    dim = p ** n * p ** (n - 1) * (p - 1)
-    if dim > FIXED_RING_DIMENSION_CAP:
-        raise ValueError("monomial space dimension %d exceeds cap %d"
-                         % (dim, FIXED_RING_DIMENSION_CAP))
-    return dim
-
-
 def fixed_ring_kernel(p: int, n: int) -> list[tuple]:
     """The space fixed by the diagonal generator, as `fixed_space` basis
     vectors over the p^n cells: cell b holds the coefficient of sigma^b,
     which the generator sends to sigma^(b*pi) under zeta -> zeta^pi.
-    ValueError above the cap (`fixed_ring_dimension`)."""
-    fixed_ring_dimension(p, n)
+    Runs at any level: sizes are decided where requests enter (`cli`)."""
     field = FieldDescriptor(p, n)
     go, pi = field.modulus, field.multiplier
     return fixed_space(field, [(pi, [((b * pi) % go, 0) for b in range(go)])], go)

@@ -75,7 +75,7 @@ def commute_square_check(p: int, jn: int, i: int) -> Report:
         for a in range(field.degree):
             coeff = CycloElt.zeta_power(field, a)
             for b in range(go):
-                x = GroupRingElt.sigma_power(field, b).scale(coeff)
+                x = GroupRingElt._unchecked(field, ((b, coeff),), go)  # zeta^a sigma^b
                 left = nu_groupring(jn, i, diag_action(1, x))
                 right = diag_action(1, nu_groupring(jn, i, x))
                 if left != right:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gp_enum import census_instances, census_reports
-from .groupring import fixed_ring_dimension
+from .gp_enum import SEARCH_BUDGET_SECONDS, census_instances, census_reports
 from .hopfgalois import (base_change_report, dual_pairing_report,
                          fixed_field_check, fixed_ring_reports,
                          measuring_check)
@@ -107,10 +106,6 @@ def criterion_profinite(primes=PROFINITE_PRIMES,
     residue-model action, and fixed points of the limit action."""
     if not primes:
         return [skipped("truncation-compat", {"primes": []})]
-    for p in primes:
-        # the fixed ring at the top level is the largest elimination:
-        # refuse an over-cap tower before any report runs
-        fixed_ring_dimension(p, level)
     out: list[Report] = []
     for p in primes:
         for source in range(2, level + 1):
@@ -152,8 +147,8 @@ def criterion_variants(instances=VARIANT_INSTANCES,
     return out
 
 
-def criterion_census(labels=None, engine: str = "auto",
-                     budget_seconds: float = 300.0) -> list[Report]:
+def criterion_census(labels=None,
+                     budget_seconds: float = SEARCH_BUDGET_SECONDS) -> list[Report]:
     """Regular-subgroup census counts and structure types on the pinned instances."""
     chosen = [inst for inst in census_instances()
               if labels is None or inst.label in labels]
@@ -161,8 +156,7 @@ def criterion_census(labels=None, engine: str = "auto",
         return [skipped("census-counts", {"instances": []})]
     out: list[Report] = []
     for inst in chosen:
-        out.extend(census_reports(inst, engine=engine,
-                                  budget_seconds=budget_seconds))
+        out.extend(census_reports(inst, budget_seconds))
     return out
 
 
@@ -174,8 +168,8 @@ def _pair_filter(p: int | None, n: int | None):
 
 def full_suite(p: int | None = None, n: int | None = None,
                a=DEFAULT_RADICAND, seed: int = DEFAULT_SEED,
-               engine: str = "auto",
-               budget_seconds: float = 300.0) -> list[tuple[str, list[Report]]]:
+               budget_seconds: float = SEARCH_BUDGET_SECONDS
+               ) -> list[tuple[str, list[Report]]]:
     """All ten criteria in deterministic order, filtered by optional p / n.
 
     With no filter this is the default acceptance matrix; with a filter, each
@@ -205,5 +199,5 @@ def full_suite(p: int | None = None, n: int | None = None,
         ("inverse-system", criterion_profinite(primes)),
         ("hom-subalgebra", criterion_hom_subalgebra(pairs, a=a)),
         ("variants", criterion_variants(variant, variant_nu, a)),
-        ("census", criterion_census(labels, engine, budget_seconds)),
+        ("census", criterion_census(labels, budget_seconds)),
     ]

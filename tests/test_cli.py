@@ -1,23 +1,28 @@
 """End-to-end tests of the command-line interface, run in process.
 
 Covers payload shapes, exit codes (0 pass / 1 report failure / 2 usage /
-3 enumeration refusal), byte-determinism of JSON output, stdin and file
-plumbing, and the text renderer.
+3 refusal), the size guard of `basis` and `profinite`, byte-determinism of
+JSON output, stdin and file plumbing, and the text renderer.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from hopfgal import verify
-from hopfgal.cli import main
-from hopfgal.gp_enum import (beta_subgroup, cyclotomic_subgroup,
-                             full_galois_group, instance_to_json,
-                             zeta1_galois_group)
+import hopfgal
+from hopfgal import cli, cyclotomic, verify
+from hopfgal.cli import MAX_REQUEST_SIZE, main
+from hopfgal.gp_enum import (EnumerationRefusal, beta_subgroup,
+                             cyclotomic_subgroup, full_galois_group,
+                             instance_to_json, zeta1_galois_group)
 from hopfgal.reporting import Report
 from hopfgal.smash_end import SmashElt, to_end_matrix
 
@@ -187,14 +192,89 @@ def test_profinite_suite_passes(capsys):
 
 
 def test_profinite_refuses_an_over_cap_level_before_any_report(capsys, monkeypatch):
+    # level 5 is admitted now; level 6 is over the size bound
     def no_report(p, n):
         raise AssertionError("a report ran before the size refusal")
 
     monkeypatch.setattr(verify, "nu_consistency_check", no_report)
-    assert main(["profinite", "--p", "3", "--level", "5"]) == 2
+    assert main(["profinite", "--p", "3", "--level", "6"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "monomial space dimension 39366 exceeds cap 20000" in captured.err
+    assert captured.err.startswith("refused: ")
+    assert "size 258280326 exceeds the bound %d" % MAX_REQUEST_SIZE in captured.err
+
+
+def _no_work(*args):
+    raise AssertionError("work started before the size refusal")
+
+
+@pytest.mark.parametrize("argv", [
+    ("profinite", "--p", "7", "--level", "3"),
+    ("profinite", "--p", "5", "--level", "4"),
+    ("basis", "--p", "3", "--n", "7"),
+], ids=["profinite_p7_l3", "profinite_p5_l4", "basis_p3_n7"])
+def test_oversized_request_is_refused_at_once(capsys, monkeypatch, argv):
+    monkeypatch.setattr(verify, "nu_consistency_check", _no_work)
+    monkeypatch.setattr(cli, "e_basis", _no_work)
+    t0 = time.perf_counter()
+    assert main(list(argv)) == 3
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refused: " in captured.err and "exceeds the bound" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("profinite", "--p", "4", "--level", "40"),
+    ("profinite", "--p", "3", "--level", "0"),
+    ("basis", "--p", "3", "--n", "0"),
+], ids=["profinite_p4_l40", "profinite_p3_l0", "basis_p3_n0"])
+def test_invalid_level_is_a_usage_error_at_any_size(capsys, monkeypatch, argv):
+    monkeypatch.setattr(verify, "nu_consistency_check", _no_work)
+    monkeypatch.setattr(cli, "e_basis", _no_work)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("p, n, all_indices", [
+    (3, 1, False), (3, 1, True), (3, 2, True),    # basis in tests and golden files
+    (3, 3, True), (3, 4, True), (5, 3, True),     # profinite in tests and the bench
+    (3, 5, True), (13, 2, True), (3, 7, False),
+])
+def test_size_guard_admits(monkeypatch, p, n, all_indices):
+    monkeypatch.setattr(cyclotomic, "_reduction_table", _no_work)
+    cli._guard_size(p, n, all_indices)
+
+
+@pytest.mark.parametrize("p, n", [(7, 3), (5, 4), (3, 6), (3, 7)])
+def test_size_guard_refuses(monkeypatch, p, n):
+    monkeypatch.setattr(cyclotomic, "_reduction_table", _no_work)
+    with pytest.raises(EnumerationRefusal):
+        cli._guard_size(p, n, True)
+
+
+def test_profinite_level_five_passes_within_budget():
+    # a fresh process, so that the peak resident memory is this run's alone
+    child = ("import resource, sys\n"
+             "from hopfgal.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    src = str(Path(hopfgal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", child, "profinite", "--p", "3",
+                           "--level", "5", "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)["reports"]
+    assert len(reports) == 17 and all(r["status"] == "pass" for r in reports)
+    peak_mb = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB
+    assert elapsed <= 60.0, elapsed
+    assert peak_mb <= 500.0, peak_mb
 
 
 def test_variants_level_two_skips_truncation_checks(capsys):
