@@ -2,7 +2,7 @@
 
 Exit codes: 0 all reports pass (or pure data command succeeded), 1 at least
 one report failed, 2 usage or value error, 3 refusal: a census cap or budget,
-or a `basis` or `profinite` request over `MAX_REQUEST_SIZE`.
+or a `basis`, `profinite` or `smash` request over `MAX_REQUEST_SIZE`.
 Rationals cross the boundary as "num/den" strings; JSON output is
 byte-deterministic for fixed inputs (timings are included only with
 ``--timings``).
@@ -34,9 +34,12 @@ EXIT_REPORT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
-# The one size bound of `basis` and `profinite`: idempotents built times the
-# p^n * phi(p^n) rationals of each.  (3,5) = 9,565,938 ran in 12.9 s and 147 MB,
-# (7,3) = 34,588,806 in 43 s and 517 MB (2-core host); the bound sits between.
+# The one size bound of `basis`, `profinite` and `smash`.  For `basis` and
+# `profinite` the size is the idempotents built times the p^n * phi(p^n)
+# rationals of each: (3,5) = 9,565,938 ran in 12.9 s and 147 MB, (7,3) =
+# 34,588,806 in 43 s and 517 MB (2-core host); the bound sits between.  For
+# `smash` it is the matrices emitted times their p^2n rationals: the largest
+# admitted, (3,7) with --right = 14,348,907, ran in 6.6 s and 135 MB.
 MAX_REQUEST_SIZE = 16_000_000
 
 
@@ -79,17 +82,23 @@ def _smash_terms_json(x: SmashElt) -> list[list]:
     return [[j, i, rat_str(c)] for (j, i), c in sorted(x.terms.items())]
 
 
+def _refuse_over_bound(p: int, n: int, count: int, what: str, each: int) -> None:
+    """Refuse a request that emits `count` objects of `each` rationals in
+    all over `MAX_REQUEST_SIZE`."""
+    size = count * each
+    if size > MAX_REQUEST_SIZE:
+        raise EnumerationRefusal(
+            "p=%d n=%d: %d %s x %d rationals = size %d exceeds the bound %d"
+            % (p, n, count, what, each, size, MAX_REQUEST_SIZE))
+
+
 def _guard_size(p: int, n: int, all_indices: bool) -> None:
     """Refuse a request over `MAX_REQUEST_SIZE` (p^n idempotents at level n,
     or one without `all_indices`) before any field table or element is built;
     a p or n that names no field stays a usage error at any size."""
     field = FieldDescriptor(p, n)  # validates p and n; builds no table
-    count = field.modulus if all_indices else 1
-    size = count * field.modulus * field.degree
-    if size > MAX_REQUEST_SIZE:
-        raise EnumerationRefusal(
-            "p=%d n=%d: %d idempotents x %d rationals = size %d exceeds the "
-            "bound %d" % (p, n, count, size // count, size, MAX_REQUEST_SIZE))
+    _refuse_over_bound(p, n, field.modulus if all_indices else 1, "idempotents",
+                       field.modulus * field.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +131,9 @@ def _cmd_act(args) -> dict:
 
 
 def _cmd_smash(args) -> dict:
+    # one p^n x p^n matrix per factor, and one for the product
+    _refuse_over_bound(args.p, args.n, 1 if args.right is None else 3, "matrices",
+                       args.p ** (2 * args.n))
     a = validate_radicand(args.p, _parse_rational(args.a))
     j, i = _parse_pair(args.left, "--left")
     left = SmashElt.basis(args.p, args.n, a, j, i)
@@ -165,6 +177,8 @@ def _cmd_nu(args) -> dict:
 
 
 def _cmd_profinite(args) -> dict:
+    if args.level < 1:
+        raise ValueError("--level must be >= 1, got %d" % args.level)
     _guard_size(args.p, args.level, True)
     reports = criterion_profinite((args.p,), args.level)
     return {"command": "profinite", "p": args.p, "level": args.level,

@@ -12,8 +12,7 @@ positive integer denominator; an incoming row has its denominators cleared
 once, since a row's span does not depend on its scale.  `Fraction`s appear
 only at the boundary: the values of `SparseEchelon.kernel_basis` and the
 `SparseEchelon.pivot_rows` view.  `sparse_rank` and `sparse_nullspace` are
-the one-shot wrappers; `mat_mul` multiplies small dense matrices, also on
-integer numerators.
+the one-shot wrappers.
 
 Vectors over a grid of cyclotomic cells use the flat layout of
 `cyclotomic.cells_to_vector`: coordinate A of cell c is column c*phi + A.
@@ -26,9 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 _ONE = Fraction(1)
 
@@ -48,25 +46,6 @@ def _integer_row(row) -> dict[int, int]:
     their denominators."""
     nums, _ = common_denominator(row.values())
     return {c: a for c, a in zip(row, nums) if a}
-
-
-def _integer_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """Integer numerators of a dense matrix of ints or Fractions over one
-    common denominator."""
-    nums, den = common_denominator([v for row in rows for v in row])
-    it = iter(nums)
-    return [[next(it) for _ in row] for row in rows], den
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Product of two dense matrices of ints or Fractions: integer dot
-    products over the product of the two denominators, one `Fraction` per
-    output entry."""
-    an, ad = _integer_matrix(a)
-    bn, bd = _integer_matrix(b)
-    den = ad * bd
-    bt = list(zip(*bn))
-    return [[Fraction(sum(map(mul, row, col)), den) for col in bt] for row in an]
 
 
 class SparseEchelon:

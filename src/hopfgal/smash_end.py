@@ -9,9 +9,12 @@ rule, forced by the comultiplication of the idempotents, is
 with w-exponents wrapping into a factor of the radicand a.  Each basis element
 acts on K by w^k -> [k == i] w^(j+k), so its matrix (columns indexed by the
 input basis power, rows by the output coordinate, both 0-indexed) has a single
-nonzero entry.  `iso_check` certifies that the induced map K # H -> End_Q(K)
-is a bijective algebra map by an exact rank computation plus multiplicativity
-checks; `decompose_endomorphism` inverts it explicitly.
+nonzero entry.  A `QMatrix` therefore stores only its nonzero entries, as
+sorted ((row, col), value) pairs; the dense p^n x p^n grid is a view, built
+on demand, and the matrix map, its inverse, products and the JSON boundary
+all walk the stored entries.  `iso_check` certifies that the induced map
+K # H -> End_Q(K) is a bijective algebra map by an exact rank computation
+plus multiplicativity checks; `decompose_endomorphism` inverts it explicitly.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import Rat, cells_to_vector, parse_rat, rat_str
+from .cyclotomic import Rat, parse_rat, rat_str
 from .reporting import Report, checked
 
 
@@ -104,60 +107,114 @@ def smash_mult(x: SmashElt, y: SmashElt) -> SmashElt:
     return SmashElt(x.p, x.n, x.a, terms)
 
 
-@dataclass(frozen=True, slots=True)
+_ZERO = Fraction(0)
+_ZERO_STR = "0/1"          # rat_str(0): the wire form of an absent entry
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class QMatrix:
     """A p^n x p^n rational matrix over the 1, w, ..., w^(p^n - 1) basis of K.
 
-    Column k holds the coordinates of the image of w^k.
+    Column k holds the coordinates of the image of w^k.  `entries` is the
+    tuple of ((row, col), value) pairs of the nonzero entries, sorted by
+    position; no zero is ever stored, so equal matrices have equal storage
+    and equal hashes.  The constructor takes dense rows (ints, Fractions or
+    strings `Fraction` accepts) and `rows` is the dense view.
     """
 
     p: int
     n: int
     a: Rat
-    rows: tuple
+    entries: tuple
 
-    def __post_init__(self):
-        a = Fraction(self.a)
-        go = self.p ** self.n
-        rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row)
-                     for row in self.rows)
+    def __init__(self, p: int, n: int, a, rows):
+        go = p ** n
+        rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
         if len(rows) != go or any(len(r) != go for r in rows):
             raise ValueError("expected a %d x %d matrix" % (go, go))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "rows", rows)
+        self._set(p, n, Fraction(a), {(r, k): v for r, row in enumerate(rows)
+                                      for k, v in enumerate(row)})
+
+    @classmethod
+    def _from_cells(cls, p: int, n: int, a: Fraction, cells: dict) -> "QMatrix":
+        """A matrix from {(row, col): value} cells that library code built or
+        checked in range; skips the constructor's shape check."""
+        m = object.__new__(cls)
+        m._set(p, n, a, cells)
+        return m
+
+    def _set(self, p: int, n: int, a: Fraction, cells: dict) -> None:
+        """Fill the fields; zero cells, as a cancellation leaves them, are dropped."""
+        entries = tuple(sorted((rc, v) for rc, v in cells.items() if v))
+        for name, value in (("p", p), ("n", n), ("a", a), ("entries", entries)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def rows(self) -> tuple:
+        """The dense view: p^n rows of p^n Fractions, zeros included."""
+        go = self.p ** self.n
+        grid = [[_ZERO] * go for _ in range(go)]
+        for (r, k), v in self.entries:
+            grid[r][k] = v
+        return tuple(map(tuple, grid))
 
     def __mul__(self, other):
         if (self.p, self.n, self.a) != (other.p, other.n, other.a):
             raise ValueError("mismatched matrices")
-        return QMatrix(self.p, self.n, self.a, linalg.mat_mul(self.rows, other.rows))
+        by_row: dict[int, list] = {}
+        for (k, c), w in other.entries:
+            by_row.setdefault(k, []).append((c, w))
+        cells: dict[tuple[int, int], Fraction] = {}
+        for (r, k), v in self.entries:
+            for c, w in by_row.get(k, ()):
+                cells[(r, c)] = cells.get((r, c), _ZERO) + v * w
+        return QMatrix._from_cells(self.p, self.n, self.a, cells)
 
     def to_json(self) -> dict:
-        return {"p": self.p, "n": self.n, "a": rat_str(self.a),
-                "rows": [[rat_str(v) for v in row] for row in self.rows]}
+        go = self.p ** self.n
+        rows = [[_ZERO_STR] * go for _ in range(go)]
+        for (r, k), v in self.entries:
+            rows[r][k] = rat_str(v)
+        return {"p": self.p, "n": self.n, "a": rat_str(self.a), "rows": rows}
 
     @classmethod
     def from_json(cls, data) -> "QMatrix":
+        """The matrix of `to_json`'s layout.  Every entry other than the exact
+        string "0/1" goes through `parse_rat`, so ints, non-strings and zero
+        denominators are refused wherever they sit."""
         if not isinstance(data, dict):
             raise ValueError("matrix JSON must be an object, got %s"
                              % type(data).__name__)
         for key in ("p", "n"):
             if type(data[key]) is not int:
                 raise ValueError("matrix field %r must be an integer" % key)
-        rows = data["rows"]
+        p, n, rows = data["p"], data["n"], data["rows"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("matrix field 'rows' must be a list of lists")
-        return cls(data["p"], data["n"], parse_rat(data["a"]),
-                   [[parse_rat(v) for v in row] for row in rows])
+        a = parse_rat(data["a"])
+        cells = {(r, k): parse_rat(s) for r, row in enumerate(rows)
+                 for k, s in enumerate(row) if s != _ZERO_STR}
+        go = p ** n
+        if len(rows) != go or any(len(row) != go for row in rows):
+            raise ValueError("expected a %d x %d matrix" % (go, go))
+        return cls._from_cells(p, n, a, cells)
 
 
 def to_end_matrix(x: SmashElt) -> QMatrix:
-    """Matrix of the action of x on K:  (w^j # e_i) sends w^i to w^(j+i)."""
+    """Matrix of the action of x on K:  (w^j # e_i) sends w^i to w^(j+i).
+
+    (j, i) -> ((j + i) mod p^n, i) is a bijection, so each term of x gives
+    its own entry."""
     go = x.p ** x.n
-    rows = [[Fraction(0)] * go for _ in range(go)]
+    a = x.a
+    cells = {}
     for (j, i), c in x.terms.items():
-        wrap, r = divmod(j + i, go)
-        rows[r][i] += c * x.a ** wrap
-    return QMatrix(x.p, x.n, x.a, rows)
+        r = j + i
+        if r < go:
+            cells[(r, i)] = c
+        else:
+            cells[(r - go, i)] = c * a
+    return QMatrix._from_cells(x.p, x.n, a, cells)
 
 
 def decompose_endomorphism(m: QMatrix) -> SmashElt:
@@ -167,16 +224,19 @@ def decompose_endomorphism(m: QMatrix) -> SmashElt:
         raise ValueError("radicand 0 leaves the matrix model degenerate")
     go = m.p ** m.n
     terms = {}
-    for k in range(go):
-        for r in range(go):
-            v = m.rows[r][k]
-            if v:
-                j = (r - k) % go
-                terms[(j, k)] = v / (m.a if j + k >= go else 1)
+    for (r, k), v in m.entries:
+        terms[((r - k) % go, k)] = v / m.a if r < k else v
     out = SmashElt(m.p, m.n, m.a, terms)
     if to_end_matrix(out) != m:
         raise AssertionError("decomposition failed to round-trip")
     return out
+
+
+def _flat(m: QMatrix) -> dict[int, Fraction]:
+    """The entries as one sparse vector: entry (r, k) is column r*p^n + k,
+    the layout of `cells_to_vector(m.rows)`."""
+    go = m.p ** m.n
+    return {r * go + k: v for (r, k), v in m.entries}
 
 
 def iso_check(p: int, n: int, a, seed: int = 20240901, samples: int = 24) -> Report:
@@ -189,7 +249,7 @@ def iso_check(p: int, n: int, a, seed: int = 20240901, samples: int = 24) -> Rep
     def body():
         basis = [SmashElt.basis(p, n, a, j, i) for j in range(go) for i in range(go)]
         mats = [to_end_matrix(x) for x in basis]
-        rk = linalg.sparse_rank(cells_to_vector(m.rows) for m in mats)
+        rk = linalg.sparse_rank(_flat(m) for m in mats)
         if rk != go * go:
             return False, {"rank": rk, "expected": go * go}
         if go <= 5:
@@ -239,7 +299,7 @@ def nine_matrices_report(a) -> Report:
         for j in range(3):
             for i in range(3):
                 mat = to_end_matrix(SmashElt.basis(3, 1, a, j, i))
-                computed.append([[rat_str(v) for v in row] for row in mat.rows])
+                computed.append(mat.to_json()["rows"])
         expected = [[[rat_str(a) if e == "a" else rat_str(Fraction(int(e)))
                       for e in row] for row in mat]
                     for mat in REFERENCE_END_MATRICES]
@@ -273,8 +333,7 @@ def hom_subalgebra_dimension_report(p: int, n: int, m: int, a) -> Report:
         for (j, i) in pairs:
             if i not in allowed_cols:
                 return False, {"stage": "column-support", "pair": [j, i]}
-            ech.insert(cells_to_vector(
-                to_end_matrix(SmashElt.basis(p, level, a, j, i)).rows))
+            ech.insert(_flat(to_end_matrix(SmashElt.basis(p, level, a, j, i))))
         if ech.rank != dim:
             return False, {"stage": "rank", "got": ech.rank, "expected": dim}
         return True, None

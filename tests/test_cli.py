@@ -1,7 +1,7 @@
 """End-to-end tests of the command-line interface, run in process.
 
 Covers payload shapes, exit codes (0 pass / 1 report failure / 2 usage /
-3 refusal), the size guard of `basis` and `profinite`, byte-determinism of
+3 refusal), the size guard of `basis`, `profinite` and `smash`, byte-determinism of
 JSON output, stdin and file plumbing, and the text renderer.
 """
 
@@ -237,6 +237,30 @@ def test_invalid_level_is_a_usage_error_at_any_size(capsys, monkeypatch, argv):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_level_zero_messages_name_their_flag(capsys):
+    assert main(["profinite", "--p", "3", "--level", "0"]) == 2
+    assert capsys.readouterr().err == "error: --level must be >= 1, got 0\n"
+    assert main(["basis", "--p", "3", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "error: n must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("--left", "0,0"), 3 ** 16),
+    (("--left", "0,0", "--right", "1,1"), 3 * 3 ** 16),
+], ids=["one_matrix", "three_matrices"])
+def test_smash_over_the_bound_is_refused_at_once(capsys, monkeypatch, argv, size):
+    # the size is the matrices emitted times their p^2n rationals
+    monkeypatch.setattr(cli, "to_end_matrix", _no_work)
+    monkeypatch.setattr(cli, "smash_mult", _no_work)
+    t0 = time.perf_counter()
+    assert main(["smash", "--p", "3", "--n", "8", *argv]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: ")
+    assert "size %d exceeds the bound %d" % (size, MAX_REQUEST_SIZE) in captured.err
+
+
 @pytest.mark.parametrize("p, n, all_indices", [
     (3, 1, False), (3, 1, True), (3, 2, True),    # basis in tests and golden files
     (3, 3, True), (3, 4, True), (5, 3, True),     # profinite in tests and the bench
@@ -393,17 +417,29 @@ GOLDEN = Path(__file__).parent / "golden"
     ("profinite", "--p", "3", "--level", "3"),
     ("basis", "--p", "3", "--n", "2"),
     ("census",),
+    ("smash", "--p", "3", "--n", "2", "--left", "4,7", "--right", "2,5"),
 ], ids=["verify_all_p3_n1", "variants_p3_n2", "profinite_p3_l3", "basis_p3_n2",
-        "census"])
+        "census", "smash_p3_n2"])
 def test_json_output_matches_golden_bytes(capsys, request, argv):
     # each file holds the output captured before a rewrite of the code it
     # runs through (the unified elimination and coordinates, the integer
-    # cyclotomic core, the census catalogue); any byte difference is a
-    # regression
+    # cyclotomic core, the census catalogue, the sparse matrix model); any
+    # byte difference is a regression
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     golden = GOLDEN / (request.node.callspec.id + ".json")
     assert out == golden.read_text()
+
+
+def test_decompose_matches_golden_bytes(capsys, tmp_path):
+    # the product matrix of the smash golden file, w^6 # e_5 with its wrap
+    # into the radicand, decomposed back
+    product = json.loads((GOLDEN / "smash_p3_n2.json").read_text())["product"]
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(product["matrix"]))
+    code, out = run(capsys, "decompose", "--matrix", str(path), "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / "decompose_p3_n2.json").read_text()
 
 
 def test_census_instance_matches_golden_bytes(capsys, tmp_path):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal.cyclotomic import CycloElt, FieldDescriptor, cells_to_vector
-from hopfgal.linalg import SparseEchelon, mat_mul, sparse_nullspace, sparse_rank
+from hopfgal.linalg import SparseEchelon, sparse_nullspace, sparse_rank
 
-from oracle_tools import oracle_mat_mul, oracle_rank, oracle_rref
+from oracle_tools import oracle_rank, oracle_rref
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -44,10 +44,6 @@ def test_rank_identity():
 def test_nullspace_known():
     assert sparse_nullspace(sparse([[1, 2], [2, 4]]), 2) == [
         {0: Fraction(-2), 1: Fraction(1)}]
-
-
-def test_mat_mul_known():
-    assert mat_mul([[1, 2]], [[3], [4]]) == [[Fraction(11)]]
 
 
 @given(matrices())
@@ -141,21 +137,6 @@ def test_row_scale_does_not_change_the_echelon(rows, data):
     # Fractions at the boundary, whatever the integer scale inside
     for vec in [*big.pivot_rows.values(), *kernel]:
         assert all(type(v) is Fraction for v in vec.values())
-
-
-def mixed_matrix(m, n):
-    entry = st.one_of(st.integers(-6, 6), frac)
-    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
-
-
-@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
-       .flatmap(lambda d: st.tuples(mixed_matrix(d[0], d[1]),
-                                    mixed_matrix(d[1], d[2]))))
-def test_mat_mul_matches_sympy(ab):
-    a, b = ab
-    prod = mat_mul(a, b)
-    assert prod == oracle_mat_mul(a, b)
-    assert all(type(v) is Fraction for row in prod for v in row)
 
 
 # -- the flat cell layout ---------------------------------------------------------

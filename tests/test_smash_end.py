@@ -1,5 +1,6 @@
 """Smash-product arithmetic and the endomorphism-algebra identification."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hopfgal.smash_end import (QMatrix, SmashElt, decompose_endomorphism,
                                nine_matrices_report, smash_mult,
                                to_end_matrix)
 
-from oracle_tools import oracle_rank
+from oracle_tools import oracle_mat_mul, oracle_rank
 
 frac = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -105,6 +106,124 @@ def test_basis_matrices_have_full_rank(p, n):
               for v in row]
              for j in range(go) for i in range(go)]
     assert oracle_rank(flats) == p ** (2 * n)
+
+
+# -- products against sympy ---------------------------------------------------------
+
+mixed = st.one_of(st.integers(-6, 6),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+def mixed_matrix(go):
+    return st.lists(st.lists(mixed, min_size=go, max_size=go), min_size=go, max_size=go)
+
+
+def test_mat_mul_known():
+    left = QMatrix(2, 1, 2, [[1, 2], [0, 0]])
+    right = QMatrix(2, 1, 2, [[3, 0], [4, 0]])
+    assert (left * right).rows == ((Fraction(11), Fraction(0)), (Fraction(0), Fraction(0)))
+
+
+# square sizes 2, 3 and 4, one matrix p^n on a side
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2)])
+       .flatmap(lambda pn: st.tuples(st.just(pn), mixed_matrix(pn[0] ** pn[1]),
+                                     mixed_matrix(pn[0] ** pn[1]))))
+def test_mat_mul_matches_sympy(case):
+    (p, n), a, b = case
+    prod = QMatrix(p, n, 2, a) * QMatrix(p, n, 2, b)
+    assert [list(row) for row in prod.rows] == oracle_mat_mul(a, b)
+    assert all(type(v) is Fraction for row in prod.rows for v in row)
+
+
+# -- the sparse layout, against dense references built here -------------------------
+
+def dense_end_matrix(p, n, a, terms) -> list[list[Fraction]]:
+    """sum c * (w^j # e_i) as a full grid: column i, row (j + i) mod p^n,
+    times a when the w-exponent wraps."""
+    go = p ** n
+    rows = [[Fraction(0)] * go for _ in range(go)]
+    for (j, i), c in terms.items():
+        wrap, r = divmod(j + i, go)
+        rows[r][i] += c * a ** wrap
+    return rows
+
+
+def dense_product(x, y) -> list[list[Fraction]]:
+    return [[sum((x[r][k] * y[k][c] for k in range(len(y))), Fraction(0))
+             for c in range(len(y[0]))] for r in range(len(x))]
+
+
+def dense_json(p, n, a, rows) -> dict:
+    def q(v):
+        return "%d/%d" % (v.numerator, v.denominator)
+    return {"p": p, "n": n, "a": q(a), "rows": [[q(v) for v in row] for row in rows]}
+
+
+def stored_values_are_nonzero(m: QMatrix) -> bool:
+    return all(v for _, v in m.entries)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@given(data=st.data())
+def test_sparse_matrices_match_the_dense_reference(p, n, data):
+    a = data.draw(st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(-3, 5)]))
+    x = data.draw(smash_elements(p, n, a))
+    y = data.draw(smash_elements(p, n, a))
+    dx, dy = dense_end_matrix(p, n, a, x.terms), dense_end_matrix(p, n, a, y.terms)
+    mx, my = to_end_matrix(x), to_end_matrix(y)
+    assert [list(row) for row in mx.rows] == dx
+    assert stored_values_are_nonzero(mx)
+    assert mx == QMatrix(p, n, a, dx) and hash(mx) == hash(QMatrix(p, n, a, dx))
+    # JSON bytes, and back
+    assert (json.dumps(mx.to_json(), sort_keys=True)
+            == json.dumps(dense_json(p, n, a, dx), sort_keys=True))
+    assert QMatrix.from_json(dense_json(p, n, a, dx)) == mx
+    # products, including the ones that cancel
+    prod = mx * my
+    assert [list(row) for row in prod.rows] == dense_product(dx, dy)
+    assert stored_values_are_nonzero(prod)
+    assert prod == to_end_matrix(smash_mult(x, y))
+    # the inverse of the matrix map, from dense rows
+    assert decompose_endomorphism(QMatrix(p, n, a, dx)) == x
+
+
+def test_no_zero_is_stored_after_a_cancellation():
+    a = Fraction(2)
+    # row 0 of the left factor against column 0 of the right: 1 - 1 = 0
+    left = QMatrix(3, 1, a, [[1, 1, 0], [0, 0, 0], [0, 0, 5]])
+    right = QMatrix(3, 1, a, [[1, 0, 0], [-1, 0, 0], [0, 0, 1]])
+    assert (left * right).entries == (((2, 2), Fraction(5)),)
+    assert (left * QMatrix(3, 1, a, [[1, 0, 0], [-1, 0, 0], [0, 0, 0]])).entries == ()
+    # a smash sum that cancels, and a wrap into radicand 0
+    x = SmashElt.basis(3, 1, a, 1, 2)
+    assert to_end_matrix(x + x.scale(-1)).entries == ()
+    assert to_end_matrix(SmashElt.basis(3, 1, 0, 1, 2)).entries == ()
+    # zeros given to the constructor, in any form
+    assert QMatrix(3, 1, a, [[0, Fraction(0), "0"], ["0/7", "-0/3", 0],
+                             [0, 0, 0]]).entries == ()
+
+
+def test_zero_strings_parse_to_zero_and_are_not_stored():
+    rows = [["0", "0/7", "-0/3"], ["0/1", "5/10", "0"], ["-0/3", "0/7", "0"]]
+    m = QMatrix.from_json({"p": 3, "n": 1, "a": "2/1", "rows": rows})
+    assert m.entries == (((1, 1), Fraction(1, 2)),)
+    assert m.rows[0] == (Fraction(0),) * 3
+    assert m.to_json()["rows"] == [["0/1"] * 3, ["0/1", "1/2", "0/1"], ["0/1"] * 3]
+
+
+def test_equal_matrices_hash_equal():
+    a = Fraction(1, 2)
+    m = to_end_matrix(SmashElt.basis(3, 2, a, 4, 7))   # w^7 -> w^11 = a * w^2
+    dense = [[0] * 9 for _ in range(9)]
+    dense[2][7] = "1/2"
+    others = [QMatrix(3, 2, "1/2", dense),
+              QMatrix.from_json(json.loads(json.dumps(m.to_json()))),
+              to_end_matrix(unit_element(3, 2, a)) * m,
+              m * to_end_matrix(unit_element(3, 2, a))]
+    for other in others:
+        assert other == m and hash(other) == hash(m)
+    assert len({m, *others}) == 1
+    assert m != QMatrix(3, 2, 2, dense)     # same entries, another radicand
 
 
 # -- pinned displays and reports -----------------------------------------------------
