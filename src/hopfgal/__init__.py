@@ -22,17 +22,17 @@ from .profinite import CoherentH, PadicTrunc, nu_groupring, nu_h
 from .reporting import Report, checked
 from .smash_end import (QMatrix, SmashElt, decompose_endomorphism, smash_mult,
                         to_end_matrix)
-from .variants import BigFieldElt, TowerAut, VariantHopfElt, h_variant
+from .variants import TowerAut, h_variant
 from .verify import full_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigFieldElt", "CapExceeded", "CensusInstance", "CoherentH", "CycloElt",
+    "CapExceeded", "CensusInstance", "CoherentH", "CycloElt",
     "EnumerationRefusal", "FieldDescriptor", "FiniteGroup", "GroupRingElt",
     "HopfElt", "PadicTrunc", "Perm", "QMatrix", "RadicalElt", "Report",
     "SearchBudgetExceeded", "SmashElt", "TowerAut",
-    "UnsupportedInstance", "VariantHopfElt", "act", "census_instances",
+    "UnsupportedInstance", "act", "census_instances",
     "census_reports", "checked", "decompose_endomorphism", "e_basis",
     "enumerate_regular_normalized", "full_suite", "h_variant", "nu_groupring",
     "nu_h", "parse_rat", "rat_str", "smash_mult", "to_end_matrix",

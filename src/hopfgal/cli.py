@@ -2,7 +2,8 @@
 
 Exit codes: 0 all reports pass (or pure data command succeeded), 1 at least
 one report failed, 2 usage or value error, 3 refusal: a census cap or budget,
-or a `basis`, `profinite` or `smash` request over `MAX_REQUEST_SIZE`.
+or a `basis`, `profinite`, `smash`, `act` or `nu` request over
+`MAX_REQUEST_SIZE`.
 Rationals cross the boundary as "num/den" strings; JSON output is
 byte-deterministic for fixed inputs (timings are included only with
 ``--timings``).
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cyclotomic import FieldDescriptor, parse_rat, rat_str
+from .cyclotomic import parse_rat, rat_str, validate_field
 from .gp_enum import (SEARCH_BUDGET_SECONDS, EnumerationRefusal,
                       enumerate_regular_normalized, instance_from_json,
                       results_to_json)
@@ -34,12 +35,13 @@ EXIT_REPORT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
-# The one size bound of `basis`, `profinite` and `smash`.  For `basis` and
-# `profinite` the size is the idempotents built times the p^n * phi(p^n)
-# rationals of each: (3,5) = 9,565,938 ran in 12.9 s and 147 MB, (7,3) =
-# 34,588,806 in 43 s and 517 MB (2-core host); the bound sits between.  For
-# `smash` it is the matrices emitted times their p^2n rationals: the largest
-# admitted, (3,7) with --right = 14,348,907, ran in 6.6 s and 135 MB.
+# The one size bound of `basis`, `profinite`, `smash`, `act` and `nu`.  For
+# `basis` and `profinite` the size is the idempotents built times the
+# p^n * phi(p^n) rationals of each: (3,5) = 9,565,938 ran in 12.9 s and
+# 147 MB, (7,3) = 34,588,806 in 43 s and 517 MB (2-core host); the bound sits
+# between.  For `smash` it is the matrices emitted times their p^2n
+# rationals: the largest admitted, (3,7) with --right = 14,348,907, ran in
+# 6.6 s and 135 MB.  For `act` and `nu` it is the rationals emitted.
 MAX_REQUEST_SIZE = 16_000_000
 
 
@@ -82,23 +84,35 @@ def _smash_terms_json(x: SmashElt) -> list[list]:
     return [[j, i, rat_str(c)] for (j, i), c in sorted(x.terms.items())]
 
 
-def _refuse_over_bound(p: int, n: int, count: int, what: str, each: int) -> None:
-    """Refuse a request that emits `count` objects of `each` rationals in
-    all over `MAX_REQUEST_SIZE`."""
-    size = count * each
+def _guard_level(p: int, n: int) -> int:
+    """p^n, for a p and n that name a field (a usage error otherwise, at any
+    size) and a p^n not over `MAX_REQUEST_SIZE` (refused otherwise).  Every
+    request's size is at least p^n.  Builds no field, and computes no power
+    past the bound."""
+    validate_field(p, n)
+    # p > 2, so p^n > 2^n > MAX_REQUEST_SIZE once n reaches its bit length
+    if n >= MAX_REQUEST_SIZE.bit_length():
+        raise EnumerationRefusal("p=%d n=%d: p^n alone exceeds the bound %d"
+                                 % (p, n, MAX_REQUEST_SIZE))
+    return p ** n
+
+
+def _refuse_over_bound(p: int, n: int, size: int, measure: str) -> None:
+    """Refuse a request whose `size`, the rationals it builds or emits as
+    `measure` counts them, is over `MAX_REQUEST_SIZE`."""
     if size > MAX_REQUEST_SIZE:
-        raise EnumerationRefusal(
-            "p=%d n=%d: %d %s x %d rationals = size %d exceeds the bound %d"
-            % (p, n, count, what, each, size, MAX_REQUEST_SIZE))
+        raise EnumerationRefusal("p=%d n=%d: %s = size %d exceeds the bound %d"
+                                 % (p, n, measure, size, MAX_REQUEST_SIZE))
 
 
 def _guard_size(p: int, n: int, all_indices: bool) -> None:
     """Refuse a request over `MAX_REQUEST_SIZE` (p^n idempotents at level n,
     or one without `all_indices`) before any field table or element is built;
     a p or n that names no field stays a usage error at any size."""
-    field = FieldDescriptor(p, n)  # validates p and n; builds no table
-    _refuse_over_bound(p, n, field.modulus if all_indices else 1, "idempotents",
-                       field.modulus * field.degree)
+    go = _guard_level(p, n)
+    count = go if all_indices else 1
+    _refuse_over_bound(p, n, count * go * (go - go // p),
+                       "%d idempotents x p^n*phi(p^n) rationals" % count)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +128,10 @@ def _cmd_basis(args) -> dict:
 
 
 def _cmd_act(args) -> dict:
+    # the acting element, the input and the output: p^n rationals each
+    go = _guard_level(args.p, args.n)
+    _refuse_over_bound(args.p, args.n, 3 * go, "3 elements x p^n rationals")
     a = validate_radicand(args.p, _parse_rational(args.a))
-    go = args.p ** args.n
     if args.h_coords is not None:
         h = HopfElt(args.p, args.n, _parse_coords(args.h_coords, go, "--h-coords"))
     else:
@@ -132,8 +148,10 @@ def _cmd_act(args) -> dict:
 
 def _cmd_smash(args) -> dict:
     # one p^n x p^n matrix per factor, and one for the product
-    _refuse_over_bound(args.p, args.n, 1 if args.right is None else 3, "matrices",
-                       args.p ** (2 * args.n))
+    go = _guard_level(args.p, args.n)
+    count = 1 if args.right is None else 3
+    _refuse_over_bound(args.p, args.n, count * go * go,
+                       "%d matrices x p^2n rationals" % count)
     a = validate_radicand(args.p, _parse_rational(args.a))
     j, i = _parse_pair(args.left, "--left")
     left = SmashElt.basis(args.p, args.n, a, j, i)
@@ -153,6 +171,7 @@ def _cmd_smash(args) -> dict:
 
 def _cmd_decompose(args) -> dict:
     matrix = QMatrix.from_json(_read_json(args.matrix))
+    validate_field(matrix.p, matrix.n)
     for flag, got in (("--p", args.p), ("--n", args.n)):
         if got is not None and got != getattr(matrix, flag[2:]):
             raise ValueError("%s=%d contradicts the matrix header" % (flag, got))
@@ -164,9 +183,12 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_nu(args) -> dict:
+    go = _guard_level(args.p, args.n)
     if args.n < 2:
         raise ValueError("truncation needs --n >= 2 (maps level n to n-1)")
-    go = args.p ** args.n
+    # the input at level n and the output at level n-1
+    _refuse_over_bound(args.p, args.n, go + go // args.p,
+                       "p^n + p^(n-1) rationals")
     if args.coords is not None:
         h = HopfElt(args.p, args.n, _parse_coords(args.coords, go, "--coords"))
     else:

@@ -78,6 +78,15 @@ def primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found mod %d" % (p * p))
 
 
+def validate_field(p: int, n: int) -> None:
+    """ValueError unless p is an odd prime and n >= 1, the (p, n) that name a
+    field; builds nothing."""
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime, got %r" % (p,))
+    if n < 1:
+        raise ValueError("n must be >= 1, got %r" % (n,))
+
+
 # Hand-rolled rather than a dataclass: interned through `__new__`.
 class FieldDescriptor:
     """The field Q(zeta) with zeta a primitive p^n-th root of unity.
@@ -97,10 +106,7 @@ class FieldDescriptor:
         field = cls._instances.get((p, n))
         if field is not None:
             return field
-        if not is_prime(p) or p == 2:
-            raise ValueError("p must be an odd prime, got %r" % (p,))
-        if n < 1:
-            raise ValueError("n must be >= 1, got %r" % (n,))
+        validate_field(p, n)
         field = object.__new__(cls)
         for name, value in (("p", p), ("n", n),
                             ("modulus", p ** n),                  # order of zeta

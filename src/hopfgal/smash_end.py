@@ -194,9 +194,12 @@ class QMatrix:
         a = parse_rat(data["a"])
         cells = {(r, k): parse_rat(s) for r, row in enumerate(rows)
                  for k, s in enumerate(row) if s != _ZERO_STR}
-        go = p ** n
-        if len(rows) != go or any(len(row) != go for row in rows):
-            raise ValueError("expected a %d x %d matrix" % (go, go))
+        # p^n >= 2^n, so an n past the row count's bit length cannot match:
+        # the power is not computed for it
+        go = len(rows)
+        if (n > go.bit_length() or p ** n != go
+                or any(len(row) != go for row in rows)):
+            raise ValueError("expected a p^n x p^n matrix for p=%d n=%d" % (p, n))
         return cls._from_cells(p, n, a, cells)
 
 

@@ -9,9 +9,13 @@ Over the base Q(zeta_1) = Q(zeta^{p^{n-1}}) its Galois group is generated by
 where pi is the fixed primitive root.  This module builds that group, the p
 cyclic normal complements of <beta> inside it, their fixed fields, and the
 descent Hopf algebras -- fixed rings of twisted group rings -- that act on
-Q(zeta_1, w)/Q(zeta_1).  It also provides the generator-level truncation maps
-connecting consecutive levels and the raw permutation images of the Galois
-groups on the exponent grid, which the census module consumes.
+Q(zeta_1, w)/Q(zeta_1).  Their elements stay as `cyclotomic.fixed_space`
+returns them, tuples of (cell, `CycloElt`) terms sorted by cell: cell B holds
+the coefficient of w^B in Q(zeta, w), and cell k*p^n + B that of g^k w^B in
+a descent algebra, g the complement generator.  It also provides the
+generator-level truncation maps connecting consecutive levels and the raw
+permutation images of the Galois groups on the exponent grid, which the
+census module consumes.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from fractions import Fraction
 
 from . import linalg
 from .cyclotomic import (CycloElt, FieldDescriptor, cells_to_vector, embed,
-                         embed_preimage, fixed_space, parse_rat, primitive_root,
-                         rat_str, terms_to_vector, unit_apply)
+                         embed_preimage, fixed_space, primitive_root, rat_str,
+                         terms_to_vector)
 from .reporting import Report, checked
 
 
@@ -91,110 +95,6 @@ class TowerAut:
             g = g.compose(self)
             k += 1
         return k
-
-
-# ---------------------------------------------------------------------------
-# the ambient field Q(zeta, w)
-
-@dataclass(frozen=True, slots=True)
-class BigFieldElt:
-    """Element of Q(zeta, w), w^{p^n} = a: a w-power vector of cyclotomic
-    coefficients, fully reduced (zeta mod the cyclotomic polynomial, w-exponents
-    mod p^n with a factor of the radicand on wrap)."""
-
-    p: int
-    n: int
-    a: Fraction
-    coeffs: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != self.p ** self.n:
-            raise ValueError("expected %d w-coefficients" % self.p ** self.n)
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def field(self) -> FieldDescriptor:
-        return FieldDescriptor(self.p, self.n)
-
-    @classmethod
-    def zero(cls, p: int, n: int, a) -> "BigFieldElt":
-        f = FieldDescriptor(p, n)
-        return cls(p, n, a, [CycloElt.zero(f)] * p ** n)
-
-    @classmethod
-    def monomial(cls, p: int, n: int, a, zeta_exp: int, w_exp: int,
-                 coeff=1) -> "BigFieldElt":
-        f = FieldDescriptor(p, n)
-        cs = [CycloElt.zero(f)] * p ** n
-        wrap, b = divmod(w_exp, p ** n)
-        c = CycloElt.zeta_power(f, zeta_exp) * coeff
-        cs[b] = c * Fraction(a) ** wrap if wrap else c
-        return cls(p, n, a, cs)
-
-    def _check(self, other: "BigFieldElt"):
-        if (self.p, self.n, self.a) != (other.p, other.n, other.a):
-            raise ValueError("mismatched field data")
-
-    def __add__(self, other):
-        self._check(other)
-        return BigFieldElt(self.p, self.n, self.a,
-                           [x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c) -> "BigFieldElt":
-        return BigFieldElt(self.p, self.n, self.a, [x * c for x in self.coeffs])
-
-    def __mul__(self, other):
-        self._check(other)
-        pn = self.p ** self.n
-        f = self.field
-        acc = [CycloElt.zero(f) for _ in range(pn)]
-        for b1, c1 in enumerate(self.coeffs):
-            if not c1:
-                continue
-            for b2, c2 in enumerate(other.coeffs):
-                if not c2:
-                    continue
-                b, wrap = divmod(b1 + b2, pn)[1], (b1 + b2) // pn
-                term = c1 * c2
-                if wrap:
-                    term = term * self.a
-                acc[b] = acc[b] + term
-        return BigFieldElt(self.p, self.n, self.a, acc)
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def to_json(self) -> dict:
-        cells = [c.to_json() for c in self.coeffs]
-        return {
-            "p": self.p, "n": self.n, "radicand": rat_str(self.a),
-            "coeffs": [list(row) for row in zip(*cells)],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "BigFieldElt":
-        p, n = data["p"], data["n"]
-        f = FieldDescriptor(p, n)
-        mat = data["coeffs"]
-        cs = [CycloElt(f, [parse_rat(mat[aexp][b]) for aexp in range(f.degree)])
-              for b in range(p ** n)]
-        return cls(p, n, parse_rat(data["radicand"]), cs)
-
-
-def aut_act(g: TowerAut, x: BigFieldElt) -> BigFieldElt:
-    """Apply the automorphism: zeta^A w^B -> zeta^{uA+sB} w^B."""
-    if (g.p, g.n) != (x.p, x.n):
-        raise ValueError("mismatched levels")
-    u, pn = g.unit(), g.p ** g.n
-    out = []
-    for b, c in enumerate(x.coeffs):
-        moved = unit_apply(u, c)
-        e = (g.s * b) % pn
-        out.append(moved.shift(e) if e else moved)
-    return BigFieldElt(x.p, x.n, x.a, out)
 
 
 # ---------------------------------------------------------------------------
@@ -313,68 +213,30 @@ def _aut_generator(p: int, n: int, g: TowerAut, copies: int = 1,
                       for k in range(copies) for B in range(pn)]
 
 
-def fixed_field(p: int, n: int, gens, a=Fraction(2)) -> list[BigFieldElt]:
-    """Q-basis of the subfield fixed by the subgroup the generators produce."""
+def fixed_field(p: int, n: int, gens) -> list[tuple]:
+    """Q-basis of the subfield fixed by the subgroup the generators produce,
+    as (w-power, coefficient) terms."""
     f = FieldDescriptor(p, n)
-    zero = CycloElt.zero(f)
-    basis = []
-    for terms in fixed_space(f, [_aut_generator(p, n, g) for g in gens], f.modulus):
-        cells = [zero] * f.modulus
-        for B, x in terms:
-            cells[B] = x
-        basis.append(BigFieldElt(p, n, a, cells))
-    return basis
+    return fixed_space(f, [_aut_generator(p, n, g) for g in gens], f.modulus)
 
 
-def field_tower_lift(m: int, n: int, x: BigFieldElt) -> BigFieldElt:
-    """Inclusion Q(zeta_m, w_m) -> Q(zeta_n, w_n): both generators are p^{n-m}
-    powers of the higher ones, so coefficients and w-exponents dilate."""
-    if not 1 <= m < n or x.n != m:
-        raise ValueError("lift needs a level-m element and m < n")
-    step = x.p ** (n - m)
-    f = FieldDescriptor(x.p, n)
-    cs = [CycloElt.zero(f)] * x.p ** n
-    for b, c in enumerate(x.coeffs):
-        cs[b * step] = embed(m, n, c)
-    return BigFieldElt(x.p, n, x.a, cs)
+def field_tower_lift(m: int, n: int, terms) -> tuple:
+    """Inclusion Q(zeta_m, w_m) -> Q(zeta_n, w_n) on (w-power, coefficient)
+    terms: both generators are p^{n-m} powers of the higher ones, so
+    coefficients and w-exponents dilate."""
+    if not 1 <= m < n:
+        raise ValueError("lift needs 1 <= m < n, got m=%d, n=%d" % (m, n))
+    return tuple((B * x.field.p ** (n - m), embed(m, n, x)) for B, x in terms)
 
 
 # ---------------------------------------------------------------------------
 # the descent Hopf algebras
 
-@dataclass(frozen=True, slots=True)
-class VariantHopfElt:
-    """Element of the fixed ring (E_i[N_i])^beta: a vector of p^n ambient-field
-    coefficients indexed by powers of the complement generator."""
-
-    p: int
-    n: int
-    i: int
-    a: Fraction
-    parts: tuple
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if len(parts) != self.p ** self.n:
-            raise ValueError("expected %d group-ring coefficients" % self.p ** self.n)
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "parts", parts)
-
-    def apply(self, y: BigFieldElt) -> BigFieldElt:
-        """The group-ring action: sum_k x_k * g^k(y)."""
-        g = complement_generator(self.p, self.n, self.i)
-        acc = BigFieldElt.zero(self.p, self.n, self.a)
-        cur = TowerAut.identity(self.p, self.n)
-        for k in range(self.p ** self.n):
-            if self.parts[k]:
-                acc = acc + self.parts[k] * aut_act(cur, y)
-            cur = cur.compose(g)
-        return acc
-
-
-def h_variant(p: int, n: int, i: int, a=Fraction(2)) -> list[VariantHopfElt]:
+def h_variant(p: int, n: int, i: int) -> list[tuple]:
     """Q-basis of the fixed ring (E_i[N_i])^beta, dimension (p-1)p^n over Q.
 
+    Each basis vector is a tuple of (cell, coefficient) terms: cell
+    k*p^n + B holds the coefficient of g^k w^B, g the complement generator.
     The ring is the subspace of the full field-coefficient group ring fixed
     by two maps: the complement generator acting on coefficients only
     (coefficients in the fixed field), and beta acting on coefficients
@@ -394,33 +256,25 @@ def h_variant(p: int, n: int, i: int, a=Fraction(2)) -> list[VariantHopfElt]:
     if len(kernel) != (p - 1) * pn:
         raise AssertionError("fixed ring has dimension %d, expected %d"
                              % (len(kernel), (p - 1) * pn))
-    zero = CycloElt.zero(f)
-    basis = []
-    for terms in kernel:
-        parts = [[zero] * pn for _ in range(pn)]
-        for c, x in terms:
-            k, B = divmod(c, pn)
-            parts[k][B] = x
-        basis.append(VariantHopfElt(
-            p, n, i, a, [BigFieldElt(p, n, a, cells) for cells in parts]))
-    return basis
+    return kernel
 
 
 def h_variant_rank_certificate(p: int, n: int, i: int, a=Fraction(2)) -> Report:
     """Q-dimension (p-1)p^n plus closure under multiplication by zeta_1
-    certifies the fixed ring as a base-field vector space of rank p^n."""
+    certifies the fixed ring as a base-field vector space of rank p^n.  The
+    ring does not depend on the radicand `a`."""
     def body():
-        basis = h_variant(p, n, i, a)
+        basis = h_variant(p, n, i)
         ech = linalg.SparseEchelon()
-        for h in basis:
-            ech.insert(cells_to_vector(c for part in h.parts for c in part.coeffs))
+        for terms in basis:
+            ech.insert(terms_to_vector(terms))
         if ech.rank != (p - 1) * p ** n:
             return False, {"q_dim": ech.rank}
         # multiplying by zeta_1 = zeta^(p^(n-1)) shifts every coefficient
         step = p ** (n - 1)
-        for t, h in enumerate(basis):
-            if not ech.contains(cells_to_vector(
-                    c.shift(step) for part in h.parts for c in part.coeffs)):
+        for t, terms in enumerate(basis):
+            if not ech.contains(terms_to_vector(
+                    (c, x.shift(step)) for c, x in terms)):
                 return False, {"not_zeta1_closed_at": t}
         return True, None
 
@@ -432,18 +286,28 @@ def h_variant_rank_certificate(p: int, n: int, i: int, a=Fraction(2)) -> Report:
 # ---------------------------------------------------------------------------
 # the action on Q(zeta_1, w) and its verification
 
-def action_matrix(h: VariantHopfElt):
-    """Matrix of h on Q(zeta_1, w) over Q(zeta_1), columns indexed by w-powers;
-    None if some image leaves that subfield (it never should)."""
-    p, n, pn = h.p, h.n, h.p ** h.n
-    rows = [[None] * pn for _ in range(pn)]
-    for B in range(pn):
-        img = h.apply(BigFieldElt.monomial(p, n, h.a, 0, B))
-        for B2 in range(pn):
-            entry = embed_preimage(1, n, img.coeffs[B2])
-            if entry is None:
-                return None
-            rows[B2][B] = entry
+def action_matrix(p: int, n: int, i: int, a, terms):
+    """Matrix over Q(zeta_1) of the `h_variant` element `terms` on
+    Q(zeta_1, w), w^{p^n} = a, columns indexed by w-powers; None if some
+    entry leaves that subfield (it never should).
+
+    With g^k = (s_k, b_k), the coefficient x of g^k w^B' sends w^B to
+    x * zeta^(s_k B) * w^(B'+B), and w^(B'+B) = a * w^(B'+B-p^n) on wrap.
+    """
+    pn = p ** n
+    shifts = [g.s for g in complement_elements(p, n, i)]
+    zero = CycloElt.zero(FieldDescriptor(p, n))
+    entries = [[zero] * pn for _ in range(pn)]
+    for c, x in terms:
+        k, B2 = divmod(c, pn)
+        for B in range(pn):
+            y, r = x.shift(shifts[k] * B), B2 + B
+            if r >= pn:
+                y, r = y * a, r - pn
+            entries[r][B] += y
+    rows = [[embed_preimage(1, n, y) for y in row] for row in entries]
+    if any(y is None for row in rows for y in row):
+        return None
     return rows
 
 
@@ -460,7 +324,7 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
     module endomorphism images span the full p^{2n}-dimensional endomorphism
     ring over the base, and the fixed space of the action is the base field."""
     def body():
-        basis = h_variant(p, n, i, a)
+        basis = h_variant(p, n, i)
         f = FieldDescriptor(p, n)
         pn, phi, step, deg1 = f.modulus, f.degree, p ** (n - 1), p - 1
 
@@ -477,8 +341,8 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
 
         # action matrices over the base, with entries certified inside it
         mats = []
-        for t, h in enumerate(basis):
-            mat = action_matrix(h)
+        for t, terms in enumerate(basis):
+            mat = action_matrix(p, n, i, a, terms)
             if mat is None:
                 return False, {"stage": "image-support", "basis_index": t}
             mats.append(mat)
@@ -543,10 +407,9 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
         spans = []
         vecs_by_i = []
         for i in range(p):
-            basis = h_variant(p, n, i, a)
             vecs = []
-            for h in basis:
-                mat = action_matrix(h)
+            for terms in h_variant(p, n, i):
+                mat = action_matrix(p, n, i, a, terms)
                 if mat is None:
                     return False, {"stage": "image-support", "i": i}
                 vecs.extend(_zeta1_multiples(c for row in mat for c in row))
@@ -658,16 +521,16 @@ def e_containment_check(p: int, n: int, a=Fraction(2)) -> Report:
         echs = []
         for j in range(p):
             ech = linalg.SparseEchelon()
-            for v in fixed_field(p, n, [complement_generator(p, n, j)], a):
-                ech.insert(cells_to_vector(v.coeffs))
+            for terms in fixed_field(p, n, [complement_generator(p, n, j)]):
+                ech.insert(terms_to_vector(terms))
             echs.append(ech)
         matrix = []
         for i in range(p):
-            low = fixed_field(p, n - 1, [complement_generator(p, n - 1, i)], a)
+            low = fixed_field(p, n - 1, [complement_generator(p, n - 1, i)])
             if len(low) != (p - 1) * p ** (n - 2):
                 return False, {"stage": "low-dimension", "i": i, "dim": len(low)}
-            lifts = [cells_to_vector(field_tower_lift(n - 1, n, v).coeffs)
-                     for v in low]
+            lifts = [terms_to_vector(field_tower_lift(n - 1, n, terms))
+                     for terms in low]
             matrix.append([all(ech.contains(vec) for vec in lifts)
                            for ech in echs])
         expected = [[i == 0] * p for i in range(p)]

@@ -1,8 +1,9 @@
 """End-to-end tests of the command-line interface, run in process.
 
 Covers payload shapes, exit codes (0 pass / 1 report failure / 2 usage /
-3 refusal), the size guard of `basis`, `profinite` and `smash`, byte-determinism of
-JSON output, stdin and file plumbing, and the text renderer.
+3 refusal), the size guard of `basis`, `profinite`, `smash`, `act` and `nu`,
+byte-determinism of JSON output, stdin and file plumbing, and the text
+renderer.  The exit-at-once cases also run in a fresh process.
 """
 
 from __future__ import annotations
@@ -278,6 +279,59 @@ def test_size_guard_refuses(monkeypatch, p, n):
         cli._guard_size(p, n, True)
 
 
+def _child_env() -> dict:
+    """The environment of a fresh process that imports this hopfgal."""
+    src = str(Path(hopfgal.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+_MATRIX_P4 = {"p": 4, "n": 1, "a": "2/1", "rows": [["0/1"] * 4] * 4}
+_MATRIX_HUGE_N = {"p": 3, "n": 100_000_000, "a": "2/1", "rows": []}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # p and n are checked on every data subcommand
+    (("smash", "--p", "3", "--n", "-1", "--left", "0,0"), 2, "n must be >= 1"),
+    (("act", "--p", "3", "--n", "-1"), 2, "n must be >= 1"),
+    (("act", "--p", "3", "--n", "0"), 2, "n must be >= 1"),
+    (("smash", "--p", "4", "--n", "1", "--left", "0,0"), 2, "odd prime, got 4"),
+    (("act", "--p", "4", "--n", "1"), 2, "odd prime, got 4"),
+    (("nu", "--p", "4", "--n", "2"), 2, "odd prime, got 4"),
+    (("decompose", "--matrix", _MATRIX_P4), 2, "odd prime, got 4"),
+    # the size is decided before any field is built or power computed
+    (("basis", "--p", "10007", "--n", "1"), 3, "size 1002001330294 exceeds"),
+    (("profinite", "--p", "3", "--level", "1000000"), 3, "p^n alone exceeds"),
+    (("profinite", "--p", "3", "--level", "100000000"), 3, "p^n alone exceeds"),
+    (("smash", "--p", "3", "--n", "100000000", "--left", "0,0"), 3,
+     "p^n alone exceeds"),
+    (("decompose", "--matrix", _MATRIX_HUGE_N), 2, "expected a p^n x p^n matrix"),
+    # act emits 3 * p^n rationals, nu p^n + p^(n-1)
+    (("act", "--p", "3", "--n", "25"), 3, "p^n alone exceeds"),
+    (("act", "--p", "3", "--n", "15"), 3, "size 43046721 exceeds"),
+    (("nu", "--p", "3", "--n", "15"), 3, "size 19131876 exceeds"),
+    (("nu", "--p", "3", "--n", "25"), 3, "p^n alone exceeds"),
+], ids=["smash_n_negative", "act_n_negative", "act_n_zero", "smash_p4", "act_p4",
+        "nu_p4", "decompose_p4", "basis_p10007", "profinite_l1e6",
+        "profinite_l1e8", "smash_n1e8", "decompose_n1e8", "act_n25", "act_n15",
+        "nu_n15", "nu_n25"])
+def test_bad_or_oversized_request_exits_at_once(tmp_path, argv, code, message):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = (*argv[:-1], str(path))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "hopfgal.cli", *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == code, proc.stderr
+    assert elapsed < 1.0, elapsed
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("refused: " if code == 3 else "error: ")
+    assert message in proc.stderr
+
+
 def test_profinite_level_five_passes_within_budget():
     # a fresh process, so that the peak resident memory is this run's alone
     child = ("import resource, sys\n"
@@ -285,13 +339,11 @@ def test_profinite_level_five_passes_within_budget():
              "code = main(sys.argv[1:])\n"
              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
              "sys.exit(code)\n")
-    src = str(Path(hopfgal.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", child, "profinite", "--p", "3",
                            "--level", "5", "--format", "json"],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=300)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stderr
     reports = json.loads(proc.stdout)["reports"]
@@ -418,13 +470,15 @@ GOLDEN = Path(__file__).parent / "golden"
     ("basis", "--p", "3", "--n", "2"),
     ("census",),
     ("smash", "--p", "3", "--n", "2", "--left", "4,7", "--right", "2,5"),
+    ("variants", "--p", "3", "--n", "3", "--i", "2"),
 ], ids=["verify_all_p3_n1", "variants_p3_n2", "profinite_p3_l3", "basis_p3_n2",
-        "census", "smash_p3_n2"])
+        "census", "smash_p3_n2", "variants_p3_n3_i2"])
 def test_json_output_matches_golden_bytes(capsys, request, argv):
     # each file holds the output captured before a rewrite of the code it
     # runs through (the unified elimination and coordinates, the integer
-    # cyclotomic core, the census catalogue, the sparse matrix model); any
-    # byte difference is a regression
+    # cyclotomic core, the census catalogue, the sparse matrix model, the
+    # variant algebras kept as fixed-space terms); any byte difference is a
+    # regression
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     golden = GOLDEN / (request.node.callspec.id + ".json")

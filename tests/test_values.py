@@ -22,14 +22,9 @@ from hopfgal.groupring import GroupRingElt
 from hopfgal.hopfgalois import HopfElt, RadicalElt, e_basis
 from hopfgal.profinite import CoherentH, PadicTrunc, generator_sequence
 from hopfgal.smash_end import QMatrix, SmashElt, to_end_matrix
-from hopfgal.variants import BigFieldElt, TowerAut, VariantHopfElt
+from hopfgal.variants import TowerAut
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hopfgal"
-
-
-def _variant_elt():
-    parts = [BigFieldElt.monomial(3, 1, 2, k, k) for k in range(3)]
-    return VariantHopfElt(3, 1, 0, 2, parts)
 
 
 # name -> (build one value, build an equal value another way)
@@ -45,9 +40,6 @@ VALUES = {
                  lambda: SmashElt(3, 1, Fraction(2), {(4, 5): 1, (0, 0): 0})),
     "QMatrix": (lambda: to_end_matrix(SmashElt.basis(3, 1, 2, 1, 2)),
                 lambda: QMatrix(3, 1, 2, [[0, 0, 2], [0, 0, 0], [0, 0, 0]])),
-    "BigFieldElt": (lambda: BigFieldElt.monomial(3, 2, 2, 1, 1),
-                    lambda: BigFieldElt.monomial(3, 2, Fraction(2), 10, 1)),
-    "VariantHopfElt": (_variant_elt, _variant_elt),
     "FiniteGroup": (lambda: FiniteGroup([Perm((1, 2, 0))]),
                     lambda: FiniteGroup([Perm((2, 0, 1))])),
     "Perm": (lambda: Perm((1, 2, 0)), lambda: Perm((1, 2, 0)).inverse().inverse()),
@@ -69,7 +61,6 @@ ROUND_TRIPS = {
     "HopfElt": (lambda x: x.to_json(), lambda d: HopfElt.from_json(3, 1, d)),
     "RadicalElt": (lambda x: x.to_json(), lambda d: RadicalElt.from_json(3, 1, d)),
     "QMatrix": (lambda x: x.to_json(), QMatrix.from_json),
-    "BigFieldElt": (lambda x: x.to_json(), BigFieldElt.from_json),
     "CoherentH": (lambda x: x.to_json(), CoherentH.from_json),
     "PadicTrunc": (lambda x: x.to_json(), PadicTrunc.from_json),
 }
@@ -100,13 +91,6 @@ def test_equal_values_are_equal_and_hash_equal(name):
     else:
         assert hash(x) == hash(y)
         assert len({x, y}) == 1
-
-
-def test_big_field_monomial_wraps_into_the_radicand():
-    # w^(p^n) = a, so w^10 = a * w at p^n = 9
-    for a in (2, Fraction(3, 5)):
-        assert (BigFieldElt.monomial(3, 2, a, 0, 10)
-                == BigFieldElt.monomial(3, 2, a, 0, 1).scale(a))
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))

@@ -3,20 +3,23 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from hopfgal.cyclotomic import CycloElt, FieldDescriptor, cells_to_vector
-from hopfgal.linalg import sparse_nullspace
-from hopfgal.variants import (BigFieldElt, TowerAut, aut_act,
-                              complement_elements, complement_generator,
-                              complements_report, conjugation_exponent,
-                              distinct_action_images, e_containment_check,
-                              field_tower_lift, fixed_field,
-                              h_variant, h_variant_rank_certificate,
-                              normal_complements, variant_action_check,
-                              variant_nu, variant_nu_check)
+from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, terms_to_vector,
+                                unit_apply)
+from hopfgal.linalg import SparseEchelon, sparse_nullspace
+from hopfgal.variants import (TowerAut, action_matrix, complement_elements,
+                              complement_generator, complements_report,
+                              conjugation_exponent, distinct_action_images,
+                              e_containment_check, field_tower_lift,
+                              fixed_field, grid_aut_images, h_variant,
+                              h_variant_rank_certificate, normal_complements,
+                              variant_action_check, variant_nu,
+                              variant_nu_check)
 
-from oracle_tools import action_rows, oracle_nullity
+from oracle_tools import (action_rows, oracle_nullity, oracle_primitive_root,
+                          poly_to_vec, vec_to_poly)
 
 
 def tower_auts(p, n):
@@ -42,13 +45,16 @@ def test_tower_group_axioms(p, n, data):
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3)])
 @given(data=st.data())
 def test_composition_is_action_composition(p, n, data):
-    # the (s, b) normal form composes exactly like the induced field maps
+    # the (s, b) normal form composes exactly like the induced permutations
+    # (A, B) -> (uA + sB, B) of the exponents of zeta^A w^B
     g = data.draw(tower_auts(p, n))
     h = data.draw(tower_auts(p, n))
-    a = Fraction(2)
-    for x in (BigFieldElt.monomial(p, n, a, 1, 0),     # the root
-              BigFieldElt.monomial(p, n, a, 0, 1)):    # the root of unity
-        assert aut_act(g.compose(h), x) == aut_act(g, aut_act(h, x))
+
+    def images(x):
+        return grid_aut_images(p, n, x.unit(), x.s)
+
+    g_images, h_images = images(g), images(h)
+    assert images(g.compose(h)) == [g_images[c] for c in h_images]
 
 
 def test_generator_orders():
@@ -100,12 +106,14 @@ def test_complements_report_passes():
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_fixed_field_dimension(i):
     p, n = 3, 2
-    basis = fixed_field(p, n, [complement_generator(p, n, i)], Fraction(2))
+    g = complement_generator(p, n, i)
+    basis = fixed_field(p, n, [g])
     # rational dimension: [Q(zeta, w) : Q] / p^n = p^(n-1) (p - 1)
     assert len(basis) == p ** (n - 1) * (p - 1)
-    g = complement_generator(p, n, i)
-    for x in basis:
-        assert aut_act(g, x) == x
+    # g sends x w^B to g(x) zeta^(sB) w^B
+    for terms in basis:
+        assert tuple((B, unit_apply(g.unit(), x).shift(g.s * B))
+                     for B, x in terms) == terms
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
@@ -135,7 +143,7 @@ def test_fixed_field_is_the_full_grid_kernel_basis(p, n, i):
     field = FieldDescriptor(p, n)
     g = complement_generator(p, n, i)
     rows = action_rows(field, g.unit(), aut_moves(p, n, g))
-    assert ([cells_to_vector(x.coeffs) for x in fixed_field(p, n, [g])]
+    assert ([terms_to_vector(terms) for terms in fixed_field(p, n, [g])]
             == sparse_nullspace(rows, p ** n * field.degree))
 
 
@@ -151,16 +159,25 @@ def test_h_variant_is_the_full_grid_kernel_basis(p, n, i):
             + action_rows(field, beta.unit(),
                           aut_moves(p, n, beta, pn, conjugation_exponent(p, n, i))))
     basis = h_variant(p, n, i)
-    assert ([cells_to_vector(c for part in h.parts for c in part.coeffs)
-             for h in basis] == sparse_nullspace(rows, pn * pn * field.degree))
+    assert ([terms_to_vector(terms) for terms in basis]
+            == sparse_nullspace(rows, pn * pn * field.degree))
 
 
 def test_fixed_field_lift_is_injective_map():
-    x = BigFieldElt.monomial(3, 2, Fraction(2), 1, 1)
-    lifted = field_tower_lift(2, 3, x)
-    assert lifted.p == 3 and lifted.n == 3
-    y = BigFieldElt.monomial(3, 2, Fraction(2), 0, 1)
-    assert field_tower_lift(2, 3, x + y) == lifted + field_tower_lift(2, 3, y)
+    # zeta_2^A w_2^B -> zeta_3^(3A) w_3^(3B): cells and coefficients dilate
+    f2, f3 = FieldDescriptor(3, 2), FieldDescriptor(3, 3)
+    x = ((1, CycloElt.zeta_power(f2, 1)), (4, CycloElt.rational(f2, 5)))
+    assert field_tower_lift(2, 3, x) == ((3, CycloElt.zeta_power(f3, 3)),
+                                         (12, CycloElt.rational(f3, 5)))
+    # a basis of a level-2 fixed field stays independent at level 3
+    low = fixed_field(3, 2, [complement_generator(3, 2, 1)])
+    ech = SparseEchelon()
+    for terms in low:
+        ech.insert(terms_to_vector(field_tower_lift(2, 3, terms)))
+    assert ech.rank == len(low)
+    for m, n in ((3, 3), (1, 3)):                 # not upward, wrong level
+        with pytest.raises(ValueError):
+            field_tower_lift(m, n, x)
 
 
 # -- variant algebras ------------------------------------------------------------------
@@ -168,26 +185,69 @@ def test_fixed_field_lift_is_injective_map():
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_variant_basis_and_rank(i):
     p, n = 3, 2
-    basis = h_variant(p, n, i, Fraction(2))
+    basis = h_variant(p, n, i)
     # rational dimension (p - 1) p^n; rank p^n over the fixed field
     assert len(basis) == (p - 1) * p ** n
     assert h_variant_rank_certificate(p, n, i, Fraction(2)).status == "pass"
 
 
+_X = sympy.Symbol("x")
+
+
+def reference_image(p, n, i, a, terms, A, B):
+    """h(zeta^A w^B) from the definition h(y) = sum_k x_k g^k(y), in sympy,
+    as p^n power-basis vectors indexed by w-power.  Cell k*p^n + B' of h
+    holds the coefficient x of g^k w^B'; g^k = (s_k, b_k) sends zeta^A w^B
+    to zeta^(u^k A + s_k B) w^B with u = pi^((p-1) g.b) and
+    s_k = g.s * sum_{t<k} u^t, and w^(p^n) = a."""
+    pn = p ** n
+    g = complement_generator(p, n, i)
+    u = pow(oracle_primitive_root(p * p), (p - 1) * g.b, pn)
+    images = [sympy.Poly(0, _X, domain="QQ") for _ in range(pn)]
+    rat_a = sympy.Rational(a.numerator, a.denominator)
+    for c, x in terms:
+        k, B2 = divmod(c, pn)
+        s_k = g.s * sum(u ** t for t in range(k))
+        e = (pow(u, k, pn) * A + s_k * B) % pn
+        image = vec_to_poly(x.coeffs) * sympy.Poly(_X ** e, _X, domain="QQ")
+        if B2 + B >= pn:
+            image = image * rat_a
+        images[(B2 + B) % pn] += image
+    return [poly_to_vec(p, n, image) for image in images]
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_action_matrix_matches_the_sympy_definition(i):
+    # radicand 3/5: the entries that wrap past w^(p^n) carry the factor a
+    p, n, a = 3, 2, Fraction(3, 5)
+    step = p ** (n - 1)
+    for terms in h_variant(p, n, i):
+        mat = action_matrix(p, n, i, a, terms)
+        for B in range(p ** n):
+            column = reference_image(p, n, i, a, terms, 0, B)
+            for r, vec in enumerate(column):
+                # the image lies in Q(zeta_1, w): zeta-exponents step | A
+                assert not any(vec[A] for A in range(len(vec)) if A % step)
+                assert list(mat[r][B].coeffs) == vec[::step]
+
+
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_variant_algebra_is_zeta1_linear(i):
-    # each complement element fixes zeta_1 = zeta^(p^(n-1)), so h commutes
-    # with multiplication by zeta_1; the action check reads the fixed space
-    # from the action matrix on that basis
-    p, n, a = 3, 2, Fraction(2)
-    f, step = FieldDescriptor(p, n), p ** (n - 1)
-    for h in h_variant(p, n, i, a):
+    # each complement element fixes zeta_1 = zeta^(p^(n-1)), so h sends
+    # zeta_1^j w^B to zeta_1^j times column B of its action matrix; the
+    # action check reads the fixed space from the matrix on that basis
+    p, n, a = 3, 2, Fraction(3, 5)
+    step = p ** (n - 1)
+    for terms in h_variant(p, n, i):
+        mat = action_matrix(p, n, i, a, terms)
         for B in range(p ** n):
-            image = h.apply(BigFieldElt.monomial(p, n, a, 0, B))
-            for j in range(p - 1):
-                zeta1_j = CycloElt.zeta_power(f, j * step)
-                assert image.scale(zeta1_j) == h.apply(
-                    BigFieldElt.monomial(p, n, a, j * step, B))
+            for j in range(1, p - 1):
+                image = reference_image(p, n, i, a, terms, j * step, B)
+                for r, vec in enumerate(image):
+                    entry = [0] * len(vec)
+                    entry[::step] = mat[r][B].coeffs
+                    zeta1_j = sympy.Poly(_X ** (j * step), _X, domain="QQ")
+                    assert vec == poly_to_vec(p, n, vec_to_poly(entry) * zeta1_j)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
