@@ -2,7 +2,7 @@
 
 Exit codes: 0 all reports pass (or pure data command succeeded), 1 at least
 one report failed, 2 usage or value error, 3 refusal: a census cap or budget,
-or a `basis`, `profinite`, `smash`, `act` or `nu` request over
+or a `basis`, `profinite`, `smash`, `act`, `nu` or `variants` request over
 `MAX_REQUEST_SIZE`.
 Rationals cross the boundary as "num/den" strings; JSON output is
 byte-deterministic for fixed inputs (timings are included only with
@@ -35,13 +35,15 @@ EXIT_REPORT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
-# The one size bound of `basis`, `profinite`, `smash`, `act` and `nu`.  For
-# `basis` and `profinite` the size is the idempotents built times the
-# p^n * phi(p^n) rationals of each: (3,5) = 9,565,938 ran in 12.9 s and
-# 147 MB, (7,3) = 34,588,806 in 43 s and 517 MB (2-core host); the bound sits
-# between.  For `smash` it is the matrices emitted times their p^2n
-# rationals: the largest admitted, (3,7) with --right = 14,348,907, ran in
-# 6.6 s and 135 MB.  For `act` and `nu` it is the rationals emitted.
+# The one size bound of `basis`, `profinite`, `smash`, `act`, `nu` and
+# `variants`.  For `basis` and `profinite` the size is the idempotents built
+# times the p^n * phi(p^n) rationals of each: (3,5) = 9,565,938 ran in
+# 12.9 s and 147 MB, (7,3) = 34,588,806 in 43 s and 517 MB (2-core host);
+# the bound sits between.  For `smash` it is the matrices emitted times their
+# p^2n rationals: the largest admitted, (3,7) with --right = 14,348,907, ran
+# in 6.6 s and 135 MB.  For `act` and `nu` it is the rationals emitted.  For
+# `variants` it is p^n alone, which refuses a huge level at once but is no
+# measure of a variants run's cost.
 MAX_REQUEST_SIZE = 16_000_000
 
 
@@ -208,6 +210,9 @@ def _cmd_profinite(args) -> dict:
 
 
 def _cmd_variants(args) -> dict:
+    # p^n is a floor, not a cost measure: (3,3) takes seconds
+    go = _guard_level(args.p, args.n)
+    _refuse_over_bound(args.p, args.n, go, "p^n")
     a = validate_radicand(args.p, _parse_rational(args.a))
     reports = variant_reports(args.p, args.n, a, args.i)
     return {"command": "variants", "p": args.p, "n": args.n, "radicand": rat_str(a),

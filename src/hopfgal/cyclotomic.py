@@ -66,16 +66,34 @@ def multiplicative_order(g: int, modulus: int) -> int:
             raise ValueError("%d is not a unit mod %d" % (g, modulus))
     return k
 
+def _prime_divisors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, in increasing order."""
+    out, f = [], 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        out.append(m)
+    return out
+
 @lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
-    """Smallest primitive root mod p^2 (hence mod p^k for all k, p an odd prime)."""
+    """Smallest primitive root mod p^2 (hence mod p^k for all k, p an odd prime).
+
+    A unit g mod p^2 has order dividing p(p-1), and the order is p(p-1)
+    exactly when g^(p(p-1)/q) != 1 mod p^2 for every prime q dividing
+    p(p-1): those prime q are p and the primes of p - 1."""
     if not is_prime(p) or p == 2:
         raise ValueError("need an odd prime, got %d" % p)
-    target = p * (p - 1)
-    for g in range(2, p * p):
-        if g % p and multiplicative_order(g, p * p) == target:
+    target, modulus = p * (p - 1), p * p
+    exponents = [target // q for q in [p, *_prime_divisors(p - 1)]]
+    for g in range(2, modulus):
+        if g % p and all(pow(g, e, modulus) != 1 for e in exponents):
             return g
-    raise AssertionError("no primitive root found mod %d" % (p * p))
+    raise AssertionError("no primitive root found mod %d" % modulus)
 
 
 def validate_field(p: int, n: int) -> None:

@@ -234,6 +234,18 @@ class RadicalElt:
         object.__setattr__(self, "coords", coords)
 
     @classmethod
+    def _unchecked(cls, p: int, n: int, a: Fraction, coords: tuple) -> "RadicalElt":
+        """An element from a Fraction radicand and a tuple of p^n Fraction
+        coords that library code built from validated elements; skips the
+        checks and conversions of the public constructor."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "p", p)
+        object.__setattr__(x, "n", n)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "coords", coords)
+        return x
+
+    @classmethod
     def w_power(cls, p: int, n: int, a, k: int) -> "RadicalElt":
         go = p ** n
         a = Fraction(a)
@@ -290,8 +302,8 @@ def act(h: HopfElt, x: RadicalElt) -> RadicalElt:
     """Action on K: the i-th idempotent projects onto the w^i component."""
     if (h.p, h.n) != (x.p, x.n):
         raise ValueError("mismatched levels")
-    return RadicalElt(x.p, x.n, x.a, [c * v if c and v else _ZERO
-                                      for c, v in zip(h.coords, x.coords)])
+    return RadicalElt._unchecked(x.p, x.n, x.a, tuple(
+        c * v if c and v else _ZERO for c, v in zip(h.coords, x.coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +334,13 @@ def measuring_check(p: int, n: int, a) -> Report:
 
 
 def fixed_field_check(p: int, n: int, a) -> Report:
-    """The joint eigenspace {x : e_i(x) = counit(e_i) x for all i} is Q * 1."""
+    """The joint eigenspace {x : e_i(x) = counit(e_i) x for all i} is Q * 1.
+
+    The system has one block of p^n rows per idempotent e_i: block i is the
+    matrix of e_i - counit(e_i) on the basis w^0, ..., w^(p^n - 1), and
+    column k of it is read off `act(e_i, w^k)`, computed for every (i, k).
+    Each column fills its nonzero entries into the block's rows in one pass.
+    """
     a = validate_radicand(p, a)
     go = p ** n
 
@@ -332,9 +350,12 @@ def fixed_field_check(p: int, n: int, a) -> Report:
         for i in range(go):
             h = HopfElt.basis_vector(p, n, i)
             eps = h_counit(p, n, i)
-            cols = [act(h, b).coords for b in basis]
-            for r in range(go):
-                row = {k: col[r] for k, col in enumerate(cols) if col[r]}
+            block = [{} for _ in range(go)]
+            for k, b in enumerate(basis):
+                for r, v in enumerate(act(h, b).coords):
+                    if v:
+                        block[r][k] = v
+            for r, row in enumerate(block):
                 row[r] = row.get(r, 0) - eps
                 rows.append(row)
         kern = linalg.sparse_nullspace(rows, go)

@@ -311,10 +311,16 @@ _MATRIX_HUGE_N = {"p": 3, "n": 100_000_000, "a": "2/1", "rows": []}
     (("act", "--p", "3", "--n", "15"), 3, "size 43046721 exceeds"),
     (("nu", "--p", "3", "--n", "15"), 3, "size 19131876 exceeds"),
     (("nu", "--p", "3", "--n", "25"), 3, "p^n alone exceeds"),
+    # variants is refused on p^n alone; its cost has no measure yet
+    (("variants", "--p", "3", "--n", "100000000"), 3, "p^n alone exceeds"),
+    (("variants", "--p", "3", "--n", "16"), 3, "size 43046721 exceeds"),
+    (("variants", "--p", "4", "--n", "1"), 2, "odd prime, got 4"),
+    (("variants", "--p", "3", "--n", "0"), 2, "n must be >= 1"),
 ], ids=["smash_n_negative", "act_n_negative", "act_n_zero", "smash_p4", "act_p4",
         "nu_p4", "decompose_p4", "basis_p10007", "profinite_l1e6",
         "profinite_l1e8", "smash_n1e8", "decompose_n1e8", "act_n25", "act_n15",
-        "nu_n15", "nu_n25"])
+        "nu_n15", "nu_n25", "variants_n1e8", "variants_n16", "variants_p4",
+        "variants_n_zero"])
 def test_bad_or_oversized_request_exits_at_once(tmp_path, argv, code, message):
     if isinstance(argv[-1], dict):
         path = tmp_path / "matrix.json"

@@ -57,6 +57,20 @@ def test_primitive_root_pinned_values():
     assert primitive_root(7) == 3
 
 
+def test_primitive_root_is_the_first_full_order_unit_below_300():
+    # the search by multiplicative order that primitive_root replaced
+    for p in filter(is_prime, range(3, 300)):
+        first = next(g for g in range(2, p * p)
+                     if g % p and multiplicative_order(g, p * p) == p * (p - 1))
+        assert primitive_root(p) == first, p
+
+
+def test_primitive_root_at_a_large_prime():
+    p = 3989
+    assert primitive_root(p) == 2 == oracle_primitive_root(p * p)
+    assert oracle_multiplicative_order(2, p * p) == p * (p - 1)
+
+
 @pytest.mark.parametrize("g,modulus", [(2, 9), (2, 25), (3, 49), (4, 9)])
 def test_multiplicative_order_matches_sympy(g, modulus):
     assert multiplicative_order(g, modulus) == \

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal.cyclotomic import FieldDescriptor
+from hopfgal import hopfgalois
 from hopfgal.groupring import GroupRingElt
 from hopfgal.hopfgalois import (HopfElt, RadicalElt, act, base_change_report,
                                 base_change_sigma, dual_pairing,
@@ -183,6 +184,32 @@ def test_action_is_multiplicative_in_h(data):
     assert act(HopfElt.unit(p, n), x) == x
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@given(data=st.data())
+def test_act_equals_the_public_constructor_result(p, n, data):
+    # act builds its result without the constructor's checks; it must be the
+    # element the constructor builds from the same coordinates
+    go = p ** n
+    a = data.draw(st.sampled_from([Fraction(2), Fraction(3, 5), Fraction(-7, 2)]))
+    coords = st.lists(st.one_of(st.just(Fraction(0)), frac), min_size=go, max_size=go)
+    h = HopfElt(p, n, data.draw(coords))
+    x = RadicalElt(p, n, a, data.draw(coords))
+    got = act(h, x)
+    want = RadicalElt(p, n, a, [c * v for c, v in zip(h.coords, x.coords)])
+    assert got == want
+    assert hash(got) == hash(want)
+    assert type(got.a) is Fraction and type(got.coords) is tuple
+    assert all(type(c) is Fraction for c in got.coords)
+
+
+def test_act_refuses_mismatched_levels():
+    x = RadicalElt.w_power(3, 2, 2, 1)
+    with pytest.raises(ValueError, match="mismatched levels"):
+        act(HopfElt.unit(3, 1), x)
+    with pytest.raises(ValueError, match="mismatched levels"):
+        act(HopfElt.unit(5, 1), RadicalElt.w_power(3, 1, 2, 1))
+
+
 def test_root_power_wraps_with_radicand():
     w5 = RadicalElt.w_power(3, 1, 2, 5)        # w^5 = a * w^2 = 2 w^2
     assert w5.coords == (0, 0, Fraction(2))
@@ -222,3 +249,32 @@ def test_validate_radicand():
     with pytest.raises(ValueError):
         validate_radicand(5, 32)
     assert is_pth_power(32, 5) and not is_pth_power(31, 5)
+
+
+def test_fixed_field_check_acts_on_every_idempotent_and_root_power(monkeypatch):
+    calls = []
+
+    def counting_act(h, x):
+        calls.append((h.coords.index(1), x.coords.index(1)))
+        return act(h, x)
+
+    monkeypatch.setattr(hopfgalois, "act", counting_act)
+    assert fixed_field_check(3, 2, Fraction(3, 5)).status == "pass"
+    assert len(calls) == 81
+    assert set(calls) == {(i, k) for i in range(9) for k in range(9)}
+
+
+def test_fixed_field_check_fails_under_a_trivial_action(monkeypatch):
+    # every idempotent acting as its counit fixes all of K
+    monkeypatch.setattr(hopfgalois, "act", lambda h, x: x * h.coords[0])
+    report = fixed_field_check(3, 2, Fraction(2))
+    assert report.status == "fail"
+    assert report.witness["kernel_dimension"] == 9
+
+
+def test_fixed_field_check_fails_under_the_identity_action(monkeypatch):
+    # every idempotent acting as the identity fixes only 0
+    monkeypatch.setattr(hopfgalois, "act", lambda h, x: x)
+    report = fixed_field_check(3, 2, Fraction(2))
+    assert report.status == "fail"
+    assert report.witness["kernel_dimension"] == 0

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfgal.smash_end import (QMatrix, SmashElt, decompose_endomorphism,
+from hopfgal import smash_end
+from hopfgal.smash_end import (QMatrix, SmashElt, _product_terms,
+                               decompose_endomorphism,
                                hom_subalgebra_basis,
                                hom_subalgebra_closure_check,
                                hom_subalgebra_dimension_report, iso_check,
@@ -60,6 +62,20 @@ def test_basis_multiplication_rule():
     assert smash_mult(x, y) == SmashElt(3, 1, a, {(0, 0): Fraction(2)})
     y_miss = SmashElt.basis(3, 1, a, 1, 0)
     assert not smash_mult(x, y_miss)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2)])
+def test_product_kernel_equals_smash_mult_on_basis_pairs(p, n):
+    a = Fraction(3, 5)
+    go = p ** n
+    basis = [SmashElt.basis(p, n, a, j, i) for j in range(go) for i in range(go)]
+    wraps = 0
+    for x in basis:
+        for y in basis:
+            got = _product_terms(go, a, x.terms.items(), y.terms.items())
+            assert got == smash_mult(x, y).terms
+            wraps += a in got.values()
+    assert wraps > 0
 
 
 # -- matrix model ----------------------------------------------------------------
@@ -245,3 +261,30 @@ def test_hom_subalgebra_dimension(n, m):
     assert len(pairs) == dim
     assert hom_subalgebra_dimension_report(3, n, m, Fraction(2)).status == "pass"
     assert hom_subalgebra_closure_check(3, n, m, Fraction(2)).status == "pass"
+
+
+def test_hom_subalgebra_closure_computes_every_product(monkeypatch):
+    products = []
+
+    def counting_kernel(go, a, xterms, yterms):
+        products.append((xterms, yterms))
+        return _product_terms(go, a, xterms, yterms)
+
+    monkeypatch.setattr(smash_end, "_product_terms", counting_kernel)
+    assert hom_subalgebra_closure_check(3, 2, 3, Fraction(3, 5)).status == "pass"
+    dim = 3 ** (2 + 3)
+    assert len(products) == dim * dim
+    assert len(set(products)) == dim * dim
+
+
+def test_hom_subalgebra_closure_fails_on_a_pair_outside_the_span(monkeypatch):
+    # at (n, m) = (2, 1) the span is the pairs with 3 | j + i; (1, 0) times
+    # (3, 6) is (4, 6), outside it
+    pairs, dim = hom_subalgebra_basis(3, 2, 1)
+    assert (1, 0) not in pairs
+    monkeypatch.setattr(smash_end, "hom_subalgebra_basis",
+                        lambda p, n, m: (pairs + [(1, 0)], dim + 1))
+    report = hom_subalgebra_closure_check(3, 2, 1, Fraction(2))
+    assert report.status == "fail"
+    escaped = tuple(report.witness["escapes"])
+    assert escaped not in pairs and escaped != (1, 0)
