@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfgal.cyclotomic import FieldDescriptor
 from hopfgal import hopfgalois
+from hopfgal.cyclotomic import FieldDescriptor
 from hopfgal.groupring import GroupRingElt
 from hopfgal.hopfgalois import (HopfElt, RadicalElt, act, base_change_report,
                                 base_change_sigma, dual_pairing,
