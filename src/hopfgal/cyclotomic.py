@@ -545,6 +545,28 @@ def cells_to_vector(cells) -> dict[int, Rat]:
     return terms_to_vector(enumerate(cells))
 
 
+def _stabiliser_kernel(stabiliser: tuple, phi: int, m: int, table) -> list[tuple]:
+    """Basis of the x in Q(zeta), on phi columns, with zeta^S sigma_U(x) = x
+    for every (S, U) in the sorted `stabiliser`, in `kernel_basis`'s order.
+    Each vector is (largest column, denominator, [(column, numerator)])."""
+    ech = linalg.SparseEchelon()
+    for S, U in stabiliser:
+        rows: dict[int, dict[int, int]] = {A: {A: -1} for A in range(phi)}
+        for A in range(phi):
+            for A2, sign in table[(U * A + S) % m]:
+                row = rows[A2]
+                row[A] = row.get(A, 0) + sign
+        for row in rows.values():
+            ech.insert(row)
+        if ech.rank == phi:
+            break
+    kernel = []
+    for vec in ech.kernel_basis(phi):
+        nums, den = linalg.common_denominator(vec.values())
+        kernel.append((max(vec), den, list(zip(vec, nums))))
+    return kernel
+
+
 def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
     """Q-basis of the vectors over `ncells` cells of Q(zeta) coordinates that
     every generator fixes.
@@ -562,6 +584,12 @@ def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
     every edge that closes a cycle gives one stabiliser element, in the same
     form.  Their fixed field is a kernel on phi columns, and each of its
     vectors is spread over the orbit through the transports.
+
+    That kernel depends only on the set of stabiliser elements (and on the
+    field), not on the orbit, so it is eliminated once per distinct sorted
+    set within a call: an orbit whose set was seen before reuses the kernel
+    and spreads it through its own transports.  The returned basis is the one
+    a fresh elimination per orbit would give, vector for vector.
 
     Each basis vector is a tuple of (cell, nonzero `CycloElt`) pairs sorted
     by cell.  Flattened by `terms_to_vector`, the basis is the reduced one
@@ -583,6 +611,7 @@ def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
         gens.append((u % m, moves))
     transport: list = [None] * ncells
     found = []
+    kernels: dict[tuple, list] = {}           # sorted stabiliser -> its kernel
     for rep in range(ncells - 1, -1, -1):
         if transport[rep] is not None:
             continue
@@ -603,24 +632,14 @@ def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
                     inv = pow(Ut, -1, m)
                     stabiliser.add(((S2 - St) * inv % m, U2 * inv % m))
         stabiliser.discard((0, 1))
-        ech = linalg.SparseEchelon()
-        for S, U in sorted(stabiliser):
-            rows: dict[int, dict[int, int]] = {A: {A: -1} for A in range(phi)}
-            for A in range(phi):
-                for A2, sign in table[(U * A + S) % m]:
-                    row = rows[A2]
-                    row[A] = row.get(A, 0) + sign
-            for row in rows.values():
-                ech.insert(row)
-            if ech.rank == phi:
-                break
-        kernel = ech.kernel_basis(phi)
+        key = tuple(sorted(stabiliser))
+        kernel = kernels.get(key)
+        if kernel is None:
+            kernel = kernels[key] = _stabiliser_kernel(key, phi, m, table)
         if not kernel:
             continue
         orbit.sort()
-        for vec in kernel:
-            nums, den = linalg.common_denominator(vec.values())
-            pairs = list(zip(vec, nums))
+        for top, den, pairs in kernel:
             terms = []
             for c in orbit:
                 S, U = transport[c]
@@ -628,6 +647,6 @@ def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
                 # in lowest terms
                 terms.append((c, _make(field, tuple(_fold(
                     field, ((S + U * A, a) for A, a in pairs))), den)))
-            found.append((rep * phi + max(vec), tuple(terms)))
+            found.append((rep * phi + top, tuple(terms)))
     found.sort(key=lambda entry: entry[0])
     return [terms for _, terms in found]

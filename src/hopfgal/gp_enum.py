@@ -380,27 +380,59 @@ def _normalizes(lam_gens, members: frozenset) -> bool:
     return True
 
 
-def _naive_cyclic(size: int, lam_gens, deadline) -> set:
-    """All regular cyclic subgroups, from fixed-point-free full cycles."""
-    found: set[frozenset] = set()
-    gen_pairs = [(g, g.inverse()) for g in lam_gens]
+# (engine part, degree, ...) -> the candidates of one complete pass
+_KEPT_CANDIDATES: dict[tuple, tuple] = {}
+
+
+def _kept(key: tuple, build):
+    """Yield what the generator `build()` yields.  A pass that runs to the
+    end is kept under `key`, and later passes read it back in the same order;
+    a pass cut short (by the deadline) keeps nothing.  The candidates depend
+    on the degree alone, never on the action that filters them."""
+    kept = _KEPT_CANDIDATES.get(key)
+    if kept is not None:
+        yield from kept
+        return
+    items = []
+    for item in build():
+        items.append(item)
+        yield item
+    _KEPT_CANDIDATES[key] = tuple(items)
+
+
+def _full_cycles(size: int):
+    """Yield (cycle, set of its powers) for every full cycle on `size` points,
+    0 -> tail[0] for each tail in `itertools.permutations` order.  Equal
+    powers and equal power sets are yielded as one object, which keeps a
+    stored pass small."""
     ident = Perm.identity(size)
-    count = 0
+    perms: dict = {ident: ident}
+    groups: dict = {}
     for tail in itertools.permutations(range(1, size)):
-        count += 1
-        if count % 4096 == 0:
-            _deadline_check(deadline)
         seq = (0,) + tail
         images = [0] * size
         for k in range(size):
             images[seq[k]] = seq[(k + 1) % size]
         cycle = Perm(tuple(images))
+        cycle = perms.setdefault(cycle, cycle)
         powers = [ident]
         cur = cycle
         while cur != ident:
-            powers.append(cur)
+            powers.append(perms.setdefault(cur, cur))
             cur = cur * cycle
         members = frozenset(powers)
+        yield cycle, groups.setdefault(members, members)
+
+
+def _naive_cyclic(size: int, lam_gens, deadline) -> set:
+    """All regular cyclic subgroups, from fixed-point-free full cycles."""
+    found: set[frozenset] = set()
+    gen_pairs = [(g, g.inverse()) for g in lam_gens]
+    count = 0
+    for cycle, members in _kept(("cyclic", size), lambda: _full_cycles(size)):
+        count += 1
+        if count % 4096 == 0:
+            _deadline_check(deadline)
         if members in found:
             continue
         if all(g * cycle * gi in members for g, gi in gen_pairs):
@@ -432,15 +464,18 @@ def _fpf_p_elements(size: int, p: int) -> list[Perm]:
     return out
 
 
-def _naive_elementary(size: int, p: int, lam_gens, deadline) -> set:
-    """Regular rank-two elementary abelian subgroups from commuting pairs
-    of fixed-point-free p-elements."""
-    found: set[frozenset] = set()
-    gen_pairs = [(g, g.inverse()) for g in lam_gens]
+def _commuting_pairs(size: int, p: int):
+    """Yield (c1, pairs) for every fixed-point-free p-element c1, where pairs
+    lists (c2, <c1, c2>) for the fixed-point-free p-elements c2 that commute
+    with c1 and generate with it a group of order `size`; c2 runs over the
+    maps that send each c1-orbit onto the next along a cyclic order of the
+    orbits.  Each c2 is the pool's own object, and equal groups are listed
+    as one object."""
     pool = _fpf_p_elements(size, p)
-    pool_set = set(pool)
+    pooled = {c: c for c in pool}
+    groups: dict = {}
     for c1 in pool:
-        _deadline_check(deadline)
+        pairs = []
         orbits = []
         seen = [False] * size
         for start in range(size):
@@ -452,7 +487,6 @@ def _naive_elementary(size: int, p: int, lam_gens, deadline) -> set:
                 orb.append(x)
                 x = c1(x)
             orbits.append(orb)
-        reps = [orb[0] for orb in orbits]
         where = {}
         for oi, orb in enumerate(orbits):
             for t, x in enumerate(orb):
@@ -461,7 +495,6 @@ def _naive_elementary(size: int, p: int, lam_gens, deadline) -> set:
             chain = (0,) + order_rest          # orbit cycle O_{chain[k]} -> O_{chain[k+1]}
             for choices in itertools.product(range(p), repeat=p):
                 images = [-1] * size
-                ok = True
                 for k in range(p):
                     src, dst = chain[k], chain[(k + 1) % p]
                     target = orbits[dst][choices[k]]
@@ -469,8 +502,8 @@ def _naive_elementary(size: int, p: int, lam_gens, deadline) -> set:
                         x = orbits[src][t]
                         oi, s = where[target]
                         images[x] = orbits[oi][(s + t) % p]
-                c2 = Perm(tuple(images))
-                if c2 not in pool_set or c1 * c2 != c2 * c1:
+                c2 = pooled.get(Perm(tuple(images)))
+                if c2 is None or c1 * c2 != c2 * c1:
                     continue
                 members = set()
                 a = Perm.identity(size)
@@ -483,11 +516,23 @@ def _naive_elementary(size: int, p: int, lam_gens, deadline) -> set:
                 if len(members) != size:
                     continue
                 members = frozenset(members)
-                if members in found:
-                    continue
-                if all(g * c * gi in members
-                       for g, gi in gen_pairs for c in (c1, c2)):
-                    found.add(members)
+                pairs.append((c2, groups.setdefault(members, members)))
+        yield c1, tuple(pairs)
+
+
+def _naive_elementary(size: int, p: int, lam_gens, deadline) -> set:
+    """Regular rank-two elementary abelian subgroups from commuting pairs
+    of fixed-point-free p-elements."""
+    found: set[frozenset] = set()
+    gen_pairs = [(g, g.inverse()) for g in lam_gens]
+    for c1, pairs in _kept(("elementary", size, p), lambda: _commuting_pairs(size, p)):
+        _deadline_check(deadline)
+        for c2, members in pairs:
+            if members in found:
+                continue
+            if all(g * c * gi in members
+                   for g, gi in gen_pairs for c in (c1, c2)):
+                found.add(members)
     return found
 
 

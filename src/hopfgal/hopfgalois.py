@@ -19,10 +19,17 @@ sum), elements in idempotent coordinates (`HopfElt`), elements of K
 measuring condition, the triviality of the fixed field of K under the action,
 and the base-change identity expressing sigma-powers of lower levels as
 cyclotomic combinations of the idempotents.
+
+Both element types store only their nonzero coordinates, as sorted
+(index, Fraction) terms, and the arithmetic walks those terms: the basis
+idempotents and the powers of w have one term each, so `act(e_i, w^k)`
+reads one pair instead of p^n.  Their constructors and `coords` keep the
+dense form.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -35,6 +42,8 @@ from .groupring import GroupRingElt, fixed_ring_kernel
 from .reporting import Report, checked
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+_ZERO_STR = rat_str(_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -113,57 +122,121 @@ def h_counit(p: int, n: int, i: int) -> Rat:
 # ---------------------------------------------------------------------------
 # elements
 
-@dataclass(frozen=True, slots=True)
+def _dense_terms(coords, length: int) -> tuple:
+    """The sorted (index, nonzero Fraction) pairs of `length` dense coords
+    (ints, Fractions or strings `Fraction` accepts); ValueError on a wrong
+    count."""
+    coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
+    if len(coords) != length:
+        raise ValueError("expected %d coordinates" % (length,))
+    return tuple((i, c) for i, c in enumerate(coords) if c)
+
+
+def _nonzero_terms(cells: dict) -> tuple:
+    """The sorted nonzero (index, value) pairs of `cells`: a cancellation's
+    zeros are dropped."""
+    return tuple(sorted((i, c) for i, c in cells.items() if c))
+
+
+def _combine(x: tuple, y: tuple, op) -> tuple:
+    """The terms of op(x_i, y_i) index by index (`operator.add` or `sub`),
+    an index absent from one side reading 0 there."""
+    cells = dict(x)
+    for i, c in y:
+        cells[i] = op(cells.get(i, _ZERO), c)
+    return _nonzero_terms(cells)
+
+
+def _dense_view(terms, length: int) -> tuple:
+    v = [_ZERO] * length
+    for i, c in terms:
+        v[i] = c
+    return tuple(v)
+
+
+def _dense_json(terms, length: int) -> list[str]:
+    v = [_ZERO_STR] * length
+    for i, c in terms:
+        v[i] = rat_str(c)
+    return v
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class HopfElt:
-    """Element of the acting Hopf algebra in idempotent coordinates."""
+    """Element of the acting Hopf algebra in idempotent coordinates.
+
+    `terms` is the tuple of (index, value) pairs of the nonzero coordinates,
+    sorted by index; no zero is ever stored, so equal elements have equal
+    storage and equal hashes.  The constructor takes the p^n dense coords
+    (ints, Fractions or strings `Fraction` accepts) and `coords` is the dense
+    view.
+    """
 
     p: int
     n: int
-    coords: tuple
+    terms: tuple
 
-    def __post_init__(self):
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
-        if len(coords) != self.p ** self.n:
-            raise ValueError("expected %d coordinates" % (self.p ** self.n,))
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, p: int, n: int, coords):
+        self._set(p, n, _dense_terms(coords, p ** n))
+
+    @classmethod
+    def _unchecked(cls, p: int, n: int, terms: tuple) -> "HopfElt":
+        """An element from sorted (index, nonzero Fraction) terms that library
+        code built from validated elements; skips the constructor's checks."""
+        h = object.__new__(cls)
+        h._set(p, n, terms)
+        return h
+
+    def _set(self, p: int, n: int, terms: tuple) -> None:
+        for name, value in (("p", p), ("n", n), ("terms", terms)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def coords(self) -> tuple:
+        """The dense view: p^n Fractions, zeros included."""
+        return _dense_view(self.terms, self.p ** self.n)
 
     @classmethod
     def basis_vector(cls, p: int, n: int, i: int) -> "HopfElt":
-        v = [Fraction(0)] * p ** n
-        v[i % p ** n] = Fraction(1)
-        return cls(p, n, v)
+        return cls._unchecked(p, n, ((i % p ** n, _ONE),))
 
     @classmethod
     def unit(cls, p: int, n: int) -> "HopfElt":
         # sum of all idempotents = 1
-        return cls(p, n, [Fraction(1)] * p ** n)
+        return cls._unchecked(p, n, tuple((i, _ONE) for i in range(p ** n)))
 
     def __add__(self, other):
         self._check(other)
-        return HopfElt(self.p, self.n, [a + b for a, b in zip(self.coords, other.coords)])
+        return HopfElt._unchecked(self.p, self.n,
+                                  _combine(self.terms, other.terms, operator.add))
 
     def __sub__(self, other):
         self._check(other)
-        return HopfElt(self.p, self.n, [a - b for a, b in zip(self.coords, other.coords)])
+        return HopfElt._unchecked(self.p, self.n,
+                                  _combine(self.terms, other.terms, operator.sub))
 
     def __mul__(self, other):
-        # idempotent basis is pointwise-orthogonal, so the product is pointwise
+        # idempotent basis is pointwise-orthogonal, so the product is pointwise:
+        # it lives on the intersection of the supports
         self._check(other)
-        return HopfElt(self.p, self.n, [a * b for a, b in zip(self.coords, other.coords)])
+        cells = dict(other.terms)
+        return HopfElt._unchecked(self.p, self.n, tuple(
+            (i, c * cells[i]) for i, c in self.terms if i in cells))
 
     def scale(self, c) -> "HopfElt":
         f = Fraction(c)
-        return HopfElt(self.p, self.n, [f * a for a in self.coords])
+        return HopfElt._unchecked(self.p, self.n,
+                                  tuple((i, f * a) for i, a in self.terms) if f else ())
 
     def _check(self, other):
         if not isinstance(other, HopfElt) or (self.p, self.n) != (other.p, other.n):
             raise ValueError("mismatched Hopf elements")
 
     def __bool__(self):
-        return any(self.coords)
+        return bool(self.terms)
 
     def to_json(self) -> list[str]:
-        return [rat_str(c) for c in self.coords]
+        return _dense_json(self.terms, self.p ** self.n)
 
     @classmethod
     def from_json(cls, p: int, n: int, data) -> "HopfElt":
@@ -176,9 +249,8 @@ def hopf_to_groupring(h: HopfElt) -> GroupRingElt:
     cell whose sum vanishes is left out."""
     field = FieldDescriptor(h.p, h.n)
     go = field.modulus
-    den = lcm(*(c.denominator for c in h.coords))
-    terms = [(i, c.numerator * (den // c.denominator))
-             for i, c in enumerate(h.coords) if c]
+    den = lcm(*(c.denominator for _, c in h.terms))
+    terms = [(i, c.numerator * (den // c.denominator)) for i, c in h.terms]
     cells = []
     for j in range(go):
         c = from_exponents(field, ((-i * j, a) for i, a in terms), den * go)
@@ -203,7 +275,7 @@ def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
     den = lcm(*(c.den for _, c in x.terms))
     terms = [(b, A, a * (den // c.den)) for b, c in x.terms
              for A, a in enumerate(c.nums) if a]
-    coords = []
+    out = []
     for k in range(go):
         sums = [0] * go
         for b, A, a in terms:
@@ -212,47 +284,51 @@ def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
         if not acc.is_rational():
             raise ValueError("element is not in the idempotent span "
                              "(evaluation at exponent %d is irrational)" % k)
-        coords.append(acc.rational_value())
-    return HopfElt(field.p, field.n, coords)
+        if acc:
+            out.append((k, acc.rational_value()))
+    return HopfElt._unchecked(field.p, field.n, tuple(out))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RadicalElt:
-    """Element of K = Q(w), w^(p^n) = a, over the basis 1, w, ..., w^(p^n - 1)."""
+    """Element of K = Q(w), w^(p^n) = a, over the basis 1, w, ..., w^(p^n - 1).
+
+    Stored as `HopfElt` is: `terms` holds the sorted (k, value) pairs of the
+    nonzero coefficients of w^k, and `coords` is the dense view.
+    """
 
     p: int
     n: int
     a: Rat
-    coords: tuple
+    terms: tuple
 
-    def __post_init__(self):
-        a = Fraction(self.a)
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
-        if len(coords) != self.p ** self.n:
-            raise ValueError("expected %d coordinates" % (self.p ** self.n,))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, p: int, n: int, a, coords):
+        self._set(p, n, Fraction(a), _dense_terms(coords, p ** n))
 
     @classmethod
-    def _unchecked(cls, p: int, n: int, a: Fraction, coords: tuple) -> "RadicalElt":
-        """An element from a Fraction radicand and a tuple of p^n Fraction
-        coords that library code built from validated elements; skips the
+    def _unchecked(cls, p: int, n: int, a: Fraction, terms: tuple) -> "RadicalElt":
+        """An element from a Fraction radicand and sorted (k, nonzero Fraction)
+        terms that library code built from validated elements; skips the
         checks and conversions of the public constructor."""
         x = object.__new__(cls)
-        object.__setattr__(x, "p", p)
-        object.__setattr__(x, "n", n)
-        object.__setattr__(x, "a", a)
-        object.__setattr__(x, "coords", coords)
+        x._set(p, n, a, terms)
         return x
+
+    def _set(self, p: int, n: int, a: Fraction, terms: tuple) -> None:
+        for name, value in (("p", p), ("n", n), ("a", a), ("terms", terms)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def coords(self) -> tuple:
+        """The dense view: p^n Fractions, zeros included."""
+        return _dense_view(self.terms, self.p ** self.n)
 
     @classmethod
     def w_power(cls, p: int, n: int, a, k: int) -> "RadicalElt":
-        go = p ** n
         a = Fraction(a)
-        wrap, k = divmod(k, go)
-        v = [Fraction(0)] * go
-        v[k] = a ** wrap
-        return cls(p, n, a, v)
+        wrap, k = divmod(k, p ** n)
+        c = a ** wrap
+        return cls._unchecked(p, n, a, ((k, c),) if c else ())
 
     def _check(self, other):
         if (self.p, self.n, self.a) != (other.p, other.n, other.a):
@@ -260,37 +336,41 @@ class RadicalElt:
 
     def __add__(self, other):
         self._check(other)
-        return RadicalElt(self.p, self.n, self.a,
-                          [x + y for x, y in zip(self.coords, other.coords)])
+        return RadicalElt._unchecked(self.p, self.n, self.a,
+                                     _combine(self.terms, other.terms, operator.add))
 
     def __sub__(self, other):
         self._check(other)
-        return RadicalElt(self.p, self.n, self.a,
-                          [x - y for x, y in zip(self.coords, other.coords)])
+        return RadicalElt._unchecked(self.p, self.n, self.a,
+                                     _combine(self.terms, other.terms, operator.sub))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return RadicalElt(self.p, self.n, self.a, [f * x for x in self.coords])
+            return RadicalElt._unchecked(self.p, self.n, self.a, tuple(
+                (k, f * x) for k, x in self.terms) if f else ())
         self._check(other)
-        go = self.p ** self.n
-        acc = [Fraction(0)] * go
-        for j, x in enumerate(self.coords):
-            if not x:
-                continue
-            for k, y in enumerate(other.coords):
-                if y:
-                    wrap, e = divmod(j + k, go)
-                    acc[e] += x * y * self.a ** wrap
-        return RadicalElt(self.p, self.n, self.a, acc)
+        go, a = self.p ** self.n, self.a
+        cells: dict[int, Fraction] = {}
+        for j, x in self.terms:
+            for k, y in other.terms:
+                e = j + k
+                # w^e with e >= p^n wraps into the radicand: w^e = a w^(e - p^n)
+                if e >= go:
+                    e -= go
+                    cells[e] = cells.get(e, _ZERO) + x * y * a
+                else:
+                    cells[e] = cells.get(e, _ZERO) + x * y
+        return RadicalElt._unchecked(self.p, self.n, a, _nonzero_terms(cells))
 
     __rmul__ = __mul__
 
     def __bool__(self):
-        return any(self.coords)
+        return bool(self.terms)
 
     def to_json(self) -> dict:
-        return {"radicand": rat_str(self.a), "coords": [rat_str(c) for c in self.coords]}
+        return {"radicand": rat_str(self.a),
+                "coords": _dense_json(self.terms, self.p ** self.n)}
 
     @classmethod
     def from_json(cls, p: int, n: int, data) -> "RadicalElt":
@@ -299,12 +379,16 @@ class RadicalElt:
 
 
 def act(h: HopfElt, x: RadicalElt) -> RadicalElt:
-    """Action on K: the i-th idempotent projects onto the w^i component."""
+    """Action on K: the i-th idempotent projects onto the w^i component.
+
+    The result lives on the intersection of the two supports, so only the
+    stored terms are read: a basis idempotent on a root power is one lookup.
+    """
     if (h.p, h.n) != (x.p, x.n):
         raise ValueError("mismatched levels")
+    cells = dict(h.terms)
     return RadicalElt._unchecked(x.p, x.n, x.a, tuple(
-        c * v if c and v else _ZERO for c, v in zip(h.coords, x.coords)))
-
+        (k, cells[k] * v) for k, v in x.terms if k in cells))
 
 # ---------------------------------------------------------------------------
 # structural checks
@@ -339,7 +423,8 @@ def fixed_field_check(p: int, n: int, a) -> Report:
     The system has one block of p^n rows per idempotent e_i: block i is the
     matrix of e_i - counit(e_i) on the basis w^0, ..., w^(p^n - 1), and
     column k of it is read off `act(e_i, w^k)`, computed for every (i, k).
-    Each column fills its nonzero entries into the block's rows in one pass.
+    Each column fills its stored nonzero terms into the block's rows in one
+    pass; e_i on w^k has one term when i == k and none otherwise.
     """
     a = validate_radicand(p, a)
     go = p ** n
@@ -352,9 +437,8 @@ def fixed_field_check(p: int, n: int, a) -> Report:
             eps = h_counit(p, n, i)
             block = [{} for _ in range(go)]
             for k, b in enumerate(basis):
-                for r, v in enumerate(act(h, b).coords):
-                    if v:
-                        block[r][k] = v
+                for r, v in act(h, b).terms:
+                    block[r][k] = v
             for r, row in enumerate(block):
                 row[r] = row.get(r, 0) - eps
                 rows.append(row)

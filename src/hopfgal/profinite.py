@@ -50,7 +50,8 @@ def nu_h(n: int, h: HopfElt) -> HopfElt:
     if h.n != n or n < 2:
         raise ValueError("need an element at level n >= 2")
     p = h.p
-    return HopfElt(p, n - 1, [h.coords[p * k] for k in range(p ** (n - 1))])
+    return HopfElt._unchecked(p, n - 1, tuple((i // p, c) for i, c in h.terms
+                                              if i % p == 0))
 
 
 def nu_consistency_check(p: int, n: int) -> Report:

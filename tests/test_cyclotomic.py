@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from hopfgal import cyclotomic, groupring, linalg, variants
 from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, delta_apply, embed,
                                 embed_preimage, fixed_space, inverse, is_prime,
                                 mul, multiplicative_order, parse_rat,
@@ -337,6 +338,87 @@ def test_fixed_space_without_generators_is_the_whole_grid():
     field = FieldDescriptor(3, 1)
     basis = fixed_space(field, [], 2)
     assert [terms_to_vector(t) for t in basis] == [{k: 1} for k in range(4)]
+
+
+def stabiliser_sets(field, gens, ncells) -> list[tuple]:
+    """The sorted stabiliser set of each orbit, by the breadth-first walk that
+    `fixed_space` documents: each cell's transport (S, U) from the orbit's
+    largest cell, and one element (S, U) per edge closing a cycle, the
+    identity (0, 1) left out."""
+    m = field.modulus
+    transport, sets = [None] * ncells, []
+    for rep in range(ncells - 1, -1, -1):
+        if transport[rep] is not None:
+            continue
+        transport[rep], orbit, found = (0, 1), [rep], set()
+        for c in orbit:
+            S, U = transport[c]
+            for u, moves in gens:
+                t, s = moves[c]
+                S2, U2 = (s + u * S) % m, (u * U) % m
+                if transport[t] is None:
+                    transport[t] = (S2, U2)
+                    orbit.append(t)
+                else:
+                    St, Ut = transport[t]
+                    inv = pow(Ut, -1, m)
+                    found.add(((S2 - St) * inv % m, U2 * inv % m))
+        found.discard((0, 1))
+        sets.append(tuple(sorted(found)))
+    return sets
+
+
+@pytest.mark.parametrize("build,reused", [("h_variant 3,3,1", True),
+                                          ("fixed_ring_kernel 3,4", False)])
+def test_fixed_space_eliminates_once_per_distinct_stabiliser_set(monkeypatch, build,
+                                                                 reused):
+    """Within one call, an orbit whose stabiliser set was already eliminated
+    reuses that kernel: `kernel_basis` runs once per distinct set.  The
+    variant's 729 cells fall in 189 orbits with 56 distinct sets; the fixed
+    ring's five orbits have five different ones."""
+    calls, problems = [], []
+    real_kernel_basis = linalg.SparseEchelon.kernel_basis
+    real_fixed_space = cyclotomic.fixed_space
+
+    def counting_kernel_basis(self, ncols):
+        calls.append(ncols)
+        return real_kernel_basis(self, ncols)
+
+    def recording_fixed_space(field, generators, ncells):
+        generators = [(u % field.modulus, list(moves)) for u, moves in generators]
+        before = len(calls)
+        basis = real_fixed_space(field, generators, ncells)
+        problems.append((field, generators, ncells, len(calls) - before))
+        return basis
+
+    monkeypatch.setattr(linalg.SparseEchelon, "kernel_basis", counting_kernel_basis)
+    for module in (cyclotomic, groupring, variants):
+        monkeypatch.setattr(module, "fixed_space", recording_fixed_space)
+    if build.startswith("h_variant"):
+        variants.h_variant(3, 3, 1)
+    else:
+        groupring.fixed_ring_kernel(3, 4)
+    assert len(problems) == 1
+    field, gens, ncells, eliminations = problems[0]
+    sets = stabiliser_sets(field, gens, ncells)
+    assert eliminations == len(set(sets))
+    assert (len(set(sets)) < len(sets)) == reused
+
+
+def test_fixed_space_keys_its_kernels_by_the_whole_stabiliser_set():
+    """Three fixed cells whose stabiliser sets share their first element and
+    their units, with different kernels: Q in cell 2, Q*(1 + zeta^3) in
+    cell 1, 0 in cell 0.  A kernel keyed by less than the whole sorted set
+    would be reused across them."""
+    field = FieldDescriptor(3, 2)
+    gens = [(8, [(0, 0), (1, 3), (2, 0)]), (4, [(0, 3), (1, 0), (2, 0)])]
+    sets = stabiliser_sets(field, gens, 3)
+    assert sets == [((0, 4), (0, 8)), ((0, 4), (3, 8)), ((0, 8), (3, 4))]
+    rows = [row for u, moves in gens for row in action_rows(field, u, moves)]
+    basis = fixed_space(field, gens, 3)
+    assert [terms_to_vector(t) for t in basis] == sparse_nullspace(
+        rows, 3 * field.degree)
+    assert [[c for c, _ in terms] for terms in basis] == [[1], [2]]
 
 
 @pytest.mark.parametrize("moves", [

@@ -1,5 +1,6 @@
 """Idempotent basis, dual pairing, action on the radical extension."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from hopfgal import hopfgalois
 from hopfgal.cyclotomic import FieldDescriptor
 from hopfgal.groupring import GroupRingElt
+from hopfgal.profinite import nu_h
 from hopfgal.hopfgalois import (HopfElt, RadicalElt, act, base_change_report,
                                 base_change_sigma, dual_pairing,
                                 dual_pairing_report, e_basis,
@@ -216,6 +218,105 @@ def test_root_power_wraps_with_radicand():
     x = RadicalElt.w_power(3, 1, 2, 1)
     sq = x * x * x                              # w^3 = a
     assert sq.coords == (Fraction(2), 0, 0)
+
+
+# -- the sparse layout, against dense references built here -------------------------
+
+def dense_radical_mul(a, x, y) -> list[Fraction]:
+    """The product in K from dense coords: w^j * w^k = a^wrap * w^((j+k) mod p^n)."""
+    go = len(x)
+    acc = [Fraction(0)] * go
+    for j in range(go):
+        for k in range(go):
+            wrap, e = divmod(j + k, go)
+            acc[e] += x[j] * y[k] * a ** wrap
+    return acc
+
+
+def q(v) -> str:
+    return "%d/%d" % (v.numerator, v.denominator)
+
+
+def stored_values_are_nonzero(x) -> bool:
+    return all(type(v) is Fraction and v for _, v in x.terms) and \
+        [i for i, _ in x.terms] == sorted({i for i, _ in x.terms})
+
+
+def assert_hopf(got: HopfElt, p, n, dense):
+    """`got` holds exactly the dense coords, and is the element the public
+    constructor builds from them."""
+    want = HopfElt(p, n, dense)
+    assert list(got.coords) == dense
+    assert stored_values_are_nonzero(got)
+    assert got == want and hash(got) == hash(want)
+
+
+def assert_radical(got: RadicalElt, p, n, a, dense):
+    want = RadicalElt(p, n, a, dense)
+    assert list(got.coords) == dense
+    assert stored_values_are_nonzero(got)
+    assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@given(data=st.data())
+def test_sparse_elements_match_the_dense_reference(p, n, data):
+    go = p ** n
+    coords = st.lists(st.one_of(st.just(Fraction(0)), frac), min_size=go, max_size=go)
+    a = data.draw(st.sampled_from([Fraction(2), Fraction(3, 5), Fraction(-7, 2)]))
+    dh, dg, dx, dy = (data.draw(coords) for _ in range(4))
+    c = data.draw(st.one_of(st.just(Fraction(0)), frac))
+    h, g = HopfElt(p, n, dh), HopfElt(p, n, dg)
+    x, y = RadicalElt(p, n, a, dx), RadicalElt(p, n, a, dy)
+    assert h.terms == tuple((i, v) for i, v in enumerate(dh) if v)
+    # Hopf elements: sum, difference, pointwise product, scaling
+    assert_hopf(h + g, p, n, [u + v for u, v in zip(dh, dg)])
+    assert_hopf(h - g, p, n, [u - v for u, v in zip(dh, dg)])
+    assert_hopf(h * g, p, n, [u * v for u, v in zip(dh, dg)])
+    assert_hopf(h.scale(c), p, n, [c * u for u in dh])
+    assert bool(h) == any(dh)
+    # radical elements: sum, difference, scalar and field products
+    assert_radical(x + y, p, n, a, [u + v for u, v in zip(dx, dy)])
+    assert_radical(x - y, p, n, a, [u - v for u, v in zip(dx, dy)])
+    assert_radical(x * c, p, n, a, [c * u for u in dx])
+    assert_radical(x * y, p, n, a, dense_radical_mul(a, dx, dy))
+    # the action and the truncation
+    assert_radical(act(h, x), p, n, a, [u * v for u, v in zip(dh, dx)])
+    if n >= 2:
+        assert_hopf(nu_h(n, h), p, n - 1, [dh[p * k] for k in range(p ** (n - 1))])
+    # the group ring: sum_i c_i e_i, built densely, and back
+    dense_gr = GroupRingElt.zero(FieldDescriptor(p, n))
+    for i, v in enumerate(dh):
+        dense_gr = dense_gr + e_basis(p, n, i).scale(v)
+    assert hopf_to_groupring(h) == dense_gr
+    assert_hopf(hopf_from_groupring(dense_gr), p, n, dh)
+    # JSON bytes, and back
+    assert json.dumps(h.to_json()) == json.dumps([q(v) for v in dh])
+    assert json.dumps(x.to_json(), sort_keys=True) == json.dumps(
+        {"radicand": q(a), "coords": [q(v) for v in dx]}, sort_keys=True)
+    assert_hopf(HopfElt.from_json(p, n, [q(v) for v in dh]), p, n, dh)
+    assert_radical(RadicalElt.from_json(p, n, {"radicand": q(a),
+                                               "coords": [q(v) for v in dx]}),
+                   p, n, a, dx)
+
+
+def test_no_zero_is_stored_after_a_cancellation():
+    h = HopfElt(3, 1, [1, Fraction(1, 2), 0])
+    assert (h - h).terms == () and not (h - h)
+    assert (h + h.scale(-1)).terms == ()
+    # disjoint supports under the pointwise product
+    assert (h * HopfElt(3, 1, [0, 0, 5])).terms == ()
+    assert h.scale(0).terms == ()
+    x = RadicalElt(3, 1, 2, [1, 1, 0])
+    assert (x - x).terms == () and (x * 0).terms == ()
+    # (1 + w)(1 - w + w^2) = 1 + w^3 = 1 + a: the w and w^2 terms cancel
+    assert (x * RadicalElt(3, 1, 2, [1, -1, 1])).terms == ((0, Fraction(3)),)
+    # the action on a disjoint support, and a wrap into radicand 0
+    assert act(HopfElt.basis_vector(3, 1, 2), x).terms == ()
+    assert RadicalElt.w_power(3, 1, 0, 4).terms == ()
+    # zeros given to the constructors, in any form
+    assert HopfElt(3, 1, [0, Fraction(0), "0/7"]).terms == ()
+    assert RadicalElt(3, 1, 2, ["-0/3", 0, Fraction(0)]).terms == ()
 
 
 # -- report-level checks ------------------------------------------------------------
