@@ -8,7 +8,9 @@ two independent engines that are cross-checked in tests:
 * a naive engine, the tests' reference: exhaustive search over
   fixed-point-free cycles of full length (cyclic candidates) and over
   commuting pairs of fixed-point-free p-elements (elementary abelian
-  candidates), then the normalization filter — feasible for degree <= 10;
+  candidates), then the normalization filter — feasible for degree <= 10.
+  The candidates depend on the degree alone, so one complete pass is kept
+  per degree and later searches run the filter over it;
 * a holomorph engine, the default: for each model N, a regular group given
   by its generators, Hol(N) = N·Aut(N) with Aut(N) read off equivariant
   labelings; each generator of the action image gets an element of

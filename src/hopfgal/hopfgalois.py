@@ -147,6 +147,13 @@ def _combine(x: tuple, y: tuple, op) -> tuple:
     return _nonzero_terms(cells)
 
 
+def _pointwise(x: tuple, y: tuple) -> tuple:
+    """The terms of x_i * y_i: they live on the intersection of the supports,
+    and a product of nonzero values is nonzero."""
+    cells = dict(x)
+    return tuple((i, cells[i] * c) for i, c in y if i in cells)
+
+
 def _dense_view(terms, length: int) -> tuple:
     v = [_ZERO] * length
     for i, c in terms:
@@ -216,12 +223,9 @@ class HopfElt:
                                   _combine(self.terms, other.terms, operator.sub))
 
     def __mul__(self, other):
-        # idempotent basis is pointwise-orthogonal, so the product is pointwise:
-        # it lives on the intersection of the supports
+        # idempotent basis is pointwise-orthogonal, so the product is pointwise
         self._check(other)
-        cells = dict(other.terms)
-        return HopfElt._unchecked(self.p, self.n, tuple(
-            (i, c * cells[i]) for i, c in self.terms if i in cells))
+        return HopfElt._unchecked(self.p, self.n, _pointwise(self.terms, other.terms))
 
     def scale(self, c) -> "HopfElt":
         f = Fraction(c)
@@ -386,9 +390,7 @@ def act(h: HopfElt, x: RadicalElt) -> RadicalElt:
     """
     if (h.p, h.n) != (x.p, x.n):
         raise ValueError("mismatched levels")
-    cells = dict(h.terms)
-    return RadicalElt._unchecked(x.p, x.n, x.a, tuple(
-        (k, cells[k] * v) for k, v in x.terms if k in cells))
+    return RadicalElt._unchecked(x.p, x.n, x.a, _pointwise(h.terms, x.terms))
 
 # ---------------------------------------------------------------------------
 # structural checks
