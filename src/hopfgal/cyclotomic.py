@@ -55,17 +55,6 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def multiplicative_order(g: int, modulus: int) -> int:
-    if modulus <= 1 or g % modulus == 0:
-        raise ValueError("order undefined for g=%d mod %d" % (g, modulus))
-    k, acc = 1, g % modulus
-    while acc != 1:
-        acc = (acc * g) % modulus
-        k += 1
-        if k > modulus:
-            raise ValueError("%d is not a unit mod %d" % (g, modulus))
-    return k
-
 def _prime_divisors(m: int) -> list[int]:
     """The distinct primes dividing m >= 1, in increasing order."""
     out, f = [], 2
@@ -417,12 +406,6 @@ def from_exponents(field: FieldDescriptor, pairs, den: int = 1) -> CycloElt:
     return _normalized(field, _fold(field, pairs), den)
 
 
-def reduce_terms(field: FieldDescriptor, terms: dict[int, Rat]) -> CycloElt:
-    """Canonical form of a formal sum  sum_e terms[e] * zeta^e  (e arbitrary ints)."""
-    nums, den = linalg.common_denominator(terms.values())
-    return from_exponents(field, zip(terms, nums), den)
-
-
 def mul(x: CycloElt, y: CycloElt) -> CycloElt:
     field = x.field
     if y.field is not field:
@@ -455,13 +438,6 @@ def inverse(x: CycloElt) -> CycloElt:
         raise ValueError("multiplication by %r is not invertible" % (x,))
     rows = ech.pivot_rows
     return CycloElt(x.field, [rows[j].get(deg, 0) for j in range(deg)])
-
-
-def delta_apply(e: int, x: CycloElt) -> CycloElt:
-    """The Galois generator to the e-th power: zeta -> zeta^(multiplier^e)."""
-    field = x.field
-    u = pow(field.multiplier, e % field.degree, field.modulus)
-    return unit_apply(u, x)
 
 
 def unit_apply(u: int, x: CycloElt) -> CycloElt:

@@ -199,10 +199,6 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
-    def is_abelian(self) -> bool:
-        gs = self.generators
-        return all(a * b == b * a for a in gs for b in gs)
-
     def is_cyclic(self) -> bool:
         return any(g.order() == self.order for g in self.elements)
 

@@ -4,10 +4,10 @@ action whose fixed ring is the object of interest.
 An element stores only its nonzero cells: the (exponent, coefficient) pairs
 with exponent in 0..group_order-1, sorted by exponent, with cyclotomic
 coefficients.  No zero cell is ever stored, so equal elements have equal
-storage; `coeffs` is the dense view, one cell per group exponent.  The
-coefficient field level and the group order are independent: truncating the
-group (see `profinite`) shrinks the group while the coefficients stay where
-they are.  The common case is group_order == p^n with coefficients in
+storage; `coeffs` is the dense view, one cell per group exponent.  The term
+operations are the shared ones of `_terms`.  The coefficient field level and
+the group order are independent: truncating the group (see `profinite`)
+shrinks the group while the coefficients stay where they are.  The common case is group_order == p^n with coefficients in
 Q(zeta_{p^n}).
 
 The diagonal action sends  c * sigma^b  to  (zeta->zeta^u)(c) * sigma^(u*b)
@@ -22,12 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._terms import add, canonical, dense, new, sub
 from .cyclotomic import CycloElt, FieldDescriptor, fixed_space, unit_apply
-
-
-def _canonical_terms(cells: dict) -> tuple:
-    """The terms of {exponent: coefficient}: zero cells dropped, sorted by exponent."""
-    return tuple(sorted((b, c) for b, c in cells.items() if c))
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,38 +55,17 @@ class GroupRingElt:
             if b in cells:
                 raise ValueError("group exponent %d given twice" % b)
             cells[b] = c
-        object.__setattr__(self, "terms", _canonical_terms(cells))
-
-    @classmethod
-    def _unchecked(cls, field: FieldDescriptor, terms: tuple, group_order: int) -> "GroupRingElt":
-        """An element from terms that library code built over `field`, already
-        canonical (sorted, in range, no zero cell); skips the checks of the
-        public constructor."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "field", field)
-        object.__setattr__(x, "group_order", group_order)
-        object.__setattr__(x, "terms", terms)
-        return x
-
-    @classmethod
-    def _from_dict(cls, field: FieldDescriptor, cells: dict,
-                   group_order: int) -> "GroupRingElt":
-        """An element from {exponent: coefficient} cells that library code
-        built; zero cells, as a cancellation leaves them, are dropped."""
-        return cls._unchecked(field, _canonical_terms(cells), group_order)
+        object.__setattr__(self, "terms", canonical(cells))
 
     @property
     def coeffs(self) -> tuple:
         """The dense view: one coefficient per group exponent, zeros included."""
-        cells = [CycloElt.zero(self.field)] * self.group_order
-        for b, c in self.terms:
-            cells[b] = c
-        return tuple(cells)
+        return tuple(dense(self.terms, self.group_order, CycloElt.zero(self.field)))
 
     @classmethod
     def zero(cls, field: FieldDescriptor, group_order: int | None = None) -> "GroupRingElt":
         go = field.modulus if group_order is None else group_order
-        return cls._unchecked(field, (), go)
+        return new(cls, field, (), go)
 
     @classmethod
     def one(cls, field: FieldDescriptor, group_order: int | None = None) -> "GroupRingElt":
@@ -100,7 +75,7 @@ class GroupRingElt:
     def sigma_power(cls, field: FieldDescriptor, b: int,
                     group_order: int | None = None) -> "GroupRingElt":
         go = field.modulus if group_order is None else group_order
-        return cls._unchecked(field, ((b % go, CycloElt.one(field)),), go)
+        return new(cls, field, ((b % go, CycloElt.one(field)),), go)
 
     def _check(self, other: "GroupRingElt"):
         if self.field is not other.field or self.group_order != other.group_order:
@@ -108,23 +83,15 @@ class GroupRingElt:
 
     def __add__(self, other):
         self._check(other)
-        cells = dict(self.terms)
-        for b, c in other.terms:
-            a = cells.get(b)
-            cells[b] = c if a is None else a + c
-        return GroupRingElt._from_dict(self.field, cells, self.group_order)
+        return new(GroupRingElt, self.field, add(self.terms, other.terms), self.group_order)
 
     def __sub__(self, other):
         self._check(other)
-        cells = dict(self.terms)
-        for b, c in other.terms:
-            a = cells.get(b)
-            cells[b] = -c if a is None else a - c
-        return GroupRingElt._from_dict(self.field, cells, self.group_order)
+        return new(GroupRingElt, self.field, sub(self.terms, other.terms), self.group_order)
 
     def __neg__(self):
-        return GroupRingElt._unchecked(
-            self.field, tuple((b, -c) for b, c in self.terms), self.group_order)
+        return new(GroupRingElt, self.field, tuple((b, -c) for b, c in self.terms),
+                   self.group_order)
 
     def scale(self, c) -> "GroupRingElt":
         """Multiply by a scalar (rational or cyclotomic)."""
@@ -133,18 +100,15 @@ class GroupRingElt:
         if not c:
             return GroupRingElt.zero(self.field, self.group_order)
         # a product of nonzero field elements is nonzero: no cell drops out
-        return GroupRingElt._unchecked(
-            self.field, tuple((b, c * a) for b, a in self.terms), self.group_order)
+        return new(GroupRingElt, self.field, tuple((b, c * a) for b, a in self.terms),
+                   self.group_order)
 
     def __bool__(self):
         return bool(self.terms)
 
     def to_json(self) -> list[list[str]]:
-        out = [None] * self.group_order
-        for b, c in self.terms:
-            out[b] = c.to_json()
-        zero = CycloElt.zero(self.field)
-        return [zero.to_json() if cell is None else cell for cell in out]
+        return dense(self.terms, self.group_order, CycloElt.zero(self.field).to_json(),
+                     CycloElt.to_json)
 
     @classmethod
     def from_json(cls, field: FieldDescriptor, data,
@@ -163,7 +127,7 @@ def diag_action_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     go = x.group_order
     # b -> u*b permutes Z/go, and an automorphism keeps every cell nonzero
     terms = sorted(((b * u) % go, unit_apply(u, c)) for b, c in x.terms)
-    return GroupRingElt._unchecked(x.field, tuple(terms), go)
+    return new(GroupRingElt, x.field, tuple(terms), go)
 
 
 def diag_action(e: int, x: GroupRingElt) -> GroupRingElt:
@@ -196,4 +160,4 @@ def fixed_ring(p: int, n: int) -> list[GroupRingElt]:
     if len(kernel) != field.modulus:
         raise AssertionError("fixed ring dimension %d != %d" % (len(kernel), field.modulus))
     # the terms are sorted by cell and hold no zero cell: canonical already
-    return [GroupRingElt._unchecked(field, terms, field.modulus) for terms in kernel]
+    return [new(GroupRingElt, field, terms, field.modulus) for terms in kernel]

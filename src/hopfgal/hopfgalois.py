@@ -21,23 +21,22 @@ and the base-change identity expressing sigma-powers of lower levels as
 cyclotomic combinations of the idempotents.
 
 Both element types store only their nonzero coordinates, as sorted
-(index, Fraction) terms, and the arithmetic walks those terms: the basis
-idempotents and the powers of w have one term each, so `act(e_i, w^k)`
-reads one pair instead of p^n.  Their constructors and `coords` keep the
-dense form.
+(index, Fraction) terms (`_terms`), and the arithmetic walks those terms:
+the basis idempotents and the powers of w have one term each, so
+`act(e_i, w^k)` reads one pair instead of p^n.  Their constructors and
+`coords` keep the dense form.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .cyclotomic import (CycloElt, FieldDescriptor, Rat, cells_to_vector, embed,
-                         embed_preimage, from_exponents, parse_rat, rat_str,
-                         terms_to_vector)
+from ._terms import add, dense, fill, new, pointwise, sparse, sub
+from .cyclotomic import (CycloElt, FieldDescriptor, Rat, embed, embed_preimage,
+                         from_exponents, parse_rat, rat_str, terms_to_vector)
 from .groupring import GroupRingElt, fixed_ring_kernel
 from .reporting import Report, checked
 
@@ -93,8 +92,8 @@ def e_basis(p: int, n: int, i: int) -> GroupRingElt:
     field = FieldDescriptor(p, n)
     go = field.modulus
     # every cell is +/- zeta^k / p^n, never zero
-    return GroupRingElt._unchecked(
-        field, tuple((j, from_exponents(field, ((-i * j, 1),), go)) for j in range(go)), go)
+    return new(GroupRingElt, field,
+               tuple((j, from_exponents(field, ((-i * j, 1),), go)) for j in range(go)), go)
 
 
 def dual_pairing(p: int, n: int, i: int, k: int) -> Rat:
@@ -122,50 +121,13 @@ def h_counit(p: int, n: int, i: int) -> Rat:
 # ---------------------------------------------------------------------------
 # elements
 
-def _dense_terms(coords, length: int) -> tuple:
-    """The sorted (index, nonzero Fraction) pairs of `length` dense coords
-    (ints, Fractions or strings `Fraction` accepts); ValueError on a wrong
-    count."""
+def _coords_terms(coords, length: int) -> tuple:
+    """The terms of `length` dense coords (ints, Fractions or strings
+    `Fraction` accepts); ValueError on a wrong count."""
     coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
     if len(coords) != length:
         raise ValueError("expected %d coordinates" % (length,))
-    return tuple((i, c) for i, c in enumerate(coords) if c)
-
-
-def _nonzero_terms(cells: dict) -> tuple:
-    """The sorted nonzero (index, value) pairs of `cells`: a cancellation's
-    zeros are dropped."""
-    return tuple(sorted((i, c) for i, c in cells.items() if c))
-
-
-def _combine(x: tuple, y: tuple, op) -> tuple:
-    """The terms of op(x_i, y_i) index by index (`operator.add` or `sub`),
-    an index absent from one side reading 0 there."""
-    cells = dict(x)
-    for i, c in y:
-        cells[i] = op(cells.get(i, _ZERO), c)
-    return _nonzero_terms(cells)
-
-
-def _pointwise(x: tuple, y: tuple) -> tuple:
-    """The terms of x_i * y_i: they live on the intersection of the supports,
-    and a product of nonzero values is nonzero."""
-    cells = dict(x)
-    return tuple((i, cells[i] * c) for i, c in y if i in cells)
-
-
-def _dense_view(terms, length: int) -> tuple:
-    v = [_ZERO] * length
-    for i, c in terms:
-        v[i] = c
-    return tuple(v)
-
-
-def _dense_json(terms, length: int) -> list[str]:
-    v = [_ZERO_STR] * length
-    for i, c in terms:
-        v[i] = rat_str(c)
-    return v
+    return sparse(coords)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -184,53 +146,39 @@ class HopfElt:
     terms: tuple
 
     def __init__(self, p: int, n: int, coords):
-        self._set(p, n, _dense_terms(coords, p ** n))
-
-    @classmethod
-    def _unchecked(cls, p: int, n: int, terms: tuple) -> "HopfElt":
-        """An element from sorted (index, nonzero Fraction) terms that library
-        code built from validated elements; skips the constructor's checks."""
-        h = object.__new__(cls)
-        h._set(p, n, terms)
-        return h
-
-    def _set(self, p: int, n: int, terms: tuple) -> None:
-        for name, value in (("p", p), ("n", n), ("terms", terms)):
-            object.__setattr__(self, name, value)
+        fill(self, p, n, _coords_terms(coords, p ** n))
 
     @property
     def coords(self) -> tuple:
         """The dense view: p^n Fractions, zeros included."""
-        return _dense_view(self.terms, self.p ** self.n)
+        return tuple(dense(self.terms, self.p ** self.n, _ZERO))
 
     @classmethod
     def basis_vector(cls, p: int, n: int, i: int) -> "HopfElt":
-        return cls._unchecked(p, n, ((i % p ** n, _ONE),))
+        return new(cls, p, n, ((i % p ** n, _ONE),))
 
     @classmethod
     def unit(cls, p: int, n: int) -> "HopfElt":
         # sum of all idempotents = 1
-        return cls._unchecked(p, n, tuple((i, _ONE) for i in range(p ** n)))
+        return new(cls, p, n, tuple((i, _ONE) for i in range(p ** n)))
 
     def __add__(self, other):
         self._check(other)
-        return HopfElt._unchecked(self.p, self.n,
-                                  _combine(self.terms, other.terms, operator.add))
+        return new(HopfElt, self.p, self.n, add(self.terms, other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        return HopfElt._unchecked(self.p, self.n,
-                                  _combine(self.terms, other.terms, operator.sub))
+        return new(HopfElt, self.p, self.n, sub(self.terms, other.terms))
 
     def __mul__(self, other):
         # idempotent basis is pointwise-orthogonal, so the product is pointwise
         self._check(other)
-        return HopfElt._unchecked(self.p, self.n, _pointwise(self.terms, other.terms))
+        return new(HopfElt, self.p, self.n, pointwise(self.terms, other.terms))
 
     def scale(self, c) -> "HopfElt":
         f = Fraction(c)
-        return HopfElt._unchecked(self.p, self.n,
-                                  tuple((i, f * a) for i, a in self.terms) if f else ())
+        return new(HopfElt, self.p, self.n,
+                   tuple((i, f * a) for i, a in self.terms) if f else ())
 
     def _check(self, other):
         if not isinstance(other, HopfElt) or (self.p, self.n) != (other.p, other.n):
@@ -240,7 +188,7 @@ class HopfElt:
         return bool(self.terms)
 
     def to_json(self) -> list[str]:
-        return _dense_json(self.terms, self.p ** self.n)
+        return dense(self.terms, self.p ** self.n, _ZERO_STR, rat_str)
 
     @classmethod
     def from_json(cls, p: int, n: int, data) -> "HopfElt":
@@ -255,12 +203,9 @@ def hopf_to_groupring(h: HopfElt) -> GroupRingElt:
     go = field.modulus
     den = lcm(*(c.denominator for _, c in h.terms))
     terms = [(i, c.numerator * (den // c.denominator)) for i, c in h.terms]
-    cells = []
-    for j in range(go):
-        c = from_exponents(field, ((-i * j, a) for i, a in terms), den * go)
-        if c:
-            cells.append((j, c))
-    return GroupRingElt._unchecked(field, tuple(cells), go)
+    return new(GroupRingElt, field, sparse(
+        from_exponents(field, ((-i * j, a) for i, a in terms), den * go)
+        for j in range(go)), go)
 
 
 def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
@@ -290,7 +235,7 @@ def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
                              "(evaluation at exponent %d is irrational)" % k)
         if acc:
             out.append((k, acc.rational_value()))
-    return HopfElt._unchecked(field.p, field.n, tuple(out))
+    return new(HopfElt, field.p, field.n, tuple(out))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -307,32 +252,19 @@ class RadicalElt:
     terms: tuple
 
     def __init__(self, p: int, n: int, a, coords):
-        self._set(p, n, Fraction(a), _dense_terms(coords, p ** n))
-
-    @classmethod
-    def _unchecked(cls, p: int, n: int, a: Fraction, terms: tuple) -> "RadicalElt":
-        """An element from a Fraction radicand and sorted (k, nonzero Fraction)
-        terms that library code built from validated elements; skips the
-        checks and conversions of the public constructor."""
-        x = object.__new__(cls)
-        x._set(p, n, a, terms)
-        return x
-
-    def _set(self, p: int, n: int, a: Fraction, terms: tuple) -> None:
-        for name, value in (("p", p), ("n", n), ("a", a), ("terms", terms)):
-            object.__setattr__(self, name, value)
+        fill(self, p, n, Fraction(a), _coords_terms(coords, p ** n))
 
     @property
     def coords(self) -> tuple:
         """The dense view: p^n Fractions, zeros included."""
-        return _dense_view(self.terms, self.p ** self.n)
+        return tuple(dense(self.terms, self.p ** self.n, _ZERO))
 
     @classmethod
     def w_power(cls, p: int, n: int, a, k: int) -> "RadicalElt":
         a = Fraction(a)
         wrap, k = divmod(k, p ** n)
         c = a ** wrap
-        return cls._unchecked(p, n, a, ((k, c),) if c else ())
+        return new(cls, p, n, a, ((k, c),) if c else ())
 
     def _check(self, other):
         if (self.p, self.n, self.a) != (other.p, other.n, other.a):
@@ -340,32 +272,23 @@ class RadicalElt:
 
     def __add__(self, other):
         self._check(other)
-        return RadicalElt._unchecked(self.p, self.n, self.a,
-                                     _combine(self.terms, other.terms, operator.add))
+        return new(RadicalElt, self.p, self.n, self.a, add(self.terms, other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        return RadicalElt._unchecked(self.p, self.n, self.a,
-                                     _combine(self.terms, other.terms, operator.sub))
+        return new(RadicalElt, self.p, self.n, self.a, sub(self.terms, other.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return RadicalElt._unchecked(self.p, self.n, self.a, tuple(
-                (k, f * x) for k, x in self.terms) if f else ())
+            return new(RadicalElt, self.p, self.n, self.a,
+                       tuple((k, f * x) for k, x in self.terms) if f else ())
         self._check(other)
         go, a = self.p ** self.n, self.a
-        cells: dict[int, Fraction] = {}
-        for j, x in self.terms:
-            for k, y in other.terms:
-                e = j + k
-                # w^e with e >= p^n wraps into the radicand: w^e = a w^(e - p^n)
-                if e >= go:
-                    e -= go
-                    cells[e] = cells.get(e, _ZERO) + x * y * a
-                else:
-                    cells[e] = cells.get(e, _ZERO) + x * y
-        return RadicalElt._unchecked(self.p, self.n, a, _nonzero_terms(cells))
+        # w^e with e >= p^n wraps into the radicand: w^e = a w^(e - p^n)
+        return new(RadicalElt, self.p, self.n, a, add((), (
+            (j + k, x * y) if j + k < go else (j + k - go, x * y * a)
+            for j, x in self.terms for k, y in other.terms)))
 
     __rmul__ = __mul__
 
@@ -374,7 +297,7 @@ class RadicalElt:
 
     def to_json(self) -> dict:
         return {"radicand": rat_str(self.a),
-                "coords": _dense_json(self.terms, self.p ** self.n)}
+                "coords": dense(self.terms, self.p ** self.n, _ZERO_STR, rat_str)}
 
     @classmethod
     def from_json(cls, p: int, n: int, data) -> "RadicalElt":
@@ -390,7 +313,7 @@ def act(h: HopfElt, x: RadicalElt) -> RadicalElt:
     """
     if (h.p, h.n) != (x.p, x.n):
         raise ValueError("mismatched levels")
-    return RadicalElt._unchecked(x.p, x.n, x.a, _pointwise(h.terms, x.terms))
+    return new(RadicalElt, x.p, x.n, x.a, pointwise(h.terms, x.terms))
 
 # ---------------------------------------------------------------------------
 # structural checks
@@ -426,7 +349,9 @@ def fixed_field_check(p: int, n: int, a) -> Report:
     matrix of e_i - counit(e_i) on the basis w^0, ..., w^(p^n - 1), and
     column k of it is read off `act(e_i, w^k)`, computed for every (i, k).
     Each column fills its stored nonzero terms into the block's rows in one
-    pass; e_i on w^k has one term when i == k and none otherwise.
+    pass; e_i on w^k has one term when i == k and none otherwise.  A zero
+    entry is not stored and a row left empty is not passed on, so of the
+    p^2n rows only the 2(p^n - 1) nonzero ones reach the elimination.
     """
     a = validate_radicand(p, a)
     go = p ** n
@@ -442,12 +367,15 @@ def fixed_field_check(p: int, n: int, a) -> Report:
                 for r, v in act(h, b).terms:
                     block[r][k] = v
             for r, row in enumerate(block):
-                row[r] = row.get(r, 0) - eps
-                rows.append(row)
+                v = row.pop(r, 0) - eps
+                if v:
+                    row[r] = v
+                if row:
+                    rows.append(row)
         kern = linalg.sparse_nullspace(rows, go)
         ok = len(kern) == 1 and set(kern[0]) == {0}
         return ok, {"kernel_dimension": len(kern),
-                    "kernel": [[rat_str(v.get(c, 0)) for c in range(go)]
+                    "kernel": [dense(v.items(), go, _ZERO_STR, rat_str)
                                for v in kern]}
 
     return checked("fixed-field", {"p": p, "n": n, "a": rat_str(a)}, body)
@@ -489,7 +417,7 @@ def fixed_ring_reports(p: int, n: int) -> list[Report]:
             kernel_span.insert(vec)
         idem_span = linalg.SparseEchelon()
         for i in range(p ** n):
-            vec = cells_to_vector(e_basis(p, n, i).coeffs)
+            vec = terms_to_vector(e_basis(p, n, i).terms)
             if not kernel_span.contains(vec):
                 return False, {"stage": "idempotent-outside-kernel", "i": i}
             idem_span.insert(vec)

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cyclotomic import CycloElt, FieldDescriptor, cells_to_vector, embed
+from ._terms import add, new
+from .cyclotomic import CycloElt, FieldDescriptor, embed, terms_to_vector
 from .groupring import GroupRingElt, diag_action, diag_action_unit, fixed_ring
 from .hopfgalois import HopfElt, e_basis, hopf_from_groupring, hopf_to_groupring
 from .reporting import Report, checked
@@ -29,20 +30,14 @@ def nu_groupring(j: int, i: int, x: GroupRingElt) -> GroupRingElt:
     if not (1 <= i < j):
         raise ValueError("need 1 <= target < source, got %d -> %d" % (j, i))
     tgt = x.field.p ** i
-    acc: dict = {}
-    for b, c in x.terms:
-        k = b % tgt
-        a = acc.get(k)
-        acc[k] = c if a is None else a + c
-    return GroupRingElt._from_dict(x.field, acc, tgt)
+    return new(GroupRingElt, x.field, add((), ((b % tgt, c) for b, c in x.terms)), tgt)
 
 
 def _lift_coefficients(x: GroupRingElt) -> GroupRingElt:
     """x with its coefficients embedded one field level up; the group stays."""
     n = x.field.n
-    return GroupRingElt._unchecked(FieldDescriptor(x.field.p, n + 1),
-                                   tuple((b, embed(n, n + 1, c)) for b, c in x.terms),
-                                   x.group_order)
+    return new(GroupRingElt, FieldDescriptor(x.field.p, n + 1),
+               tuple((b, embed(n, n + 1, c)) for b, c in x.terms), x.group_order)
 
 
 def nu_h(n: int, h: HopfElt) -> HopfElt:
@@ -50,8 +45,7 @@ def nu_h(n: int, h: HopfElt) -> HopfElt:
     if h.n != n or n < 2:
         raise ValueError("need an element at level n >= 2")
     p = h.p
-    return HopfElt._unchecked(p, n - 1, tuple((i // p, c) for i, c in h.terms
-                                              if i % p == 0))
+    return new(HopfElt, p, n - 1, tuple((i // p, c) for i, c in h.terms if i % p == 0))
 
 
 def nu_consistency_check(p: int, n: int) -> Report:
@@ -76,7 +70,7 @@ def commute_square_check(p: int, jn: int, i: int) -> Report:
         for a in range(field.degree):
             coeff = CycloElt.zeta_power(field, a)
             for b in range(go):
-                x = GroupRingElt._unchecked(field, ((b, coeff),), go)  # zeta^a sigma^b
+                x = new(GroupRingElt, field, ((b, coeff),), go)  # zeta^a sigma^b
                 left = nu_groupring(jn, i, diag_action(1, x))
                 right = diag_action(1, nu_groupring(jn, i, x))
                 if left != right:
@@ -295,7 +289,7 @@ def fixed_truncation_check(p: int, L: int) -> Report:
             es = [e_basis(p, n, i) for i in range(go)]
             if any(diag_action(1, e) != e for e in es):
                 return False, {"level": n, "problem": "idempotent not fixed"}
-            rk = linalg.sparse_rank(cells_to_vector(e.coeffs) for e in es)
+            rk = linalg.sparse_rank(terms_to_vector(e.terms) for e in es)
             # built after that elimination, so that the two are not held
             # at once: the kernel and the idempotents set the peak memory
             kernel = fixed_ring(p, n)                    # exact kernel; asserts dim

@@ -10,9 +10,9 @@ with w-exponents wrapping into a factor of the radicand a.  Each basis element
 acts on K by w^k -> [k == i] w^(j+k), so its matrix (columns indexed by the
 input basis power, rows by the output coordinate, both 0-indexed) has a single
 nonzero entry.  A `QMatrix` therefore stores only its nonzero entries, as
-sorted ((row, col), value) pairs; the dense p^n x p^n grid is a view, built
-on demand, and the matrix map, its inverse, products and the JSON boundary
-all walk the stored entries.
+sorted ((row, col), value) pairs (`_terms`); the dense p^n x p^n grid is a
+view, built on demand, and the matrix map, its inverse, products and the
+JSON boundary all walk the stored entries.
 
 The product rule has one definition, the kernel `_product_terms`, which
 multiplies term tables ({(j, i): coefficient} items) and builds no element.
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from ._terms import add, canonical, dense, fill, new, sub
 from .cyclotomic import Rat, parse_rat, rat_str
 from .reporting import Report, checked
 
@@ -55,15 +56,10 @@ class SmashElt:
         if type(self.a) is not Fraction:
             object.__setattr__(self, "a", Fraction(self.a))
         go = self.p ** self.n
-        clean = {}
-        for (j, i), c in self.terms.items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                key = (j % go, i % go)
-                prev = clean.get(key)
-                clean[key] = c if prev is None else prev + c
-        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v})
+        # indices reduced mod p^n, coefficients summed by basis element
+        object.__setattr__(self, "terms", dict(add((), (
+            ((j % go, i % go), c if type(c) is Fraction else Fraction(c))
+            for (j, i), c in self.terms.items()))))
 
     @classmethod
     def basis(cls, p: int, n: int, a, j: int, i: int) -> "SmashElt":
@@ -75,17 +71,13 @@ class SmashElt:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return SmashElt(self.p, self.n, self.a, terms)
+        return SmashElt(self.p, self.n, self.a,
+                        dict(add(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) - v
-        return SmashElt(self.p, self.n, self.a, terms)
+        return SmashElt(self.p, self.n, self.a,
+                        dict(sub(self.terms.items(), other.terms.items())))
 
     def scale(self, c) -> "SmashElt":
         f = Fraction(c)
@@ -153,31 +145,15 @@ class QMatrix:
         rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
         if len(rows) != go or any(len(r) != go for r in rows):
             raise ValueError("expected a %d x %d matrix" % (go, go))
-        self._set(p, n, Fraction(a), {(r, k): v for r, row in enumerate(rows)
-                                      for k, v in enumerate(row)})
-
-    @classmethod
-    def _from_cells(cls, p: int, n: int, a: Fraction, cells: dict) -> "QMatrix":
-        """A matrix from {(row, col): value} cells that library code built or
-        checked in range; skips the constructor's shape check."""
-        m = object.__new__(cls)
-        m._set(p, n, a, cells)
-        return m
-
-    def _set(self, p: int, n: int, a: Fraction, cells: dict) -> None:
-        """Fill the fields; zero cells, as a cancellation leaves them, are dropped."""
-        entries = tuple(sorted((rc, v) for rc, v in cells.items() if v))
-        for name, value in (("p", p), ("n", n), ("a", a), ("entries", entries)):
-            object.__setattr__(self, name, value)
+        fill(self, p, n, Fraction(a), canonical({(r, k): v for r, row in enumerate(rows)
+                                                 for k, v in enumerate(row)}))
 
     @property
     def rows(self) -> tuple:
         """The dense view: p^n rows of p^n Fractions, zeros included."""
         go = self.p ** self.n
-        grid = [[_ZERO] * go for _ in range(go)]
-        for (r, k), v in self.entries:
-            grid[r][k] = v
-        return tuple(map(tuple, grid))
+        flat = dense(_flat(self).items(), go * go, _ZERO)
+        return tuple(tuple(flat[s:s + go]) for s in range(0, go * go, go))
 
     def __mul__(self, other):
         if (self.p, self.n, self.a) != (other.p, other.n, other.a):
@@ -189,14 +165,13 @@ class QMatrix:
         for (r, k), v in self.entries:
             for c, w in by_row.get(k, ()):
                 cells[(r, c)] = cells.get((r, c), _ZERO) + v * w
-        return QMatrix._from_cells(self.p, self.n, self.a, cells)
+        return new(QMatrix, self.p, self.n, self.a, canonical(cells))
 
     def to_json(self) -> dict:
         go = self.p ** self.n
-        rows = [[_ZERO_STR] * go for _ in range(go)]
-        for (r, k), v in self.entries:
-            rows[r][k] = rat_str(v)
-        return {"p": self.p, "n": self.n, "a": rat_str(self.a), "rows": rows}
+        flat = dense(_flat(self).items(), go * go, _ZERO_STR, rat_str)
+        return {"p": self.p, "n": self.n, "a": rat_str(self.a),
+                "rows": [flat[s:s + go] for s in range(0, go * go, go)]}
 
     @classmethod
     def from_json(cls, data) -> "QMatrix":
@@ -221,7 +196,7 @@ class QMatrix:
         if (n > go.bit_length() or p ** n != go
                 or any(len(row) != go for row in rows)):
             raise ValueError("expected a p^n x p^n matrix for p=%d n=%d" % (p, n))
-        return cls._from_cells(p, n, a, cells)
+        return new(cls, p, n, a, canonical(cells))
 
 
 def to_end_matrix(x: SmashElt) -> QMatrix:
@@ -238,7 +213,7 @@ def to_end_matrix(x: SmashElt) -> QMatrix:
             cells[(r, i)] = c
         else:
             cells[(r - go, i)] = c * a
-    return QMatrix._from_cells(x.p, x.n, a, cells)
+    return new(QMatrix, x.p, x.n, a, canonical(cells))
 
 
 def decompose_endomorphism(m: QMatrix) -> SmashElt:

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfgal import hopfgalois
+from hopfgal import hopfgalois, linalg
 from hopfgal.cyclotomic import FieldDescriptor
 from hopfgal.groupring import GroupRingElt
+from hopfgal.linalg import sparse_nullspace
 from hopfgal.profinite import nu_h
 from hopfgal.hopfgalois import (HopfElt, RadicalElt, act, base_change_report,
                                 base_change_sigma, dual_pairing,
@@ -363,6 +364,22 @@ def test_fixed_field_check_acts_on_every_idempotent_and_root_power(monkeypatch):
     assert fixed_field_check(3, 2, Fraction(3, 5)).status == "pass"
     assert len(calls) == 81
     assert set(calls) == {(i, k) for i in range(9) for k in range(9)}
+
+
+def test_fixed_field_check_passes_no_empty_row_to_the_elimination(monkeypatch):
+    received = []
+
+    def recording_nullspace(rows, ncols):
+        rows = list(rows)
+        received.extend(rows)
+        return sparse_nullspace(rows, ncols)
+
+    monkeypatch.setattr(linalg, "sparse_nullspace", recording_nullspace)
+    report = fixed_field_check(3, 2, Fraction(3, 5))
+    assert report.status == "pass"
+    assert all(any(row.values()) for row in received)
+    # block 0 keeps its rows r != 0, and block i != 0 its row i
+    assert len(received) == 2 * (9 - 1)
 
 
 def test_fixed_field_check_fails_under_a_trivial_action(monkeypatch):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfgal.cyclotomic import CycloElt, FieldDescriptor, cells_to_vector
+from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, cells_to_vector,
+                                terms_to_vector)
+from hopfgal.groupring import GroupRingElt
 from hopfgal.linalg import SparseEchelon, sparse_nullspace, sparse_rank
 
 from oracle_tools import oracle_rank, oracle_rref
@@ -155,3 +157,5 @@ def test_cells_round_trip(p, n, data):
     assert [CycloElt(field, [vec.get(c * phi + A, 0) for A in range(phi)])
             for c in range(len(cells))] == cells
     assert cells_to_vector(c.coeffs for c in cells) == vec
+    x = GroupRingElt(field, enumerate(cells), len(cells))
+    assert terms_to_vector(x.terms) == cells_to_vector(x.coeffs)

@@ -3,8 +3,9 @@
 Every value class is a `dataclass(frozen=True, slots=True)`.  For each one
 this checks that fields cannot be set and no attribute can be added, that equal values are
 `==` and hash equal (where the class is hashable), and that `to_json` /
-`from_json` round-trip (where the class has them).  A source scan keeps the
-hand-rolled idiom confined to the two classes that need it.
+`from_json` round-trip (where the class has them).  Source scans keep the
+hand-rolled idiom confined to the two classes that need it, and the trusted
+constructor to the shared term module.
 """
 
 from __future__ import annotations
@@ -122,6 +123,15 @@ def test_only_the_interned_and_hot_path_classes_define_setattr():
     hand_rolled = sorted(node.name for node in _class_defs()
                          if "__setattr__" in _defined_names(node))
     assert hand_rolled == ["CycloElt", "FieldDescriptor"]
+
+
+def test_only_the_term_module_and_the_interned_field_call_object_new():
+    # the trusted constructor of the sparse value classes is `_terms.new`;
+    # cyclotomic keeps its own for FieldDescriptor and `_make`
+    calling = {path.name: path.read_text().count("object.__new__")
+               for path in sorted(SRC.glob("*.py"))}
+    assert {name: k for name, k in calling.items() if k} == \
+        {"_terms.py": 1, "cyclotomic.py": 2}
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
