@@ -85,15 +85,17 @@ def fill(obj, *values) -> None:
     """Set the fields of `obj`, an instance of a frozen slotted dataclass,
     to `values` in declaration order, through the slots themselves."""
     cls = type(obj)
-    for set_slot, value in zip(_setters.get(cls) or _slot_setters(cls), values,
-                               strict=True):
+    for set_slot, value in zip(_setters.get(cls) or _slot_setters(cls), values):
         set_slot(obj, value)
 
 
 def new(cls, *values):
     """An instance of the frozen slotted dataclass `cls` with its fields,
     in declaration order, set to `values`; none of the public
-    constructor's checks or conversions run."""
+    constructor's checks or conversions run.  (`fill`'s loop, written out:
+    `act`, the truncations and the group-ring sums build one element per
+    call, and a second call would cost them as much as the loop.)"""
     obj = object.__new__(cls)
-    fill(obj, *values)
+    for set_slot, value in zip(_setters.get(cls) or _slot_setters(cls), values):
+        set_slot(obj, value)
     return obj

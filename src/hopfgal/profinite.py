@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from ._terms import add, new
+from ._terms import add, canonical, new
 from .cyclotomic import CycloElt, FieldDescriptor, embed, terms_to_vector
 from .groupring import GroupRingElt, diag_action, diag_action_unit, fixed_ring
 from .hopfgalois import HopfElt, e_basis, hopf_from_groupring, hopf_to_groupring
@@ -30,7 +30,12 @@ def nu_groupring(j: int, i: int, x: GroupRingElt) -> GroupRingElt:
     if not (1 <= i < j):
         raise ValueError("need 1 <= target < source, got %d -> %d" % (j, i))
     tgt = x.field.p ** i
-    return new(GroupRingElt, x.field, add((), ((b % tgt, c) for b, c in x.terms)), tgt)
+    acc: dict = {}
+    for b, c in x.terms:
+        k = b % tgt
+        a = acc.get(k)
+        acc[k] = c if a is None else a + c
+    return new(GroupRingElt, x.field, canonical(acc), tgt)
 
 
 def _lift_coefficients(x: GroupRingElt) -> GroupRingElt:
