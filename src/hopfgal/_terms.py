@@ -42,12 +42,8 @@ def add(x, y) -> tuple:
 
 
 def sub(x, y) -> tuple:
-    """The terms of x - y, under `add`'s rules; an absent key reads -c."""
-    cells = dict(x)
-    for k, c in y:
-        a = cells.get(k)
-        cells[k] = -c if a is None else a - c
-    return canonical(cells)
+    """The terms of x - y, under `add`'s rules: an absent key reads -c."""
+    return add(x, ((k, -c) for k, c in y))
 
 
 def pointwise(x, y) -> tuple:
@@ -63,12 +59,21 @@ def dense(terms, length: int, zero, convert=None) -> list:
     form, say) each stored value goes through it; `zero` is then the
     converted zero."""
     out = [zero] * length
-    if convert is None:
-        for i, c in terms:
-            out[i] = c
-    else:
-        for i, c in terms:
-            out[i] = convert(c)
+    for i, c in terms:
+        out[i] = c if convert is None else convert(c)
+    return out
+
+
+def grid(terms, size: int, zero, convert=None) -> list:
+    """The dense size x size view of ((row, col), value) terms, as `dense`
+    gives it: a list of rows, each the `dense` list of its row's terms.
+    The rows with no term are all one shared row of `zero`s."""
+    rows: dict = {}
+    for (r, k), c in terms:
+        rows.setdefault(r, []).append((k, c))
+    out = [[zero] * size] * size
+    for r, row in rows.items():
+        out[r] = dense(row, size, zero, convert)
     return out
 
 
@@ -77,8 +82,8 @@ _setters: dict[type, tuple] = {}
 
 def _slot_setters(cls) -> tuple:
     """The `__set__` of each field's slot of `cls`, in declaration order."""
-    _setters[cls] = setters = tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-    return setters
+    return _setters.setdefault(cls, tuple(getattr(cls, f.name).__set__
+                                          for f in fields(cls)))
 
 
 def fill(obj, *values) -> None:

@@ -7,8 +7,8 @@ coefficients.  No zero cell is ever stored, so equal elements have equal
 storage; `coeffs` is the dense view, one cell per group exponent.  The term
 operations are the shared ones of `_terms`.  The coefficient field level and
 the group order are independent: truncating the group (see `profinite`)
-shrinks the group while the coefficients stay where they are.  The common case is group_order == p^n with coefficients in
-Q(zeta_{p^n}).
+shrinks the group while the coefficients stay where they are.  The common
+case is group_order == p^n with coefficients in Q(zeta_{p^n}).
 
 The diagonal action sends  c * sigma^b  to  (zeta->zeta^u)(c) * sigma^(u*b)
 with u = multiplier^e.  It permutes the cells, so its fixed ring, the exact

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from ._terms import add, canonical, dense, fill, new, sub
+from ._terms import add, canonical, fill, grid, new, sub
 from .cyclotomic import Rat, parse_rat, rat_str
 from .reporting import Report, checked
 
@@ -151,9 +151,7 @@ class QMatrix:
     @property
     def rows(self) -> tuple:
         """The dense view: p^n rows of p^n Fractions, zeros included."""
-        go = self.p ** self.n
-        flat = dense(_flat(self).items(), go * go, _ZERO)
-        return tuple(tuple(flat[s:s + go]) for s in range(0, go * go, go))
+        return tuple(map(tuple, grid(self.entries, self.p ** self.n, _ZERO)))
 
     def __mul__(self, other):
         if (self.p, self.n, self.a) != (other.p, other.n, other.a):
@@ -168,10 +166,8 @@ class QMatrix:
         return new(QMatrix, self.p, self.n, self.a, canonical(cells))
 
     def to_json(self) -> dict:
-        go = self.p ** self.n
-        flat = dense(_flat(self).items(), go * go, _ZERO_STR, rat_str)
         return {"p": self.p, "n": self.n, "a": rat_str(self.a),
-                "rows": [flat[s:s + go] for s in range(0, go * go, go)]}
+                "rows": grid(self.entries, self.p ** self.n, _ZERO_STR, rat_str)}
 
     @classmethod
     def from_json(cls, data) -> "QMatrix":

@@ -377,7 +377,8 @@ def test_fixed_field_check_passes_no_empty_row_to_the_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "sparse_nullspace", recording_nullspace)
     report = fixed_field_check(3, 2, Fraction(3, 5))
     assert report.status == "pass"
-    assert all(any(row.values()) for row in received)
+    # no row is empty and no entry is zero
+    assert all(row and all(row.values()) for row in received)
     # block 0 keeps its rows r != 0, and block i != 0 its row i
     assert len(received) == 2 * (9 - 1)
 
