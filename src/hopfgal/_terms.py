@@ -1,17 +1,13 @@
 """Sorted nonzero (key, value) terms: the storage of every sparse value class.
 
 `GroupRingElt`, `HopfElt`, `RadicalElt` and `QMatrix` each keep a tuple of
-(key, value) pairs, one per nonzero entry, sorted by key; no zero is ever
-stored, so equal elements have equal storage.  `SmashElt` keeps the same
-pairs as a dict.  The values need only `+`, `-`, `*` and truth, so
-`Fraction` and `CycloElt` both serve, and no helper here makes a zero of
-its own: each field has its own zero, which the caller passes in where a
-dense view needs one.
-
-Each helper runs its own loop over the terms, one element operation per
-step, so the hot paths (`act`, the group-ring sums) gain no call per term.
-`new` and `fill` are the trusted constructor of the frozen slotted classes:
-they set the slots directly, for terms that library code built canonical.
+(key, value) pairs, one per nonzero entry, sorted by key, so equal elements
+have equal storage; `SmashElt` keeps the same pairs as a dict.  The values
+need only `+`, `-`, `*` and truth (`Fraction` and `CycloElt` both serve),
+and no helper makes a zero of its own: the caller passes in its field's
+zero where a dense view needs one.  Each helper runs its own loop, one
+element operation per step, so the hot paths gain no call per term.
+`new` and `fill` are the trusted constructor of the frozen slotted classes.
 """
 
 from __future__ import annotations

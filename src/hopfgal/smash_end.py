@@ -17,8 +17,8 @@ JSON boundary all walk the stored entries.
 The product rule has one definition, the kernel `_product_terms`, which
 multiplies term tables ({(j, i): coefficient} items) and builds no element.
 `smash_mult` is its public wrapper: it checks that the factors share p, n
-and a, and wraps the table in a `SmashElt`, whose constructor drops
-cancelled terms.  `hom_subalgebra_closure_check` calls the kernel directly
+and a, drops the cancelled terms and wraps the table in a `SmashElt`
+(`_terms.new`; its keys are already reduced).  `hom_subalgebra_closure_check` calls the kernel directly
 on the one-term tables of its basis elements, since it reads only which
 terms each product has.
 
@@ -42,7 +42,8 @@ from .reporting import Report, checked
 
 @dataclass(frozen=True, slots=True)
 class SmashElt:
-    """Element of K # H: a table {(j, i): coefficient} over the w^j # e_i basis.
+    """Element of K # H: a table {(j, i): coefficient} over the w^j # e_i
+    basis.  The constructor reduces j and i mod p^n and sums what meets.
 
     Unhashable, since `terms` is a dict.
     """
@@ -56,14 +57,14 @@ class SmashElt:
         if type(self.a) is not Fraction:
             object.__setattr__(self, "a", Fraction(self.a))
         go = self.p ** self.n
-        # indices reduced mod p^n, coefficients summed by basis element
         object.__setattr__(self, "terms", dict(add((), (
             ((j % go, i % go), c if type(c) is Fraction else Fraction(c))
             for (j, i), c in self.terms.items()))))
 
     @classmethod
     def basis(cls, p: int, n: int, a, j: int, i: int) -> "SmashElt":
-        return cls(p, n, a, {(j, i): Fraction(1)})
+        go = p ** n
+        return new(cls, p, n, Fraction(a), {(j % go, i % go): _ONE})
 
     def _check(self, other):
         if (self.p, self.n, self.a) != (other.p, other.n, other.a):
@@ -117,8 +118,8 @@ def _product_terms(go: int, a: Fraction, xterms, yterms) -> dict:
 
 def smash_mult(x: SmashElt, y: SmashElt) -> SmashElt:
     x._check(y)
-    return SmashElt(x.p, x.n, x.a, _product_terms(x.p ** x.n, x.a, x.terms.items(),
-                                                  y.terms.items()))
+    return new(SmashElt, x.p, x.n, x.a, dict(canonical(_product_terms(
+        x.p ** x.n, x.a, x.terms.items(), y.terms.items()))))
 
 
 _ZERO_STR = "0/1"          # rat_str(0): the wire form of an absent entry
@@ -221,7 +222,7 @@ def decompose_endomorphism(m: QMatrix) -> SmashElt:
     terms = {}
     for (r, k), v in m.entries:
         terms[((r - k) % go, k)] = v / m.a if r < k else v
-    out = SmashElt(m.p, m.n, m.a, terms)
+    out = new(SmashElt, m.p, m.n, m.a, terms)
     if to_end_matrix(out) != m:
         raise AssertionError("decomposition failed to round-trip")
     return out
