@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from ._terms import add, canonical, new
+from ._terms import canonical, new
 from .cyclotomic import CycloElt, FieldDescriptor, embed, terms_to_vector
 from .groupring import GroupRingElt, diag_action, diag_action_unit, fixed_ring
 from .hopfgalois import HopfElt, e_basis, hopf_from_groupring, hopf_to_groupring
