@@ -18,9 +18,9 @@ The product rule has one definition, the kernel `_product_terms`, which
 multiplies term tables ({(j, i): coefficient} items) and builds no element.
 `smash_mult` is its public wrapper: it checks that the factors share p, n
 and a, drops the cancelled terms and wraps the table in a `SmashElt`
-(`_terms.new`; its keys are already reduced).  `hom_subalgebra_closure_check` calls the kernel directly
-on the one-term tables of its basis elements, since it reads only which
-terms each product has.
+(`_terms.new`; its keys are reduced).  `hom_subalgebra_closure_check`
+calls the kernel directly on the one-term tables of its basis elements,
+since it reads only which terms each product has.
 
 `iso_check` certifies that the induced map K # H -> End_Q(K) is a bijective
 algebra map by an exact rank computation plus multiplicativity checks;
