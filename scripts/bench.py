@@ -8,8 +8,11 @@ For each seed, each workload that BENCHMARK.json lists runs once per
 checkout, ``perfbench/run.py --trace 0`` for BENCHMARK.json's
 ``run_seconds``; the two checkouts take turns at going first.  Then each
 checkout runs ``hopfgal verify-all --format json --timings`` once, for the
-wall time of each criterion.  A run that fails, times out or prints no JSON
-stops the script, naming the checkout and the command.
+wall time of each criterion.  Before all of that, each checkout runs
+``hopfgal variants --p 3 --n 3 --format json`` once, timed; if the two
+checkouts print different bytes, the script stops there.  A run that fails,
+times out or prints no JSON stops the script, naming the checkout and the
+command.
 
 The output, BENCH_<label>.json at the root of this checkout, holds the
 machine, every run's end-to-end metrics, each metric's median and quartiles,
@@ -32,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 300
+VARIANTS_ARGS = ("variants", "--p", "3", "--n", "3", "--format", "json")
 
 
 def machine() -> dict:
@@ -58,6 +62,11 @@ def commit(path: Path) -> dict:
 
 def run_json(path: Path, cmd: list[str], **kwargs) -> dict:
     """The JSON a command run in `path` prints on stdout."""
+    return json.loads(run_text(path, cmd, **kwargs))
+
+
+def run_text(path: Path, cmd: list[str], **kwargs) -> str:
+    """What a command run in `path` prints on stdout, checked to be JSON."""
     where = "%s in %s" % (" ".join(cmd[1:]), path)
     try:
         proc = subprocess.run(cmd, cwd=path, capture_output=True, text=True,
@@ -68,9 +77,10 @@ def run_json(path: Path, cmd: list[str], **kwargs) -> dict:
         raise SystemExit("%s exited %d:\n%s" % (where, proc.returncode,
                                                 proc.stderr[-2000:]))
     try:
-        return json.loads(proc.stdout)
+        json.loads(proc.stdout)
     except json.JSONDecodeError:
         raise SystemExit("%s printed no JSON:\n%s" % (where, proc.stderr[-2000:]))
+    return proc.stdout
 
 
 def run_workload(path: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -80,12 +90,18 @@ def run_workload(path: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def criterion_times(path: Path) -> dict:
-    cmd = [sys.executable, "-m", "hopfgal.cli", "verify-all", "--format", "json",
-           "--timings"]
+def hopfgal(path: Path, *args: str) -> tuple[str, float]:
+    """The stdout of `hopfgal args` run from the checkout's source, and its
+    wall time in seconds."""
     start = time.monotonic()
-    data = run_json(path, cmd, env=dict(os.environ, PYTHONPATH=str(path / "src")))
-    wall = time.monotonic() - start
+    out = run_text(path, [sys.executable, "-m", "hopfgal.cli", *args],
+                   env=dict(os.environ, PYTHONPATH=str(path / "src")))
+    return out, time.monotonic() - start
+
+
+def criterion_times(path: Path) -> dict:
+    out, wall = hopfgal(path, "verify-all", "--format", "json", "--timings")
+    data = json.loads(out)
     return {"wall_s": round(wall, 3),
             "criteria_ms": {c["name"]: sum(r["elapsed_ms"] for r in c["reports"])
                             for c in data["criteria"]}}
@@ -127,6 +143,12 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
+    variants = {name: hopfgal(path, *VARIANTS_ARGS) for name, path in checkouts.items()}
+    if variants["parent"][0] != variants["change"][0]:
+        raise SystemExit("hopfgal %s prints different bytes in %s and %s"
+                         % (" ".join(VARIANTS_ARGS), checkouts["parent"],
+                            checkouts["change"]))
+
     runs = {name: {w: [] for w in workloads} for name in checkouts}
     for k, seed in enumerate(args.seeds):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
@@ -145,6 +167,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "checkouts": {name: {"commit": commit(path),
                              "verify_all": criterion_times(path),
+                             "variants_p3_n3": {"wall_s": round(variants[name][1], 3)},
                              "workloads": {w: {"summary": summary(rs), "runs": rs}
                                            for w, rs in runs[name].items()}}
                       for name, path in checkouts.items()},

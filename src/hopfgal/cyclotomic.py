@@ -11,7 +11,9 @@ all arithmetic runs on those integers; the `fractions.Fraction` coefficients
 are a view (`CycloElt.coeffs`) built when asked for.  Reduction goes through
 a per-field table of zeta^e in the power basis, built on the field's first
 use; the automorphism zeta -> zeta^u reads a table of the basis images,
-built on the first use of u.  Nothing here is approximate.
+built on the first use of u.  The loops over an element's numerators
+(`mul`, `shift`, `unit_apply`, `terms_to_vector`) visit only the nonzero
+ones.  Nothing here is approximate.
 
 The same fixed multiplier (the smallest primitive root mod p^2, which is a
 primitive root mod every p^k for odd p) drives the Galois action at every
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 
 from . import linalg
@@ -350,11 +353,16 @@ class CycloElt:
     def shift(self, e: int) -> "CycloElt":
         """Multiply by zeta^e.  Multiplying by a root of unity permutes Z[zeta],
         so the numerators keep gcd 1 with the denominator."""
-        field = self.field
-        if e % field.modulus == 0 or not self.nonzero:
+        field, nums = self.field, self.nums
+        m = field.modulus
+        if e % m == 0 or not self.nonzero:
             return self
-        return _make(field, tuple(_fold(field, ((i + e, a) for i, a in enumerate(self.nums)))),
-                     self.den)
+        table, out = _reduction_table(field), [0] * field.degree
+        for i in compress(range(field.degree), nums):
+            a = nums[i]
+            for j, s in table[(i + e) % m]:
+                out[j] += s * a
+        return _make(field, tuple(out), self.den)
 
     # -- serialization -------------------------------------------------------
 
@@ -413,11 +421,12 @@ def mul(x: CycloElt, y: CycloElt) -> CycloElt:
     if not x.nonzero or not y.nonzero:
         return CycloElt.zero(field)
     acc = [0] * (2 * field.degree - 1)
-    ys = [(j, b) for j, b in enumerate(y.nums) if b]
-    for i, a in enumerate(x.nums):
-        if a:
-            for j, b in ys:
-                acc[i + j] += a * b
+    xs, ys = x.nums, y.nums
+    yterms = list(compress(enumerate(ys), ys))
+    for i in compress(range(field.degree), xs):
+        a = xs[i]
+        for j, b in yterms:
+            acc[i + j] += a * b
     return from_exponents(field, enumerate(acc), x.den * y.den)
 
 
@@ -445,11 +454,11 @@ def unit_apply(u: int, x: CycloElt) -> CycloElt:
     field = x.field
     if u % field.p == 0:
         raise ValueError("exponent multiplier %d is not a unit mod %d" % (u, field.modulus))
-    table, out = _unit_table(field, u), [0] * field.degree
-    for i, a in enumerate(x.nums):
-        if a:
-            for j, s in table[i]:
-                out[j] += s * a
+    table, out, nums = _unit_table(field, u), [0] * field.degree, x.nums
+    for i in compress(range(field.degree), nums):
+        a = nums[i]
+        for j, s in table[i]:
+            out[j] += s * a
     # an automorphism permutes Z[zeta], so the numerators keep gcd 1 with den
     return _make(field, tuple(out), x.den)
 
@@ -504,14 +513,12 @@ def terms_to_vector(terms) -> dict[int, Rat]:
                 continue
             nums, den = cell.nums, cell.den
             base = c * len(nums)
-            for A, a in enumerate(nums):
-                if a:
-                    out[base + A] = a if den == 1 else Fraction(a, den)
+            for A in compress(range(len(nums)), nums):
+                out[base + A] = nums[A] if den == 1 else Fraction(nums[A], den)
         else:
             base = c * len(cell)
-            for A, v in enumerate(cell):
-                if v:
-                    out[base + A] = v
+            for A in compress(range(len(cell)), cell):
+                out[base + A] = cell[A]
     return out
 
 

@@ -107,8 +107,10 @@ class GroupRingElt:
         return bool(self.terms)
 
     def to_json(self) -> list[list[str]]:
-        return dense(self.terms, self.group_order, CycloElt.zero(self.field).to_json(),
-                     CycloElt.to_json)
+        go = self.group_order
+        # the zero cell's JSON only when some cell is zero
+        zero = CycloElt.zero(self.field).to_json() if len(self.terms) < go else None
+        return dense(self.terms, go, zero, CycloElt.to_json)
 
     @classmethod
     def from_json(cls, field: FieldDescriptor, data,
@@ -125,6 +127,9 @@ def diag_action_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     if u % x.field.p == 0:
         raise ValueError("%d is not a unit multiplier" % u)
     go = x.group_order
+    if len(x.terms) == 1:                     # a monomial: nothing to sort
+        (b, c), = x.terms
+        return new(GroupRingElt, x.field, (((b * u) % go, unit_apply(u, c)),), go)
     # b -> u*b permutes Z/go, and an automorphism keeps every cell nonzero
     terms = sorted(((b * u) % go, unit_apply(u, c)) for b, c in x.terms)
     return new(GroupRingElt, x.field, tuple(terms), go)

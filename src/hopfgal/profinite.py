@@ -30,6 +30,9 @@ def nu_groupring(j: int, i: int, x: GroupRingElt) -> GroupRingElt:
     if not (1 <= i < j):
         raise ValueError("need 1 <= target < source, got %d -> %d" % (j, i))
     tgt = x.field.p ** i
+    if len(x.terms) == 1:                     # a monomial: nothing to merge
+        (b, c), = x.terms
+        return new(GroupRingElt, x.field, ((b % tgt, c),), tgt)
     acc: dict = {}
     for b, c in x.terms:
         k = b % tgt

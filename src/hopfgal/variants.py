@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import (CycloElt, FieldDescriptor, cells_to_vector, embed,
-                         embed_preimage, fixed_space, primitive_root, rat_str,
-                         terms_to_vector)
+from ._terms import add, sub
+from .cyclotomic import (CycloElt, FieldDescriptor, embed, embed_preimage,
+                         fixed_space, primitive_root, rat_str, terms_to_vector)
 from .reporting import Report, checked
 
 
@@ -288,35 +288,38 @@ def h_variant_rank_certificate(p: int, n: int, i: int, a=Fraction(2)) -> Report:
 
 def action_matrix(p: int, n: int, i: int, a, terms):
     """Matrix over Q(zeta_1) of the `h_variant` element `terms` on
-    Q(zeta_1, w), w^{p^n} = a, columns indexed by w-powers; None if some
-    entry leaves that subfield (it never should).
+    Q(zeta_1, w), w^{p^n} = a, columns indexed by w-powers, as its sorted
+    nonzero ((row, col), entry) terms; None if some entry leaves that
+    subfield (it never should).
 
     With g^k = (s_k, b_k), the coefficient x of g^k w^B' sends w^B to
     x * zeta^(s_k B) * w^(B'+B), and w^(B'+B) = a * w^(B'+B-p^n) on wrap.
     """
     pn = p ** n
     shifts = [g.s for g in complement_elements(p, n, i)]
-    zero = CycloElt.zero(FieldDescriptor(p, n))
-    entries = [[zero] * pn for _ in range(pn)]
+    images = []
     for c, x in terms:
         k, B2 = divmod(c, pn)
         for B in range(pn):
             y, r = x.shift(shifts[k] * B), B2 + B
             if r >= pn:
                 y, r = y * a, r - pn
-            entries[r][B] += y
-    rows = [[embed_preimage(1, n, y) for y in row] for row in entries]
-    if any(y is None for row in rows for y in row):
-        return None
-    return rows
+            images.append(((r, B), y))
+    entries = []
+    for key, y in add((), images):
+        y = embed_preimage(1, n, y)
+        if y is None:
+            return None
+        entries.append((key, y))
+    return tuple(entries)
 
 
-def _zeta1_multiples(cells) -> list[dict]:
-    """Flat Q-vectors of zeta_1^j * cells for j < p-1, for level-1 cells: a
-    Q-basis of the Q(zeta_1)-line through them."""
-    cells = list(cells)
-    return [cells_to_vector(c.shift(j) for c in cells)
-            for j in range(cells[0].field.p - 1)]
+def _zeta1_multiples(p: int, terms) -> list[dict]:
+    """Flat Q-vectors of zeta_1^j * terms for j < p-1, for (cell, level-1
+    element) terms: a Q-basis of the Q(zeta_1)-line through them."""
+    terms = list(terms)
+    return [terms_to_vector((c, x.shift(j)) for c, x in terms)
+            for j in range(p - 1)]
 
 
 def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
@@ -350,7 +353,7 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
         # counits: h(1), column 0 of the matrix, must be a base-field
         # multiple of 1
         for t, mat in enumerate(mats):
-            if any(mat[B2][0] for B2 in range(1, pn)):
+            if any(r and not B for (r, B), _ in mat):
                 return False, {"stage": "counit-support", "basis_index": t}
 
         # fixed space of the action == the base field (Q-dimension p-1)
@@ -360,12 +363,15 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
         dimq = deg1 * pn
         stacked = []
         for mat in mats:
-            eps = mat[0][0]
+            eps = dict(mat).get((0, 0))
+            columns: list[list] = [[] for _ in range(pn)]
+            for (r, B), y in mat:
+                columns[B].append((r, y))
             rows: dict[int, dict[int, Fraction]] = {}
-            for B in range(pn):
-                column = [mat[B2][B] - eps if B2 == B else mat[B2][B]
-                          for B2 in range(pn)]
-                for j, vec in enumerate(_zeta1_multiples(column)):
+            for B, column in enumerate(columns):
+                if eps:
+                    column = sub(column, ((B, eps),))
+                for j, vec in enumerate(_zeta1_multiples(p, column)):
                     for r, v in vec.items():
                         rows.setdefault(r, {})[B * deg1 + j] = v
             stacked.extend(rows.values())
@@ -379,14 +385,20 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
 
         # endomorphism span: left w-multiples of the action matrices fill
         # all of End over the base -- Q-rank (p-1) * p^{2n}
+        # (w^c moves row r to (r + c) mod p^n and multiplies the entries
+        # that wrap by a; each matrix's zeta_1-multiples, and a times them,
+        # are made once)
+        lines = []
+        for mat in mats:
+            for j in range(deg1):
+                line = [(key, y.shift(j)) for key, y in mat]
+                lines.append([(key, x, x * a) for key, x in line])
         ech = linalg.SparseEchelon()
         for c in range(pn):
-            for mat in mats:
-                shifted = [[(mat[(B2 - c) % pn][B]
-                             * (a if (B2 - c) % pn + c >= pn else 1))
-                            for B in range(pn)] for B2 in range(pn)]
-                for vec in _zeta1_multiples(x for row in shifted for x in row):
-                    ech.insert(vec)
+            for line in lines:
+                ech.insert(terms_to_vector(
+                    ((r + c) % pn * pn + B, xa if r + c >= pn else x)
+                    for (r, B), x, xa in line))
         want = deg1 * pn * pn
         if ech.rank != want:
             return False, {"stage": "endomorphism-rank", "rank": ech.rank,
@@ -412,7 +424,8 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
                 mat = action_matrix(p, n, i, a, terms)
                 if mat is None:
                     return False, {"stage": "image-support", "i": i}
-                vecs.extend(_zeta1_multiples(c for row in mat for c in row))
+                vecs.extend(_zeta1_multiples(
+                    p, ((r * pn + B, y) for (r, B), y in mat)))
             ech = linalg.SparseEchelon()
             for v in vecs:
                 ech.insert(v)
@@ -429,9 +442,7 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
         diag = linalg.SparseEchelon()
         diag_vecs = []
         for B in range(pn):
-            mat = [[CycloElt.zero(f1)] * pn for _ in range(pn)]
-            mat[B][B] = CycloElt.one(f1)
-            for v in _zeta1_multiples(c for row in mat for c in row):
+            for v in _zeta1_multiples(p, ((B * pn + B, CycloElt.one(f1)),)):
                 diag.insert(v)
                 diag_vecs.append(v)
         if not (all(diag.contains(v) for v in vecs_by_i[0])

@@ -30,6 +30,21 @@ def elements(p, n):
         lambda cs: CycloElt(FieldDescriptor(p, n), cs))
 
 
+def sparse_elements(p, n, coeff=frac):
+    """Elements with 1 to 3 nonzero numerators, at drawn positions: the
+    loops that visit only the nonzero numerators meet gaps and both ends."""
+    f = FieldDescriptor(p, n)
+
+    def build(cells):
+        coeffs = [0] * f.degree
+        for A, c in cells.items():
+            coeffs[A] = c
+        return CycloElt(f, coeffs)
+
+    return st.dictionaries(st.integers(0, f.degree - 1), coeff.filter(bool),
+                           min_size=1, max_size=3).map(build)
+
+
 # -- scalar utilities --------------------------------------------------------
 
 def test_rat_str_round_trip():
@@ -124,17 +139,24 @@ def test_canonical_form_does_not_depend_on_the_route(p, n, data):
     e = data.draw(st.integers(-m, 2 * m))
     u = data.draw(st.sampled_from([v for v in range(1, m) if v % p]))
     x = CycloElt(f, want)
-    routes = [x,
-              mul(x * r, CycloElt.rational(f, 1 / r)),
-              mul(x, CycloElt.zeta_power(f, e)).shift(-e),
-              x.shift(e).shift(-e),
-              unit_apply(pow(u, -1, m), unit_apply(u, x)),
-              embed_preimage(n, n + 1, embed(n, n + 1, x))]
-    for y in routes:
-        assert_canonical(y)
-        assert y == x and hash(y) == hash(x)
-        assert all(type(c) is Fraction for c in y.coeffs)
-        assert list(y.coeffs) == want
+    sparse = data.draw(sparse_elements(p, n))
+    for z, z_want in ((x, want), (sparse, list(sparse.coeffs))):
+        routes = [z,
+                  mul(z * r, CycloElt.rational(f, 1 / r)),
+                  mul(z, CycloElt.zeta_power(f, e)).shift(-e),
+                  z.shift(e).shift(-e),
+                  unit_apply(pow(u, -1, m), unit_apply(u, z)),
+                  embed_preimage(n, n + 1, embed(n, n + 1, z))]
+        for y in routes:
+            assert_canonical(y)
+            assert y == z and hash(y) == hash(z)
+            assert all(type(c) is Fraction for c in y.coeffs)
+            assert list(y.coeffs) == z_want
+    # the shift of the sparse element against sympy's x^e reduction
+    shifted = sparse.shift(e)
+    assert_canonical(shifted)
+    assert list(shifted.coeffs) == oracle_cyclo_mul(
+        p, n, sparse.coeffs, oracle_zeta_power(p, n, e))
     f2 = FieldDescriptor(p, n + 1)
     lifted = embed(n, n + 1, x)
     assert_canonical(lifted)
@@ -166,6 +188,13 @@ def test_mul_matches_sympy(p, n, data):
     y = data.draw(elements(p, n))
     got = mul(x, y)
     assert list(got.coeffs) == oracle_cyclo_mul(p, n, x.coeffs, y.coeffs)
+    # 1 to 3 nonzero numerators, in either factor and in both
+    sx = data.draw(sparse_elements(p, n))
+    sy = data.draw(sparse_elements(p, n))
+    for a, b in ((sx, y), (x, sy), (sx, sy)):
+        got = mul(a, b)
+        assert_canonical(got)
+        assert list(got.coeffs) == oracle_cyclo_mul(p, n, a.coeffs, b.coeffs)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
@@ -232,10 +261,12 @@ def test_unit_apply_matches_sympy_substitution(p, n, data):
     # would dominate at 54 and 100 coordinates
     x = CycloElt(f, data.draw(st.lists(small_frac, min_size=f.degree,
                                        max_size=f.degree)))
-    for u in units:
-        want = oracle_unit_apply(p, n, u, x.coeffs)
-        assert list(unit_apply(u, x).coeffs) == want
-        assert list(unit_apply(u + f.modulus, x).coeffs) == want
+    sparse = data.draw(sparse_elements(p, n, small_frac))   # 1-3 numerators
+    for z in (x, sparse):
+        for u in units:
+            want = oracle_unit_apply(p, n, u, z.coeffs)
+            assert list(unit_apply(u, z).coeffs) == want
+            assert list(unit_apply(u + f.modulus, z).coeffs) == want
 
 
 # -- tower embeddings ---------------------------------------------------------

@@ -50,6 +50,15 @@ def sparse_elements(p, n, max_cells=3):
         lambda cells: GroupRingElt(field, cells.items()))
 
 
+def monomials(p, n):
+    """Elements with exactly one nonzero cell: the one-cell branch of the
+    maps."""
+    field = FieldDescriptor(p, n)
+    return st.tuples(st.integers(0, field.modulus - 1),
+                     cyclo_elements(field).filter(bool)).map(
+        lambda cell: GroupRingElt(field, [cell]))
+
+
 def assert_matches_dense(x, cells):
     """x is the element with these dense cells, in canonical sparse form."""
     assert x.coeffs == tuple(cells)
@@ -109,17 +118,24 @@ def test_sparse_maps_match_dense_reference(p, n, data):
     assert_matches_dense(x - y, dense_sub(x, y))
     assert_matches_dense(-x, dense_neg(x))
     assert_matches_dense(x.scale(c), dense_scale(x, c))
+    one_cell = data.draw(monomials(p, n))
+    assert len(one_cell.terms) == 1
     for u in range(1, p ** n):
         if u % p:
-            assert_matches_dense(diag_action_unit(u, x), dense_diag_action_unit(u, x))
+            for z in (x, one_cell):
+                assert_matches_dense(diag_action_unit(u, z),
+                                     dense_diag_action_unit(u, z))
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3)])
 @given(data=st.data())
 def test_sparse_truncation_matches_dense_reference(p, n, data):
     x = data.draw(sparse_elements(p, n, max_cells=5))
+    one_cell = data.draw(monomials(p, n))
+    assert len(one_cell.terms) == 1
     for i in range(1, n):
-        assert_matches_dense(nu_groupring(n, i, x), dense_nu(i, x))
+        for z in (x, one_cell):
+            assert_matches_dense(nu_groupring(n, i, z), dense_nu(i, z))
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
@@ -156,6 +172,8 @@ def test_dense_and_sparse_construction_agree(p, n, data):
     y = data.draw(sparse_elements(p, n))
     u = data.draw(st.sampled_from([v for v in range(1, p ** n) if v % p]))
     for z in (x, x + y, diag_action_unit(u, x - y)):
+        # with or without a zero cell (at p^n = 3, three cells fill the group)
+        assert z.to_json() == [c.to_json() for c in z.coeffs]
         for dense in (GroupRingElt.from_json(z.field, z.to_json()),
                       GroupRingElt(z.field, enumerate(z.coeffs))):
             assert dense == z and hash(dense) == hash(z)

@@ -222,13 +222,28 @@ def test_action_matrix_matches_the_sympy_definition(i):
     p, n, a = 3, 2, Fraction(3, 5)
     step = p ** (n - 1)
     for terms in h_variant(p, n, i):
-        mat = action_matrix(p, n, i, a, terms)
+        entries = dict(action_matrix(p, n, i, a, terms))
         for B in range(p ** n):
             column = reference_image(p, n, i, a, terms, 0, B)
             for r, vec in enumerate(column):
                 # the image lies in Q(zeta_1, w): zeta-exponents step | A
                 assert not any(vec[A] for A in range(len(vec)) if A % step)
-                assert list(mat[r][B].coeffs) == vec[::step]
+                # an entry that is not stored reads zero
+                got = entries.get((r, B))
+                assert (list(got.coeffs) if got else [0] * (p - 1)) == vec[::step]
+
+
+@pytest.mark.parametrize("p,n,i", [(3, 2, 0), (3, 2, 1), (3, 2, 2), (3, 3, 1),
+                                   (5, 2, 3)])
+def test_action_matrix_stores_only_nonzero_entries_in_range(p, n, i):
+    pn, f1 = p ** n, FieldDescriptor(p, 1)
+    for terms in h_variant(p, n, i):
+        mat = action_matrix(p, n, i, Fraction(3, 5), terms)
+        keys = [key for key, _ in mat]
+        assert keys and keys == sorted(set(keys))
+        assert all(0 <= r < pn and 0 <= B < pn for r, B in keys)
+        assert all(isinstance(y, CycloElt) and y.field is f1 and y
+                   for _, y in mat)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
@@ -239,13 +254,15 @@ def test_variant_algebra_is_zeta1_linear(i):
     p, n, a = 3, 2, Fraction(3, 5)
     step = p ** (n - 1)
     for terms in h_variant(p, n, i):
-        mat = action_matrix(p, n, i, a, terms)
+        entries = dict(action_matrix(p, n, i, a, terms))
         for B in range(p ** n):
             for j in range(1, p - 1):
                 image = reference_image(p, n, i, a, terms, j * step, B)
                 for r, vec in enumerate(image):
                     entry = [0] * len(vec)
-                    entry[::step] = mat[r][B].coeffs
+                    got = entries.get((r, B))       # not stored: zero
+                    if got:
+                        entry[::step] = got.coeffs
                     zeta1_j = sympy.Poly(_X ** (j * step), _X, domain="QQ")
                     assert vec == poly_to_vec(p, n, vec_to_poly(entry) * zeta1_j)
 
@@ -253,6 +270,11 @@ def test_variant_algebra_is_zeta1_linear(i):
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_variant_action(i):
     assert variant_action_check(3, 2, i, Fraction(2)).status == "pass"
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_variant_action_at_5_2(i):
+    assert variant_action_check(5, 2, i, Fraction(2)).status == "pass"
 
 
 def test_variant_actions_differ():
