@@ -9,10 +9,11 @@ checkout, ``perfbench/run.py --trace 0`` for BENCHMARK.json's
 ``run_seconds``; the two checkouts take turns at going first.  Then each
 checkout runs ``hopfgal verify-all --format json --timings`` once, for the
 wall time of each criterion.  Before all of that, each checkout runs
-``hopfgal variants --p 3 --n 3 --format json`` once, timed; if the two
-checkouts print different bytes, the script stops there.  A run that fails,
-times out or prints no JSON stops the script, naming the checkout and the
-command.
+``hopfgal variants --p 3 --n 3 --format json`` once, timed, and
+``hopfgal verify-all --format json`` (no ``--timings``) once; if the two
+checkouts print different bytes for either command, the script stops
+there.  A run that fails, times out or prints no JSON stops the script,
+naming the checkout and the command.
 
 The output, BENCH_<label>.json at the root of this checkout, holds the
 machine, every run's end-to-end metrics, each metric's median and quartiles,
@@ -36,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 300
 VARIANTS_ARGS = ("variants", "--p", "3", "--n", "3", "--format", "json")
+VERIFY_ALL_ARGS = ("verify-all", "--format", "json")
 
 
 def machine() -> dict:
@@ -107,6 +109,13 @@ def criterion_times(path: Path) -> dict:
                             for c in data["criteria"]}}
 
 
+def same_bytes(checkouts: dict, args: tuple, outputs: dict) -> None:
+    """Stop unless `hopfgal args` printed the same bytes in both checkouts."""
+    if outputs["parent"] != outputs["change"]:
+        raise SystemExit("hopfgal %s prints different bytes in %s and %s"
+                         % (" ".join(args), checkouts["parent"], checkouts["change"]))
+
+
 def summary(runs: list[dict]) -> dict:
     out = {}
     for name in runs[0]["metrics"]:
@@ -144,10 +153,9 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     variants = {name: hopfgal(path, *VARIANTS_ARGS) for name, path in checkouts.items()}
-    if variants["parent"][0] != variants["change"][0]:
-        raise SystemExit("hopfgal %s prints different bytes in %s and %s"
-                         % (" ".join(VARIANTS_ARGS), checkouts["parent"],
-                            checkouts["change"]))
+    same_bytes(checkouts, VARIANTS_ARGS, {k: out for k, (out, _) in variants.items()})
+    same_bytes(checkouts, VERIFY_ALL_ARGS, {name: hopfgal(path, *VERIFY_ALL_ARGS)[0]
+                                            for name, path in checkouts.items()})
 
     runs = {name: {w: [] for w in workloads} for name in checkouts}
     for k, seed in enumerate(args.seeds):

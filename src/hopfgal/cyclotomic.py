@@ -6,14 +6,15 @@ with phi = p^(n-1)(p-1), reduced with the relation
     zeta^phi = -(1 + zeta^s + zeta^(2s) + ... + zeta^((p-2)s)),   s = p^(n-1),
 
 i.e. the minimal polynomial x^phi + x^((p-2)s) + ... + x^s + 1.  An element
-stores integer numerators over one positive denominator, in lowest terms, and
-all arithmetic runs on those integers; the `fractions.Fraction` coefficients
-are a view (`CycloElt.coeffs`) built when asked for.  Reduction goes through
-a per-field table of zeta^e in the power basis, built on the field's first
-use; the automorphism zeta -> zeta^u reads a table of the basis images,
-built on the first use of u.  The loops over an element's numerators
-(`mul`, `shift`, `unit_apply`, `terms_to_vector`) visit only the nonzero
-ones.  Nothing here is approximate.
+stores only its nonzero integer numerators, as sorted (index, numerator)
+pairs, over one positive denominator, in lowest terms; every loop here walks
+those pairs, so an element with k nonzero numerators costs k, not phi.  The
+dense views are built when asked for: `CycloElt.coeffs` (the `Fraction`
+coefficients) and `CycloElt.to_json`.  Reduction goes through a per-field
+table of zeta^e in the power basis, built on the field's first use; the
+automorphism zeta -> zeta^u reads a table of the basis images, built on the
+first use of u; and the cells zeta^k/p^n of the idempotents are one shared
+table per field, built on first use.  Nothing here is approximate.
 
 The same fixed multiplier (the smallest primitive root mod p^2, which is a
 primitive root mod every p^k for odd p) drives the Galois action at every
@@ -28,6 +29,7 @@ from itertools import compress
 from math import gcd
 
 from . import linalg
+from ._terms import canonical, dense, sparse
 
 Rat = Fraction
 
@@ -104,12 +106,13 @@ class FieldDescriptor:
     There is one instance per (p, n): constructing the same field twice
     returns the same object, so two descriptors are equal exactly when they
     are identical.  The instance also holds the field's reduction table,
-    built on first use (see `_reduction_table`), and the image tables of
-    the automorphisms applied so far (see `_unit_table`).
+    built on first use (see `_reduction_table`), the image tables of the
+    automorphisms applied so far (see `_unit_table`), and the idempotent
+    cells, built on first use (see `idempotent_cells`).
     """
 
     __slots__ = ("p", "n", "modulus", "degree", "multiplier", "_table",
-                 "_unit_tables")
+                 "_unit_tables", "_cells")
     _instances: dict[tuple[int, int], "FieldDescriptor"] = {}
 
     def __new__(cls, p: int, n: int):
@@ -123,7 +126,8 @@ class FieldDescriptor:
                             ("degree", p ** (n - 1) * (p - 1)),   # [Q(zeta) : Q]
                             # generator of the Galois action on exponents
                             ("multiplier", primitive_root(p)),
-                            ("_table", None), ("_unit_tables", {})):
+                            ("_table", None), ("_unit_tables", {}),
+                            ("_cells", None)):
             object.__setattr__(field, name, value)
         return cls._instances.setdefault((p, n), field)
 
@@ -151,8 +155,9 @@ def _exp_terms(field: FieldDescriptor, e: int) -> dict[int, int]:
 
 
 def _reduction_table(field: FieldDescriptor) -> tuple:
-    """Entry e (0 <= e < p^n) is zeta^e in the power basis, as ((index, +/-1), ...).
-    Built from `_exp_terms` on first use and kept on the field."""
+    """Entry e (0 <= e < p^n) is zeta^e in the power basis, as ((index, +/-1), ...)
+    sorted by index: the terms of the element zeta^e.  Built from
+    `_exp_terms` on first use and kept on the field."""
     table = field._table
     if table is None:
         table = tuple(tuple(_exp_terms(field, e).items())
@@ -174,34 +179,38 @@ def _unit_table(field: FieldDescriptor, u: int) -> tuple:
     return table
 
 
-def _fold(field: FieldDescriptor, pairs) -> list[int]:
-    """Power-basis numerators of sum c * zeta^e over integer pairs (e, c),
-    exponents taken mod p^n."""
+def _fold(field: FieldDescriptor, pairs) -> dict[int, int]:
+    """{power-basis index: numerator} of sum c * zeta^e over integer pairs
+    (e, c), exponents taken mod p^n; a numerator may have cancelled to 0."""
     m, table = field.modulus, _reduction_table(field)
-    out = [0] * field.degree
+    out: dict[int, int] = {}
+    get = out.get
     for e, c in pairs:
         if c:
             for i, s in table[e % m]:
-                out[i] += s * c
+                out[i] = get(i, 0) + s * c
     return out
 
 
 _ZERO_CACHE: dict = {}            # FieldDescriptor -> the canonical zero element
+_ZERO = Fraction(0)
 
 
 # Hand-rolled rather than a dataclass: the public constructor takes rationals,
 # while `_make` writes the slots directly on the hot path.
 class CycloElt:
-    """An element of Q(zeta): power-basis numerators `nums` over one
-    denominator `den`.
+    """An element of Q(zeta): the power-basis numerators over one
+    denominator `den`, stored as `terms`, the sorted (index, numerator)
+    pairs of the nonzero numerators.
 
-    The form is canonical: den > 0 and gcd(den, *nums) == 1, so zero is
-    (0, ..., 0)/1 and equal values have equal storage.  `nonzero` is set on
-    construction.  `CycloElt(field, coeffs)` takes rational coefficients;
-    `coeffs` gives them back as `Fraction`s, built on every access.
+    The form is canonical: den > 0, no stored numerator is 0, and
+    gcd(den, *numerators) == 1, so zero is ()/1 and equal values have equal
+    storage.  `CycloElt(field, coeffs)` takes the phi rational coefficients;
+    `coeffs` gives them back as `Fraction`s and `to_json` as strings, dense
+    views built on every access.
     """
 
-    __slots__ = ("field", "nums", "den", "nonzero")
+    __slots__ = ("field", "terms", "den")
 
     def __init__(self, field: FieldDescriptor, coeffs):
         coeffs = tuple(coeffs)
@@ -209,9 +218,8 @@ class CycloElt:
             raise ValueError("expected %d coefficients, got %d" % (field.degree, len(coeffs)))
         nums, den = linalg.common_denominator(coeffs)
         _set_field(self, field)
-        _set_nums(self, tuple(nums))
+        _set_terms(self, sparse(nums))
         _set_den(self, den)
-        _set_nonzero(self, any(nums))
 
     def __setattr__(self, *a):
         raise AttributeError("CycloElt is immutable")
@@ -219,7 +227,7 @@ class CycloElt:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self.den
-        return tuple(Fraction(a, den) for a in self.nums)
+        return tuple(dense(self.terms, self.field.degree, _ZERO, lambda a: Fraction(a, den)))
 
     # -- constructors -------------------------------------------------------
 
@@ -227,7 +235,7 @@ class CycloElt:
     def zero(cls, field: FieldDescriptor) -> "CycloElt":
         elt = _ZERO_CACHE.get(field)
         if elt is None:
-            elt = _ZERO_CACHE[field] = _make(field, (0,) * field.degree, 1)
+            elt = _ZERO_CACHE[field] = _make(field, (), 1)
         return elt
 
     @classmethod
@@ -237,7 +245,7 @@ class CycloElt:
     @classmethod
     def rational(cls, field: FieldDescriptor, x) -> "CycloElt":
         f = Fraction(x)
-        return _make(field, (f.numerator,) + (0,) * (field.degree - 1), f.denominator)
+        return _make(field, ((0, f.numerator),) if f else (), f.denominator)
 
     @classmethod
     def zeta_power(cls, field: FieldDescriptor, e: int) -> "CycloElt":
@@ -257,32 +265,28 @@ class CycloElt:
     def _combine(self, o: "CycloElt", sign: int) -> "CycloElt":
         """self + sign * o over the common denominator."""
         xd, yd = self.den, o.den
-        if xd == yd:
-            if sign > 0:
-                nums = [a + b for a, b in zip(self.nums, o.nums)]
-            else:
-                nums = [a - b for a, b in zip(self.nums, o.nums)]
-        else:
-            g = gcd(xd, yd)
-            sx, sy = yd // g, sign * (xd // g)
-            nums = [a * sx + b * sy for a, b in zip(self.nums, o.nums)]
-            xd *= sx
-        return _normalized(self.field, nums, xd)
+        g = gcd(xd, yd)
+        sx, sy = yd // g, sign * (xd // g)
+        cells = dict(self.terms) if sx == 1 else {i: a * sx for i, a in self.terms}
+        get = cells.get
+        for i, b in o.terms:
+            cells[i] = get(i, 0) + b * sy
+        return _normalized(self.field, canonical(cells), xd * sx)
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if not self.nonzero:
+        if not self.terms:
             return o
-        if not o.nonzero:
+        if not o.terms:
             return self
         return self._combine(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.field, tuple(-a for a in self.nums), self.den)
+        return _make(self.field, tuple((i, -a) for i, a in self.terms), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -297,7 +301,10 @@ class CycloElt:
         return o - self
 
     def _scale(self, f: Fraction) -> "CycloElt":
-        return _normalized(self.field, [a * f.numerator for a in self.nums],
+        if not f:
+            return CycloElt.zero(self.field)
+        fn = f.numerator
+        return _normalized(self.field, tuple((i, a * fn) for i, a in self.terms),
                            self.den * f.denominator)
 
     def __mul__(self, other):
@@ -321,20 +328,20 @@ class CycloElt:
     def __eq__(self, other):
         if isinstance(other, CycloElt):
             return (self.field is other.field and self.den == other.den
-                    and self.nums == other.nums)
+                    and self.terms == other.terms)
         if isinstance(other, (int, Fraction)):       # both are in lowest terms
-            return (self.is_rational() and self.nums[0] == other.numerator
+            return (self.terms == (((0, other.numerator),) if other else ())
                     and self.den == other.denominator)
         return False
 
     def __hash__(self):
         # a rational element equals its Fraction value, so it hashes like it
         if self.is_rational():
-            return hash(Fraction(self.nums[0], self.den))
-        return hash((self.field, self.nums, self.den))
+            return hash(self.rational_value())
+        return hash((self.field, self.terms, self.den))
 
     def __bool__(self):
-        return self.nonzero
+        return bool(self.terms)
 
     def __repr__(self):
         return "CycloElt(p=%d, n=%d, %s)" % (
@@ -343,38 +350,33 @@ class CycloElt:
     # -- predicates ----------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return not any(self.nums[1:])
+        # the terms are sorted: only index 0 may be stored
+        return not self.terms or self.terms[-1][0] == 0
 
     def rational_value(self) -> Rat:
         if not self.is_rational():
             raise ValueError("element is not rational: %r" % (self,))
-        return Fraction(self.nums[0], self.den)
+        return Fraction(self.terms[0][1], self.den) if self.terms else _ZERO
 
     def shift(self, e: int) -> "CycloElt":
         """Multiply by zeta^e.  Multiplying by a root of unity permutes Z[zeta],
         so the numerators keep gcd 1 with the denominator."""
-        field, nums = self.field, self.nums
+        field, terms = self.field, self.terms
         m = field.modulus
-        if e % m == 0 or not self.nonzero:
+        if e % m == 0 or not terms:
             return self
-        table, out = _reduction_table(field), [0] * field.degree
-        for i in compress(range(field.degree), nums):
-            a = nums[i]
-            for j, s in table[(i + e) % m]:
-                out[j] += s * a
-        return _make(field, tuple(out), self.den)
+        table = _reduction_table(field)
+        return _make(field, _images(terms, [table[(i + e) % m] for i, _ in terms]),
+                     self.den)
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> list[str]:
         den = self.den
-        out = []
-        for a in self.nums:
-            if a:
-                g = gcd(a, den)
-                out.append("%d/%d" % (a // g, den // g))
-            else:
-                out.append("0/1")             # one shared string for every zero
+        out = ["0/1"] * self.field.degree         # one shared string for every zero
+        for i, a in self.terms:
+            g = gcd(a, den)
+            out[i] = "%d/%d" % (a // g, den // g)
         return out
 
     @classmethod
@@ -383,27 +385,45 @@ class CycloElt:
 
 
 _set_field = CycloElt.field.__set__
-_set_nums = CycloElt.nums.__set__
+_set_terms = CycloElt.terms.__set__
 _set_den = CycloElt.den.__set__
-_set_nonzero = CycloElt.nonzero.__set__
 
 
-def _make(field: FieldDescriptor, nums: tuple, den: int) -> CycloElt:
-    """An element from numerators and denominator already in canonical form."""
+def _make(field: FieldDescriptor, terms: tuple, den: int) -> CycloElt:
+    """An element from terms and denominator already in canonical form."""
     x = object.__new__(CycloElt)
     _set_field(x, field)
-    _set_nums(x, nums)
+    _set_terms(x, terms)
     _set_den(x, den)
-    _set_nonzero(x, any(nums))
     return x
 
 
-def _normalized(field: FieldDescriptor, nums: list, den: int) -> CycloElt:
-    """An element from integer numerators over a positive denominator."""
-    g = gcd(den, *nums)
-    if g != 1:
-        return _make(field, tuple(a // g for a in nums), den // g)
-    return _make(field, tuple(nums), den)
+def _normalized(field: FieldDescriptor, terms: tuple, den: int) -> CycloElt:
+    """An element from sorted nonzero (index, integer numerator) terms over a
+    positive denominator."""
+    if not terms:
+        return CycloElt.zero(field)
+    if den != 1:
+        g = gcd(den, *[a for _, a in terms])
+        if g != 1:
+            return _make(field, tuple((i, a // g) for i, a in terms), den // g)
+    return _make(field, terms, den)
+
+
+def _images(terms: tuple, rows: list) -> tuple:
+    """The sorted terms of sum a * rows[k] over the k-th term (index, a) of
+    `terms`, rows[k] being the sorted terms of the image of zeta^index.  The
+    image of one term is its row scaled, already sorted, and for a = 1 the
+    shared row itself."""
+    if len(terms) == 1:
+        a = terms[0][1]
+        return rows[0] if a == 1 else tuple((j, s * a) for j, s in rows[0])
+    out: dict[int, int] = {}
+    get = out.get
+    for (_, a), row in zip(terms, rows):
+        for j, s in row:
+            out[j] = get(j, 0) + s * a
+    return canonical(out)
 
 
 def from_exponents(field: FieldDescriptor, pairs, den: int = 1) -> CycloElt:
@@ -411,42 +431,56 @@ def from_exponents(field: FieldDescriptor, pairs, den: int = 1) -> CycloElt:
 
     Passing `enumerate(sums)` folds a table of exponent sums; every entry
     goes through the reduction table, with no shortcut for special sums."""
-    return _normalized(field, _fold(field, pairs), den)
+    return _normalized(field, canonical(_fold(field, pairs)), den)
+
+
+def idempotent_cells(field: FieldDescriptor) -> tuple:
+    """Entry k (0 <= k < p^n) is zeta^k / p^n: every cell of an idempotent
+    e_i (`hopfgalois.e_basis`) is one of them.  Built through
+    `from_exponents` on the field's first use and kept on the field, so the
+    p^2n cells of a level's idempotents are p^n shared elements."""
+    cells = field._cells
+    if cells is None:
+        m = field.modulus
+        cells = tuple(from_exponents(field, ((k, 1),), m) for k in range(m))
+        object.__setattr__(field, "_cells", cells)
+    return cells
 
 
 def mul(x: CycloElt, y: CycloElt) -> CycloElt:
     field = x.field
     if y.field is not field:
         raise ValueError("field mismatch")
-    if not x.nonzero or not y.nonzero:
+    if not x.terms or not y.terms:
         return CycloElt.zero(field)
-    acc = [0] * (2 * field.degree - 1)
-    xs, ys = x.nums, y.nums
-    yterms = list(compress(enumerate(ys), ys))
-    for i in compress(range(field.degree), xs):
-        a = xs[i]
+    acc: dict[int, int] = {}                  # exponent -> integer sum
+    get, yterms = acc.get, y.terms
+    for i, a in x.terms:
         for j, b in yterms:
-            acc[i + j] += a * b
-    return from_exponents(field, enumerate(acc), x.den * y.den)
+            acc[i + j] = get(i + j, 0) + a * b
+    return from_exponents(field, acc.items(), x.den * y.den)
 
 
 def inverse(x: CycloElt) -> CycloElt:
     """Field inverse: solve (mult-by-x) * v = 1 through the echelon of the
-    system augmented by the right-hand side as column phi."""
+    system augmented by the right-hand side as column phi.  Column j is
+    x * zeta^j, whose numerators are over x's denominator d, so the system
+    is solved on them with right-hand side d."""
     if not x:
         raise ZeroDivisionError("inverse of zero cyclotomic element")
     deg = x.field.degree
-    cols = [mul(x, CycloElt.zeta_power(x.field, i)).coeffs for i in range(deg)]
+    rows: list[dict] = [{} for _ in range(deg)]
+    rows[0][deg] = x.den
+    for j in range(deg):
+        for i, a in x.shift(j).terms:
+            rows[i][j] = a
     ech = linalg.SparseEchelon()
-    for i in range(deg):
-        row = {j: col[i] for j, col in enumerate(cols) if col[i]}
-        if i == 0:
-            row[deg] = Fraction(1)
+    for row in rows:
         ech.insert(row)
     if ech.pivot_columns() != list(range(deg)):
         raise ValueError("multiplication by %r is not invertible" % (x,))
-    rows = ech.pivot_rows
-    return CycloElt(x.field, [rows[j].get(deg, 0) for j in range(deg)])
+    pivots = ech.pivot_rows
+    return CycloElt(x.field, [pivots[j].get(deg, 0) for j in range(deg)])
 
 
 def unit_apply(u: int, x: CycloElt) -> CycloElt:
@@ -454,13 +488,9 @@ def unit_apply(u: int, x: CycloElt) -> CycloElt:
     field = x.field
     if u % field.p == 0:
         raise ValueError("exponent multiplier %d is not a unit mod %d" % (u, field.modulus))
-    table, out, nums = _unit_table(field, u), [0] * field.degree, x.nums
-    for i in compress(range(field.degree), nums):
-        a = nums[i]
-        for j, s in table[i]:
-            out[j] += s * a
+    table = _unit_table(field, u)
     # an automorphism permutes Z[zeta], so the numerators keep gcd 1 with den
-    return _make(field, tuple(out), x.den)
+    return _make(field, _images(x.terms, [table[i] for i, _ in x.terms]), x.den)
 
 
 def embed(m: int, n: int, x: CycloElt) -> CycloElt:
@@ -473,11 +503,9 @@ def embed(m: int, n: int, x: CycloElt) -> CycloElt:
         raise ValueError("element lives at level %d, not %d" % (x.field.n, m))
     if m > n:
         raise ValueError("embed needs m <= n, got m=%d > n=%d" % (m, n))
-    tgt = FieldDescriptor(x.field.p, n)
     stretch = x.field.p ** (n - m)
-    v = [0] * tgt.degree
-    v[::stretch] = x.nums
-    return _make(tgt, tuple(v), x.den)
+    return _make(FieldDescriptor(x.field.p, n),
+                 tuple((i * stretch, a) for i, a in x.terms), x.den)
 
 
 def embed_preimage(m: int, n: int, y: CycloElt) -> CycloElt | None:
@@ -485,11 +513,11 @@ def embed_preimage(m: int, n: int, y: CycloElt) -> CycloElt | None:
     dilated coordinate subspace."""
     if y.field.n != n or m > n:
         raise ValueError("bad levels m=%d, n=%d for element at level %d" % (m, n, y.field.n))
-    src = FieldDescriptor(y.field.p, m)
     stretch = y.field.p ** (n - m)
-    if any(a for i, a in enumerate(y.nums) if i % stretch):
+    if any(i % stretch for i, _ in y.terms):
         return None
-    return _make(src, y.nums[::stretch], y.den)
+    return _make(FieldDescriptor(y.field.p, m),
+                 tuple((i // stretch, a) for i, a in y.terms), y.den)
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +537,9 @@ def terms_to_vector(terms) -> dict[int, Rat]:
     out: dict[int, Rat] = {}
     for c, cell in terms:
         if isinstance(cell, CycloElt):
-            if not cell.nonzero:
-                continue
-            nums, den = cell.nums, cell.den
-            base = c * len(nums)
-            for A in compress(range(len(nums)), nums):
-                out[base + A] = nums[A] if den == 1 else Fraction(nums[A], den)
+            den, base = cell.den, c * cell.field.degree
+            for A, a in cell.terms:
+                out[base + A] = a if den == 1 else Fraction(a, den)
         else:
             base = c * len(cell)
             for A in compress(range(len(cell)), cell):
@@ -626,9 +651,9 @@ def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
             terms = []
             for c in orbit:
                 S, U = transport[c]
-                # zeta^S sigma_U permutes Z[zeta] up to sign: nums/den stays
-                # in lowest terms
-                terms.append((c, _make(field, tuple(_fold(
+                # zeta^S sigma_U permutes Z[zeta] up to sign: the numerators
+                # over den stay in lowest terms
+                terms.append((c, _make(field, canonical(_fold(
                     field, ((S + U * A, a) for A, a in pairs))), den)))
             found.append((rep * phi + top, tuple(terms)))
     found.sort(key=lambda entry: entry[0])

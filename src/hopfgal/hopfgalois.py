@@ -36,7 +36,8 @@ from math import lcm
 from . import linalg
 from ._terms import add, dense, fill, new, pointwise, sparse, sub
 from .cyclotomic import (CycloElt, FieldDescriptor, Rat, embed, embed_preimage,
-                         from_exponents, parse_rat, rat_str, terms_to_vector)
+                         from_exponents, idempotent_cells, parse_rat, rat_str,
+                         terms_to_vector)
 from .groupring import GroupRingElt, fixed_ring_kernel
 from .reporting import Report, checked
 
@@ -90,10 +91,9 @@ def validate_radicand(p: int, a: Rat | int) -> Rat:
 def e_basis(p: int, n: int, i: int) -> GroupRingElt:
     """The i-th idempotent (1/p^n) sum_j zeta^(-ij) sigma^j, as a group-ring element."""
     field = FieldDescriptor(p, n)
-    go = field.modulus
-    # every cell is +/- zeta^k / p^n, never zero
-    return new(GroupRingElt, field,
-               tuple((j, from_exponents(field, ((-i * j, 1),), go)) for j in range(go)), go)
+    go, cells = field.modulus, idempotent_cells(field)
+    # cell j is zeta^(-ij) / p^n, never zero, shared by every e_i of the level
+    return new(GroupRingElt, field, tuple((j, cells[-i * j % go]) for j in range(go)), go)
 
 
 def dual_pairing(p: int, n: int, i: int, k: int) -> Rat:
@@ -222,8 +222,7 @@ def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
         raise ValueError("expected a full-level group ring element")
     go = field.modulus
     den = lcm(*(c.den for _, c in x.terms))
-    terms = [(b, A, a * (den // c.den)) for b, c in x.terms
-             for A, a in enumerate(c.nums) if a]
+    terms = [(b, A, a * (den // c.den)) for b, c in x.terms for A, a in c.terms]
     out = []
     for k in range(go):
         sums = [0] * go

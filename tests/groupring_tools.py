@@ -48,7 +48,7 @@ def _numerators(x: GroupRingElt) -> tuple[list[tuple[int, list[tuple[int, int]]]
     """The nonzero cells of x as (b, [(A, numerator), ...]) over one common
     denominator."""
     den = lcm(*(c.den for c in x.coeffs))
-    cells = [(b, [(A, a * (den // c.den)) for A, a in enumerate(c.nums) if a])
+    cells = [(b, [(A, a * (den // c.den)) for A, a in c.terms])
              for b, c in enumerate(x.coeffs) if c]
     return cells, den
 
@@ -123,7 +123,7 @@ def dense_diag_action_unit(u: int, x: GroupRingElt) -> list[CycloElt]:
     out = [None] * go
     for b, c in enumerate(x.coeffs):
         out[(b * u) % go] = from_exponents(
-            x.field, ((A * u, a) for A, a in enumerate(c.nums)), c.den)
+            x.field, ((A * u, a) for A, a in c.terms), c.den)
     return out
 
 

@@ -109,11 +109,54 @@ def test_descriptor_is_one_instance_per_field():
 # -- canonical integer form ---------------------------------------------------
 
 def assert_canonical(x):
-    assert x.den > 0
-    assert gcd(x.den, *x.nums) == 1
-    if not any(x.nums):
-        assert x.den == 1
-    assert x.nonzero == any(x.nums)
+    """The stored form: sorted nonzero (index, numerator) pairs over one
+    positive denominator, in lowest terms, zero as ()/1; and the dense views
+    agree with the pairs."""
+    phi, terms, den = x.field.degree, x.terms, x.den
+    assert type(terms) is tuple and type(den) is int
+    indices = [i for i, _ in terms]
+    assert all(a < b for a, b in zip(indices, indices[1:]))   # strictly increasing
+    assert all(0 <= i < phi for i in indices)
+    assert all(type(a) is int and a != 0 for _, a in terms)
+    assert den > 0
+    assert gcd(den, *(a for _, a in terms)) == 1
+    if not terms:
+        assert den == 1
+    assert bool(x) == bool(terms)
+    nums = dict(terms)
+    assert x.coeffs == tuple(Fraction(nums.get(i, 0), den) for i in range(phi))
+    assert x.to_json() == [rat_str(c) for c in x.coeffs]
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (3, 3)])
+@given(data=st.data())
+def test_every_operation_returns_the_stored_form(p, n, data):
+    f = FieldDescriptor(p, n)
+    m, phi = f.modulus, f.degree
+    x = data.draw(elements(p, n))
+    s = data.draw(sparse_elements(p, n))
+    r = data.draw(frac.filter(bool))
+    u = data.draw(st.sampled_from([v for v in range(1, m) if v % p]))
+    e = data.draw(st.integers(-m, 2 * m))
+    sixth = CycloElt.rational(f, Fraction(1, 6)) * CycloElt.zeta_power(f, 1)
+    third = CycloElt.rational(f, Fraction(1, 3)) * CycloElt.zeta_power(f, 1)
+    half = sixth + third                      # 1/6 + 2/6 = 3/6 reduces to 1/2
+    assert half.terms == ((1, 1),) and half.den == 2
+    results = [x, s, CycloElt(f, [0] * phi), CycloElt(f, [Fraction(2, 4)] * phi),
+               x + s, x - s, s + (-s), s - s, x - x, half, sixth - third,
+               -x, -s, x * 0, s * 0, x * r, s * r, s / r,
+               mul(x, s), mul(s, s), mul(x, CycloElt.zero(f)),
+               x.shift(e), s.shift(e), s.shift(m),
+               unit_apply(u, x), unit_apply(u, s), unit_apply(u, CycloElt.zero(f)),
+               embed(n, n + 1, x), embed(n, n + 1, s), embed(n, n, s),
+               embed_preimage(n, n + 1, embed(n, n + 1, s)), embed_preimage(n, n, s)]
+    # zeta^e with e below phi is one basis numerator; from phi on it is p-1
+    results += [unit_apply(u, CycloElt.zeta_power(f, k)) for k in (0, phi - 1, phi, m - 1)]
+    results += [inverse(s), inverse(s) * s]
+    for y in results:
+        assert_canonical(y)
+    assert (s + (-s)).terms == () and (x - x) == CycloElt.zero(f)
+    assert x * 0 == 0 and (x * 0).den == 1
 
 
 def test_rational_elements_hash_like_their_value():
@@ -331,7 +374,9 @@ def test_fixed_space_matches_full_grid_kernel(p, n, data):
         rows, ncells * field.degree)
     for terms in basis:
         assert [c for c, _ in terms] == sorted({c for c, _ in terms})
-        assert all(x.nonzero and x.field is field for _, x in terms)
+        assert all(x and x.field is field for _, x in terms)
+        for _, x in terms:
+            assert_canonical(x)
 
 
 @pytest.mark.parametrize("u1,u2", [(2, 4), (2, 5), (4, 7)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal import hopfgalois, linalg
-from hopfgal.cyclotomic import FieldDescriptor
+from hopfgal.cyclotomic import FieldDescriptor, from_exponents, idempotent_cells
 from hopfgal.groupring import GroupRingElt
 from hopfgal.linalg import sparse_nullspace
 from hopfgal.profinite import nu_h
@@ -34,6 +34,26 @@ def test_e_basis_matches_sympy_oracle(p, n):
         got = e_basis(p, n, i)
         expected = oracle_idempotent(p, n, i)
         assert [list(c.coeffs) for c in got.coeffs] == expected
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 3), (5, 2)])
+def test_e_basis_cells_are_the_fields_shared_table(p, n):
+    """Every cell of every e_i is one of the level's p^n table elements
+    zeta^k / p^n, the object itself."""
+    field = FieldDescriptor(p, n)
+    go = field.modulus
+    table = idempotent_cells(field)
+    assert len(table) == go and idempotent_cells(field) is table
+    ids = {id(c) for c in table}
+    for i in range(go):
+        e = e_basis(p, n, i)
+        assert [j for j, _ in e.terms] == list(range(go))
+        assert all(id(c) in ids for _, c in e.terms)
+        expected = oracle_idempotent(p, n, i)
+        for j, c in e.terms:
+            assert c is table[-i * j % go]
+            assert c == from_exponents(field, ((-i * j, 1),), go)
+            assert list(c.coeffs) == expected[j]
 
 
 def test_e_basis_level_one_pinned_vector():
