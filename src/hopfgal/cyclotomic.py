@@ -10,11 +10,11 @@ stores only its nonzero integer numerators, as sorted (index, numerator)
 pairs, over one positive denominator, in lowest terms; every loop here walks
 those pairs, so an element with k nonzero numerators costs k, not phi.  The
 dense views are built when asked for: `CycloElt.coeffs` (the `Fraction`
-coefficients) and `CycloElt.to_json`.  Reduction goes through a per-field
-table of zeta^e in the power basis, built on the field's first use; the
-automorphism zeta -> zeta^u reads a table of the basis images, built on the
-first use of u; and the cells zeta^k/p^n of the idempotents are one shared
-table per field, built on first use.  Nothing here is approximate.
+coefficients) and `CycloElt.to_json`.  Reduction, the shift by zeta^e and
+the automorphism zeta -> zeta^u all go through a per-field table of zeta^e
+in the power basis, built on the field's first use; the cells zeta^k/p^n of
+the idempotents are one shared table per field, also built on first use.
+Nothing here is approximate.
 
 The same fixed multiplier (the smallest primitive root mod p^2, which is a
 primitive root mod every p^k for odd p) drives the Galois action at every
@@ -106,13 +106,11 @@ class FieldDescriptor:
     There is one instance per (p, n): constructing the same field twice
     returns the same object, so two descriptors are equal exactly when they
     are identical.  The instance also holds the field's reduction table,
-    built on first use (see `_reduction_table`), the image tables of the
-    automorphisms applied so far (see `_unit_table`), and the idempotent
-    cells, built on first use (see `idempotent_cells`).
+    built on first use (see `_reduction_table`), and the idempotent cells,
+    also built on first use (see `idempotent_cells`).
     """
 
-    __slots__ = ("p", "n", "modulus", "degree", "multiplier", "_table",
-                 "_unit_tables", "_cells")
+    __slots__ = ("p", "n", "modulus", "degree", "multiplier", "_table", "_cells")
     _instances: dict[tuple[int, int], "FieldDescriptor"] = {}
 
     def __new__(cls, p: int, n: int):
@@ -126,8 +124,7 @@ class FieldDescriptor:
                             ("degree", p ** (n - 1) * (p - 1)),   # [Q(zeta) : Q]
                             # generator of the Galois action on exponents
                             ("multiplier", primitive_root(p)),
-                            ("_table", None), ("_unit_tables", {}),
-                            ("_cells", None)):
+                            ("_table", None), ("_cells", None)):
             object.__setattr__(field, name, value)
         return cls._instances.setdefault((p, n), field)
 
@@ -163,19 +160,6 @@ def _reduction_table(field: FieldDescriptor) -> tuple:
         table = tuple(tuple(_exp_terms(field, e).items())
                       for e in range(field.modulus))
         object.__setattr__(field, "_table", table)
-    return table
-
-
-def _unit_table(field: FieldDescriptor, u: int) -> tuple:
-    """Entry i is zeta^(i*u) in the power basis, for i < phi: the images of
-    the basis under zeta -> zeta^u.  Built on first use of u mod p^n and kept
-    on the field."""
-    u %= field.modulus
-    table = field._unit_tables.get(u)
-    if table is None:
-        red = _reduction_table(field)
-        table = tuple(red[(i * u) % field.modulus] for i in range(field.degree))
-        field._unit_tables[u] = table
     return table
 
 
@@ -361,13 +345,9 @@ class CycloElt:
     def shift(self, e: int) -> "CycloElt":
         """Multiply by zeta^e.  Multiplying by a root of unity permutes Z[zeta],
         so the numerators keep gcd 1 with the denominator."""
-        field, terms = self.field, self.terms
-        m = field.modulus
-        if e % m == 0 or not terms:
+        if e % self.field.modulus == 0 or not self.terms:
             return self
-        table = _reduction_table(field)
-        return _make(field, _images(terms, [table[(i + e) % m] for i, _ in terms]),
-                     self.den)
+        return _make(self.field, _transport(self.field, self.terms, 1, e), self.den)
 
     # -- serialization -------------------------------------------------------
 
@@ -410,20 +390,16 @@ def _normalized(field: FieldDescriptor, terms: tuple, den: int) -> CycloElt:
     return _make(field, terms, den)
 
 
-def _images(terms: tuple, rows: list) -> tuple:
-    """The sorted terms of sum a * rows[k] over the k-th term (index, a) of
-    `terms`, rows[k] being the sorted terms of the image of zeta^index.  The
-    image of one term is its row scaled, already sorted, and for a = 1 the
-    shared row itself."""
+def _transport(field: FieldDescriptor, terms, u: int, s: int) -> tuple:
+    """The terms of zeta^s * sigma_u(x), sigma_u being zeta -> zeta^u, for x
+    with the (index, numerator) `terms`: sum a * zeta^(u*i + s).  The image
+    of one term is its reduction-table row scaled, already sorted, and for
+    a = 1 the shared row itself."""
     if len(terms) == 1:
-        a = terms[0][1]
-        return rows[0] if a == 1 else tuple((j, s * a) for j, s in rows[0])
-    out: dict[int, int] = {}
-    get = out.get
-    for (_, a), row in zip(terms, rows):
-        for j, s in row:
-            out[j] = get(j, 0) + s * a
-    return canonical(out)
+        (i, a), = terms
+        row = _reduction_table(field)[(u * i + s) % field.modulus]
+        return row if a == 1 else tuple((j, sign * a) for j, sign in row)
+    return canonical(_fold(field, ((u * i + s, a) for i, a in terms)))
 
 
 def from_exponents(field: FieldDescriptor, pairs, den: int = 1) -> CycloElt:
@@ -488,9 +464,8 @@ def unit_apply(u: int, x: CycloElt) -> CycloElt:
     field = x.field
     if u % field.p == 0:
         raise ValueError("exponent multiplier %d is not a unit mod %d" % (u, field.modulus))
-    table = _unit_table(field, u)
     # an automorphism permutes Z[zeta], so the numerators keep gcd 1 with den
-    return _make(field, _images(x.terms, [table[i] for i, _ in x.terms]), x.den)
+    return _make(field, _transport(field, x.terms, u, 0), x.den)
 
 
 def embed(m: int, n: int, x: CycloElt) -> CycloElt:
@@ -653,8 +628,7 @@ def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
                 S, U = transport[c]
                 # zeta^S sigma_U permutes Z[zeta] up to sign: the numerators
                 # over den stay in lowest terms
-                terms.append((c, _make(field, canonical(_fold(
-                    field, ((S + U * A, a) for A, a in pairs))), den)))
+                terms.append((c, _make(field, _transport(field, pairs, U, S), den)))
             found.append((rep * phi + top, tuple(terms)))
     found.sort(key=lambda entry: entry[0])
     return [terms for _, terms in found]

@@ -142,6 +142,7 @@ def test_every_operation_returns_the_stored_form(p, n, data):
     third = CycloElt.rational(f, Fraction(1, 3)) * CycloElt.zeta_power(f, 1)
     half = sixth + third                      # 1/6 + 2/6 = 3/6 reduces to 1/2
     assert half.terms == ((1, 1),) and half.den == 2
+    assert sixth != third and sixth.terms == third.terms      # told apart by den
     results = [x, s, CycloElt(f, [0] * phi), CycloElt(f, [Fraction(2, 4)] * phi),
                x + s, x - s, s + (-s), s - s, x - x, half, sixth - third,
                -x, -s, x * 0, s * 0, x * r, s * r, s / r,
