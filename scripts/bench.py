@@ -9,10 +9,12 @@ checkout, ``perfbench/run.py --trace 0`` for BENCHMARK.json's
 ``run_seconds``; the two checkouts take turns at going first.  Then each
 checkout runs ``hopfgal verify-all --format json --timings`` once, for the
 wall time of each criterion.  Before all of that, each checkout runs
-``hopfgal variants --p 3 --n 3 --format json`` once, timed, and
-``hopfgal verify-all --format json`` (no ``--timings``) once; if the two
-checkouts print different bytes for either command, the script stops
-there.  A run that fails, times out or prints no JSON stops the script,
+``hopfgal variants --p 3 --n 3 --format json`` once, timed,
+``hopfgal verify-all --format json`` (no ``--timings``) once, and
+``hopfgal profinite --p 3 --level 4 --format json`` once: level 4 is the
+depth of the truncation tower that the ``tower`` workload runs, where
+``verify-all`` stops at level 3.  If the two checkouts print different
+bytes for any of the three commands, the script stops there.  A run that fails, times out or prints no JSON stops the script,
 naming the checkout and the command.
 
 The output, BENCH_<label>.json at the root of this checkout, holds the
@@ -38,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 300
 VARIANTS_ARGS = ("variants", "--p", "3", "--n", "3", "--format", "json")
 VERIFY_ALL_ARGS = ("verify-all", "--format", "json")
+PROFINITE_ARGS = ("profinite", "--p", "3", "--level", "4", "--format", "json")
 
 
 def machine() -> dict:
@@ -154,8 +157,9 @@ def main(argv=None) -> int:
 
     variants = {name: hopfgal(path, *VARIANTS_ARGS) for name, path in checkouts.items()}
     same_bytes(checkouts, VARIANTS_ARGS, {k: out for k, (out, _) in variants.items()})
-    same_bytes(checkouts, VERIFY_ALL_ARGS, {name: hopfgal(path, *VERIFY_ALL_ARGS)[0]
-                                            for name, path in checkouts.items()})
+    for command in (VERIFY_ALL_ARGS, PROFINITE_ARGS):
+        same_bytes(checkouts, command, {name: hopfgal(path, *command)[0]
+                                        for name, path in checkouts.items()})
 
     runs = {name: {w: [] for w in workloads} for name in checkouts}
     for k, seed in enumerate(args.seeds):

@@ -90,13 +90,42 @@ def fill(obj, *values) -> None:
         set_slot(obj, value)
 
 
+_makers: dict[type, object] = {}
+
+
+def _maker(cls):
+    """`new` for `cls`, built on the class's first use: a closure over the
+    allocator and the slot setters that sets each field by its own call,
+    with no loop per element.  The value classes have three or four
+    fields; unpacking refuses any other count."""
+    alloc = object.__new__
+    setters = _slot_setters(cls)
+    if len(setters) == 4:
+        s0, s1, s2, s3 = setters
+
+        def make(v0, v1, v2, v3):
+            obj = alloc(cls)
+            s0(obj, v0)
+            s1(obj, v1)
+            s2(obj, v2)
+            s3(obj, v3)
+            return obj
+    else:
+        s0, s1, s2 = setters
+
+        def make(v0, v1, v2):
+            obj = alloc(cls)
+            s0(obj, v0)
+            s1(obj, v1)
+            s2(obj, v2)
+            return obj
+    return _makers.setdefault(cls, make)
+
+
 def new(cls, *values):
     """An instance of the frozen slotted dataclass `cls` with its fields,
     in declaration order, set to `values`; none of the public
-    constructor's checks or conversions run.  (`fill`'s loop, written out:
-    `act`, the truncations and the group-ring sums build one element per
-    call, and a second call would cost them as much as the loop.)"""
-    obj = object.__new__(cls)
-    for set_slot, value in zip(_setters.get(cls) or _slot_setters(cls), values):
-        set_slot(obj, value)
-    return obj
+    constructor's checks or conversions run.  `act`, the truncations and
+    the group-ring sums build one element per call, so the per-class
+    closure of `_maker` does the work."""
+    return (_makers.get(cls) or _maker(cls))(*values)

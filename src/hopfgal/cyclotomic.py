@@ -39,11 +39,12 @@ def rat_str(x: Rat | int) -> str:
 
 def parse_rat(s: str) -> Rat:
     try:
-        num, _, den = s.partition("/")
+        num, slash, den = s.partition("/")
     except AttributeError:
         raise ValueError("expected a rational as a 'num/den' string, got %r"
                          % (s,)) from None
-    den = int(den) if den else 1
+    # a slash wants a denominator: int("") refuses "3/" as it does "/2"
+    den = int(den) if slash else 1
     if den == 0:
         raise ValueError("zero denominator in %r" % (s,))
     return Fraction(int(num), den)
@@ -519,6 +520,34 @@ def terms_to_vector(terms) -> dict[int, Rat]:
             base = c * len(cell)
             for A in compress(range(len(cell)), cell):
                 out[base + A] = cell[A]
+    return out
+
+
+def leading_columns(basis) -> list[int]:
+    """The largest column of each `fixed_space` basis vector in the layout
+    of `terms_to_vector`: its last cell's last index.  The vector is 1
+    there and every other basis vector is 0, so a vector of the span reads,
+    on these columns, as its coordinates in the basis."""
+    return [c * cell.field.degree + cell.terms[-1][0]
+            for c, cell in (vector[-1] for vector in basis)]
+
+
+def restrict(terms, columns) -> dict[int, Rat]:
+    """`terms_to_vector(terms)` at `columns` alone, for (cell, `CycloElt`)
+    terms: each column reads its one cell and nothing else is flattened."""
+    if not terms:
+        return {}
+    cells = dict(terms)
+    phi = terms[0][1].field.degree
+    out: dict[int, Rat] = {}
+    for col in columns:
+        c, A = divmod(col, phi)
+        cell = cells.get(c)
+        if cell is not None:
+            for A2, a in cell.terms:
+                if A2 == A:
+                    out[col] = a if cell.den == 1 else Fraction(a, cell.den)
+                    break
     return out
 
 

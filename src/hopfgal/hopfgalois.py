@@ -36,8 +36,8 @@ from math import lcm
 from . import linalg
 from ._terms import add, dense, fill, new, pointwise, sparse, sub
 from .cyclotomic import (CycloElt, FieldDescriptor, Rat, embed, embed_preimage,
-                         from_exponents, idempotent_cells, parse_rat, rat_str,
-                         terms_to_vector)
+                         from_exponents, idempotent_cells, leading_columns,
+                         parse_rat, rat_str, restrict, terms_to_vector)
 from .groupring import GroupRingElt, fixed_ring_kernel
 from .reporting import Report, checked
 
@@ -396,11 +396,18 @@ def dual_pairing_report(p: int, n: int) -> Report:
 
 def fixed_ring_reports(p: int, n: int) -> list[Report]:
     """Kernel dimension of (diagonal action - id), then span equality of the
-    kernel with the idempotent basis (mutual containment at equal rank)."""
+    kernel with the idempotent basis (mutual containment at equal rank).
+
+    Each idempotent is first checked to lie in the kernel's span.  Its rank
+    is then taken on the kernel basis's p^n leading columns alone
+    (`leading_columns`), not on all p^n * phi: restricting rows to some
+    columns is linear, so it cannot raise their rank, and on the span it is
+    one to one, since a vector of the span is its coordinates there.  So
+    the restricted rank is the idempotents' rank, and p^n proves it full."""
     state: dict = {}
 
     def dimension():
-        kernel = [terms_to_vector(terms) for terms in fixed_ring_kernel(p, n)]
+        kernel = fixed_ring_kernel(p, n)
         state["kernel"] = kernel
         if len(kernel) != p ** n:
             return False, {"dimension": len(kernel), "expected": p ** n}
@@ -412,14 +419,15 @@ def fixed_ring_reports(p: int, n: int) -> list[Report]:
         if "kernel" not in state:
             return False, {"stage": "kernel-not-computed"}
         kernel_span = linalg.SparseEchelon()
-        for vec in state["kernel"]:
-            kernel_span.insert(vec)
+        for terms in state["kernel"]:
+            kernel_span.insert(terms_to_vector(terms))
+        leads = leading_columns(state["kernel"])
         idem_span = linalg.SparseEchelon()
         for i in range(p ** n):
-            vec = terms_to_vector(e_basis(p, n, i).terms)
-            if not kernel_span.contains(vec):
+            terms = e_basis(p, n, i).terms
+            if not kernel_span.contains(terms_to_vector(terms)):
                 return False, {"stage": "idempotent-outside-kernel", "i": i}
-            idem_span.insert(vec)
+            idem_span.insert(restrict(terms, leads))
         if idem_span.rank != kernel_span.rank:
             return False, {"stage": "rank-mismatch",
                            "kernel_rank": kernel_span.rank,

@@ -19,8 +19,11 @@ multiplies term tables ({(j, i): coefficient} items) and builds no element.
 `smash_mult` is its public wrapper: it checks that the factors share p, n
 and a, drops the cancelled terms and wraps the table in a `SmashElt`
 (`_terms.new`; its keys are reduced).  `hom_subalgebra_closure_check`
-calls the kernel directly on the one-term tables of its basis elements,
-since it reads only which terms each product has.
+calls the kernel directly, since it reads only which terms each product
+has: once per left basis element, on that element's one term against the
+terms of every basis element.  Keys never merge in such a call (a left
+factor and a product key fix the right factor), so the table still shows
+every ordered pair's product on its own.
 
 `iso_check` certifies that the induced map K # H -> End_Q(K) is a bijective
 algebra map by an exact rank computation plus multiplicativity checks;
@@ -365,8 +368,17 @@ def hom_subalgebra_basis(p: int, n: int, m: int) -> tuple[list[tuple[int, int]],
 
 def hom_subalgebra_closure_check(p: int, n: int, m: int, a) -> Report:
     """Every product of two listed basis elements, over all ordered pairs,
-    stays in their span.  The products go through the term-level product
-    rule `_product_terms`, with no `SmashElt` built per product."""
+    stays in their span.
+
+    The products go through the term-level product rule `_product_terms`,
+    one call per left factor: the left factor's one-term table times the
+    table of all one-term right factors, so each ordered pair is still
+    multiplied once, inside the kernel's loop, and no `SmashElt` is built.
+    No two products of one call meet in a key: for the left factor
+    w^j1 # e_i1, a product key (j, i) can only come from the right factor
+    w^((j - j1) mod go) # e_i, go = p^max(n, m).  So each escaping key
+    names its pair, and the witness is the first escaping pair in the
+    order (left, right) of the listed basis."""
     a = Fraction(a)
 
     def body():
@@ -374,14 +386,14 @@ def hom_subalgebra_closure_check(p: int, n: int, m: int, a) -> Report:
         level = max(n, m)
         go = p ** level
         allowed = set(pairs)
-        # each basis element w^j # e_i as its one-term table
-        basis = [(((j, i), _ONE),) for (j, i) in pairs]
-        for (j1, i1), x in zip(pairs, basis):
-            for (j2, i2), y in zip(pairs, basis):
-                for key, c in _product_terms(go, a, x, y).items():
-                    if c and key not in allowed:
-                        return False, {"left": (j1, i1), "right": (j2, i2),
-                                       "escapes": key}
+        # each basis element w^j # e_i as its one term
+        terms = tuple(((j, i), _ONE) for (j, i) in pairs)
+        for left in terms:
+            for (j, i), c in _product_terms(go, a, (left,), terms).items():
+                if c and (j, i) not in allowed:
+                    (j1, i1), _ = left
+                    return False, {"left": (j1, i1), "right": ((j - j1) % go, i),
+                                   "escapes": (j, i)}
         return True, None
 
     return checked("hom-subalgebra-closure", {"p": p, "n": n, "m": m, "a": rat_str(a)},

@@ -53,6 +53,12 @@ def test_rat_str_round_trip():
     assert parse_rat("6") == Fraction(6)
 
 
+@pytest.mark.parametrize("s", ["3/", "/2", "/", "", "3/0"])
+def test_parse_rat_refuses_an_empty_or_zero_part(s):
+    with pytest.raises(ValueError):
+        parse_rat(s)
+
+
 def test_is_prime():
     assert [m for m in range(2, 30) if is_prime(m)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal import hopfgalois, linalg
-from hopfgal.cyclotomic import FieldDescriptor, from_exponents, idempotent_cells
-from hopfgal.groupring import GroupRingElt
+from hopfgal.cyclotomic import (FieldDescriptor, from_exponents, idempotent_cells,
+                                leading_columns, restrict, terms_to_vector)
+from hopfgal.groupring import GroupRingElt, fixed_ring_kernel
 from hopfgal.linalg import sparse_nullspace
 from hopfgal.profinite import nu_h
 from hopfgal.hopfgalois import (HopfElt, RadicalElt, act, base_change_report,
@@ -351,6 +352,41 @@ def test_measuring_and_fixed_field(p, n):
 def test_fixed_ring_reports_pass():
     for report in fixed_ring_reports(3, 2):
         assert report.status == "pass"
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1), (3, 3)])
+def test_leading_column_rank_equals_the_full_grid_rank(p, n):
+    kernel = fixed_ring_kernel(p, n)
+    leads = leading_columns(kernel)
+    assert len(set(leads)) == p ** n
+    for k, terms in enumerate(kernel):
+        vec = terms_to_vector(terms)
+        # each kernel vector leads at its largest column, where it is 1 and
+        # every other kernel vector is 0
+        assert max(vec) == leads[k]
+        assert restrict(terms, leads) == {leads[k]: 1}
+    es = [e_basis(p, n, i).terms for i in range(p ** n)]
+    for terms in es:
+        vec = terms_to_vector(terms)
+        assert restrict(terms, leads) == {c: vec[c] for c in leads if c in vec}
+    full = linalg.sparse_rank(terms_to_vector(terms) for terms in es)
+    assert linalg.sparse_rank(restrict(terms, leads) for terms in es) == full == p ** n
+    # a repeated idempotent lowers both ranks alike
+    repeated = [es[0]] + es[:-1]
+    assert linalg.sparse_rank(restrict(terms, leads) for terms in repeated) == \
+        linalg.sparse_rank(terms_to_vector(terms) for terms in repeated) == p ** n - 1
+
+
+def test_fixed_ring_span_fails_when_an_idempotent_repeats(monkeypatch):
+    # every idempotent still lies in the kernel, so only the rank can tell
+    real = hopfgalois.e_basis
+    monkeypatch.setattr(hopfgalois, "e_basis",
+                        lambda p, n, i: real(p, n, 0 if i == 1 else i))
+    dimension, span = fixed_ring_reports(3, 2)
+    assert dimension.status == "pass"
+    assert span.status == "fail"
+    assert span.witness == {"stage": "rank-mismatch", "kernel_rank": 9,
+                            "idempotent_rank": 8}
 
 
 @pytest.mark.parametrize("p,n,m", [(3, 2, 1), (5, 2, 1)])

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hopfgal import profinite
 from hopfgal.cyclotomic import CycloElt, FieldDescriptor
 from hopfgal.groupring import GroupRingElt
 from hopfgal.hopfgalois import HopfElt
@@ -152,3 +153,14 @@ def test_profinite_suite_reports():
     assert coherent_sequence_check(3, 3).status == "pass"
     assert padic_model_check(3, 2).status == "pass"
     assert fixed_truncation_check(3, 2).status == "pass"
+
+
+def test_fixed_truncation_check_fails_when_an_idempotent_repeats(monkeypatch):
+    # at level 2 e_1 is replaced by e_0: every idempotent is still fixed, so
+    # the rank on the kernel's leading columns must fall short of 9
+    real = profinite.e_basis
+    monkeypatch.setattr(profinite, "e_basis",
+                        lambda p, n, i: real(p, n, 0 if (n, i) == (2, 1) else i))
+    report = fixed_truncation_check(3, 2)
+    assert report.status == "fail"
+    assert report.witness == {"level": 2, "kernel_dim": 9, "span_rank": 8}

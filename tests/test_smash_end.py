@@ -264,27 +264,33 @@ def test_hom_subalgebra_dimension(n, m):
 
 
 def test_hom_subalgebra_closure_computes_every_product(monkeypatch):
+    # the kernel may be called once per left factor, on many right factors
+    # at once; across the calls, xterms x yterms must still cover each
+    # ordered pair of basis elements exactly once
     products = []
 
     def counting_kernel(go, a, xterms, yterms):
-        products.append((xterms, yterms))
+        products.extend((x, y) for x in xterms for y in yterms)
         return _product_terms(go, a, xterms, yterms)
 
     monkeypatch.setattr(smash_end, "_product_terms", counting_kernel)
     assert hom_subalgebra_closure_check(3, 2, 3, Fraction(3, 5)).status == "pass"
-    dim = 3 ** (2 + 3)
+    pairs, dim = hom_subalgebra_basis(3, 2, 3)
+    one = Fraction(1)
+    expected = [((l, one), (r, one)) for l in pairs for r in pairs]
     assert len(products) == dim * dim
-    assert len(set(products)) == dim * dim
+    assert sorted(products) == sorted(expected)
 
 
 def test_hom_subalgebra_closure_fails_on_a_pair_outside_the_span(monkeypatch):
-    # at (n, m) = (2, 1) the span is the pairs with 3 | j + i; (1, 0) times
-    # (3, 6) is (4, 6), outside it
+    # at (n, m) = (2, 1) the span is the pairs with 3 | j + i.  Appended last,
+    # (1, 0) is the first left factor whose products leave it.  Its nonzero
+    # products come from the right factors (j, i) with 9 | j + i: (0, 0)
+    # gives (1, 0) itself, then w # e_0 times w # e_8 is w^2 # e_8
     pairs, dim = hom_subalgebra_basis(3, 2, 1)
     assert (1, 0) not in pairs
     monkeypatch.setattr(smash_end, "hom_subalgebra_basis",
                         lambda p, n, m: (pairs + [(1, 0)], dim + 1))
     report = hom_subalgebra_closure_check(3, 2, 1, Fraction(2))
     assert report.status == "fail"
-    escaped = tuple(report.witness["escapes"])
-    assert escaped not in pairs and escaped != (1, 0)
+    assert report.witness == {"left": (1, 0), "right": (1, 8), "escapes": (2, 8)}
