@@ -302,8 +302,7 @@ def fixed_truncation_check(p: int, L: int) -> Report:
             es = [e_basis(p, n, i) for i in range(go)]
             if any(diag_action(1, e) != e for e in es):
                 return False, {"level": n, "problem": "idempotent not fixed"}
-            # the kernel comes first, for its leading columns; no elimination
-            # on the full grid is held beside it
+            # the kernel comes first: the rank reads its leading columns
             kernel = fixed_ring(p, n)                    # exact kernel; asserts dim
             leads = leading_columns([v.terms for v in kernel])
             rk = linalg.sparse_rank(restrict(e.terms, leads) for e in es)
