@@ -21,7 +21,9 @@ The output, BENCH_<label>.json at the root of this checkout, holds the
 machine, every run's end-to-end metrics, each metric's median and quartiles,
 and per workload and metric the number of seeds on which the change did
 better than the parent, in the direction BENCHMARK.json gives for that
-metric.
+metric.  Per checkout it also holds ``src_lines``, the line count of
+``src/hopfgal/*.py`` (as ``wc -l`` counts them), so that a change's size
+is measured with its speed.
 """
 
 from __future__ import annotations
@@ -104,6 +106,12 @@ def hopfgal(path: Path, *args: str) -> tuple[str, float]:
     return out, time.monotonic() - start
 
 
+def source_lines(path: Path) -> int:
+    """Newlines in the checkout's src/hopfgal/*.py, the count `wc -l` gives."""
+    return sum(f.read_bytes().count(b"\n")
+               for f in (path / "src" / "hopfgal").glob("*.py"))
+
+
 def criterion_times(path: Path) -> dict:
     out, wall = hopfgal(path, "verify-all", "--format", "json", "--timings")
     data = json.loads(out)
@@ -178,6 +186,7 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py --trace 0 --seconds %g" % seconds,
         "seeds": args.seeds,
         "checkouts": {name: {"commit": commit(path),
+                             "src_lines": source_lines(path),
                              "verify_all": criterion_times(path),
                              "variants_p3_n3": {"wall_s": round(variants[name][1], 3)},
                              "workloads": {w: {"summary": summary(rs), "runs": rs}

@@ -38,12 +38,20 @@ def rat_str(x: Rat | int) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 def parse_rat(s: str) -> Rat:
+    """The rational `rat_str` prints as s, or an integer "num": ASCII digits,
+    a minus sign only in front of the numerator, and a nonzero denominator
+    after a slash.  `int` alone would also take spaces, a sign on either
+    part, underscores and non-ASCII digits; those are refused."""
     try:
         num, slash, den = s.partition("/")
     except AttributeError:
         raise ValueError("expected a rational as a 'num/den' string, got %r"
                          % (s,)) from None
-    # a slash wants a denominator: int("") refuses "3/" as it does "/2"
+    # "".isdigit() is False: an empty part is refused, "3/" as well as "/2"
+    if not (s.isascii()
+            and (num.isdigit() or num[:1] == "-" and num[1:].isdigit())
+            and (den.isdigit() or not slash)):
+        raise ValueError("expected a rational as 'num/den' or 'num', got %r" % (s,))
     den = int(den) if slash else 1
     if den == 0:
         raise ValueError("zero denominator in %r" % (s,))
@@ -560,7 +568,29 @@ def cells_to_vector(cells) -> dict[int, Rat]:
 def _stabiliser_kernel(stabiliser: tuple, phi: int, m: int, table) -> list[tuple]:
     """Basis of the x in Q(zeta), on phi columns, with zeta^S sigma_U(x) = x
     for every (S, U) in the sorted `stabiliser`, in `kernel_basis`'s order.
-    Each vector is (largest column, denominator, [(column, numerator)])."""
+    Each vector is (largest column, denominator, [(column, numerator)]).
+
+    The maps x -> zeta^S sigma_U(x) compose as (s, u) o (S, U) =
+    (s + u*S, u*U) mod m, and x is fixed by the set exactly when it is
+    fixed by the group the set generates.  A walk of that group from (0, 1)
+    records one S for each U it meets.  If it meets one U with two values
+    S and S', the group holds the rotation x -> zeta^(S - S') x, which
+    fixes only 0: the kernel is empty, with no elimination.  The walk meets
+    at most phi values of U, so it takes at most phi * |set| integer steps.
+    Otherwise U -> zeta^S is a cocycle on the group's image in (Z/m)^*, and
+    the kernel, found by elimination, has dimension phi / |image| (Speiser).
+    """
+    seen = {1: 0}                             # U -> the S met with it
+    todo = [(0, 1)]
+    for S, U in todo:                         # todo grows
+        for s, u in stabiliser:
+            S2, U2 = (s + u * S) % m, u * U % m
+            known = seen.get(U2)
+            if known is None:
+                seen[U2] = S2
+                todo.append((S2, U2))
+            elif known != S2:
+                return []
     ech = linalg.SparseEchelon()
     for S, U in stabiliser:
         rows: dict[int, dict[int, int]] = {A: {A: -1} for A in range(phi)}
@@ -596,6 +626,12 @@ def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
     every edge that closes a cycle gives one stabiliser element, in the same
     form.  Their fixed field is a kernel on phi columns, and each of its
     vectors is spread over the orbit through the transports.
+
+    Before any elimination, `_stabiliser_kernel` walks the group that the
+    set generates.  If the group holds a rotation x -> zeta^r x, r != 0,
+    which fixes only 0, the kernel is 0 and the orbit adds nothing;
+    otherwise it is eliminated and has dimension phi / |U-bar|, U-bar the
+    group's units mod p^n (Speiser).
 
     That kernel depends only on the set of stabiliser elements (and on the
     field), not on the orbit, so it is eliminated once per distinct sorted

@@ -348,7 +348,9 @@ def fixed_field_check(p: int, n: int, a) -> Report:
     matrix of e_i - counit(e_i) on the basis w^0, ..., w^(p^n - 1), and
     column k of it is read off `act(e_i, w^k)`, computed for every (i, k).
     Each column fills its stored nonzero terms into the block's rows in one
-    pass; e_i on w^k has one term when i == k and none otherwise.  A zero
+    pass; e_i on w^k has one term when i == k and none otherwise.  The
+    counit is subtracted on the diagonal only in a block where it is
+    nonzero (e_0's); every other block is e_i's matrix as filled.  A zero
     entry is not stored and a row left empty is not passed on, so of the
     p^2n rows only the 2(p^n - 1) nonzero ones reach the elimination.
     """
@@ -365,12 +367,12 @@ def fixed_field_check(p: int, n: int, a) -> Report:
             for k, b in enumerate(basis):
                 for r, v in act(h, b).terms:
                     block[r][k] = v
-            for r, row in enumerate(block):
-                v = row.pop(r, 0) - eps
-                if v:
-                    row[r] = v
-                if row:
-                    rows.append(row)
+            if eps:                   # the counit is 0 but for e_0
+                for r, row in enumerate(block):
+                    v = row.pop(r, 0) - eps
+                    if v:
+                        row[r] = v
+            rows.extend(filter(None, block))
         kern = linalg.sparse_nullspace(rows, go)
         ok = len(kern) == 1 and set(kern[0]) == {0}
         return ok, {"kernel_dimension": len(kern),

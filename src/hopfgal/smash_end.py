@@ -107,15 +107,24 @@ def _product_terms(go: int, a: Fraction, xterms, yterms) -> dict:
     """The product rule on term tables: xterms and yterms are sequences (or
     dict item views) of ((j, i), Fraction) pairs with j, i in range(go),
     and the result is the {(j, i): coefficient} table of their product.  A
-    coefficient that cancels to zero is left in the table."""
+    coefficient that cancels to zero is left in the table.
+
+    The w-exponent sum j1 + j2 is below 2*go, so it wraps at most once and
+    a product takes the factor a only when it does.  A key met for the
+    first time takes its product as it is; only a later one is added."""
     terms: dict[tuple[int, int], Fraction] = {}
     for (j1, i1), c1 in xterms:
         for (j2, i2), c2 in yterms:
             if (j2 + i2) % go != i1:
                 continue
-            wrap, j = divmod(j1 + j2, go)
+            j, c = j1 + j2, c1 * c2
+            if j >= go:
+                j, c = j - go, c * a
             key = (j, i2)
-            terms[key] = terms.get(key, _ZERO) + c1 * c2 * a ** wrap
+            if key in terms:
+                terms[key] += c
+            else:
+                terms[key] = c
     return terms
 
 

@@ -53,8 +53,12 @@ def test_rat_str_round_trip():
     assert parse_rat("6") == Fraction(6)
 
 
-@pytest.mark.parametrize("s", ["3/", "/2", "/", "", "3/0"])
+@pytest.mark.parametrize("s", ["3/", "/2", "/", "", "3/0", "3/-4", "3/+4", "+3/4",
+                               "1_000/3", "\u0663/4", "3/\u0664", " 3/4", "3/ 4",
+                               "3 /4", "3/4 ", "-", "--3/4", "- 3/4", "3/4/5"])
 def test_parse_rat_refuses_an_empty_or_zero_part(s):
+    """Only the forms `rat_str` prints, and a bare integer: no sign but a
+    leading minus, no space, no underscore, ASCII digits only."""
     with pytest.raises(ValueError):
         parse_rat(s)
 
@@ -437,21 +441,53 @@ def stabiliser_sets(field, gens, ncells) -> list[tuple]:
     return sets
 
 
-@pytest.mark.parametrize("build,reused", [("h_variant 3,3,1", True),
-                                          ("fixed_ring_kernel 3,4", False)])
-def test_fixed_space_eliminates_once_per_distinct_stabiliser_set(monkeypatch, build,
-                                                                 reused):
-    """Within one call, an orbit whose stabiliser set was already eliminated
-    reuses that kernel: `kernel_basis` runs once per distinct set.  The
-    variant's 729 cells fall in 189 orbits with 56 distinct sets; the fixed
-    ring's five orbits have five different ones."""
-    calls, problems = [], []
+def generated_group(stabiliser, m) -> set:
+    """Every element of the group that the maps (S, U): x -> zeta^S sigma_U(x)
+    generate, (s, u) o (S, U) = (s + u*S, u*U) mod m, by brute force:
+    compose each element met with each generator until nothing new appears."""
+    group, size = {(0, 1)}, 0
+    while len(group) != size:
+        size = len(group)
+        group |= {((s + u * S) % m, u * U % m)
+                  for S, U in group for s, u in stabiliser}
+    return group
+
+
+def holds_rotation(group) -> bool:
+    """Whether the group holds x -> zeta^r x for some r != 0, which fixes
+    only 0."""
+    return any(U == 1 and S != 0 for S, U in group)
+
+
+BUILDS = {
+    "h_variant 3,3,0": lambda: variants.h_variant(3, 3, 0),
+    "h_variant 3,3,1": lambda: variants.h_variant(3, 3, 1),
+    "h_variant 3,3,2": lambda: variants.h_variant(3, 3, 2),
+    "h_variant 5,2,1": lambda: variants.h_variant(5, 2, 1),
+    "fixed_ring_kernel 3,4": lambda: groupring.fixed_ring_kernel(3, 4),
+    "fixed_ring_kernel 7,2": lambda: groupring.fixed_ring_kernel(7, 2),
+}
+
+
+def counted_kernel_bases(monkeypatch) -> list:
+    """Make `SparseEchelon.kernel_basis` record each of its calls in the
+    returned list."""
+    calls = []
     real_kernel_basis = linalg.SparseEchelon.kernel_basis
-    real_fixed_space = cyclotomic.fixed_space
 
     def counting_kernel_basis(self, ncols):
         calls.append(ncols)
         return real_kernel_basis(self, ncols)
+
+    monkeypatch.setattr(linalg.SparseEchelon, "kernel_basis", counting_kernel_basis)
+    return calls
+
+
+def recorded_problems(monkeypatch, build) -> list[tuple]:
+    """Run a build and return each of its `fixed_space` calls as (field,
+    generators, ncells, kernel_basis runs inside the call)."""
+    calls, problems = counted_kernel_bases(monkeypatch), []
+    real_fixed_space = cyclotomic.fixed_space
 
     def recording_fixed_space(field, generators, ncells):
         generators = [(u % field.modulus, list(moves)) for u, moves in generators]
@@ -460,18 +496,102 @@ def test_fixed_space_eliminates_once_per_distinct_stabiliser_set(monkeypatch, bu
         problems.append((field, generators, ncells, len(calls) - before))
         return basis
 
-    monkeypatch.setattr(linalg.SparseEchelon, "kernel_basis", counting_kernel_basis)
     for module in (cyclotomic, groupring, variants):
         monkeypatch.setattr(module, "fixed_space", recording_fixed_space)
-    if build.startswith("h_variant"):
-        variants.h_variant(3, 3, 1)
-    else:
-        groupring.fixed_ring_kernel(3, 4)
+    BUILDS[build]()
+    return problems
+
+
+@pytest.mark.parametrize("build,reused", [("h_variant 3,3,1", True),
+                                          ("fixed_ring_kernel 3,4", False)])
+def test_fixed_space_eliminates_once_per_distinct_stabiliser_set(monkeypatch, build,
+                                                                 reused):
+    """Within one call, an orbit whose stabiliser set was already met reuses
+    that kernel, and a set whose group holds a rotation has the kernel 0
+    with no elimination: `kernel_basis` runs once for each distinct set
+    whose group, closed by brute force here, holds no rotation.  The
+    variant's 729 cells fall in 189 orbits with 56 distinct sets, 4 of them
+    without a rotation; the fixed ring's five orbits have five different
+    sets, none with a rotation."""
+    problems = recorded_problems(monkeypatch, build)
     assert len(problems) == 1
     field, gens, ncells, eliminations = problems[0]
     sets = stabiliser_sets(field, gens, ncells)
-    assert eliminations == len(set(sets))
+    free = [key for key in set(sets)
+            if not holds_rotation(generated_group(key, field.modulus))]
+    assert (len(set(sets)), len(free)) == {"h_variant 3,3,1": (56, 4),
+                                           "fixed_ring_kernel 3,4": (5, 5)}[build]
+    assert eliminations == len(free)
     assert (len(set(sets)) < len(sets)) == reused
+
+
+def stabiliser_kernel(field, key) -> list[dict]:
+    """`_stabiliser_kernel` of one sorted set, as `sparse_nullspace` vectors."""
+    kernel = cyclotomic._stabiliser_kernel(key, field.degree, field.modulus,
+                                           cyclotomic._reduction_table(field))
+    return [{c: Fraction(a, den) for c, a in pairs} for _, den, pairs in kernel]
+
+
+@pytest.mark.parametrize("build", list(BUILDS))
+def test_stabiliser_kernels_have_the_speiser_dimension(monkeypatch, build):
+    """For every distinct stabiliser set of a build, the kernel of its
+    one-cell rows (sympy powers of zeta, `sparse_nullspace`) is 0 when the
+    set's group holds a rotation and has dimension phi / |U-bar| otherwise,
+    U-bar being the group's units; `_stabiliser_kernel` gives that kernel,
+    vector for vector."""
+    sets = set()
+    for field, gens, ncells, _ in recorded_problems(monkeypatch, build):
+        sets.update((field, key) for key in stabiliser_sets(field, gens, ncells))
+    assert sets
+    for field, key in sorted(sets, key=lambda fk: (fk[0].p, fk[0].n, fk[1])):
+        m, phi = field.modulus, field.degree
+        rows = [row for S, U in key for row in action_rows(field, U, [(0, S)])]
+        kern = sparse_nullspace(rows, phi)
+        group = generated_group(key, m)
+        expected = 0 if holds_rotation(group) else phi // len({U for _, U in group})
+        assert len(kern) == expected, (field, key)
+        assert stabiliser_kernel(field, key) == kern
+
+
+@pytest.mark.parametrize("key", [
+    ((3, 1),),                  # x -> zeta^3 x itself
+    ((0, 4), (5, 1)),           # a rotation next to a unit of order 3
+    ((0, 8), (3, 8)),           # one U, two S: the rotation is their quotient
+    ((2, 4), (4, 4)),           # the same, for a unit of order 3
+], ids=["rotation", "rotation-and-unit", "quotient", "quotient-order-3"])
+def test_a_set_whose_group_holds_a_rotation_has_kernel_zero(monkeypatch, key):
+    """Q(zeta_9), and the full-grid rows of the set on one cell agree: the
+    kernel is 0, and the walk finds it with no elimination."""
+    field = FieldDescriptor(3, 2)
+    assert holds_rotation(generated_group(key, field.modulus))
+    rows = [row for S, U in key for row in action_rows(field, U, [(0, S)])]
+    assert sparse_nullspace(rows, field.degree) == []
+    calls = counted_kernel_bases(monkeypatch)
+    assert stabiliser_kernel(field, key) == []
+    assert calls == []
+    gens = [(U, [(0, S)]) for S, U in key]
+    assert fixed_space(field, gens, 1) == []
+
+
+@pytest.mark.parametrize("p,n,t,u", [(3, 2, 1, 8), (3, 2, 1, 4), (3, 2, 2, 2),
+                                     (5, 1, 1, 4), (7, 1, 3, 2)])
+def test_a_coboundary_twist_keeps_a_nonzero_kernel(monkeypatch, p, n, t, u):
+    """x -> zeta^(t - u*t) sigma_u(x) fixes zeta^t times the fixed field of
+    sigma_u: one element twisted by a coboundary holds no rotation, so it is
+    eliminated, and its kernel, phi / ord(u) wide, is the full-grid one."""
+    field = FieldDescriptor(p, n)
+    m, phi = field.modulus, field.degree
+    key = (((t - u * t) % m, u),)
+    assert not holds_rotation(generated_group(key, m))
+    rows = action_rows(field, u, [(0, key[0][0])])
+    kern = sparse_nullspace(rows, phi)
+    order = next(k for k in range(1, m) if pow(u, k, m) == 1)
+    assert len(kern) == phi // order > 0
+    calls = counted_kernel_bases(monkeypatch)
+    assert stabiliser_kernel(field, key) == kern
+    assert calls == [phi]
+    basis = fixed_space(field, [(u, [(0, key[0][0])])], 1)
+    assert [terms_to_vector(terms) for terms in basis] == kern
 
 
 def test_fixed_space_keys_its_kernels_by_the_whole_stabiliser_set():

@@ -447,6 +447,23 @@ def test_fixed_field_check_fails_under_a_trivial_action(monkeypatch):
     assert report.witness["kernel_dimension"] == 9
 
 
+@pytest.mark.parametrize("counit,witness", [
+    # e_1 acting as the counit 1 fixes w^1, and no other e_i moves it
+    (lambda p, n, i: Fraction(1 if i % p ** n == 1 else 0),
+     {"kernel_dimension": 1, "kernel": [["0/1", "1/1"] + ["0/1"] * 7]}),
+    # counit 0 everywhere: e_0 kills w^0, and the other e_i the rest of K
+    (lambda p, n, i: Fraction(0), {"kernel_dimension": 0, "kernel": []}),
+], ids=["one-at-e1", "zero"])
+def test_fixed_field_check_subtracts_the_counit_where_it_is_nonzero(monkeypatch,
+                                                                    counit, witness):
+    """The counit is subtracted in each block where it is nonzero, whichever
+    block that is, and nowhere else."""
+    monkeypatch.setattr(hopfgalois, "h_counit", counit)
+    report = fixed_field_check(3, 2, Fraction(2))
+    assert report.status == "fail"
+    assert report.witness == witness
+
+
 def test_fixed_field_check_fails_under_the_identity_action(monkeypatch):
     # every idempotent acting as the identity fixes only 0
     monkeypatch.setattr(hopfgalois, "act", lambda h, x: x)

@@ -78,6 +78,27 @@ def test_product_kernel_equals_smash_mult_on_basis_pairs(p, n):
     assert wraps > 0
 
 
+def test_product_kernel_takes_the_radicand_once_per_wrap():
+    """w^2 # e_0 times w^2 # e_1 wraps once in Q(w), w^3 = a: a appears once,
+    not squared; a product that does not wrap takes no a."""
+    a, go = Fraction(3, 5), 3
+    x = (((2, 0), Fraction(2)),)
+    assert _product_terms(go, a, x, (((2, 1), Fraction(7)),)) == {(1, 1): 14 * a}
+    assert _product_terms(go, a, x, (((0, 0), Fraction(7)),)) == {(2, 0): Fraction(14)}
+
+
+def test_product_kernel_keeps_a_cancelled_key_as_zero():
+    """Two products that meet in one key and cancel leave that key at 0; a
+    key met once keeps its product."""
+    a, go = Fraction(2), 3
+    xterms = (((1, 0), Fraction(1)), ((2, 2), Fraction(1, 16)))
+    # (1,0)(2,1) and (2,2)(1,1) both wrap to (0, 1): -a/4 + a/4
+    yterms = (((2, 1), Fraction(-1, 4)), ((1, 1), Fraction(4)), ((0, 0), Fraction(5)))
+    terms = _product_terms(go, a, xterms, yterms)
+    assert terms == {(0, 1): 0, (1, 0): Fraction(5)}
+    assert all(type(c) is Fraction for c in terms.values())
+
+
 # -- matrix model ----------------------------------------------------------------
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2)])
