@@ -634,8 +634,8 @@ def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
     group's units mod p^n (Speiser).
 
     That kernel depends only on the set of stabiliser elements (and on the
-    field), not on the orbit, so it is eliminated once per distinct sorted
-    set within a call: an orbit whose set was seen before reuses the kernel
+    field), not on the orbit, so it is found once per distinct sorted set
+    within a call: an orbit whose set was seen before reuses the kernel
     and spreads it through its own transports.  The returned basis is the one
     a fresh elimination per orbit would give, vector for vector.
 
