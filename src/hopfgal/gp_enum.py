@@ -803,18 +803,21 @@ def census_instances() -> list[CensusInstance]:
 
 def census_reports(instance: CensusInstance,
                    budget_seconds: float = SEARCH_BUDGET_SECONDS) -> list[Report]:
-    """Count check plus cyclic-structure check for one census instance."""
+    """Count check plus cyclic-structure check for one census instance.
+
+    The count report enumerates the structures and the cyclic report reads
+    them: `checked` runs the first report before the second is built, and
+    it either stores the enumeration or raises."""
     params = {"label": instance.label,
               "gamma_order": instance.gamma.order,
               "delta_order": instance.delta.order}
-    state: dict = {}
+    size, results = 0, []
 
     def counts():
+        nonlocal size, results
         size, action = coset_action(instance.gamma, instance.delta)
         results = enumerate_regular_normalized(
             instance.gamma, instance.delta, budget_seconds=budget_seconds)
-        state["results"] = results
-        state["size"] = size
         if len(results) != instance.expected_structures:
             return False, {"stage": "structure-count", "got": len(results),
                            "expected": instance.expected_structures}
@@ -831,10 +834,8 @@ def census_reports(instance: CensusInstance,
         return True, None
 
     def cyclic():
-        if "results" not in state:
-            return False, {"stage": "no-enumeration"}
-        for group in state["results"]:
-            if not group.is_cyclic() or group.order != state["size"]:
+        for group in results:
+            if not group.is_cyclic() or group.order != size:
                 return False, {"stage": "non-cyclic-structure",
                                "order": group.order}
         return True, None

@@ -400,17 +400,21 @@ def fixed_ring_reports(p: int, n: int) -> list[Report]:
     """Kernel dimension of (diagonal action - id), then span equality of the
     kernel with the idempotent basis (mutual containment at equal rank).
 
+    The dimension report computes the kernel and the span report reads it:
+    `checked` runs the first report before the second is built, and it
+    either stores the kernel or raises.
+
     Each idempotent is first checked to lie in the kernel's span.  Its rank
     is then taken on the kernel basis's p^n leading columns alone
     (`leading_columns`), not on all p^n * phi: restricting rows to some
     columns is linear, so it cannot raise their rank, and on the span it is
     one to one, since a vector of the span is its coordinates there.  So
     the restricted rank is the idempotents' rank, and p^n proves it full."""
-    state: dict = {}
+    kernel: list = []
 
     def dimension():
+        nonlocal kernel
         kernel = fixed_ring_kernel(p, n)
-        state["kernel"] = kernel
         if len(kernel) != p ** n:
             return False, {"dimension": len(kernel), "expected": p ** n}
         return True, None
@@ -418,12 +422,10 @@ def fixed_ring_reports(p: int, n: int) -> list[Report]:
     report_dim = checked("fixed-ring-dimension", {"p": p, "n": n}, dimension)
 
     def span():
-        if "kernel" not in state:
-            return False, {"stage": "kernel-not-computed"}
         kernel_span = linalg.SparseEchelon()
-        for terms in state["kernel"]:
+        for terms in kernel:
             kernel_span.insert(terms_to_vector(terms))
-        leads = leading_columns(state["kernel"])
+        leads = leading_columns(kernel)
         idem_span = linalg.SparseEchelon()
         for i in range(p ** n):
             terms = e_basis(p, n, i).terms

@@ -13,6 +13,7 @@ act diagonally on everything and fix precisely the idempotent spans.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -180,18 +181,19 @@ class PadicTrunc:
         return cls(data["p"], data["L"], tuple(data["residues"]), data["unit"])
 
 
-def padd(x: PadicTrunc, y: PadicTrunc) -> PadicTrunc:
+def _residue_wise(op, x: PadicTrunc, y: PadicTrunc) -> PadicTrunc:
+    """op residue by residue; the constructor reduces and sets `unit`."""
     if (x.p, x.L) != (y.p, y.L):
         raise ValueError("mismatched truncations")
-    res = tuple((a + b) % x.p ** (k + 1) for k, (a, b) in enumerate(zip(x.residues, y.residues)))
-    return PadicTrunc(x.p, x.L, res, unit=res[0] % x.p != 0)
+    return PadicTrunc(x.p, x.L, tuple(map(op, x.residues, y.residues)))
+
+
+def padd(x: PadicTrunc, y: PadicTrunc) -> PadicTrunc:
+    return _residue_wise(operator.add, x, y)
 
 
 def pmul(x: PadicTrunc, y: PadicTrunc) -> PadicTrunc:
-    if (x.p, x.L) != (y.p, y.L):
-        raise ValueError("mismatched truncations")
-    res = tuple((a * b) % x.p ** (k + 1) for k, (a, b) in enumerate(zip(x.residues, y.residues)))
-    return PadicTrunc(x.p, x.L, res, unit=res[0] % x.p != 0)
+    return _residue_wise(operator.mul, x, y)
 
 
 def delta_inf_action(d: PadicTrunc, c: CoherentH) -> CoherentH:

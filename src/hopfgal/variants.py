@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from . import linalg
 from ._terms import add, sub
-from .cyclotomic import (CycloElt, FieldDescriptor, embed, embed_preimage,
-                         fixed_space, primitive_root, rat_str, terms_to_vector)
+from .cyclotomic import (FieldDescriptor, embed, embed_preimage, fixed_space,
+                         primitive_root, rat_str, terms_to_vector)
 from .reporting import Report, checked
 
 
@@ -188,15 +188,12 @@ def normal_complements(p: int, n: int) -> list[TowerAut]:
 
 def conjugation_exponent(p: int, n: int, i: int) -> int:
     """m with beta g beta^{-1} = g^m for the i-th complement generator."""
-    g = complement_generator(p, n, i)
     beta = TowerAut.beta(p, n)
-    target = beta.compose(g).compose(beta.inverse())
-    cur = TowerAut.identity(p, n)
-    for m in range(p ** n):
-        if cur == target:
-            return m
-        cur = cur.compose(g)
-    raise AssertionError("conjugate escaped the cyclic complement")
+    target = beta.compose(complement_generator(p, n, i)).compose(beta.inverse())
+    elems = complement_elements(p, n, i)
+    if target not in elems:
+        raise AssertionError("conjugate escaped the cyclic complement")
+    return elems.index(target)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +409,16 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
 def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
     """The p Hopf algebras give pairwise different endomorphism-image spans;
     the i = 0 span is exactly the diagonal algebra, matching the level-0
-    idempotent action on w-powers."""
+    idempotent action on w-powers.
+
+    Two spans coincide exactly when each contains the other's vectors.  The
+    diagonal algebra is every matrix supported on the cells B*(p^n+1), the
+    entries (B, B), with entries in Q(zeta_1): Q-dimension (p-1)*p^n.  The
+    i = 0 span lies inside it when all its vectors have that support, and a
+    subspace of rank (p-1)*p^n is then all of it."""
     def body():
         pn = p ** n
-        f1 = FieldDescriptor(p, 1)
+        deg1 = p - 1
         spans = []
         vecs_by_i = []
         for i in range(p):
@@ -433,20 +436,13 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
             vecs_by_i.append(vecs)
         for i in range(p):
             for j in range(i + 1, p):
-                same_dim = spans[i].rank == spans[j].rank
-                mutual = (all(spans[j].contains(v) for v in vecs_by_i[i])
-                          and all(spans[i].contains(v) for v in vecs_by_i[j]))
-                if same_dim and mutual:
+                if (all(spans[j].contains(v) for v in vecs_by_i[i])
+                        and all(spans[i].contains(v) for v in vecs_by_i[j])):
                     return False, {"stage": "coincident-spans", "pair": [i, j]}
         # i = 0 gives the diagonal algebra: e_B acts as the matrix unit E_BB
-        diag = linalg.SparseEchelon()
-        diag_vecs = []
-        for B in range(pn):
-            for v in _zeta1_multiples(p, ((B * pn + B, CycloElt.one(f1)),)):
-                diag.insert(v)
-                diag_vecs.append(v)
-        if not (all(diag.contains(v) for v in vecs_by_i[0])
-                and all(spans[0].contains(v) for v in diag_vecs)):
+        if not (all(k // deg1 % (pn + 1) == 0
+                    for v in vecs_by_i[0] for k in v)
+                and spans[0].rank == deg1 * pn):
             return False, {"stage": "level-0-not-diagonal"}
         return True, None
 
@@ -467,14 +463,10 @@ def variant_nu(n: int, i: int, x: TowerAut) -> TowerAut:
                          "(level 2 only on the i = 0 chain)")
     if x.n != n:
         raise ValueError("element is not at level %d" % n)
-    p = x.p
-    g = complement_generator(p, n, i)
-    cur = TowerAut.identity(p, n)
-    for k in range(p ** n):
-        if cur == x:
-            return complement_generator(p, n - 1, i).pow(k)
-        cur = cur.compose(g)
-    raise ValueError("element is not in complement %d" % i)
+    elems = complement_elements(x.p, n, i)
+    if x not in elems:
+        raise ValueError("element is not in complement %d" % i)
+    return complement_generator(x.p, n - 1, i).pow(elems.index(x))
 
 
 def variant_nu_check(p: int, n: int) -> Report:
@@ -563,34 +555,27 @@ def e_containment_check(p: int, n: int, a=Fraction(2)) -> Report:
 def complements_report(p: int, n: int) -> Report:
     """Wrap the construction-with-verification of the p normal complements."""
     def body():
-        gens = normal_complements(p, n)
-        return len(gens) == p, {"count": len(gens)}
-
-    def wrapped():
         try:
-            ok, witness = body()
-            return ok, (None if ok else witness)
+            gens = normal_complements(p, n)
         except (AssertionError, ValueError) as exc:
             return False, {"error": str(exc)}
+        return len(gens) == p, {"count": len(gens)}
 
-    return checked("variant-complements", {"p": p, "n": n}, wrapped)
+    return checked("variant-complements", {"p": p, "n": n}, body)
 
 
-def variant_reports(p: int, n: int, a=Fraction(2), i: int | None = None,
-                    algebras: bool = True) -> list[Report]:
+def variant_reports(p: int, n: int, a=Fraction(2),
+                    i: int | None = None) -> list[Report]:
     """The variants suite at one level, in report order: the complements, the
     rank certificate and action check for every complement index (or only
     `i`), and the distinct-images check when every index ran; then, from
-    level 3 on, the truncation checks.  With algebras=False only the
-    truncation checks run."""
-    out: list[Report] = []
-    if algebras:
-        out.append(complements_report(p, n))
-        for k in (range(p) if i is None else [i]):
-            out.append(h_variant_rank_certificate(p, n, k, a))
-            out.append(variant_action_check(p, n, k, a))
-        if i is None:
-            out.append(distinct_action_images(p, n, a))
+    level 3 on, the truncation checks."""
+    out: list[Report] = [complements_report(p, n)]
+    for k in (range(p) if i is None else [i]):
+        out.append(h_variant_rank_certificate(p, n, k, a))
+        out.append(variant_action_check(p, n, k, a))
+    if i is None:
+        out.append(distinct_action_images(p, n, a))
     if n >= 3:
         out.append(variant_nu_check(p, n))
         out.append(e_containment_check(p, n, a))

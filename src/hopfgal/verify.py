@@ -22,7 +22,7 @@ from .reporting import Report
 from .smash_end import (hom_subalgebra_closure_check,
                         hom_subalgebra_dimension_report, iso_check,
                         nine_matrices_report)
-from .variants import variant_reports
+from .variants import e_containment_check, variant_nu_check, variant_reports
 
 # Default desk-scale instance families.  The heavier checks run on smaller
 # subsets so each criterion stays inside its runtime budget.
@@ -143,7 +143,8 @@ def criterion_variants(instances=VARIANT_INSTANCES,
     for p, n in instances:
         out.extend(variant_reports(p, n, a))
     for p, n in nu_instances:
-        out.extend(variant_reports(p, n, a, algebras=False))
+        out.append(variant_nu_check(p, n))
+        out.append(e_containment_check(p, n, a))
     return out
 
 

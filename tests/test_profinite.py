@@ -107,6 +107,13 @@ def test_residue_arithmetic_matches_integers(p, L, x, y):
     assert pmul(fx, fy) == PadicTrunc.from_int(p, L, x * y)
 
 
+@pytest.mark.parametrize("op", [padd, pmul])
+@pytest.mark.parametrize("other", [(3, 3), (5, 2)])
+def test_residue_arithmetic_refuses_mismatched_truncations(op, other):
+    with pytest.raises(ValueError):
+        op(PadicTrunc.from_int(3, 2, 4), PadicTrunc.from_int(*other, 4))
+
+
 def test_unit_flag_is_derived():
     assert PadicTrunc.from_int(3, 2, 4).unit is True
     assert PadicTrunc.from_int(3, 2, 6).unit is False

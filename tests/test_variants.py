@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from hopfgal import variants
 from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, terms_to_vector,
                                 unit_apply)
 from hopfgal.linalg import SparseEchelon, sparse_nullspace
@@ -99,6 +100,24 @@ def test_complement_product_covers_group():
 
 def test_complements_report_passes():
     assert complements_report(3, 2).status == "pass"
+
+
+def test_complements_report_turns_a_failed_construction_into_its_witness(
+        monkeypatch):
+    def boom(p, n):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(variants, "normal_complements", boom)
+    report = complements_report(3, 2)
+    assert (report.status, report.witness) == ("fail", {"error": "boom"})
+
+
+def test_complements_report_fails_on_a_short_count(monkeypatch):
+    monkeypatch.setattr(variants, "normal_complements",
+                        lambda p, n: [complement_generator(p, n, i)
+                                      for i in range(2)])
+    report = complements_report(3, 2)
+    assert (report.status, report.witness) == ("fail", {"count": 2})
 
 
 # -- fixed fields -------------------------------------------------------------------
@@ -281,6 +300,31 @@ def test_variant_actions_differ():
     assert distinct_action_images(3, 2, Fraction(2)).status == "pass"
 
 
+def _read_algebras(monkeypatch, swap):
+    # complement index i builds the algebra, and its action, of swap[i]
+    h, mat = variants.h_variant, variants.action_matrix
+    monkeypatch.setattr(variants, "h_variant",
+                        lambda p, n, i: h(p, n, swap.get(i, i)))
+    monkeypatch.setattr(variants, "action_matrix",
+                        lambda p, n, i, a, terms:
+                        mat(p, n, swap.get(i, i), a, terms))
+
+
+def test_distinct_action_images_names_a_coincident_pair(monkeypatch):
+    _read_algebras(monkeypatch, {1: 0})
+    report = distinct_action_images(3, 2)
+    assert (report.status, report.witness) == \
+        ("fail", {"stage": "coincident-spans", "pair": [0, 1]})
+
+
+def test_distinct_action_images_needs_the_diagonal_at_level_0(monkeypatch):
+    # spans stay pairwise distinct, but index 0's is no longer the diagonal
+    _read_algebras(monkeypatch, {0: 1, 1: 0})
+    report = distinct_action_images(3, 2)
+    assert (report.status, report.witness) == \
+        ("fail", {"stage": "level-0-not-diagonal"})
+
+
 # -- truncation of the variants ----------------------------------------------------------
 
 def test_variant_nu_generator_assignment():
@@ -296,6 +340,11 @@ def test_variant_nu_generator_assignment():
 def test_variant_nu_level_guard():
     with pytest.raises(ValueError):
         variant_nu(2, 1, complement_generator(3, 2, 1))
+
+
+def test_variant_nu_refuses_an_element_of_another_complement():
+    with pytest.raises(ValueError, match="^element is not in complement 1$"):
+        variant_nu(3, 1, complement_generator(3, 3, 2))
 
 
 def test_cross_level_containment_pattern():
