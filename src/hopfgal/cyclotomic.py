@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from math import gcd
 
 from . import linalg
@@ -510,25 +509,53 @@ def embed_preimage(m: int, n: int, y: CycloElt) -> CycloElt | None:
 # A vector over a grid of cells (group-ring coefficients, w-power
 # coefficients, matrix entries, ...) is the sparse dict {c*phi + A: v}: cell
 # c, coordinate A of a cell of width phi.  Every module that eliminates over
-# such a grid flattens through these functions.  A space fixed by maps that
-# permute the cells and act semilinearly on each one is found orbit by orbit
-# (`fixed_space`), with one elimination on phi columns per orbit of cells.
+# such a grid flattens through `terms_to_row`, to integer numerators over
+# one denominator; `terms_to_vector` and `restrict` are built on it.  A
+# space fixed by maps that permute the cells and act semilinearly on each
+# one is found orbit by orbit (`fixed_space`), with one elimination on phi
+# columns per orbit of cells.
+
+def terms_to_row(terms) -> tuple[dict[int, int], int]:
+    """Flatten (cell, value) pairs -- `CycloElt`s, or rows of rationals such
+    as matrix rows, all of one width phi -- to the integer numerators
+    {c*phi + A: numerator} over the lcm of the cells' denominators, and
+    that lcm.  This is the one flattening loop, and its row is the one
+    `linalg.SparseEchelon` eliminates on: no `Fraction` is built.  The lcm
+    grows as cells arrive, and the numerators already placed are scaled
+    up with it."""
+    row: dict[int, int] = {}
+    den = 1
+    for c, cell in terms:
+        if type(cell) is CycloElt:
+            base, d, pairs = c * cell.field.degree, cell.den, cell.terms
+        else:
+            nums, d = linalg.common_denominator(cell)
+            base, pairs = c * len(cell), sparse(nums)
+        if den % d:
+            grow = d // gcd(den, d)
+            for k in row:
+                row[k] *= grow
+            den *= grow
+        if d == den:
+            for A, a in pairs:
+                row[base + A] = a
+        else:
+            f = den // d
+            for A, a in pairs:
+                row[base + A] = a * f
+    return row, den
+
 
 def terms_to_vector(terms) -> dict[int, Rat]:
-    """Flatten (cell, value) pairs -- `CycloElt`s, or rows of rationals such
-    as matrix rows, all of one width phi -- to the sparse vector
-    {c*phi + A: v}."""
-    out: dict[int, Rat] = {}
-    for c, cell in terms:
-        if isinstance(cell, CycloElt):
-            den, base = cell.den, c * cell.field.degree
-            for A, a in cell.terms:
-                out[base + A] = a if den == 1 else Fraction(a, den)
-        else:
-            base = c * len(cell)
-            for A in compress(range(len(cell)), cell):
-                out[base + A] = cell[A]
-    return out
+    """`terms_to_row(terms)` as exact values: the sparse vector
+    {c*phi + A: v}, its entries ints when every cell is integral and
+    `Fraction`s otherwise.  This is the view for callers that read or mix
+    the values themselves; a row that only goes into an echelon is
+    `terms_to_row`'s."""
+    row, den = terms_to_row(terms)
+    if den == 1:
+        return row
+    return {k: Fraction(a, den) for k, a in row.items()}
 
 
 def leading_columns(basis) -> list[int]:
@@ -540,23 +567,18 @@ def leading_columns(basis) -> list[int]:
             for c, cell in (vector[-1] for vector in basis)]
 
 
-def restrict(terms, columns) -> dict[int, Rat]:
-    """`terms_to_vector(terms)` at `columns` alone, for (cell, `CycloElt`)
-    terms: each column reads its one cell and nothing else is flattened."""
+def restrict(terms, columns) -> tuple[dict[int, int], int]:
+    """`terms_to_row(terms)` at `columns` alone, for (cell, `CycloElt`)
+    terms: only the cells that hold a column are flattened.  The numerators
+    are over the lcm of those cells' denominators, returned with them, so
+    the exact value at a column is its numerator over that lcm."""
     if not terms:
-        return {}
+        return {}, 1
     cells = dict(terms)
     phi = terms[0][1].field.degree
-    out: dict[int, Rat] = {}
-    for col in columns:
-        c, A = divmod(col, phi)
-        cell = cells.get(c)
-        if cell is not None:
-            for A2, a in cell.terms:
-                if A2 == A:
-                    out[col] = a if cell.den == 1 else Fraction(a, cell.den)
-                    break
-    return out
+    read = sorted({col // phi for col in columns} & cells.keys())
+    row, den = terms_to_row((c, cells[c]) for c in read)
+    return {col: row[col] for col in columns if col in row}, den
 
 
 def cells_to_vector(cells) -> dict[int, Rat]:

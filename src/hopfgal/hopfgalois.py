@@ -37,7 +37,7 @@ from . import linalg
 from ._terms import add, dense, fill, new, pointwise, sparse, sub
 from .cyclotomic import (CycloElt, FieldDescriptor, Rat, embed, embed_preimage,
                          from_exponents, idempotent_cells, leading_columns,
-                         parse_rat, rat_str, restrict, terms_to_vector)
+                         parse_rat, rat_str, restrict, terms_to_row)
 from .groupring import GroupRingElt, fixed_ring_kernel
 from .reporting import Report, checked
 
@@ -409,7 +409,11 @@ def fixed_ring_reports(p: int, n: int) -> list[Report]:
     (`leading_columns`), not on all p^n * phi: restricting rows to some
     columns is linear, so it cannot raise their rank, and on the span it is
     one to one, since a vector of the span is its coordinates there.  So
-    the restricted rank is the idempotents' rank, and p^n proves it full."""
+    the restricted rank is the idempotents' rank, and p^n proves it full.
+
+    Both echelons take the integer rows of `terms_to_row` and `restrict`
+    without their denominators: a row's scale changes neither a span nor
+    a containment."""
     kernel: list = []
 
     def dimension():
@@ -424,14 +428,14 @@ def fixed_ring_reports(p: int, n: int) -> list[Report]:
     def span():
         kernel_span = linalg.SparseEchelon()
         for terms in kernel:
-            kernel_span.insert(terms_to_vector(terms))
+            kernel_span.insert(terms_to_row(terms)[0])
         leads = leading_columns(kernel)
         idem_span = linalg.SparseEchelon()
         for i in range(p ** n):
             terms = e_basis(p, n, i).terms
-            if not kernel_span.contains(terms_to_vector(terms)):
+            if not kernel_span.contains(terms_to_row(terms)[0]):
                 return False, {"stage": "idempotent-outside-kernel", "i": i}
-            idem_span.insert(restrict(terms, leads))
+            idem_span.insert(restrict(terms, leads)[0])
         if idem_span.rank != kernel_span.rank:
             return False, {"stage": "rank-mismatch",
                            "kernel_rank": kernel_span.rank,

@@ -8,14 +8,18 @@ kernel bases do not depend on the order rows arrive in.
 
 Elimination runs on `int`s, fraction-free in the spirit of Bareiss (Math.
 Comp. 22, 1968).  A stored row is a dict of integer numerators over one
-positive integer denominator; an incoming row has its denominators cleared
-once, since a row's span does not depend on its scale.  `Fraction`s appear
-only at the boundary: the values of `SparseEchelon.kernel_basis` and the
-`SparseEchelon.pivot_rows` view.  `sparse_rank` and `sparse_nullspace` are
-the one-shot wrappers.
+positive integer denominator.  An incoming row may hold ints or Fractions:
+its denominators are cleared once, since a row's span does not depend on
+its scale, and a row of ints is taken as it is.  `Fraction`s appear only at
+the boundary: the values of `SparseEchelon.kernel_basis` and the
+`SparseEchelon.pivot_rows` view, and rows that callers build from exact
+values.  `sparse_rank` and `sparse_nullspace` are the one-shot wrappers.
 
 Vectors over a grid of cyclotomic cells use the flat layout of
-`cyclotomic.cells_to_vector`: coordinate A of cell c is column c*phi + A.
+`cyclotomic.terms_to_row`: coordinate A of cell c is column c*phi + A.  Its
+integer numerators, over the lcm of the cells' denominators, are the rows
+that `insert`, `contains` and `sparse_rank` take when only the span counts;
+`cyclotomic.terms_to_vector` is the same row as exact values.
 A space fixed by Galois maps that permute such cells is not eliminated on
 the whole grid: `cyclotomic.fixed_space` runs one `SparseEchelon` on phi
 columns per orbit of cells.
@@ -29,6 +33,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 _ONE = Fraction(1)
+_INT = {int}
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -43,8 +48,12 @@ def common_denominator(values) -> tuple[list[int], int]:
 
 def _integer_row(row) -> dict[int, int]:
     """The nonzero entries of a row of ints or Fractions, times the lcm of
-    their denominators."""
-    nums, _ = common_denominator(row.values())
+    their denominators; a row of ints, such as `cyclotomic.terms_to_row`'s,
+    is only copied."""
+    values = row.values()
+    if _INT.issuperset(map(type, values)):
+        return {c: a for c, a in row.items() if a}
+    nums, _ = common_denominator(values)
     return {c: a for c, a in zip(row, nums) if a}
 
 

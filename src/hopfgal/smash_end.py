@@ -20,10 +20,11 @@ multiplies term tables ({(j, i): coefficient} items) and builds no element.
 and a, drops the cancelled terms and wraps the table in a `SmashElt`
 (`_terms.new`; its keys are reduced).  `hom_subalgebra_closure_check`
 calls the kernel directly, since it reads only which terms each product
-has: once per left basis element, on that element's one term against the
-terms of every basis element.  Keys never merge in such a call (a left
+has: once per left basis element w^j1 # e_i1, on that element's one term
+against the basis elements w^j2 # e_i2 with j2 + i2 = i1 (mod p^n), the
+only ones it does not annihilate.  Keys never merge in such a call (a left
 factor and a product key fix the right factor), so the table still shows
-every ordered pair's product on its own.
+every such ordered pair's product on its own.
 
 `iso_check` certifies that the induced map K # H -> End_Q(K) is a bijective
 algebra map by an exact rank computation plus multiplicativity checks;
@@ -105,13 +106,17 @@ _ONE = Fraction(1)
 
 def _product_terms(go: int, a: Fraction, xterms, yterms) -> dict:
     """The product rule on term tables: xterms and yterms are sequences (or
-    dict item views) of ((j, i), Fraction) pairs with j, i in range(go),
-    and the result is the {(j, i): coefficient} table of their product.  A
-    coefficient that cancels to zero is left in the table.
+    dict item views) of ((j, i), coefficient) pairs with j, i in range(go)
+    and int or Fraction coefficients, and the result is the
+    {(j, i): coefficient} table of their product.  A coefficient that
+    cancels to zero is left in the table.
 
-    The w-exponent sum j1 + j2 is below 2*go, so it wraps at most once and
-    a product takes the factor a only when it does.  A key met for the
-    first time takes its product as it is; only a later one is added."""
+    Every pair of terms is tested for j2 + i2 = i1 (mod go), also when the
+    caller has already sorted the right factors by that residue, as
+    `hom_subalgebra_closure_check` does.  The w-exponent sum j1 + j2 is
+    below 2*go, so it wraps at most once and a product takes the factor a
+    only when it does.  A key met for the first time takes its product as
+    it is; only a later one is added."""
     terms: dict[tuple[int, int], Fraction] = {}
     for (j1, i1), c1 in xterms:
         for (j2, i2), c2 in yterms:
@@ -380,12 +385,15 @@ def hom_subalgebra_closure_check(p: int, n: int, m: int, a) -> Report:
     stays in their span.
 
     The products go through the term-level product rule `_product_terms`,
-    one call per left factor: the left factor's one-term table times the
-    table of all one-term right factors, so each ordered pair is still
-    multiplied once, inside the kernel's loop, and no `SmashElt` is built.
-    No two products of one call meet in a key: for the left factor
-    w^j1 # e_i1, a product key (j, i) can only come from the right factor
-    w^((j - j1) mod go) # e_i, go = p^max(n, m).  So each escaping key
+    one call per left factor w^j1 # e_i1, go = p^max(n, m).  The right
+    factors w^j2 # e_i2 are sorted once per check into their residue
+    classes j2 + i2 mod go, each in the listed order, and a left factor is
+    multiplied by its class i1 alone: by the product rule every other right
+    factor gives 0.  So each ordered pair with a nonzero product is
+    multiplied once, inside the kernel's loop, on int coefficients 1 (a
+    wrap still takes the factor a), and no `SmashElt` is built.  No two
+    products of one call meet in a key: a product key (j, i) can only come
+    from the right factor w^((j - j1) mod go) # e_i.  So each escaping key
     names its pair, and the witness is the first escaping pair in the
     order (left, right) of the listed basis."""
     a = Fraction(a)
@@ -395,12 +403,15 @@ def hom_subalgebra_closure_check(p: int, n: int, m: int, a) -> Report:
         level = max(n, m)
         go = p ** level
         allowed = set(pairs)
-        # each basis element w^j # e_i as its one term
-        terms = tuple(((j, i), _ONE) for (j, i) in pairs)
-        for left in terms:
-            for (j, i), c in _product_terms(go, a, (left,), terms).items():
+        # each right factor w^j # e_i as its one term, in its residue class
+        # (j + i) mod go, in the listed order; the coefficient is the int 1
+        classes: dict[int, list] = {}
+        for j, i in pairs:
+            classes.setdefault((j + i) % go, []).append(((j, i), 1))
+        for j1, i1 in pairs:
+            right = classes.get(i1, ())
+            for (j, i), c in _product_terms(go, a, (((j1, i1), 1),), right).items():
                 if c and (j, i) not in allowed:
-                    (j1, i1), _ = left
                     return False, {"left": (j1, i1), "right": ((j - j1) % go, i),
                                    "escapes": (j, i)}
         return True, None

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import linalg
 from ._terms import add, sub
 from .cyclotomic import (FieldDescriptor, embed, embed_preimage, fixed_space,
-                         primitive_root, rat_str, terms_to_vector)
+                         primitive_root, rat_str, terms_to_row, terms_to_vector)
 from .reporting import Report, checked
 
 
@@ -264,14 +264,14 @@ def h_variant_rank_certificate(p: int, n: int, i: int, a=Fraction(2)) -> Report:
         basis = h_variant(p, n, i)
         ech = linalg.SparseEchelon()
         for terms in basis:
-            ech.insert(terms_to_vector(terms))
+            ech.insert(terms_to_row(terms)[0])
         if ech.rank != (p - 1) * p ** n:
             return False, {"q_dim": ech.rank}
         # multiplying by zeta_1 = zeta^(p^(n-1)) shifts every coefficient
         step = p ** (n - 1)
         for t, terms in enumerate(basis):
-            if not ech.contains(terms_to_vector(
-                    (c, x.shift(step)) for c, x in terms)):
+            if not ech.contains(terms_to_row(
+                    (c, x.shift(step)) for c, x in terms)[0]):
                 return False, {"not_zeta1_closed_at": t}
         return True, None
 
@@ -311,12 +311,11 @@ def action_matrix(p: int, n: int, i: int, a, terms):
     return tuple(entries)
 
 
-def _zeta1_multiples(p: int, terms) -> list[dict]:
-    """Flat Q-vectors of zeta_1^j * terms for j < p-1, for (cell, level-1
-    element) terms: a Q-basis of the Q(zeta_1)-line through them."""
+def _zeta1_multiples(p: int, terms) -> list[list]:
+    """zeta_1^j * terms for j < p-1, for (cell, level-1 element) terms, as
+    term lists: flattened, a Q-basis of the Q(zeta_1)-line through them."""
     terms = list(terms)
-    return [terms_to_vector((c, x.shift(j)) for c, x in terms)
-            for j in range(p - 1)]
+    return [[(c, x.shift(j)) for c, x in terms] for j in range(p - 1)]
 
 
 def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
@@ -330,7 +329,7 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
 
         # the target subfield as a monomial-support subspace of the closure:
         # only zeta-exponents divisible by p^(n-1) in every w-coefficient
-        beta_fixed = [terms_to_vector(terms) for terms in fixed_space(
+        beta_fixed = [terms_to_row(terms)[0] for terms in fixed_space(
             f, [_aut_generator(p, n, TowerAut.beta(p, n))], pn)]
         if len(beta_fixed) != deg1 * pn:
             return False, {"stage": "subfield-dimension", "dim": len(beta_fixed)}
@@ -368,7 +367,8 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
             for B, column in enumerate(columns):
                 if eps:
                     column = sub(column, ((B, eps),))
-                for j, vec in enumerate(_zeta1_multiples(p, column)):
+                for j, vec in enumerate(map(terms_to_vector,
+                                            _zeta1_multiples(p, column))):
                     for r, v in vec.items():
                         rows.setdefault(r, {})[B * deg1 + j] = v
             stacked.extend(rows.values())
@@ -393,9 +393,9 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
         ech = linalg.SparseEchelon()
         for c in range(pn):
             for line in lines:
-                ech.insert(terms_to_vector(
+                ech.insert(terms_to_row(
                     ((r + c) % pn * pn + B, xa if r + c >= pn else x)
-                    for (r, B), x, xa in line))
+                    for (r, B), x, xa in line)[0])
         want = deg1 * pn * pn
         if ech.rank != want:
             return False, {"stage": "endomorphism-rank", "rank": ech.rank,
@@ -427,7 +427,7 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
                 mat = action_matrix(p, n, i, a, terms)
                 if mat is None:
                     return False, {"stage": "image-support", "i": i}
-                vecs.extend(_zeta1_multiples(
+                vecs.extend(terms_to_row(line)[0] for line in _zeta1_multiples(
                     p, ((r * pn + B, y) for (r, B), y in mat)))
             ech = linalg.SparseEchelon()
             for v in vecs:
@@ -457,16 +457,25 @@ def variant_nu(n: int, i: int, x: TowerAut) -> TowerAut:
     """Generator assignment between consecutive complements: the level-n
     generator of the i-th complement maps to the level n-1 one, extended
     multiplicatively.  Defined for n >= 3; the sigma-chain (i = 0) also
-    makes sense from level 2 down and is allowed there."""
+    makes sense from level 2 down and is allowed there.
+
+    The power k of x = g^k is read from x = (s, b) directly; only k mod
+    p^(n-1), the order of the image generator, matters.  The generator
+    g = (s1, b1) has s1 = 1 or i, a unit mod p, and a zeta-multiplier that
+    is 1 mod p^(n-1), so g^k has s = k*s1 and b = k*b1, both mod p^(n-1).
+    So k = s/s1 mod p^(n-1), and the p^n elements of the complement are the
+    (s, k*b1), s mod p^n: x lies in it exactly when its b is k*b1."""
     if not (n >= 3 or (n == 2 and i == 0)):
         raise ValueError("truncation of complements needs level >= 3 "
                          "(level 2 only on the i = 0 chain)")
     if x.n != n:
         raise ValueError("element is not at level %d" % n)
-    elems = complement_elements(x.p, n, i)
-    if x not in elems:
+    low = x.p ** (n - 1)
+    g = complement_generator(x.p, n, i)
+    k = x.s * pow(g.s, -1, low) % low
+    if x.b != k * g.b % low:
         raise ValueError("element is not in complement %d" % i)
-    return complement_generator(x.p, n - 1, i).pow(elems.index(x))
+    return complement_generator(x.p, n - 1, i).pow(k)
 
 
 def variant_nu_check(p: int, n: int) -> Report:
@@ -525,14 +534,14 @@ def e_containment_check(p: int, n: int, a=Fraction(2)) -> Report:
         for j in range(p):
             ech = linalg.SparseEchelon()
             for terms in fixed_field(p, n, [complement_generator(p, n, j)]):
-                ech.insert(terms_to_vector(terms))
+                ech.insert(terms_to_row(terms)[0])
             echs.append(ech)
         matrix = []
         for i in range(p):
             low = fixed_field(p, n - 1, [complement_generator(p, n - 1, i)])
             if len(low) != (p - 1) * p ** (n - 2):
                 return False, {"stage": "low-dimension", "i": i, "dim": len(low)}
-            lifts = [terms_to_vector(field_tower_lift(n - 1, n, terms))
+            lifts = [terms_to_row(field_tower_lift(n - 1, n, terms))[0]
                      for terms in low]
             matrix.append([all(ech.contains(vec) for vec in lifts)
                            for ech in echs])

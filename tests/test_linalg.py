@@ -2,12 +2,13 @@
 and algebraic invariants."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, cells_to_vector,
-                                terms_to_vector)
+                                terms_to_row, terms_to_vector)
 from hopfgal.groupring import GroupRingElt
 from hopfgal.linalg import SparseEchelon, sparse_nullspace, sparse_rank
 
@@ -159,3 +160,40 @@ def test_cells_round_trip(p, n, data):
     assert cells_to_vector(c.coeffs for c in cells) == vec
     x = GroupRingElt(field, enumerate(cells), len(cells))
     assert terms_to_vector(x.terms) == cells_to_vector(x.coeffs)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@given(data=st.data())
+def test_integer_rows_are_the_exact_vectors_over_their_denominator(p, n, data):
+    # a row of (cell, `CycloElt`) terms flattens to integer numerators over
+    # the lcm of its cells' denominators, and those are terms_to_vector's
+    # values exactly; the echelon answers alike on either form
+    field = FieldDescriptor(p, n)
+    cell = st.lists(frac, min_size=field.degree, max_size=field.degree).map(
+        lambda coeffs: CycloElt(field, coeffs))
+    rows = st.dictionaries(st.integers(0, 5), cell, min_size=1, max_size=4).map(
+        lambda cells: sorted(cells.items()))
+    terms = data.draw(st.lists(rows, min_size=1, max_size=4))
+    probes = data.draw(st.lists(rows, max_size=2))
+    # two of the rows' sum, cell by cell, lies in their span
+    both = dict(terms[0])
+    for c, x in terms[-1]:
+        both[c] = both[c] + x if c in both else x
+    probes.append(sorted(both.items()))
+    flat, exact = [], []
+    for row in terms + probes:
+        nums, den = terms_to_row(row)
+        assert den == lcm(*[x.den for _, x in row])
+        assert all(type(v) is int for v in nums.values())
+        assert {c: Fraction(v, den) for c, v in nums.items()} == terms_to_vector(row)
+        assert terms_to_row((c, x.coeffs) for c, x in row) == (nums, den)
+        flat.append(nums)
+        exact.append(terms_to_vector(row))
+    k = len(terms)
+    by_row, by_value = echelon(flat[:k]), echelon(exact[:k])
+    assert by_row.rank == by_value.rank == sparse_rank(exact[:k]) == sparse_rank(flat[:k])
+    assert by_row.pivot_rows == by_value.pivot_rows
+    for nums, vec in zip(flat, exact):
+        answers = {ech.contains(v) for ech in (by_row, by_value) for v in (nums, vec)}
+        assert len(answers) == 1
+    assert all(by_row.contains(nums) for nums in flat[:k] + flat[-1:])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal import profinite
-from hopfgal.cyclotomic import CycloElt, FieldDescriptor
+from hopfgal.cyclotomic import CycloElt, FieldDescriptor, unit_apply
 from hopfgal.groupring import GroupRingElt
 from hopfgal.hopfgalois import HopfElt
 from hopfgal.profinite import (CoherentH, PadicTrunc, coherent_sequence_check,
@@ -67,6 +67,39 @@ def test_nu_h_composes_down_the_tower():
 def test_truncation_reports(p, n):
     assert nu_consistency_check(p, n).status == "pass"
     assert commute_square_check(p, n, n - 1).status == "pass"
+
+
+def test_commute_square_fails_when_the_truncation_shifts_exponents(monkeypatch):
+    # a truncation that also shifts by one, b -> (b + 1) mod p^i, does not
+    # commute with sigma^b -> sigma^(u*b) for u != 1: already 1 = zeta^0 sigma^0
+    # goes to sigma^1 one way and to sigma^u the other
+    real = profinite.nu_groupring
+
+    def shifted(j, i, x):
+        down = real(j, i, x)
+        go = down.group_order
+        return GroupRingElt(down.field, [((b + 1) % go, c) for b, c in down.terms], go)
+
+    monkeypatch.setattr(profinite, "nu_groupring", shifted)
+    report = commute_square_check(3, 2, 1)
+    assert report.status == "fail"
+    assert report.witness == {"zeta_exp": 0, "sigma_exp": 0}
+
+
+def test_commute_square_fails_on_an_action_that_is_not_diagonal(monkeypatch):
+    # sigma^b -> sigma^((u*b + b // p) mod p^n) agrees with the diagonal action
+    # on b < p, where b // p is 0, and on every level-1 exponent; at level 2,
+    # b = 3 goes to 3u + 1 and truncates to 1, against 0 the other way
+    def skewed(e, x):
+        p, go = x.field.p, x.group_order
+        u = pow(x.field.multiplier, e % x.field.degree, x.field.modulus)
+        return GroupRingElt(x.field, [((u * b + b // p) % go, unit_apply(u, c))
+                                      for b, c in x.terms], go)
+
+    monkeypatch.setattr(profinite, "diag_action", skewed)
+    report = commute_square_check(3, 2, 1)
+    assert report.status == "fail"
+    assert report.witness == {"zeta_exp": 0, "sigma_exp": 3}
 
 
 # -- coherent sequences ------------------------------------------------------------

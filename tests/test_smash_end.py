@@ -285,22 +285,36 @@ def test_hom_subalgebra_dimension(n, m):
 
 
 def test_hom_subalgebra_closure_computes_every_product(monkeypatch):
-    # the kernel may be called once per left factor, on many right factors
-    # at once; across the calls, xterms x yterms must still cover each
-    # ordered pair of basis elements exactly once
-    products = []
+    # the kernel is called once per left factor w^j1 # e_i1, on the right
+    # factors w^j2 # e_i2 of its residue class j2 + i2 = i1 (mod go) alone.
+    # Each ordered pair it is passed is passed once and lies in that class,
+    # and every pair it is not passed multiplies to the zero matrix in the
+    # End_Q(K) model, which does not go through the kernel.  At (2, 1) some
+    # classes are empty
+    passed = []
 
-    def counting_kernel(go, a, xterms, yterms):
-        products.extend((x, y) for x in xterms for y in yterms)
+    def recording_kernel(go, a, xterms, yterms):
+        passed.extend((x, y) for x in xterms for y in yterms)
         return _product_terms(go, a, xterms, yterms)
 
-    monkeypatch.setattr(smash_end, "_product_terms", counting_kernel)
-    assert hom_subalgebra_closure_check(3, 2, 3, Fraction(3, 5)).status == "pass"
-    pairs, dim = hom_subalgebra_basis(3, 2, 3)
-    one = Fraction(1)
-    expected = [((l, one), (r, one)) for l in pairs for r in pairs]
-    assert len(products) == dim * dim
-    assert sorted(products) == sorted(expected)
+    monkeypatch.setattr(smash_end, "_product_terms", recording_kernel)
+    a = Fraction(3, 5)
+    for n, m in [(2, 3), (2, 1)]:
+        passed.clear()
+        assert hom_subalgebra_closure_check(3, n, m, a).status == "pass"
+        pairs, dim = hom_subalgebra_basis(3, n, m)
+        level = max(n, m)
+        go = 3 ** level
+        assert all(c1 == c2 == 1 for (_, c1), (_, c2) in passed)
+        keys = [(x, y) for (x, _), (y, _) in passed]
+        assert len(set(keys)) == len(keys)
+        assert all((j2 + i2) % go == i1 for (_, i1), (j2, i2) in keys)
+        every = {(x, y) for x in pairs for y in pairs}
+        assert set(keys) <= every
+        skipped = every - set(keys)
+        assert len(keys) + len(skipped) == dim * dim
+        mats = {x: to_end_matrix(SmashElt.basis(3, level, a, *x)) for x in pairs}
+        assert all(not (mats[x] * mats[y]).entries for x, y in skipped)
 
 
 def test_hom_subalgebra_closure_fails_on_a_pair_outside_the_span(monkeypatch):

@@ -347,6 +347,30 @@ def test_variant_nu_refuses_an_element_of_another_complement():
         variant_nu(3, 1, complement_generator(3, 3, 2))
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 3)])
+def test_variant_nu_reads_the_power_of_every_group_element(p, n):
+    # against the walk over the listed powers: on every element (s, b) of
+    # the level-n group, the image is the level-(n-1) generator to the index
+    # of the element in its complement, and the refusal is the same
+    for i in range(p if n >= 3 else 1):
+        elems = complement_elements(p, n, i)
+        low = complement_generator(p, n - 1, i)
+        for s in range(p ** n):
+            for b in range(p ** (n - 1)):
+                x = TowerAut(p, n, s, b)
+                if x in elems:
+                    assert variant_nu(n, i, x) == low.pow(elems.index(x))
+                else:
+                    with pytest.raises(ValueError,
+                                       match="^element is not in complement %d$" % i):
+                        variant_nu(n, i, x)
+
+
+def test_variant_nu_refuses_an_element_of_another_level():
+    with pytest.raises(ValueError, match="^element is not at level 3$"):
+        variant_nu(3, 1, complement_generator(3, 4, 1))
+
+
 def test_cross_level_containment_pattern():
     # fixed fields of the twisted complements embed one level up only on the
     # untwisted chain; the group-side restriction certificate agrees
