@@ -567,18 +567,17 @@ def leading_columns(basis) -> list[int]:
             for c, cell in (vector[-1] for vector in basis)]
 
 
-def restrict(terms, columns) -> tuple[dict[int, int], int]:
+def restrict(terms, columns) -> dict[int, int]:
     """`terms_to_row(terms)` at `columns` alone, for (cell, `CycloElt`)
-    terms: only the cells that hold a column are flattened.  The numerators
-    are over the lcm of those cells' denominators, returned with them, so
-    the exact value at a column is its numerator over that lcm."""
+    terms: only the cells that hold a column are flattened, so the integer
+    numerators are over the lcm of those cells' denominators."""
     if not terms:
-        return {}, 1
+        return {}
     cells = dict(terms)
     phi = terms[0][1].field.degree
     read = sorted({col // phi for col in columns} & cells.keys())
-    row, den = terms_to_row((c, cells[c]) for c in read)
-    return {col: row[col] for col in columns if col in row}, den
+    row, _ = terms_to_row((c, cells[c]) for c in read)
+    return {col: row[col] for col in columns if col in row}
 
 
 def cells_to_vector(cells) -> dict[int, Rat]:

@@ -435,7 +435,7 @@ def fixed_ring_reports(p: int, n: int) -> list[Report]:
             terms = e_basis(p, n, i).terms
             if not kernel_span.contains(terms_to_row(terms)[0]):
                 return False, {"stage": "idempotent-outside-kernel", "i": i}
-            idem_span.insert(restrict(terms, leads)[0])
+            idem_span.insert(restrict(terms, leads))
         if idem_span.rank != kernel_span.rank:
             return False, {"stage": "rank-mismatch",
                            "kernel_rank": kernel_span.rank,

@@ -10,10 +10,10 @@ Elimination runs on `int`s, fraction-free in the spirit of Bareiss (Math.
 Comp. 22, 1968).  A stored row is a dict of integer numerators over one
 positive integer denominator.  An incoming row may hold ints or Fractions:
 its denominators are cleared once, since a row's span does not depend on
-its scale, and a row of ints is taken as it is.  `Fraction`s appear only at
-the boundary: the values of `SparseEchelon.kernel_basis` and the
-`SparseEchelon.pivot_rows` view, and rows that callers build from exact
-values.  `sparse_rank` and `sparse_nullspace` are the one-shot wrappers.
+its scale.  `Fraction`s appear only at the boundary: the values of
+`SparseEchelon.kernel_basis` and the `SparseEchelon.pivot_rows` view, and
+rows that callers build from exact values.  `sparse_rank` and
+`sparse_nullspace` are the one-shot wrappers.
 
 Vectors over a grid of cyclotomic cells use the flat layout of
 `cyclotomic.terms_to_row`: coordinate A of cell c is column c*phi + A.  Its
@@ -33,7 +33,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 _ONE = Fraction(1)
-_INT = {int}
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -48,12 +47,8 @@ def common_denominator(values) -> tuple[list[int], int]:
 
 def _integer_row(row) -> dict[int, int]:
     """The nonzero entries of a row of ints or Fractions, times the lcm of
-    their denominators; a row of ints, such as `cyclotomic.terms_to_row`'s,
-    is only copied."""
-    values = row.values()
-    if _INT.issuperset(map(type, values)):
-        return {c: a for c, a in row.items() if a}
-    nums, _ = common_denominator(values)
+    their denominators."""
+    nums, _ = common_denominator(row.values())
     return {c: a for c, a in zip(row, nums) if a}
 
 

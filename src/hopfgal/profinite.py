@@ -307,7 +307,7 @@ def fixed_truncation_check(p: int, L: int) -> Report:
             # the kernel comes first: the rank reads its leading columns
             kernel = fixed_ring(p, n)                    # exact kernel; asserts dim
             leads = leading_columns([v.terms for v in kernel])
-            rk = linalg.sparse_rank(restrict(e.terms, leads)[0] for e in es)
+            rk = linalg.sparse_rank(restrict(e.terms, leads) for e in es)
             if rk != go or len(kernel) != go:
                 return False, {"level": n, "kernel_dim": len(kernel), "span_rank": rk}
             if n >= 2:

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from hopfgal import hopfgalois, linalg
 from hopfgal.cyclotomic import (FieldDescriptor, from_exponents, idempotent_cells,
-                                leading_columns, restrict, terms_to_vector)
+                                leading_columns, restrict, terms_to_row,
+                                terms_to_vector)
 from hopfgal.groupring import GroupRingElt, fixed_ring_kernel
 from hopfgal.linalg import sparse_nullspace
 from hopfgal.profinite import nu_h
@@ -356,11 +357,16 @@ def test_fixed_ring_reports_pass():
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1), (3, 3)])
 def test_leading_column_rank_equals_the_full_grid_rank(p, n):
-    # `restrict` gives integer numerators over a denominator; its exact
-    # values are read through that denominator
+    # `restrict` gives the integer numerators of `terms_to_row` over the
+    # cells that hold a leading column; its exact values are read through
+    # the lcm that `terms_to_row` returns for those same cells
     def restricted(terms):
-        row, den = restrict(terms, leads)
-        return {c: Fraction(v, den) for c, v in row.items()}
+        phi = terms[0][1].field.degree
+        held = {col // phi for col in leads}
+        row, den = terms_to_row((c, x) for c, x in terms if c in held)
+        nums = restrict(terms, leads)
+        assert nums == {c: row[c] for c in leads if c in row}
+        return {c: Fraction(v, den) for c, v in nums.items()}
 
     kernel = fixed_ring_kernel(p, n)
     leads = leading_columns(kernel)
@@ -377,11 +383,11 @@ def test_leading_column_rank_equals_the_full_grid_rank(p, n):
         assert restricted(terms) == {c: vec[c] for c in leads if c in vec}
     full = linalg.sparse_rank(terms_to_vector(terms) for terms in es)
     assert linalg.sparse_rank(restricted(terms) for terms in es) == full == p ** n
-    assert linalg.sparse_rank(restrict(terms, leads)[0] for terms in es) == p ** n
+    assert linalg.sparse_rank(restrict(terms, leads) for terms in es) == p ** n
     # a repeated idempotent lowers both ranks alike
     repeated = [es[0]] + es[:-1]
     assert linalg.sparse_rank(restricted(terms) for terms in repeated) == \
-        linalg.sparse_rank(restrict(terms, leads)[0] for terms in repeated) == \
+        linalg.sparse_rank(restrict(terms, leads) for terms in repeated) == \
         linalg.sparse_rank(terms_to_vector(terms) for terms in repeated) == p ** n - 1
 
 
