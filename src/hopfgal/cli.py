@@ -50,19 +50,12 @@ MAX_REQUEST_SIZE = 16_000_000
 # ---------------------------------------------------------------------------
 # small parsing helpers
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return parse_rat(text)
-    except ValueError:
-        raise ValueError("expected a rational as 'num/den' or 'num', got %r" % text)
-
-
 def _parse_coords(text: str, length: int, what: str) -> list[Fraction]:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != length:
         raise ValueError("%s needs %d comma-separated rationals, got %d"
                          % (what, length, len(parts)))
-    return [_parse_rational(part) for part in parts]
+    return [parse_rat(part) for part in parts]
 
 
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
@@ -133,7 +126,7 @@ def _cmd_act(args) -> dict:
     # the acting element, the input and the output: p^n rationals each
     go = _guard_level(args.p, args.n)
     _refuse_over_bound(args.p, args.n, 3 * go, "3 elements x p^n rationals")
-    a = validate_radicand(args.p, _parse_rational(args.a))
+    a = validate_radicand(args.p, parse_rat(args.a))
     if args.h_coords is not None:
         h = HopfElt(args.p, args.n, _parse_coords(args.h_coords, go, "--h-coords"))
     else:
@@ -154,7 +147,7 @@ def _cmd_smash(args) -> dict:
     count = 1 if args.right is None else 3
     _refuse_over_bound(args.p, args.n, count * go * go,
                        "%d matrices x p^2n rationals" % count)
-    a = validate_radicand(args.p, _parse_rational(args.a))
+    a = validate_radicand(args.p, parse_rat(args.a))
     j, i = _parse_pair(args.left, "--left")
     left = SmashElt.basis(args.p, args.n, a, j, i)
     payload = {"command": "smash", "p": args.p, "n": args.n, "radicand": rat_str(a),
@@ -177,7 +170,7 @@ def _cmd_decompose(args) -> dict:
     for flag, got in (("--p", args.p), ("--n", args.n)):
         if got is not None and got != getattr(matrix, flag[2:]):
             raise ValueError("%s=%d contradicts the matrix header" % (flag, got))
-    if args.a is not None and _parse_rational(args.a) != matrix.a:
+    if args.a is not None and parse_rat(args.a) != matrix.a:
         raise ValueError("--a contradicts the matrix header")
     elt = decompose_endomorphism(matrix)
     return {"command": "decompose", "p": matrix.p, "n": matrix.n,
@@ -213,7 +206,7 @@ def _cmd_variants(args) -> dict:
     # p^n is a floor, not a cost measure: (3,3) takes seconds
     go = _guard_level(args.p, args.n)
     _refuse_over_bound(args.p, args.n, go, "p^n")
-    a = validate_radicand(args.p, _parse_rational(args.a))
+    a = validate_radicand(args.p, parse_rat(args.a))
     reports = variant_reports(args.p, args.n, a, args.i)
     return {"command": "variants", "p": args.p, "n": args.n, "radicand": rat_str(a),
             "reports": [r.to_dict(args.timings) for r in reports]}
@@ -234,7 +227,7 @@ def _cmd_census(args) -> dict:
 
 def _cmd_verify_all(args) -> dict:
     # each check validates the radicand against its own prime
-    a = _parse_rational(args.a)
+    a = parse_rat(args.a)
     groups = full_suite(p=args.p, n=args.n, a=a, seed=args.seed,
                         budget_seconds=args.budget_seconds)
     criteria = [{"name": name,

@@ -516,21 +516,16 @@ def embed_preimage(m: int, n: int, y: CycloElt) -> CycloElt | None:
 # columns per orbit of cells.
 
 def terms_to_row(terms) -> tuple[dict[int, int], int]:
-    """Flatten (cell, value) pairs -- `CycloElt`s, or rows of rationals such
-    as matrix rows, all of one width phi -- to the integer numerators
-    {c*phi + A: numerator} over the lcm of the cells' denominators, and
-    that lcm.  This is the one flattening loop, and its row is the one
-    `linalg.SparseEchelon` eliminates on: no `Fraction` is built.  The lcm
-    grows as cells arrive, and the numerators already placed are scaled
-    up with it."""
+    """Flatten (cell, `CycloElt`) pairs, all of one field of degree phi, to
+    the integer numerators {c*phi + A: numerator} over the lcm of the
+    cells' denominators, and that lcm.  This is the one flattening loop,
+    and its row is the one `linalg.SparseEchelon` eliminates on: no
+    `Fraction` is built.  The lcm grows as cells arrive, and the numerators
+    already placed are scaled up with it."""
     row: dict[int, int] = {}
     den = 1
     for c, cell in terms:
-        if type(cell) is CycloElt:
-            base, d, pairs = c * cell.field.degree, cell.den, cell.terms
-        else:
-            nums, d = linalg.common_denominator(cell)
-            base, pairs = c * len(cell), sparse(nums)
+        base, d, pairs = c * cell.field.degree, cell.den, cell.terms
         if den % d:
             grow = d // gcd(den, d)
             for k in row:
@@ -578,12 +573,6 @@ def restrict(terms, columns) -> dict[int, int]:
     read = sorted({col // phi for col in columns} & cells.keys())
     row, _ = terms_to_row((c, cells[c]) for c in read)
     return {col: row[col] for col in columns if col in row}
-
-
-def cells_to_vector(cells) -> dict[int, Rat]:
-    """Flatten a list of cells of one width phi: cell c is `terms_to_vector`'s
-    pair (c, cell)."""
-    return terms_to_vector(enumerate(cells))
 
 
 def _stabiliser_kernel(stabiliser: tuple, phi: int, m: int, table) -> list[tuple]:

@@ -2,25 +2,18 @@
 
 A finite Galois group acting on the left cosets of a subgroup turns the
 coset set S into a transitive permutation module.  This module lists every
-regular subgroup of Perm(S) normalized by the image of that action, with
-two independent engines that are cross-checked in tests:
-
-* a naive engine, the tests' reference: exhaustive search over
-  fixed-point-free cycles of full length (cyclic candidates) and over
-  commuting pairs of fixed-point-free p-elements (elementary abelian
-  candidates), then the normalization filter — feasible for degree <= 10.
-  The candidates depend on the degree alone, so one complete pass is kept
-  per degree and later searches run the filter over it;
-* a holomorph engine, the default: for each model N, a regular group given
-  by its generators, Hol(N) = N·Aut(N) with Aut(N) read off equivariant
-  labelings; each generator of the action image gets an element of
-  Hol(N), and an assignment is kept when S admits an equivariant bijective
-  labeling by N, which is then the homomorphism into Hol(N) — feasible
-  up to `MAX_DEGREE`.
+regular subgroup of Perm(S) normalized by the image of that action by a
+holomorph search: for each model N, a regular group given by its
+generators, Hol(N) = N·Aut(N) with Aut(N) read off equivariant labelings;
+each generator of the action image gets an element of Hol(N), and an
+assignment is kept when S admits an equivariant bijective labeling by N,
+which is then the homomorphism into Hol(N) — feasible up to `MAX_DEGREE`.
+The tests check it against an exhaustive search over fixed-point-free
+candidates (`oracle_regular_normalized` in `tests/oracle_tools.py`).
 
 The normal complements of the subgroup in the big group ("descent" data)
 are the kernels of its retractions, found by an edge-checked walk over the
-big group that shares no code with either engine; pushing a complement
+big group that shares no code with the search; pushing a complement
 through the coset action always lands in the enumerated family.  The
 models come from one catalogue (`_models`): every group of order m is
 cyclic when gcd(m, phi(m)) = 1, and of order p^2 cyclic or elementary
@@ -58,8 +51,6 @@ class SearchBudgetExceeded(EnumerationRefusal):
 
 # the largest degree the census enumerates; larger ones are refused for cost
 MAX_DEGREE = 25
-
-NAIVE_MAX_DEGREE = 10
 
 # the default wall-clock budget of one enumeration, in seconds
 SEARCH_BUDGET_SECONDS = 300.0
@@ -121,12 +112,9 @@ class Perm:
         return all(j != i for i, j in enumerate(self.images))
 
 
-def mulclose(gens, limit: int | None = None):
-    """Closure of a set of permutations under composition.
-
-    Returns the set of group elements, or None if `limit` is given and the
-    closure grows past it.
-    """
+def mulclose(gens):
+    """Closure of a set of permutations under composition, as the set of
+    group elements."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one permutation")
@@ -139,8 +127,6 @@ def mulclose(gens, limit: int | None = None):
             for g in gens:
                 y = x * g
                 if y not in seen:
-                    if limit is not None and len(seen) >= limit:
-                        return None
                     seen.add(y)
                     new.append(y)
         frontier = new
@@ -363,10 +349,10 @@ def _generating_sequence(elements) -> list[Perm]:
 
 
 # ---------------------------------------------------------------------------
-# the naive engine: fixed-point-free candidates, then the filter
+# the holomorph search: label the cosets by an abstract group
 
-def _deadline_check(deadline: float | None):
-    if deadline is not None and time.monotonic() > deadline:
+def _deadline_check(deadline: float):
+    if time.monotonic() > deadline:
         raise SearchBudgetExceeded("enumeration exceeded its time budget")
 
 
@@ -377,165 +363,6 @@ def _normalizes(lam_gens, members: frozenset) -> bool:
             return False
     return True
 
-
-# (engine part, degree, ...) -> the candidates of one complete pass
-_KEPT_CANDIDATES: dict[tuple, tuple] = {}
-
-
-def _kept(key: tuple, build):
-    """Yield what the generator `build()` yields.  A pass that runs to the
-    end is kept under `key`, and later passes read it back in the same order;
-    a pass cut short (by the deadline) keeps nothing.  The candidates depend
-    on the degree alone, never on the action that filters them."""
-    kept = _KEPT_CANDIDATES.get(key)
-    if kept is not None:
-        yield from kept
-        return
-    items = []
-    for item in build():
-        items.append(item)
-        yield item
-    _KEPT_CANDIDATES[key] = tuple(items)
-
-
-def _full_cycles(size: int):
-    """Yield (cycle, set of its powers) for every full cycle on `size` points,
-    0 -> tail[0] for each tail in `itertools.permutations` order.  Equal
-    powers and equal power sets are yielded as one object, which keeps a
-    stored pass small."""
-    ident = Perm.identity(size)
-    perms: dict = {ident: ident}
-    groups: dict = {}
-    for tail in itertools.permutations(range(1, size)):
-        seq = (0,) + tail
-        images = [0] * size
-        for k in range(size):
-            images[seq[k]] = seq[(k + 1) % size]
-        cycle = Perm(tuple(images))
-        cycle = perms.setdefault(cycle, cycle)
-        powers = [ident]
-        cur = cycle
-        while cur != ident:
-            powers.append(perms.setdefault(cur, cur))
-            cur = cur * cycle
-        members = frozenset(powers)
-        yield cycle, groups.setdefault(members, members)
-
-
-def _naive_cyclic(size: int, lam_gens, deadline) -> set:
-    """All regular cyclic subgroups, from fixed-point-free full cycles."""
-    found: set[frozenset] = set()
-    gen_pairs = [(g, g.inverse()) for g in lam_gens]
-    count = 0
-    for cycle, members in _kept(("cyclic", size), lambda: _full_cycles(size)):
-        count += 1
-        if count % 4096 == 0:
-            _deadline_check(deadline)
-        if members in found:
-            continue
-        if all(g * cycle * gi in members for g, gi in gen_pairs):
-            found.add(members)
-    return found
-
-
-def _fpf_p_elements(size: int, p: int) -> list[Perm]:
-    """Fixed-point-free elements of order p (products of size/p p-cycles)."""
-    out: list[Perm] = []
-    images = [-1] * size
-
-    def place(remaining: tuple):
-        if not remaining:
-            out.append(Perm(tuple(images)))
-            return
-        head = remaining[0]
-        rest = remaining[1:]
-        for partners in itertools.permutations(rest, p - 1):
-            cycle = (head,) + partners
-            for k in range(p):
-                images[cycle[k]] = cycle[(k + 1) % p]
-            left = tuple(x for x in rest if x not in partners)
-            place(left)
-        for x in remaining:
-            images[x] = -1
-
-    place(tuple(range(size)))
-    return out
-
-
-def _commuting_pairs(size: int, p: int):
-    """Yield (c1, pairs) for every fixed-point-free p-element c1, where pairs
-    lists (c2, <c1, c2>) for the fixed-point-free p-elements c2 that commute
-    with c1 and generate with it a group of order `size`; c2 runs over the
-    maps that send each c1-orbit onto the next along a cyclic order of the
-    orbits.  Each c2 is the pool's own object, and equal groups are listed
-    as one object."""
-    pool = _fpf_p_elements(size, p)
-    pooled = {c: c for c in pool}
-    groups: dict = {}
-    for c1 in pool:
-        pairs = []
-        orbits = []
-        seen = [False] * size
-        for start in range(size):
-            if seen[start]:
-                continue
-            orb, x = [], start
-            while not seen[x]:
-                seen[x] = True
-                orb.append(x)
-                x = c1(x)
-            orbits.append(orb)
-        where = {}
-        for oi, orb in enumerate(orbits):
-            for t, x in enumerate(orb):
-                where[x] = (oi, t)
-        for order_rest in itertools.permutations(range(1, p)):
-            chain = (0,) + order_rest          # orbit cycle O_{chain[k]} -> O_{chain[k+1]}
-            for choices in itertools.product(range(p), repeat=p):
-                images = [-1] * size
-                for k in range(p):
-                    src, dst = chain[k], chain[(k + 1) % p]
-                    target = orbits[dst][choices[k]]
-                    for t in range(p):
-                        x = orbits[src][t]
-                        oi, s = where[target]
-                        images[x] = orbits[oi][(s + t) % p]
-                c2 = pooled.get(Perm(tuple(images)))
-                if c2 is None or c1 * c2 != c2 * c1:
-                    continue
-                members = set()
-                a = Perm.identity(size)
-                for _ in range(p):
-                    b = a
-                    for _ in range(p):
-                        members.add(b)
-                        b = b * c2
-                    a = a * c1
-                if len(members) != size:
-                    continue
-                members = frozenset(members)
-                pairs.append((c2, groups.setdefault(members, members)))
-        yield c1, tuple(pairs)
-
-
-def _naive_elementary(size: int, p: int, lam_gens, deadline) -> set:
-    """Regular rank-two elementary abelian subgroups from commuting pairs
-    of fixed-point-free p-elements."""
-    found: set[frozenset] = set()
-    gen_pairs = [(g, g.inverse()) for g in lam_gens]
-    for c1, pairs in _kept(("elementary", size, p), lambda: _commuting_pairs(size, p)):
-        _deadline_check(deadline)
-        for c2, members in pairs:
-            if members in found:
-                continue
-            if all(g * c * gi in members
-                   for g, gi in gen_pairs for c in (c1, c2)):
-                found.add(members)
-    return found
-
-
-# ---------------------------------------------------------------------------
-# the holomorph engine: label the cosets by an abstract group
 
 def _label_cosets(size: int, lam_gens, hol_images) -> list | None:
     """Equivariant labeling of the cosets by group points, basepoint 0 -> 0.
@@ -650,7 +477,6 @@ def _models(size: int) -> list[FiniteGroup] | None:
 
 
 def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
-                                 engine: str = "holomorph",
                                  budget_seconds: float = SEARCH_BUDGET_SECONDS
                                  ) -> list[FiniteGroup]:
     """All regular subgroups of the coset symmetric group normalized by
@@ -659,8 +485,6 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
     Refuses degrees over `MAX_DEGREE`, degrees whose group types `_models`
     does not list, and searches that blow the time budget.
     """
-    if engine not in ("naive", "holomorph"):
-        raise ValueError("unknown engine %r" % (engine,))
     if not delta <= gamma:
         raise ValueError("delta is not a subgroup of gamma")
     # the degree is the index, known from the orders: refuse before the action
@@ -672,23 +496,11 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
         raise UnsupportedInstance(
             "degree %d admits group types beyond cyclic and elementary "
             "abelian of rank two; refusing an incomplete enumeration" % size)
-    if engine == "naive" and size > NAIVE_MAX_DEGREE:
-        raise UnsupportedInstance(
-            "the naive engine is limited to degree <= %d, got %d"
-            % (NAIVE_MAX_DEGREE, size))
     _, lam_group, _ = action_image(gamma, delta)
-    deadline = (time.monotonic() + budget_seconds
-                if budget_seconds is not None else None)
-    lam_gens = lam_group.generators
-
+    deadline = time.monotonic() + budget_seconds
     found: set[frozenset] = set()
-    if engine == "naive":
-        found |= _naive_cyclic(size, lam_gens, deadline)
-        if any(not model.is_cyclic() for model in models):
-            found |= _naive_elementary(size, isqrt(size), lam_gens, deadline)
-    else:
-        for model in models:
-            found |= _holomorph_search(lam_group, model, deadline)
+    for model in models:
+        found |= _holomorph_search(lam_group, model, deadline)
 
     results = []
     for members in sorted(found, key=lambda s: sorted(p.images for p in s)):

@@ -100,11 +100,17 @@ class CoherentH:
     levels: tuple
 
     def __post_init__(self):
-        if self.L != len(self.levels) or self.L < 1:
+        levels = tuple(self.levels)
+        object.__setattr__(self, "levels", levels)
+        if self.L != len(levels) or self.L < 1:
             raise ValueError("expected %d levels" % self.L)
-        for k, h in enumerate(self.levels, start=1):
+        for k, h in enumerate(levels, start=1):
             if not isinstance(h, HopfElt) or (h.p, h.n) != (self.p, k):
                 raise ValueError("level %d entry mismatched" % k)
+        for n in range(2, self.L + 1):
+            if nu_h(n, levels[n - 1]) != levels[n - 2]:
+                raise ValueError("sequence breaks at level %d: truncation of the level-%d "
+                                 "entry does not match level %d" % (n, n, n - 1))
 
     def to_json(self) -> dict:
         return {"p": self.p, "L": self.L, "levels": [h.to_json() for h in self.levels]}
@@ -114,16 +120,7 @@ class CoherentH:
         p, L = data["p"], data["L"]
         levels = tuple(HopfElt.from_json(p, k + 1, row)
                        for k, row in enumerate(data["levels"]))
-        return make_coherent(p, L, levels)
-
-
-def make_coherent(p: int, L: int, levels) -> CoherentH:
-    levels = tuple(levels)
-    for n in range(2, L + 1):
-        if nu_h(n, levels[n - 1]) != levels[n - 2]:
-            raise ValueError("sequence breaks at level %d: truncation of the level-%d "
-                             "entry does not match level %d" % (n, n, n - 1))
-    return CoherentH(p, L, levels)
+        return cls(p, L, levels)
 
 
 def project(c: CoherentH, n: int) -> HopfElt:
@@ -134,8 +131,8 @@ def project(c: CoherentH, n: int) -> HopfElt:
 
 def generator_sequence(p: int, L: int, i1: int = 1) -> CoherentH:
     """The coherent sequence with level-n entry the idempotent of index i1 * p^(n-1)."""
-    return make_coherent(p, L, [HopfElt.basis_vector(p, n, i1 * p ** (n - 1))
-                                for n in range(1, L + 1)])
+    return CoherentH(p, L, [HopfElt.basis_vector(p, n, i1 * p ** (n - 1))
+                            for n in range(1, L + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +208,7 @@ def delta_inf_action(d: PadicTrunc, c: CoherentH) -> CoherentH:
         u = d.residues[n - 1]
         moved = diag_action_unit(u, hopf_to_groupring(project(c, n)))
         out.append(hopf_from_groupring(moved))
-    return make_coherent(c.p, c.L, out)
+    return CoherentH(c.p, c.L, out)
 
 
 def coherent_sequence_check(p: int, L: int) -> Report:
@@ -230,7 +227,7 @@ def coherent_sequence_check(p: int, L: int) -> Report:
                 return False, {"stage": "round-trip", "i1": i1}
         broken = [HopfElt.basis_vector(p, 1, 1), HopfElt.basis_vector(p, 2, 1)]
         try:
-            make_coherent(p, 2, broken)
+            CoherentH(p, 2, broken)
             return False, {"stage": "broken-sequence-accepted"}
         except ValueError:
             pass

@@ -247,15 +247,15 @@ def decompose_endomorphism(m: QMatrix) -> SmashElt:
 
 def _flat(m: QMatrix) -> dict[int, Fraction]:
     """The entries as one sparse vector: entry (r, k) is column r*p^n + k,
-    the layout of `cells_to_vector(m.rows)`."""
+    the matrix read row by row."""
     go = m.p ** m.n
     return {r * go + k: v for (r, k), v in m.entries}
 
 
-def iso_check(p: int, n: int, a, seed: int = 20240901, samples: int = 24) -> Report:
+def iso_check(p: int, n: int, a, seed: int = 20240901) -> Report:
     """Certify K # H = End_Q(K): the p^2n basis matrices have full exact rank,
     and the matrix map is multiplicative (exhaustively for tiny instances,
-    on seeded random sparse pairs otherwise)."""
+    on 24 seeded random sparse pairs otherwise)."""
     a = Fraction(a)
     go = p ** n
 
@@ -277,7 +277,7 @@ def iso_check(p: int, n: int, a, seed: int = 20240901, samples: int = 24) -> Rep
                         Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 return SmashElt(p, n, a, terms)
 
-            pairs = [(rand_elt(), rand_elt()) for _ in range(samples)]
+            pairs = [(rand_elt(), rand_elt()) for _ in range(24)]
             pairs += [(x, y) for x in basis[: go] for y in basis[: go]]
         for x, y in pairs:
             if to_end_matrix(smash_mult(x, y)) != to_end_matrix(x) * to_end_matrix(y):

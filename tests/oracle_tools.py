@@ -4,17 +4,23 @@ Everything here goes through sympy (polynomial arithmetic modulo the explicit
 minimal polynomial, exact matrices) or direct counting, never through the
 library's own reduction/elimination code, so a test comparing the two routes
 is a genuine dual computation.  The normal complements are filtered from the
-whole lattice of normal subgroups, never through retractions.
+whole lattice of normal subgroups, never through retractions.  The regular
+normalized subgroups are found by exhaustive search over fixed-point-free
+candidates, never through holomorphs or labelings; only the coset action
+and the catalogue of group types are the library's.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import sympy
 
-from hopfgal.gp_enum import FiniteGroup, _generating_sequence, mulclose
+from hopfgal.gp_enum import (FiniteGroup, Perm, _generating_sequence, _models,
+                             action_image, mulclose)
 
 _X = sympy.Symbol("x")
 
@@ -234,3 +240,176 @@ def oracle_normal_complements(gamma: FiniteGroup,
         out.append(FiniteGroup(gens, nset))
     out.sort(key=lambda g: [p.images for p in g.elements])
     return out
+
+
+# ---------------------------------------------------------------------------
+# regular normalized subgroups: fixed-point-free candidates, then the filter
+
+# (candidate kind, degree, ...) -> the candidates of one complete pass
+_KEPT_CANDIDATES: dict[tuple, tuple] = {}
+
+
+def _kept(key: tuple, build):
+    """Yield what the generator `build()` yields.  A pass that runs to the
+    end is kept under `key`, and later passes read it back in the same order;
+    a pass cut short keeps nothing.  The candidates depend on the degree
+    alone, never on the action that filters them."""
+    kept = _KEPT_CANDIDATES.get(key)
+    if kept is not None:
+        yield from kept
+        return
+    items = []
+    for item in build():
+        items.append(item)
+        yield item
+    _KEPT_CANDIDATES[key] = tuple(items)
+
+
+def _full_cycles(size: int):
+    """Yield (cycle, set of its powers) for every full cycle on `size` points,
+    0 -> tail[0] for each tail in `itertools.permutations` order.  Equal
+    powers and equal power sets are yielded as one object, which keeps a
+    stored pass small."""
+    ident = Perm.identity(size)
+    perms: dict = {ident: ident}
+    groups: dict = {}
+    for tail in itertools.permutations(range(1, size)):
+        seq = (0,) + tail
+        images = [0] * size
+        for k in range(size):
+            images[seq[k]] = seq[(k + 1) % size]
+        cycle = Perm(tuple(images))
+        cycle = perms.setdefault(cycle, cycle)
+        powers = [ident]
+        cur = cycle
+        while cur != ident:
+            powers.append(perms.setdefault(cur, cur))
+            cur = cur * cycle
+        members = frozenset(powers)
+        yield cycle, groups.setdefault(members, members)
+
+
+def _naive_cyclic(size: int, lam_gens) -> set:
+    """All regular cyclic subgroups, from fixed-point-free full cycles."""
+    found: set[frozenset] = set()
+    gen_pairs = [(g, g.inverse()) for g in lam_gens]
+    for cycle, members in _kept(("cyclic", size), lambda: _full_cycles(size)):
+        if members in found:
+            continue
+        if all(g * cycle * gi in members for g, gi in gen_pairs):
+            found.add(members)
+    return found
+
+
+def _fpf_p_elements(size: int, p: int) -> list[Perm]:
+    """Fixed-point-free elements of order p (products of size/p p-cycles)."""
+    out: list[Perm] = []
+    images = [-1] * size
+
+    def place(remaining: tuple):
+        if not remaining:
+            out.append(Perm(tuple(images)))
+            return
+        head = remaining[0]
+        rest = remaining[1:]
+        for partners in itertools.permutations(rest, p - 1):
+            cycle = (head,) + partners
+            for k in range(p):
+                images[cycle[k]] = cycle[(k + 1) % p]
+            left = tuple(x for x in rest if x not in partners)
+            place(left)
+        for x in remaining:
+            images[x] = -1
+
+    place(tuple(range(size)))
+    return out
+
+
+def _commuting_pairs(size: int, p: int):
+    """Yield (c1, pairs) for every fixed-point-free p-element c1, where pairs
+    lists (c2, <c1, c2>) for the fixed-point-free p-elements c2 that commute
+    with c1 and generate with it a group of order `size`; c2 runs over the
+    maps that send each c1-orbit onto the next along a cyclic order of the
+    orbits.  Each c2 is the pool's own object, and equal groups are listed
+    as one object."""
+    pool = _fpf_p_elements(size, p)
+    pooled = {c: c for c in pool}
+    groups: dict = {}
+    for c1 in pool:
+        pairs = []
+        orbits = []
+        seen = [False] * size
+        for start in range(size):
+            if seen[start]:
+                continue
+            orb, x = [], start
+            while not seen[x]:
+                seen[x] = True
+                orb.append(x)
+                x = c1(x)
+            orbits.append(orb)
+        where = {}
+        for oi, orb in enumerate(orbits):
+            for t, x in enumerate(orb):
+                where[x] = (oi, t)
+        for order_rest in itertools.permutations(range(1, p)):
+            chain = (0,) + order_rest          # orbit cycle O_{chain[k]} -> O_{chain[k+1]}
+            for choices in itertools.product(range(p), repeat=p):
+                images = [-1] * size
+                for k in range(p):
+                    src, dst = chain[k], chain[(k + 1) % p]
+                    target = orbits[dst][choices[k]]
+                    for t in range(p):
+                        x = orbits[src][t]
+                        oi, s = where[target]
+                        images[x] = orbits[oi][(s + t) % p]
+                c2 = pooled.get(Perm(tuple(images)))
+                if c2 is None or c1 * c2 != c2 * c1:
+                    continue
+                members = set()
+                a = Perm.identity(size)
+                for _ in range(p):
+                    b = a
+                    for _ in range(p):
+                        members.add(b)
+                        b = b * c2
+                    a = a * c1
+                if len(members) != size:
+                    continue
+                members = frozenset(members)
+                pairs.append((c2, groups.setdefault(members, members)))
+        yield c1, tuple(pairs)
+
+
+def _naive_elementary(size: int, p: int, lam_gens) -> set:
+    """Regular rank-two elementary abelian subgroups from commuting pairs
+    of fixed-point-free p-elements."""
+    found: set[frozenset] = set()
+    gen_pairs = [(g, g.inverse()) for g in lam_gens]
+    for c1, pairs in _kept(("elementary", size, p), lambda: _commuting_pairs(size, p)):
+        for c2, members in pairs:
+            if members in found:
+                continue
+            if all(g * c * gi in members
+                   for g, gi in gen_pairs for c in (c1, c2)):
+                found.add(members)
+    return found
+
+
+def oracle_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup) -> list[tuple]:
+    """The element tuples of the regular subgroups of the coset symmetric
+    group normalized by the image of gamma, in the order and element order
+    of `gp_enum.enumerate_regular_normalized`'s groups.
+
+    Exhaustive search over the fixed-point-free cycles of full length
+    (cyclic candidates) and, when the degree admits a non-cyclic type, over
+    commuting pairs of fixed-point-free p-elements (elementary abelian
+    candidates), then the normalization filter; feasible for degree <= 10.
+    """
+    size, lam_group, _ = action_image(gamma, delta)
+    lam_gens = lam_group.generators
+    found = _naive_cyclic(size, lam_gens)
+    if any(not model.is_cyclic() for model in _models(size)):
+        found |= _naive_elementary(size, isqrt(size), lam_gens)
+    return [tuple(sorted(members))
+            for members in sorted(found, key=lambda s: sorted(p.images for p in s))]

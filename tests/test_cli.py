@@ -76,6 +76,11 @@ def test_act_rejects_malformed_rational(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_act_names_a_zero_denominator(capsys):
+    assert main(["act", "--p", "3", "--n", "1", "--a", "1/0"]) == 2
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
 def test_act_rejects_wrong_coordinate_count(capsys):
     assert main(["act", "--p", "3", "--n", "1", "--h-coords", "1,0"]) == 2
     assert "3 comma-separated" in capsys.readouterr().err
@@ -511,14 +516,19 @@ def test_decompose_matches_golden_bytes(capsys, tmp_path):
     assert out == (GOLDEN / "decompose_p3_n2.json").read_text()
 
 
-def test_census_instance_matches_golden_bytes(capsys, tmp_path):
+@pytest.mark.parametrize("p,golden", [
     # degree 9 over Q(zeta_3): three structures, with their elements and flags
+    (3, "census_deg9_over_zeta3.json"),
+    # degree 25 over Q(zeta_5): five structures, the largest pinned search
+    (5, "census_deg25_over_zeta5.json"),
+], ids=["deg9_over_zeta3", "deg25_over_zeta5"])
+def test_census_instance_matches_golden_bytes(capsys, tmp_path, p, golden):
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(instance_to_json(zeta1_galois_group(3, 2),
-                                                beta_subgroup(3, 2))))
+    path.write_text(json.dumps(instance_to_json(zeta1_galois_group(p, 2),
+                                                beta_subgroup(p, 2))))
     code, out = run(capsys, "census", str(path), "--format", "json")
     assert code == 0
-    assert out == (GOLDEN / "census_deg9_over_zeta3.json").read_text()
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_timings_flag_adds_elapsed_ms(capsys):

@@ -1,8 +1,8 @@
 """Tests for permutation groups, coset actions, and the structure census.
 
-The enumeration has two independent engines (exhaustive naive search and
-holomorph-based search); they are cross-checked against each other here,
-and counts are pinned against hand-checked small cases.  The normal
+The holomorph search of the library is cross-checked here against the
+exhaustive search over fixed-point-free candidates in `oracle_tools`, and
+counts are pinned against hand-checked small cases.  The normal
 complements (retraction kernels) are checked against the normal-subgroup
 lattice in `oracle_tools`, and the holomorphs against counting formulas.
 """
@@ -44,7 +44,8 @@ from hopfgal.gp_enum import (
     results_to_json,
     zeta1_galois_group,
 )
-from oracle_tools import oracle_normal_complements, oracle_normal_subgroups
+from oracle_tools import (oracle_normal_complements, oracle_normal_subgroups,
+                          oracle_regular_normalized)
 
 
 def cycle(degree: int) -> Perm:
@@ -123,11 +124,6 @@ def test_mulclose_cyclic():
     closure = mulclose([cycle(5)])
     assert len(closure) == 5
     assert Perm.identity(5) in closure
-
-
-def test_mulclose_limit_prunes():
-    assert mulclose([Perm((1, 2, 0)), Perm((1, 0, 2))], limit=4) is None
-    assert len(mulclose([Perm((1, 2, 0)), Perm((1, 0, 2))], limit=6)) == 6
 
 
 def test_mulclose_needs_generators():
@@ -313,7 +309,7 @@ def test_galois_group_orders():
 
 
 # ---------------------------------------------------------------------------
-# the two engines agree
+# the holomorph search agrees with the exhaustive oracle
 
 
 @pytest.mark.parametrize("p,n,builder", [
@@ -326,21 +322,21 @@ def test_engines_agree(p, n, builder):
         gamma, delta = full_galois_group(p, n), cyclotomic_subgroup(p, n)
     else:
         gamma, delta = zeta1_galois_group(p, n), beta_subgroup(p, n)
-    naive = enumerate_regular_normalized(gamma, delta, engine="naive")
-    holo = enumerate_regular_normalized(gamma, delta, engine="holomorph")
-    assert [g.elements for g in naive] == [g.elements for g in holo]
+    naive = oracle_regular_normalized(gamma, delta)
+    holo = enumerate_regular_normalized(gamma, delta)
+    assert naive == [g.elements for g in holo]
 
 
 def test_engines_agree_on_cyclic_4_regular():
     gamma, delta = cyclic_group(4), trivial_group(4)
-    naive = enumerate_regular_normalized(gamma, delta, engine="naive")
-    holo = enumerate_regular_normalized(gamma, delta, engine="holomorph")
-    assert [g.elements for g in naive] == [g.elements for g in holo]
+    naive = oracle_regular_normalized(gamma, delta)
+    holo = enumerate_regular_normalized(gamma, delta)
+    assert naive == [g.elements for g in holo]
     # a cyclic extension of degree 4 carries exactly two structures:
     # the cyclic one and the elementary abelian one
     assert len(naive) == 2
-    assert sorted(g.is_cyclic() for g in naive) == [False, True]
-    for g in naive:
+    assert sorted(g.is_cyclic() for g in holo) == [False, True]
+    for g in holo:
         assert is_regular(g, 4)
 
 
@@ -363,9 +359,9 @@ def affine_action(p: int, unit: int) -> tuple[FiniteGroup, FiniteGroup]:
     (*affine_action(7, 3), 1),
 ], ids=["regular-C2xC2", "regular-C3xC3", "AGL(1,5)", "AGL(1,7)"])
 def test_engines_agree_on_regular_and_affine_actions(gamma, delta, count):
-    naive = enumerate_regular_normalized(gamma, delta, engine="naive")
-    holo = enumerate_regular_normalized(gamma, delta, engine="holomorph")
-    assert [g.elements for g in naive] == [g.elements for g in holo]
+    naive = oracle_regular_normalized(gamma, delta)
+    holo = enumerate_regular_normalized(gamma, delta)
+    assert naive == [g.elements for g in holo]
     assert len(naive) == count
 
 
@@ -478,30 +474,16 @@ def test_over_cap_degree_refused_before_the_coset_action(monkeypatch):
 
 def test_incomplete_degree_refused():
     assert _models(6) is None
-    for engine in ("naive", "holomorph"):
-        with pytest.raises(UnsupportedInstance):
-            enumerate_regular_normalized(cyclic_group(6), trivial_group(6),
-                                         engine=engine)
-
-
-def test_naive_engine_degree_limit():
     with pytest.raises(UnsupportedInstance):
-        enumerate_regular_normalized(cyclic_group(25), trivial_group(25),
-                                     engine="naive")
-
-
-def test_unknown_engine_rejected():
-    for engine in ("fast", "auto"):
-        with pytest.raises(ValueError):
-            enumerate_regular_normalized(cyclic_group(3), trivial_group(3),
-                                         engine=engine)
+        enumerate_regular_normalized(cyclic_group(6), trivial_group(6))
 
 
 def test_search_budget_enforced():
-    gamma, delta = zeta1_galois_group(3, 2), beta_subgroup(3, 2)
+    # degree 25 over Q(zeta_5): the holomorph search reads the clock every
+    # 512 assignments, and this instance tries more than that
+    gamma, delta = zeta1_galois_group(5, 2), beta_subgroup(5, 2)
     with pytest.raises(SearchBudgetExceeded):
-        enumerate_regular_normalized(gamma, delta, engine="naive",
-                                     budget_seconds=0.0)
+        enumerate_regular_normalized(gamma, delta, budget_seconds=0.0)
 
 
 def test_refusals_share_base_class():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfgal.cyclotomic import CycloElt, FieldDescriptor, cells_to_vector
+from hopfgal.cyclotomic import CycloElt, FieldDescriptor, terms_to_vector
 from hopfgal.groupring import (GroupRingElt, diag_action, diag_action_unit,
                                fixed_ring)
 from hopfgal.hopfgalois import e_basis
@@ -265,7 +265,7 @@ def test_fixed_ring_is_the_full_grid_kernel_basis(p, n):
     """The orbit-wise basis is the canonical kernel basis of the full-grid
     rows: the same vectors in the same order."""
     rows, ncols = fixed_ring_rows(p, n)
-    assert ([cells_to_vector(x.coeffs) for x in fixed_ring(p, n)]
+    assert ([terms_to_vector(x.terms) for x in fixed_ring(p, n)]
             == sparse_nullspace(rows, ncols))
 
 

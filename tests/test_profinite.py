@@ -12,7 +12,7 @@ from hopfgal.hopfgalois import HopfElt
 from hopfgal.profinite import (CoherentH, PadicTrunc, coherent_sequence_check,
                                commute_square_check, delta_inf_action,
                                fixed_truncation_check, generator_sequence,
-                               make_coherent, nu_consistency_check,
+                               nu_consistency_check,
                                nu_groupring, nu_h, padd, padic_model_check,
                                pmul, project)
 
@@ -114,9 +114,18 @@ def test_generator_sequence_is_coherent():
 
 
 def test_broken_sequence_rejected():
-    with pytest.raises(ValueError):
-        make_coherent(3, 2, [HopfElt.basis_vector(3, 1, 1),
-                             HopfElt.basis_vector(3, 2, 1)])
+    # nu_h of the level-2 idempotent e_1 is not the level-1 e_1, so the
+    # constructor itself refuses the pair
+    with pytest.raises(ValueError, match="sequence breaks at level 2"):
+        CoherentH(3, 2, (HopfElt.basis_vector(3, 1, 1),
+                         HopfElt.basis_vector(3, 2, 1)))
+
+
+def test_levels_are_stored_as_a_tuple():
+    levels = [HopfElt.basis_vector(3, 1, 2), HopfElt.basis_vector(3, 2, 6)]
+    c = CoherentH(3, 2, levels)
+    assert c.levels == tuple(levels)
+    assert c == generator_sequence(3, 2, 2)
 
 
 def test_coherent_json_round_trip():
