@@ -68,6 +68,19 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
         raise ValueError("%s must hold two integers, got %r" % (what, text))
 
 
+def _budget_seconds(text: str) -> float:
+    """A census budget: a finite number of seconds, 0 or more.  A nan budget
+    would never run out, since no clock reading compares greater than it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            "budget must be a finite number of seconds >= 0, got %r" % text)
+    return value
+
+
 def _read_json(path: str | None):
     """The JSON document at `path`, or on stdin when `path` is None or '-'."""
     if path is None or path == "-":
@@ -379,14 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
              "enumerate regular normalized subgroups (pinned instances or JSON input)")
     sp.add_argument("instance", nargs="?", metavar="PATH",
                     help="instance JSON ('-': stdin; omitted: pinned instances)")
-    sp.add_argument("--budget-seconds", type=float, default=SEARCH_BUDGET_SECONDS)
+    sp.add_argument("--budget-seconds", type=_budget_seconds,
+                    default=SEARCH_BUDGET_SECONDS)
 
     sp = add("verify-all", _cmd_verify_all, "run the full verification suite")
     sp.add_argument("--p", type=int, help="filter the instance matrix by prime")
     sp.add_argument("--n", type=int, help="filter the instance matrix by level")
     sp.add_argument("--a", default="2", help="radicand as 'num/den' (default 2)")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--budget-seconds", type=float, default=SEARCH_BUDGET_SECONDS)
+    sp.add_argument("--budget-seconds", type=_budget_seconds,
+                    default=SEARCH_BUDGET_SECONDS)
 
     return parser
 

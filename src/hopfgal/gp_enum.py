@@ -1,7 +1,8 @@
 """Regular subgroups of coset actions and the structure census.
 
 A finite Galois group acting on the left cosets of a subgroup turns the
-coset set S into a transitive permutation module.  This module lists every
+coset set S into a transitive permutation module, read only on generators
+(`coset_action` maps one element at a time).  This module lists every
 regular subgroup of Perm(S) normalized by the image of that action by a
 holomorph search: for each model N, a regular group given by its
 generators, Hol(N) = N·Aut(N) with Aut(N) read off equivariant labelings;
@@ -14,10 +15,11 @@ candidates (`oracle_regular_normalized` in `tests/oracle_tools.py`).
 The normal complements of the subgroup in the big group ("descent" data)
 are the kernels of its retractions, found by an edge-checked walk over the
 big group that shares no code with the search; pushing a complement
-through the coset action always lands in the enumerated family.  The
-models come from one catalogue (`_models`): every group of order m is
-cyclic when gcd(m, phi(m)) = 1, and of order p^2 cyclic or elementary
-abelian; any other degree is refused rather than enumerated incompletely.
+through the coset action (the closure of its generators' images) always
+lands in the enumerated family.  The models come from one catalogue
+(`_models`): every group of order m is cyclic when gcd(m, phi(m)) = 1, and
+of order p^2 cyclic or elementary abelian; any other degree is refused
+rather than enumerated incompletely.
 """
 
 from __future__ import annotations
@@ -195,10 +197,10 @@ class FiniteGroup:
 def coset_action(gamma: FiniteGroup, delta: FiniteGroup):
     """Action of gamma on the left cosets of delta.
 
-    Returns (number of cosets, mapping element -> permutation of cosets).
-    The identity coset gets index 0 and coset indices follow the first
-    appearance of a coset when scanning gamma's canonical element order,
-    so the construction is deterministic.
+    Returns (number of cosets, act), act(g) the coset permutation of one
+    element g, built when asked.  The identity coset gets index 0 and coset
+    indices follow the first appearance of a coset when scanning gamma's
+    canonical element order, so the construction is deterministic.
     """
     if not delta <= gamma:
         raise ValueError("delta is not a subgroup of gamma")
@@ -211,43 +213,21 @@ def coset_action(gamma: FiniteGroup, delta: FiniteGroup):
         reps.append(g)
         for d in delta.elements:
             elt_to_coset[g * d] = idx
-    size = len(reps)
-    action = {}
-    for g in gamma.elements:
-        action[g] = Perm(tuple(elt_to_coset[g * r] for r in reps))
-    return size, action
+
+    def act(g: Perm) -> Perm:
+        return Perm(tuple(elt_to_coset[g * r] for r in reps))
+
+    return len(reps), act
 
 
 def is_regular(group: FiniteGroup, size: int) -> bool:
-    """Transitive and fixed point free on 0..size-1 (hence order == size)."""
+    """Regular on 0..size-1: of order size, and no nonidentity element fixes
+    a point.  Such a group acts freely, so each of its orbits has size
+    points and it is transitive."""
     if group.degree != size or group.order != size:
         return False
     ident = group.identity()
-    for g in group.elements:
-        if g != ident and not g.is_fixed_point_free():
-            return False
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in group.generators:
-                y = g(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    new.append(y)
-        frontier = new
-    return len(orbit) == size
-
-
-def action_image(gamma: FiniteGroup, delta: FiniteGroup):
-    """The coset permutation image of gamma with its generator images."""
-    size, action = coset_action(gamma, delta)
-    gens = [action[g] for g in gamma.generators]
-    ident = Perm.identity(size)
-    if all(g == ident for g in gens):
-        gens = [ident]
-    return size, FiniteGroup(gens), action
+    return all(g == ident or g.is_fixed_point_free() for g in group.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +294,10 @@ def almost_classical(gamma: FiniteGroup, delta: FiniteGroup) -> list[FiniteGroup
     return out
 
 
-def push_through_action(action: dict, subgroup: FiniteGroup) -> FiniteGroup:
-    """Image of a subgroup of gamma inside the coset symmetric group."""
-    gens = [action[g] for g in subgroup.generators]
-    ident = Perm.identity(gens[0].degree)
-    if all(g == ident for g in gens):
-        gens = [ident]
-    return FiniteGroup(gens, {action[g] for g in subgroup.elements})
+def push_through_action(act, subgroup: FiniteGroup) -> FiniteGroup:
+    """Image of a subgroup of gamma inside the coset symmetric group, the
+    closure of its generators' images under `coset_action`'s act."""
+    return FiniteGroup([act(g) for g in subgroup.generators])
 
 
 def _generating_sequence(elements) -> list[Perm]:
@@ -411,9 +388,9 @@ def _holomorph(model: FiniteGroup) -> list[Perm]:
     return [t * a for t in model.elements for a in aut]
 
 
-def _holomorph_search(lam_group: FiniteGroup, model: FiniteGroup,
-                      deadline) -> set:
-    """Regular subgroups of the model's abstract type normalized by the image.
+def _holomorph_search(lam_gens, model: FiniteGroup, deadline) -> set:
+    """Regular subgroups of the model's abstract type normalized by the
+    action image, given by a generating sequence `lam_gens`.
 
     Labeling the cosets by such an N from a basepoint gives a homomorphism
     of the action image into Hol(model), under which the labeling is
@@ -426,7 +403,6 @@ def _holomorph_search(lam_group: FiniteGroup, model: FiniteGroup,
     """
     size = model.degree
     hol = _holomorph(model)
-    lam_gens = _generating_sequence(lam_group.elements)
     candidates = [[h for h in hol if h.order() == g.order()]
                   for g in lam_gens]
     found: set[frozenset] = set()
@@ -446,7 +422,7 @@ def _holomorph_search(lam_group: FiniteGroup, model: FiniteGroup,
             for tr in model.elements)
         if members in found:
             continue
-        if not _normalizes(lam_group.generators, members):
+        if not _normalizes(lam_gens, members):
             raise AssertionError("holomorph transport produced an "
                                  "unnormalized subgroup")
         found.add(members)
@@ -496,11 +472,12 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
         raise UnsupportedInstance(
             "degree %d admits group types beyond cyclic and elementary "
             "abelian of rank two; refusing an incomplete enumeration" % size)
-    _, lam_group, _ = action_image(gamma, delta)
+    _, act = coset_action(gamma, delta)
+    lam_gens = _generating_sequence(mulclose([act(g) for g in gamma.generators]))
     deadline = time.monotonic() + budget_seconds
     found: set[frozenset] = set()
     for model in models:
-        found |= _holomorph_search(lam_group, model, deadline)
+        found |= _holomorph_search(lam_gens, model, deadline)
 
     results = []
     for members in sorted(found, key=lambda s: sorted(p.images for p in s)):
@@ -550,8 +527,8 @@ def instance_to_json(gamma: FiniteGroup, delta: FiniteGroup) -> dict:
 def results_to_json(gamma: FiniteGroup, delta: FiniteGroup,
                     results: list[FiniteGroup]) -> dict:
     """Serialized enumeration output with structural flags per subgroup."""
-    size, action = coset_action(gamma, delta)
-    pushed = {frozenset(push_through_action(action, n).elements)
+    size, act = coset_action(gamma, delta)
+    pushed = {frozenset(push_through_action(act, n).elements)
               for n in almost_classical(gamma, delta)}
     subgroups = []
     for group in results:
@@ -627,7 +604,7 @@ def census_reports(instance: CensusInstance,
 
     def counts():
         nonlocal size, results
-        size, action = coset_action(instance.gamma, instance.delta)
+        size, act = coset_action(instance.gamma, instance.delta)
         results = enumerate_regular_normalized(
             instance.gamma, instance.delta, budget_seconds=budget_seconds)
         if len(results) != instance.expected_structures:
@@ -640,7 +617,7 @@ def census_reports(instance: CensusInstance,
                            "expected": instance.expected_almost_classical}
         enumerated = {frozenset(g.elements) for g in results}
         for comp in complements:
-            image = push_through_action(action, comp)
+            image = push_through_action(act, comp)
             if frozenset(image.elements) not in enumerated:
                 return False, {"stage": "complement-not-enumerated"}
         return True, None

@@ -68,7 +68,8 @@ class SmashElt:
     @classmethod
     def basis(cls, p: int, n: int, a, j: int, i: int) -> "SmashElt":
         go = p ** n
-        return new(cls, p, n, Fraction(a), {(j % go, i % go): _ONE})
+        a = a if type(a) is Fraction else Fraction(a)
+        return new(cls, p, n, a, {(j % go, i % go): _ONE})
 
     def _check(self, other):
         if (self.p, self.n, self.a) != (other.p, other.n, other.a):
@@ -163,8 +164,9 @@ class QMatrix:
         rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
         if len(rows) != go or any(len(r) != go for r in rows):
             raise ValueError("expected a %d x %d matrix" % (go, go))
-        fill(self, p, n, Fraction(a), canonical({(r, k): v for r, row in enumerate(rows)
-                                                 for k, v in enumerate(row)}))
+        a = a if type(a) is Fraction else Fraction(a)
+        fill(self, p, n, a, canonical({(r, k): v for r, row in enumerate(rows)
+                                       for k, v in enumerate(row)}))
 
     @property
     def rows(self) -> tuple:

@@ -20,7 +20,7 @@ from math import isqrt
 import sympy
 
 from hopfgal.gp_enum import (FiniteGroup, Perm, _generating_sequence, _models,
-                             action_image, mulclose)
+                             coset_action, mulclose)
 
 _X = sympy.Symbol("x")
 
@@ -406,8 +406,8 @@ def oracle_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup) -> list[tu
     commuting pairs of fixed-point-free p-elements (elementary abelian
     candidates), then the normalization filter; feasible for degree <= 10.
     """
-    size, lam_group, _ = action_image(gamma, delta)
-    lam_gens = lam_group.generators
+    size, act = coset_action(gamma, delta)
+    lam_gens = [act(g) for g in gamma.generators]
     found = _naive_cyclic(size, lam_gens)
     if any(not model.is_cyclic() for model in _models(size)):
         found |= _naive_elementary(size, isqrt(size), lam_gens)

@@ -428,6 +428,23 @@ def test_census_refuses_oversized_instance(capsys, tmp_path):
     assert "refused:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["census", "verify-all"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_budget_that_is_negative_or_not_finite_is_a_usage_error(
+        capsys, command, value):
+    # a nan budget would never run out: no clock reading compares above it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--budget-seconds", value])
+    assert exc.value.code == 2
+    assert "finite number of seconds >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["census", "verify-all"])
+def test_zero_budget_is_accepted(command):
+    args = cli.build_parser().parse_args([command, "--budget-seconds", "0"])
+    assert args.budget_seconds == 0.0
+
+
 # ---------------------------------------------------------------------------
 # verify-all
 
@@ -516,16 +533,21 @@ def test_decompose_matches_golden_bytes(capsys, tmp_path):
     assert out == (GOLDEN / "decompose_p3_n2.json").read_text()
 
 
-@pytest.mark.parametrize("p,golden", [
+@pytest.mark.parametrize("p,over_q,golden", [
     # degree 9 over Q(zeta_3): three structures, with their elements and flags
-    (3, "census_deg9_over_zeta3.json"),
+    (3, False, "census_deg9_over_zeta3.json"),
     # degree 25 over Q(zeta_5): five structures, the largest pinned search
-    (5, "census_deg25_over_zeta5.json"),
-], ids=["deg9_over_zeta3", "deg25_over_zeta5"])
-def test_census_instance_matches_golden_bytes(capsys, tmp_path, p, golden):
+    (5, False, "census_deg25_over_zeta5.json"),
+    # degree 25 over Q: one structure, from the largest coset action (|Γ| = 500)
+    (5, True, "census_deg25_over_Q.json"),
+], ids=["deg9_over_zeta3", "deg25_over_zeta5", "deg25_over_Q"])
+def test_census_instance_matches_golden_bytes(capsys, tmp_path, p, over_q,
+                                              golden):
+    instance = (instance_to_json(full_galois_group(p, 2),
+                                 cyclotomic_subgroup(p, 2)) if over_q else
+                instance_to_json(zeta1_galois_group(p, 2), beta_subgroup(p, 2)))
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(instance_to_json(zeta1_galois_group(p, 2),
-                                                beta_subgroup(p, 2))))
+    path.write_text(json.dumps(instance))
     code, out = run(capsys, "census", str(path), "--format", "json")
     assert code == 0
     assert out == (GOLDEN / golden).read_text()

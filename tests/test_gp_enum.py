@@ -25,7 +25,6 @@ from hopfgal.gp_enum import (
     Perm,
     SearchBudgetExceeded,
     UnsupportedInstance,
-    action_image,
     almost_classical,
     beta_subgroup,
     census_instances,
@@ -169,7 +168,7 @@ def test_coset_action_identity_coset_is_zero():
     size, action = coset_action(s3, delta)
     assert size == 3
     for d in delta.elements:
-        assert action[d](0) == 0  # delta stabilizes its own coset
+        assert action(d)(0) == 0  # delta stabilizes its own coset
 
 
 def test_coset_action_is_homomorphism():
@@ -178,15 +177,66 @@ def test_coset_action_is_homomorphism():
     _, action = coset_action(s3, delta)
     for g in s3.elements:
         for h in s3.elements:
-            assert action[g * h] == action[g] * action[h]
+            assert action(g * h) == action(g) * action(h)
+
+
+def test_coset_action_is_homomorphism_on_every_pair_of_degree_9_over_Q():
+    # the 54 elements of Gal(Q(zeta_9, 2^(1/9))/Q) on the 9 cosets
+    gamma, delta = full_galois_group(3, 2), cyclotomic_subgroup(3, 2)
+    size, action = coset_action(gamma, delta)
+    image = {g: action(g) for g in gamma.elements}
+    assert size == 9 and len(image) == 54
+    for g in gamma.elements:
+        for h in gamma.elements:
+            assert image[g * h] == image[g] * image[h]
+
+
+def _recording_coset_action(monkeypatch) -> list:
+    """Make `gp_enum.coset_action` record every element its map is read on."""
+    read, real = [], gp_enum.coset_action
+
+    def recording(gamma, delta):
+        size, act = real(gamma, delta)
+
+        def recorded(g):
+            read.append(g)
+            return act(g)
+        return size, recorded
+
+    monkeypatch.setattr(gp_enum, "coset_action", recording)
+    return read
+
+
+def test_census_reads_the_coset_action_on_generators_only(monkeypatch):
+    read = _recording_coset_action(monkeypatch)
+    gamma, delta = full_galois_group(3, 2), cyclotomic_subgroup(3, 2)
+    results = enumerate_regular_normalized(gamma, delta)
+    assert read == list(gamma.generators)
+    read.clear()
+    results_to_json(gamma, delta, results)
+    assert read == [g for comp in almost_classical(gamma, delta)
+                    for g in comp.generators]
+
+
+def test_enumeration_finds_the_image_generators_once(monkeypatch):
+    # one generating sequence for the image (order 54), shared by both models
+    # of degree 9, and one per structure found
+    sizes, real = [], gp_enum._generating_sequence
+    monkeypatch.setattr(gp_enum, "_generating_sequence",
+                        lambda elements: sizes.append(len(elements)) or
+                        real(elements))
+    gamma, delta = full_galois_group(3, 2), cyclotomic_subgroup(3, 2)
+    assert len(_models(9)) == 2
+    results = enumerate_regular_normalized(gamma, delta)
+    assert sizes == [54] + [9] * len(results)
 
 
 def test_coset_action_transitive_image():
     gamma = full_galois_group(3, 1)
     delta = cyclotomic_subgroup(3, 1)
-    size, image, action = action_image(gamma, delta)
+    size, action = coset_action(gamma, delta)
     assert size == gamma.order // delta.order
-    reached = {action[g](0) for g in gamma.elements}
+    reached = {action(g)(0) for g in gamma.elements}
     assert reached == set(range(size))
 
 
@@ -198,7 +248,7 @@ def test_coset_action_requires_subgroup():
 def test_regular_representation_is_regular():
     size, action = coset_action(cyclic_group(5), trivial_group(5))
     assert size == 5
-    image = FiniteGroup([action[cycle(5)]])
+    image = FiniteGroup([action(cycle(5))])
     assert is_regular(image, 5)
 
 
@@ -294,6 +344,26 @@ def test_complements_push_into_enumeration():
     for comp in almost_classical(gamma, delta):
         image = push_through_action(action, comp)
         assert frozenset(image.elements) in enumerated
+
+
+PUSH_CASES = {inst.label: (inst.gamma, inst.delta)
+              for inst in census_instances()}
+PUSH_CASES["degree-25-over-Q"] = (full_galois_group(5, 2),
+                                  cyclotomic_subgroup(5, 2))
+
+
+@pytest.mark.parametrize("label", sorted(PUSH_CASES))
+def test_pushed_complement_is_the_image_of_all_its_elements(label):
+    # push_through_action closes the generators' images; here every element
+    # is pushed, and the images form that same closed set
+    gamma, delta = PUSH_CASES[label]
+    _, action = coset_action(gamma, delta)
+    complements = almost_classical(gamma, delta)
+    assert complements
+    for comp in complements:
+        everywhere = {action(x) for x in comp.elements}
+        pushed = set(push_through_action(action, comp).elements)
+        assert pushed == everywhere == mulclose(everywhere)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,21 @@ def test_profinite_suite_reports():
     assert fixed_truncation_check(3, 2).status == "pass"
 
 
+def test_coherent_sequence_check_truncates_only_in_the_constructor(monkeypatch):
+    # each of the p-1 generator sequences is built twice (directly and from
+    # its JSON), checking its L-1 links; the broken sequence fails at its one
+    calls = []
+    real = profinite.nu_h
+
+    def counted(n, h):
+        calls.append(n)
+        return real(n, h)
+
+    monkeypatch.setattr(profinite, "nu_h", counted)
+    assert coherent_sequence_check(3, 4).status == "pass"
+    assert len(calls) == (3 - 1) * 2 * (4 - 1) + 1 == 13
+
+
 def test_fixed_truncation_check_fails_when_an_idempotent_repeats(monkeypatch):
     # at level 2 e_1 is replaced by e_0: every idempotent is still fixed, so
     # the rank on the kernel's leading columns must fall short of 9

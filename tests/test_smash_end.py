@@ -54,6 +54,15 @@ def test_smash_is_noncommutative():
     assert smash_mult(x, y) != smash_mult(y, x)
 
 
+def test_a_fraction_radicand_is_kept_and_any_other_is_converted():
+    a = Fraction(7, 3)
+    zero = [[0] * 3 for _ in range(3)]
+    assert SmashElt.basis(3, 1, a, 1, 2).a is a
+    assert QMatrix(3, 1, a, zero).a is a
+    for b in (SmashElt.basis(3, 1, 2, 1, 2).a, QMatrix(3, 1, 2, zero).a):
+        assert type(b) is Fraction and b == 2
+
+
 def test_basis_multiplication_rule():
     # (w^j # e_i)(w^j' # e_i') = w^(j+j') # e_i' exactly when j' + i' == i
     a = Fraction(2)
