@@ -172,43 +172,25 @@ def test_coset_action_identity_coset_is_zero():
 
 
 def test_coset_action_is_homomorphism():
-    s3 = symmetric_3()
-    delta = FiniteGroup([Perm((1, 0, 2))])
-    _, action = coset_action(s3, delta)
-    for g in s3.elements:
-        for h in s3.elements:
-            assert action(g * h) == action(g) * action(h)
+    # every pair of S3 on 3 cosets, and of the 54 elements of
+    # Gal(Q(zeta_9, 2^(1/9))/Q) on its 9 cosets
+    for gamma, delta in [(symmetric_3(), FiniteGroup([Perm((1, 0, 2))])),
+                         (full_galois_group(3, 2), cyclotomic_subgroup(3, 2))]:
+        _, action = coset_action(gamma, delta)
+        image = {g: action(g) for g in gamma.elements}
+        for g in gamma.elements:
+            for h in gamma.elements:
+                assert image[g * h] == image[g] * image[h]
 
 
-def test_coset_action_is_homomorphism_on_every_pair_of_degree_9_over_Q():
-    # the 54 elements of Gal(Q(zeta_9, 2^(1/9))/Q) on the 9 cosets
-    gamma, delta = full_galois_group(3, 2), cyclotomic_subgroup(3, 2)
-    size, action = coset_action(gamma, delta)
-    image = {g: action(g) for g in gamma.elements}
-    assert size == 9 and len(image) == 54
-    for g in gamma.elements:
-        for h in gamma.elements:
-            assert image[g * h] == image[g] * image[h]
-
-
-def _recording_coset_action(monkeypatch) -> list:
-    """Make `gp_enum.coset_action` record every element its map is read on."""
+def test_census_reads_the_coset_action_on_generators_only(monkeypatch):
     read, real = [], gp_enum.coset_action
 
     def recording(gamma, delta):
         size, act = real(gamma, delta)
-
-        def recorded(g):
-            read.append(g)
-            return act(g)
-        return size, recorded
+        return size, lambda g: read.append(g) or act(g)
 
     monkeypatch.setattr(gp_enum, "coset_action", recording)
-    return read
-
-
-def test_census_reads_the_coset_action_on_generators_only(monkeypatch):
-    read = _recording_coset_action(monkeypatch)
     gamma, delta = full_galois_group(3, 2), cyclotomic_subgroup(3, 2)
     results = enumerate_regular_normalized(gamma, delta)
     assert read == list(gamma.generators)
@@ -257,6 +239,9 @@ def test_is_regular_rejects_point_stabilizer():
     # points is transitive but not regular
     assert not is_regular(symmetric_3(), 3)
     assert not is_regular(cyclic_group(3), 4)
+    # of order 4 on 4 points, but with two orbits: (0 1) fixes 2 and 3
+    assert not is_regular(FiniteGroup([Perm((1, 0, 2, 3)),
+                                       Perm((0, 1, 3, 2))]), 4)
 
 
 # ---------------------------------------------------------------------------
