@@ -11,10 +11,10 @@ pairs, over one positive denominator, in lowest terms; every loop here walks
 those pairs, so an element with k nonzero numerators costs k, not phi.  The
 dense views are built when asked for: `CycloElt.coeffs` (the `Fraction`
 coefficients) and `CycloElt.to_json`.  Reduction, the shift by zeta^e and
-the automorphism zeta -> zeta^u all go through a per-field table of zeta^e
-in the power basis, built on the field's first use; the cells zeta^k/p^n of
-the idempotents are one shared table per field, also built on first use.
-Nothing here is approximate.
+the automorphism zeta -> zeta^u all go through the field's table of zeta^e
+in the power basis; the field also holds its zero and the cells zeta^k/p^n
+of the idempotents, all three built with the field.  Nothing here is
+approximate.
 
 The same fixed multiplier (the smallest primitive root mod p^2, which is a
 primitive root mod every p^k for odd p) drives the Galois action at every
@@ -113,12 +113,19 @@ class FieldDescriptor:
 
     There is one instance per (p, n): constructing the same field twice
     returns the same object, so two descriptors are equal exactly when they
-    are identical.  The instance also holds the field's reduction table,
-    built on first use (see `_reduction_table`), and the idempotent cells,
-    also built on first use (see `idempotent_cells`).
+    are identical.  The instance is built whole and never changes.  Besides
+    p, n, `modulus` p^n, `degree` phi and `multiplier`, it holds:
+
+    - `table`: entry e (0 <= e < p^n) is zeta^e in the power basis, as
+      ((index, +/-1), ...) sorted by index, the terms of the element zeta^e;
+    - `zero`: the field's zero element;
+    - `cells`: entry k is zeta^k / p^n.  Every cell of an idempotent e_i
+      (`hopfgalois.e_basis`) is one of them, so the p^2n cells of a level's
+      idempotents are p^n shared elements.
     """
 
-    __slots__ = ("p", "n", "modulus", "degree", "multiplier", "_table", "_cells")
+    __slots__ = ("p", "n", "modulus", "degree", "multiplier", "table", "zero",
+                 "cells")
     _instances: dict[tuple[int, int], "FieldDescriptor"] = {}
 
     def __new__(cls, p: int, n: int):
@@ -127,12 +134,21 @@ class FieldDescriptor:
             return field
         validate_field(p, n)
         field = object.__new__(cls)
+        m, s = p ** n, p ** (n - 1)
+        phi = m - s
+        # zeta^e is a basis vector below phi; past it, zeta^(phi + d) =
+        # -(zeta^d + zeta^(s + d) + ... + zeta^((p-2)s + d)) with d < s
+        table = (tuple(((e, 1),) for e in range(phi))
+                 + tuple(tuple((k * s + d, -1) for k in range(p - 1))
+                         for d in range(s)))
         for name, value in (("p", p), ("n", n),
-                            ("modulus", p ** n),                  # order of zeta
-                            ("degree", p ** (n - 1) * (p - 1)),   # [Q(zeta) : Q]
+                            ("modulus", m),                       # order of zeta
+                            ("degree", phi),                      # [Q(zeta) : Q]
                             # generator of the Galois action on exponents
                             ("multiplier", primitive_root(p)),
-                            ("_table", None), ("_cells", None)):
+                            ("table", table), ("zero", _make(field, (), 1)),
+                            # a row's numerators are +/-1: coprime to m
+                            ("cells", tuple(_make(field, row, m) for row in table))):
             object.__setattr__(field, name, value)
         return cls._instances.setdefault((p, n), field)
 
@@ -149,32 +165,10 @@ class FieldDescriptor:
         return "FieldDescriptor(p=%d, n=%d)" % (self.p, self.n)
 
 
-def _exp_terms(field: FieldDescriptor, e: int) -> dict[int, int]:
-    """zeta^e as {basis index: +/-1} after reduction to the power basis."""
-    e %= field.modulus
-    if e < field.degree:
-        return {e: 1}
-    d = e - field.degree                      # < p^(n-1)
-    s = field.modulus // field.p              # p^(n-1)
-    return {k * s + d: -1 for k in range(field.p - 1)}
-
-
-def _reduction_table(field: FieldDescriptor) -> tuple:
-    """Entry e (0 <= e < p^n) is zeta^e in the power basis, as ((index, +/-1), ...)
-    sorted by index: the terms of the element zeta^e.  Built from
-    `_exp_terms` on first use and kept on the field."""
-    table = field._table
-    if table is None:
-        table = tuple(tuple(_exp_terms(field, e).items())
-                      for e in range(field.modulus))
-        object.__setattr__(field, "_table", table)
-    return table
-
-
 def _fold(field: FieldDescriptor, pairs) -> dict[int, int]:
     """{power-basis index: numerator} of sum c * zeta^e over integer pairs
     (e, c), exponents taken mod p^n; a numerator may have cancelled to 0."""
-    m, table = field.modulus, _reduction_table(field)
+    m, table = field.modulus, field.table
     out: dict[int, int] = {}
     get = out.get
     for e, c in pairs:
@@ -184,7 +178,6 @@ def _fold(field: FieldDescriptor, pairs) -> dict[int, int]:
     return out
 
 
-_ZERO_CACHE: dict = {}            # FieldDescriptor -> the canonical zero element
 _ZERO = Fraction(0)
 
 
@@ -225,10 +218,7 @@ class CycloElt:
 
     @classmethod
     def zero(cls, field: FieldDescriptor) -> "CycloElt":
-        elt = _ZERO_CACHE.get(field)
-        if elt is None:
-            elt = _ZERO_CACHE[field] = _make(field, (), 1)
-        return elt
+        return field.zero
 
     @classmethod
     def one(cls, field: FieldDescriptor) -> "CycloElt":
@@ -294,7 +284,7 @@ class CycloElt:
 
     def _scale(self, f: Fraction) -> "CycloElt":
         if not f:
-            return CycloElt.zero(self.field)
+            return self.field.zero
         fn = f.numerator
         return _normalized(self.field, tuple((i, a * fn) for i, a in self.terms),
                            self.den * f.denominator)
@@ -390,7 +380,7 @@ def _normalized(field: FieldDescriptor, terms: tuple, den: int) -> CycloElt:
     """An element from sorted nonzero (index, integer numerator) terms over a
     positive denominator."""
     if not terms:
-        return CycloElt.zero(field)
+        return field.zero
     if den != 1:
         g = gcd(den, *[a for _, a in terms])
         if g != 1:
@@ -405,7 +395,7 @@ def _transport(field: FieldDescriptor, terms, u: int, s: int) -> tuple:
     a = 1 the shared row itself."""
     if len(terms) == 1:
         (i, a), = terms
-        row = _reduction_table(field)[(u * i + s) % field.modulus]
+        row = field.table[(u * i + s) % field.modulus]
         return row if a == 1 else tuple((j, sign * a) for j, sign in row)
     return canonical(_fold(field, ((u * i + s, a) for i, a in terms)))
 
@@ -418,25 +408,12 @@ def from_exponents(field: FieldDescriptor, pairs, den: int = 1) -> CycloElt:
     return _normalized(field, canonical(_fold(field, pairs)), den)
 
 
-def idempotent_cells(field: FieldDescriptor) -> tuple:
-    """Entry k (0 <= k < p^n) is zeta^k / p^n: every cell of an idempotent
-    e_i (`hopfgalois.e_basis`) is one of them.  Built through
-    `from_exponents` on the field's first use and kept on the field, so the
-    p^2n cells of a level's idempotents are p^n shared elements."""
-    cells = field._cells
-    if cells is None:
-        m = field.modulus
-        cells = tuple(from_exponents(field, ((k, 1),), m) for k in range(m))
-        object.__setattr__(field, "_cells", cells)
-    return cells
-
-
 def mul(x: CycloElt, y: CycloElt) -> CycloElt:
     field = x.field
     if y.field is not field:
         raise ValueError("field mismatch")
     if not x.terms or not y.terms:
-        return CycloElt.zero(field)
+        return field.zero
     acc: dict[int, int] = {}                  # exponent -> integer sum
     get, yterms = acc.get, y.terms
     for i, a in x.terms:
@@ -657,7 +634,7 @@ def fixed_space(field: FieldDescriptor, generators, ncells: int) -> list[tuple]:
     that column.  All of an orbit's vectors take their largest column in the
     representative, so the small kernel's basis, spread, is already that one.
     """
-    m, phi, table = field.modulus, field.degree, _reduction_table(field)
+    m, phi, table = field.modulus, field.degree, field.table
     gens = []
     for u, moves in generators:
         if u % field.p == 0:

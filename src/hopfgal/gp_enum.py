@@ -9,8 +9,12 @@ generators, Hol(N) = N·Aut(N) with Aut(N) read off equivariant labelings;
 each generator of the action image gets an element of Hol(N), and an
 assignment is kept when S admits an equivariant bijective labeling by N,
 which is then the homomorphism into Hol(N) — feasible up to `MAX_DEGREE`.
-The tests check it against an exhaustive search over fixed-point-free
-candidates (`oracle_regular_normalized` in `tests/oracle_tools.py`).
+Each generator is offered only the elements of its own order, and each
+element's order is computed once per list (`_candidates`).  A time budget
+that is negative, nan or infinite is refused before any coset action is
+built.  The tests check the search against an exhaustive search over
+fixed-point-free candidates (`oracle_regular_normalized` in
+`tests/oracle_tools.py`).
 
 The normal complements of the subgroup in the big group ("descent" data)
 are the kernels of its retractions, found by an edge-checked walk over the
@@ -20,17 +24,22 @@ lands in the enumerated family.  The models come from one catalogue
 (`_models`): every group of order m is cyclic when gcd(m, phi(m)) = 1, and
 of order p^2 cyclic or elementary abelian; any other degree is refused
 rather than enumerated incompletely.
+
+The census instances are Galois groups of radical towers Q(zeta, w),
+w^(p^n) rational, acting on the exponents of zeta^A w^B: the grid point
+A*p^n + B.  `grid_aut` builds their generators there, and no other module
+knows that layout.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 from dataclasses import dataclass, field
 
+from .cyclotomic import primitive_root
 from .reporting import Report, checked
-from .variants import beta_images, cyclo_gen_images, sigma_images
 
 
 class EnumerationRefusal(Exception):
@@ -139,14 +148,11 @@ def mulclose(gens):
 # produced it, so `__eq__` and `__hash__` stay hand-written
 @dataclass(frozen=True, slots=True, eq=False)
 class FiniteGroup:
-    """A concrete permutation group: closed element list plus generators.
-
-    `elements`, when given, must be the closure of the generators; it is
-    replaced by the sorted closure either way.
-    """
+    """A concrete permutation group: its generators, and `elements`, the
+    sorted closure that the constructor computes from them."""
 
     generators: tuple
-    elements: tuple | None = field(default=None, repr=False)
+    elements: tuple = field(init=False, repr=False)
     degree: int = field(init=False)
     _set: frozenset = field(init=False, repr=False)
 
@@ -158,10 +164,6 @@ class FiniteGroup:
         if any(g.degree != degree for g in gens):
             raise ValueError("generators act on different point sets")
         closure = mulclose(gens)
-        if self.elements is not None:
-            if set(self.elements) != closure:
-                raise ValueError("element list is not the closure of the "
-                                 "generators")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "elements", tuple(sorted(closure)))
         object.__setattr__(self, "generators", gens)
@@ -289,7 +291,7 @@ def almost_classical(gamma: FiniteGroup, delta: FiniteGroup) -> list[FiniteGroup
         nset = frozenset(x for x, y in r.items() if y == ident)
         if len(nset) != index:
             raise AssertionError("order count violated by a complement")
-        out.append(FiniteGroup(_generating_sequence(nset), nset))
+        out.append(FiniteGroup(_generating_sequence(nset)))
     out.sort(key=lambda g: [p.images for p in g.elements])
     return out
 
@@ -372,14 +374,23 @@ def _label_cosets(size: int, lam_gens, hol_images) -> list | None:
     return labels
 
 
+def _candidates(elements, gens) -> list[list[Perm]]:
+    """For each generator, the elements of its order, in the order of
+    `elements`: the orders are computed once per element, and the lists
+    are those of filtering `elements` by each generator's order."""
+    by_order: dict[int, list[Perm]] = {}
+    for h in elements:
+        by_order.setdefault(h.order(), []).append(h)
+    return [by_order.get(g.order(), []) for g in gens]
+
+
 def _holomorph(model: FiniteGroup) -> list[Perm]:
     """Hol(N) = N·Aut(N) for a regular permutation group N, the model.
 
     A permutation fixing 0 normalizes N exactly when it is a `_label_cosets`
     labeling against N's generators, each sent to an element of its order.
     """
-    candidates = [[h for h in model.elements if h.order() == g.order()]
-                  for g in model.generators]
+    candidates = _candidates(model.elements, model.generators)
     aut = []
     for images in itertools.product(*candidates):
         labels = _label_cosets(model.degree, model.generators, images)
@@ -402,9 +413,7 @@ def _holomorph_search(lam_gens, model: FiniteGroup, deadline) -> set:
     along it recovers every N.
     """
     size = model.degree
-    hol = _holomorph(model)
-    candidates = [[h for h in hol if h.order() == g.order()]
-                  for g in lam_gens]
+    candidates = _candidates(_holomorph(model), lam_gens)
     found: set[frozenset] = set()
     count = 0
     for assignment in itertools.product(*candidates):
@@ -459,8 +468,12 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
     the image of gamma, deduplicated and canonically sorted.
 
     Refuses degrees over `MAX_DEGREE`, degrees whose group types `_models`
-    does not list, and searches that blow the time budget.
+    does not list, and searches that blow the time budget.  A budget that
+    is negative, nan or infinite is a ValueError, raised before any work.
     """
+    if not 0 <= budget_seconds < inf:
+        raise ValueError("budget must be a finite number of seconds >= 0, "
+                         "got %r" % (budget_seconds,))
     if not delta <= gamma:
         raise ValueError("delta is not a subgroup of gamma")
     # the degree is the index, known from the orders: refuse before the action
@@ -481,7 +494,7 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
 
     results = []
     for members in sorted(found, key=lambda s: sorted(p.images for p in s)):
-        group = FiniteGroup(_generating_sequence(members), members)
+        group = FiniteGroup(_generating_sequence(members))
         if not is_regular(group, size):
             raise AssertionError("enumeration produced a non-regular group")
         results.append(group)
@@ -545,26 +558,39 @@ def results_to_json(gamma: FiniteGroup, delta: FiniteGroup,
 # ---------------------------------------------------------------------------
 # Galois groups of the radical towers, and the frozen census
 
+def grid_aut(p: int, n: int, u: int, s: int) -> Perm:
+    """zeta -> zeta^u, w -> zeta^s w as the map (A, B) -> (uA + sB, B) on
+    the exponents of zeta^A w^B.  Automorphisms do not permute the reduced
+    monomial basis (high zeta exponents re-expand); on the exponent grid
+    each acts by exactly this permutation."""
+    pn = p ** n
+    if u % p == 0:
+        raise ValueError("zeta-multiplier must be a unit")
+    return Perm(tuple(((u * A + s * B) % pn) * pn + B
+                      for A in range(pn) for B in range(pn)))
+
+
 def full_galois_group(p: int, n: int) -> FiniteGroup:
-    """Galois group of the level-n closure over Q, on the exponent grid."""
-    return FiniteGroup([Perm(tuple(sigma_images(p, n))),
-                        Perm(tuple(cyclo_gen_images(p, n)))])
+    """Galois group of the level-n closure over Q, on the exponent grid:
+    sigma (w -> zeta w) and zeta -> zeta^pi, pi the primitive root."""
+    return FiniteGroup([grid_aut(p, n, 1, 1), grid_aut(p, n, primitive_root(p), 0)])
 
 
 def zeta1_galois_group(p: int, n: int) -> FiniteGroup:
-    """Galois group of the level-n closure over the level-1 cyclotomic."""
-    return FiniteGroup([Perm(tuple(sigma_images(p, n))),
-                        Perm(tuple(beta_images(p, n)))])
+    """Galois group of the level-n closure over the level-1 cyclotomic:
+    sigma and beta (zeta -> zeta^(pi^(p-1)))."""
+    return FiniteGroup([grid_aut(p, n, 1, 1),
+                        grid_aut(p, n, pow(primitive_root(p), p - 1, p ** n), 0)])
 
 
 def cyclotomic_subgroup(p: int, n: int) -> FiniteGroup:
     """Subgroup fixing the radical generator (full cyclotomic part)."""
-    return FiniteGroup([Perm(tuple(cyclo_gen_images(p, n)))])
+    return FiniteGroup([grid_aut(p, n, primitive_root(p), 0)])
 
 
 def beta_subgroup(p: int, n: int) -> FiniteGroup:
     """Subgroup fixing the radical generator over the level-1 cyclotomic."""
-    return FiniteGroup([Perm(tuple(beta_images(p, n)))])
+    return FiniteGroup([grid_aut(p, n, pow(primitive_root(p), p - 1, p ** n), 0)])
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,9 +11,9 @@ shrinks the group while the coefficients stay where they are.  The common
 case is group_order == p^n with coefficients in Q(zeta_{p^n}).
 
 The diagonal action sends  c * sigma^b  to  (zeta->zeta^u)(c) * sigma^(u*b)
-with u = multiplier^e.  It permutes the cells, so its fixed ring, the exact
-kernel of (action - identity) on the rational monomial basis, is found one
-orbit of cells at a time (`cyclotomic.fixed_space`), at any level: no size
+for a unit u; its generator takes u = multiplier.  It permutes the cells,
+so its fixed ring, the exact kernel of (action - identity) on the rational
+monomial basis, is found one orbit of cells at a time (`cyclotomic.fixed_space`), at any level: no size
 is checked here; the CLI decides which requests are too large to start.
 """
 
@@ -135,10 +135,10 @@ def diag_action_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     return new(GroupRingElt, x.field, tuple(terms), go)
 
 
-def diag_action(e: int, x: GroupRingElt) -> GroupRingElt:
-    """e-th power of the diagonal Galois generator."""
-    u = pow(x.field.multiplier, e % x.field.degree, x.field.modulus)
-    return diag_action_unit(u, x)
+def diag_action(x: GroupRingElt) -> GroupRingElt:
+    """The diagonal Galois generator: `diag_action_unit` with the field's
+    `multiplier`."""
+    return diag_action_unit(x.field.multiplier, x)
 
 
 # ---------------------------------------------------------------------------

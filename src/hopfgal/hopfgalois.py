@@ -36,8 +36,8 @@ from math import lcm
 from . import linalg
 from ._terms import add, dense, fill, new, pointwise, sparse, sub
 from .cyclotomic import (CycloElt, FieldDescriptor, Rat, embed, embed_preimage,
-                         from_exponents, idempotent_cells, leading_columns,
-                         parse_rat, rat_str, restrict, terms_to_row)
+                         from_exponents, leading_columns, parse_rat, rat_str,
+                         restrict, terms_to_row)
 from .groupring import GroupRingElt, fixed_ring_kernel
 from .reporting import Report, checked
 
@@ -91,7 +91,7 @@ def validate_radicand(p: int, a: Rat | int) -> Rat:
 def e_basis(p: int, n: int, i: int) -> GroupRingElt:
     """The i-th idempotent (1/p^n) sum_j zeta^(-ij) sigma^j, as a group-ring element."""
     field = FieldDescriptor(p, n)
-    go, cells = field.modulus, idempotent_cells(field)
+    go, cells = field.modulus, field.cells
     # cell j is zeta^(-ij) / p^n, never zero, shared by every e_i of the level
     return new(GroupRingElt, field, tuple((j, cells[-i * j % go]) for j in range(go)), go)
 

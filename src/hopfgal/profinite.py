@@ -80,8 +80,8 @@ def commute_square_check(p: int, jn: int, i: int) -> Report:
             coeff = CycloElt.zeta_power(field, a)
             for b in range(go):
                 x = new(GroupRingElt, field, ((b, coeff),), go)  # zeta^a sigma^b
-                left = nu_groupring(jn, i, diag_action(1, x))
-                right = diag_action(1, nu_groupring(jn, i, x))
+                left = nu_groupring(jn, i, diag_action(x))
+                right = diag_action(nu_groupring(jn, i, x))
                 if left != right:
                     return False, {"zeta_exp": a, "sigma_exp": b}
         return True, None
@@ -297,7 +297,7 @@ def fixed_truncation_check(p: int, L: int) -> Report:
         for n in range(1, L + 1):
             go = p ** n
             es = [e_basis(p, n, i) for i in range(go)]
-            if any(diag_action(1, e) != e for e in es):
+            if any(diag_action(e) != e for e in es):
                 return False, {"level": n, "problem": "idempotent not fixed"}
             # the kernel comes first: the rank reads its leading columns
             kernel = fixed_ring(p, n)                    # exact kernel; asserts dim
@@ -309,7 +309,7 @@ def fixed_truncation_check(p: int, L: int) -> Report:
                 # truncation maps fixed space into fixed space...
                 for v in kernel:
                     img = nu_groupring(n, n - 1, v)
-                    if diag_action(1, img) != img:
+                    if diag_action(img) != img:
                         return False, {"level": n, "problem": "truncated vector not fixed"}
                 # ...and onto it: every lower idempotent is hit
                 for i2 in range(p ** (n - 1)):

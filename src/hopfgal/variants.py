@@ -13,9 +13,7 @@ Q(zeta_1, w)/Q(zeta_1).  Their elements stay as `cyclotomic.fixed_space`
 returns them, tuples of (cell, `CycloElt`) terms sorted by cell: cell B holds
 the coefficient of w^B in Q(zeta, w), and cell k*p^n + B that of g^k w^B in
 a descent algebra, g the complement generator.  It also provides the
-generator-level truncation maps connecting consecutive levels and the raw
-permutation images of the Galois groups on the exponent grid, which the
-census module consumes.
+generator-level truncation maps connecting consecutive levels.
 """
 
 from __future__ import annotations
@@ -95,37 +93,6 @@ class TowerAut:
             g = g.compose(self)
             k += 1
         return k
-
-
-# ---------------------------------------------------------------------------
-# permutation images on the exponent grid (consumed by the census module)
-
-def grid_aut_images(p: int, n: int, u: int, s: int) -> list[int]:
-    """The map (A, B) -> (uA + sB, B) on the grid (Z/p^n)^2, index A*p^n + B.
-
-    Automorphisms do not permute the reduced monomial basis (high zeta
-    exponents re-expand), so group construction uses the exponent grid, on
-    which every automorphism zeta -> zeta^u, w -> zeta^s w acts by exactly
-    this permutation.
-    """
-    pn = p ** n
-    if u % p == 0:
-        raise ValueError("zeta-multiplier must be a unit")
-    return [((u * A + s * B) % pn) * pn + B
-            for A in range(pn) for B in range(pn)]
-
-
-def sigma_images(p: int, n: int) -> list[int]:
-    return grid_aut_images(p, n, 1, 1)
-
-
-def beta_images(p: int, n: int) -> list[int]:
-    return grid_aut_images(p, n, pow(primitive_root(p), p - 1, p ** n), 0)
-
-
-def cyclo_gen_images(p: int, n: int) -> list[int]:
-    """Generator of the full cyclotomic part zeta -> zeta^pi (fixes w)."""
-    return grid_aut_images(p, n, primitive_root(p) % p ** n, 0)
 
 
 # ---------------------------------------------------------------------------

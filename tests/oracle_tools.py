@@ -237,7 +237,7 @@ def oracle_normal_complements(gamma: FiniteGroup,
         if len(products) != gamma.order:
             raise AssertionError("order count violated by a complement")
         gens = _generating_sequence(sorted(nset))
-        out.append(FiniteGroup(gens, nset))
+        out.append(FiniteGroup(gens))
     out.sort(key=lambda g: [p.images for p in g.elements])
     return out
 

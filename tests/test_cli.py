@@ -273,13 +273,13 @@ def test_smash_over_the_bound_is_refused_at_once(capsys, monkeypatch, argv, size
     (3, 5, True), (13, 2, True), (3, 7, False),
 ])
 def test_size_guard_admits(monkeypatch, p, n, all_indices):
-    monkeypatch.setattr(cyclotomic, "_reduction_table", _no_work)
+    monkeypatch.setattr(cyclotomic.FieldDescriptor, "__new__", _no_work)
     cli._guard_size(p, n, all_indices)
 
 
 @pytest.mark.parametrize("p, n", [(7, 3), (5, 4), (3, 6), (3, 7)])
 def test_size_guard_refuses(monkeypatch, p, n):
-    monkeypatch.setattr(cyclotomic, "_reduction_table", _no_work)
+    monkeypatch.setattr(cyclotomic.FieldDescriptor, "__new__", _no_work)
     with pytest.raises(EnumerationRefusal):
         cli._guard_size(p, n, True)
 

@@ -11,6 +11,7 @@ from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, embed, embed_preimage
                                 fixed_space, from_exponents, inverse, is_prime,
                                 mul, parse_rat, primitive_root, rat_str,
                                 terms_to_vector, unit_apply)
+from hopfgal.hopfgalois import e_basis
 from hopfgal.linalg import sparse_nullspace
 
 from oracle_tools import (action_rows, oracle_cyclo_inverse, oracle_cyclo_mul,
@@ -114,6 +115,25 @@ def test_descriptor_is_one_instance_per_field():
         FieldDescriptor(4, 1)
     with pytest.raises(ValueError):
         FieldDescriptor(3, 0)
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_descriptor_holds_its_zero_and_cells(p, n):
+    """Right after construction the field holds its zero, which
+    `CycloElt.zero` returns, and its p^n cells zeta^k / p^n, of which every
+    cell of every idempotent e_i is one, the object itself."""
+    f = FieldDescriptor(p, n)
+    assert CycloElt.zero(f) is f.zero
+    assert f.zero == 0 and f.zero.field is f
+    assert_canonical(f.zero)
+    m = f.modulus
+    assert len(f.table) == len(f.cells) == m
+    for k, cell in enumerate(f.cells):
+        assert_canonical(cell)
+        assert cell == CycloElt.zeta_power(f, k) / m
+    ids = {id(c) for c in f.cells}
+    for i in range(m):
+        assert all(id(c) in ids for _, c in e_basis(p, n, i).terms)
 
 
 # -- canonical integer form ---------------------------------------------------
@@ -528,7 +548,7 @@ def test_fixed_space_eliminates_once_per_distinct_stabiliser_set(monkeypatch, bu
 def stabiliser_kernel(field, key) -> list[dict]:
     """`_stabiliser_kernel` of one sorted set, as `sparse_nullspace` vectors."""
     kernel = cyclotomic._stabiliser_kernel(key, field.degree, field.modulus,
-                                           cyclotomic._reduction_table(field))
+                                           field.table)
     return [{c: Fraction(a, den) for c, a in pairs} for _, den, pairs in kernel]
 
 

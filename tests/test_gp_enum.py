@@ -33,6 +33,8 @@ from hopfgal.gp_enum import (
     cyclotomic_subgroup,
     enumerate_regular_normalized,
     full_galois_group,
+    _candidates,
+    _generating_sequence,
     _holomorph,
     _models,
     instance_from_json,
@@ -128,13 +130,6 @@ def test_mulclose_cyclic():
 def test_mulclose_needs_generators():
     with pytest.raises(ValueError):
         mulclose([])
-
-
-def test_finite_group_validates_element_list():
-    gens = [Perm((1, 2, 0))]
-    FiniteGroup(gens, mulclose(gens))  # matching list accepted
-    with pytest.raises(ValueError):
-        FiniteGroup(gens, [Perm.identity(3)])  # not the closure
 
 
 def test_finite_group_rejects_mixed_degrees():
@@ -527,6 +522,28 @@ def test_over_cap_degree_refused_before_the_coset_action(monkeypatch):
         enumerate_regular_normalized(cyclic_group(6), trivial_group(6))
 
 
+@pytest.mark.parametrize("gamma, delta", [
+    (full_galois_group(3, 2), cyclotomic_subgroup(3, 2)),
+    (zeta1_galois_group(3, 2), beta_subgroup(3, 2)),
+    (full_galois_group(5, 2), cyclotomic_subgroup(5, 2)),
+    (zeta1_galois_group(5, 2), beta_subgroup(5, 2)),
+], ids=["deg9_over_Q", "deg9_over_zeta3", "deg25_over_Q", "deg25_over_zeta5"])
+def test_candidates_are_the_per_element_order_filter(gamma, delta):
+    """For both models of degree 9 and of degree 25, the candidate lists
+    of the model's own generators and of the action image's generators in
+    its holomorph are those of filtering each element by order, list for
+    list and in the same order."""
+    _, act = coset_action(gamma, delta)
+    lam_gens = _generating_sequence(mulclose([act(g) for g in gamma.generators]))
+    models = _models(gamma.order // delta.order)
+    assert len(models) == 2
+    for model in models:
+        for elements, gens in ((model.elements, model.generators),
+                               (_holomorph(model), lam_gens)):
+            assert _candidates(elements, gens) == [
+                [h for h in elements if h.order() == g.order()] for g in gens]
+
+
 def test_incomplete_degree_refused():
     assert _models(6) is None
     with pytest.raises(UnsupportedInstance):
@@ -539,6 +556,20 @@ def test_search_budget_enforced():
     gamma, delta = zeta1_galois_group(5, 2), beta_subgroup(5, 2)
     with pytest.raises(SearchBudgetExceeded):
         enumerate_regular_normalized(gamma, delta, budget_seconds=0.0)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -5.0, float("inf")])
+def test_library_refuses_a_budget_that_is_negative_or_not_finite(monkeypatch,
+                                                                 budget):
+    # nan would never pass the deadline and -5 would wait for the first
+    # clock reading: both are refused before the coset action is built
+    def no_action(*args):
+        raise AssertionError("coset action built before the budget check")
+
+    monkeypatch.setattr(gp_enum, "coset_action", no_action)
+    gamma, delta = zeta1_galois_group(5, 2), beta_subgroup(5, 2)
+    with pytest.raises(ValueError, match="finite number of seconds >= 0"):
+        enumerate_regular_normalized(gamma, delta, budget_seconds=budget)
 
 
 def test_refusals_share_base_class():

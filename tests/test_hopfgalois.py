@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal import hopfgalois, linalg
-from hopfgal.cyclotomic import (FieldDescriptor, from_exponents, idempotent_cells,
-                                leading_columns, restrict, terms_to_row,
-                                terms_to_vector)
+from hopfgal.cyclotomic import (FieldDescriptor, from_exponents, leading_columns,
+                                restrict, terms_to_row, terms_to_vector)
 from hopfgal.groupring import GroupRingElt, fixed_ring_kernel
 from hopfgal.linalg import sparse_nullspace
 from hopfgal.profinite import nu_h
@@ -44,8 +43,8 @@ def test_e_basis_cells_are_the_fields_shared_table(p, n):
     zeta^k / p^n, the object itself."""
     field = FieldDescriptor(p, n)
     go = field.modulus
-    table = idempotent_cells(field)
-    assert len(table) == go and idempotent_cells(field) is table
+    table = field.cells
+    assert len(table) == go and FieldDescriptor(p, n).cells is table
     ids = {id(c) for c in table}
     for i in range(go):
         e = e_basis(p, n, i)
