@@ -19,9 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cyclotomic import parse_rat, rat_str, validate_field
-from .gp_enum import (SEARCH_BUDGET_SECONDS, EnumerationRefusal,
-                      enumerate_regular_normalized, instance_from_json,
-                      results_to_json)
+from .gp_enum import (SEARCH_BUDGET_SECONDS, EnumerationRefusal, census_json,
+                      instance_from_json)
 from .hopfgalois import HopfElt, RadicalElt, act, e_basis, validate_radicand
 from .profinite import nu_h
 from .smash_end import (QMatrix, SmashElt, decompose_endomorphism, smash_mult,
@@ -228,9 +227,7 @@ def _cmd_variants(args) -> dict:
 def _cmd_census(args) -> dict:
     if args.instance is not None:
         gamma, delta = instance_from_json(_read_json(args.instance))
-        results = enumerate_regular_normalized(
-            gamma, delta, budget_seconds=args.budget_seconds)
-        payload = results_to_json(gamma, delta, results)
+        payload = census_json(gamma, delta, args.budget_seconds)
         payload["command"] = "census"
         return payload
     reports = criterion_census(None, args.budget_seconds)
@@ -239,7 +236,10 @@ def _cmd_census(args) -> dict:
 
 
 def _cmd_verify_all(args) -> dict:
-    # each check validates the radicand against its own prime
+    # a filter names a field's p or n (3 and 1 stand in for an absent one),
+    # also when no instance matches it; each check validates the radicand
+    # against its own prime
+    validate_field(3 if args.p is None else args.p, 1 if args.n is None else args.n)
     a = parse_rat(args.a)
     groups = full_suite(p=args.p, n=args.n, a=a, seed=args.seed,
                         budget_seconds=args.budget_seconds)

@@ -299,14 +299,6 @@ class CycloElt:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(1 / Fraction(other))
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return mul(self, inverse(o))
-
     def __eq__(self, other):
         if isinstance(other, CycloElt):
             return (self.field is other.field and self.den == other.den
@@ -356,10 +348,6 @@ class CycloElt:
             g = gcd(a, den)
             out[i] = "%d/%d" % (a // g, den // g)
         return out
-
-    @classmethod
-    def from_json(cls, field: FieldDescriptor, data) -> "CycloElt":
-        return cls(field, [parse_rat(s) for s in data])
 
 
 _set_field = CycloElt.field.__set__
@@ -420,28 +408,6 @@ def mul(x: CycloElt, y: CycloElt) -> CycloElt:
         for j, b in yterms:
             acc[i + j] = get(i + j, 0) + a * b
     return from_exponents(field, acc.items(), x.den * y.den)
-
-
-def inverse(x: CycloElt) -> CycloElt:
-    """Field inverse: solve (mult-by-x) * v = 1 through the echelon of the
-    system augmented by the right-hand side as column phi.  Column j is
-    x * zeta^j, whose numerators are over x's denominator d, so the system
-    is solved on them with right-hand side d."""
-    if not x:
-        raise ZeroDivisionError("inverse of zero cyclotomic element")
-    deg = x.field.degree
-    rows: list[dict] = [{} for _ in range(deg)]
-    rows[0][deg] = x.den
-    for j in range(deg):
-        for i, a in x.shift(j).terms:
-            rows[i][j] = a
-    ech = linalg.SparseEchelon()
-    for row in rows:
-        ech.insert(row)
-    if ech.pivot_columns() != list(range(deg)):
-        raise ValueError("multiplication by %r is not invertible" % (x,))
-    pivots = ech.pivot_rows
-    return CycloElt(x.field, [pivots[j].get(deg, 0) for j in range(deg)])
 
 
 def unit_apply(u: int, x: CycloElt) -> CycloElt:

@@ -471,6 +471,13 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
     does not list, and searches that blow the time budget.  A budget that
     is negative, nan or infinite is a ValueError, raised before any work.
     """
+    return _enumerate(gamma, delta, budget_seconds)[2]
+
+
+def _enumerate(gamma: FiniteGroup, delta: FiniteGroup, budget_seconds: float):
+    """(size, act, structures): `enumerate_regular_normalized`'s structures
+    with the coset action `coset_action` built for the search, so that a
+    caller pushes the complements through the same action."""
     if not 0 <= budget_seconds < inf:
         raise ValueError("budget must be a finite number of seconds >= 0, "
                          "got %r" % (budget_seconds,))
@@ -498,7 +505,7 @@ def enumerate_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup,
         if not is_regular(group, size):
             raise AssertionError("enumeration produced a non-regular group")
         results.append(group)
-    return results
+    return size, act, results
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +544,11 @@ def instance_to_json(gamma: FiniteGroup, delta: FiniteGroup) -> dict:
     }
 
 
-def results_to_json(gamma: FiniteGroup, delta: FiniteGroup,
-                    results: list[FiniteGroup]) -> dict:
-    """Serialized enumeration output with structural flags per subgroup."""
-    size, act = coset_action(gamma, delta)
+def census_json(gamma: FiniteGroup, delta: FiniteGroup,
+                budget_seconds: float = SEARCH_BUDGET_SECONDS) -> dict:
+    """The enumeration of one instance, serialized with structural flags per
+    subgroup; one coset action serves the search and the complements."""
+    size, act, results = _enumerate(gamma, delta, budget_seconds)
     pushed = {frozenset(push_through_action(act, n).elements)
               for n in almost_classical(gamma, delta)}
     subgroups = []
@@ -630,9 +638,8 @@ def census_reports(instance: CensusInstance,
 
     def counts():
         nonlocal size, results
-        size, act = coset_action(instance.gamma, instance.delta)
-        results = enumerate_regular_normalized(
-            instance.gamma, instance.delta, budget_seconds=budget_seconds)
+        size, act, results = _enumerate(instance.gamma, instance.delta,
+                                        budget_seconds)
         if len(results) != instance.expected_structures:
             return False, {"stage": "structure-count", "got": len(results),
                            "expected": instance.expected_structures}

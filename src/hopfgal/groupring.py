@@ -112,15 +112,6 @@ class GroupRingElt:
         zero = CycloElt.zero(self.field).to_json() if len(self.terms) < go else None
         return dense(self.terms, go, zero, CycloElt.to_json)
 
-    @classmethod
-    def from_json(cls, field: FieldDescriptor, data,
-                  group_order: int | None = None) -> "GroupRingElt":
-        """The element from its dense JSON: one cell per group exponent."""
-        go = field.modulus if group_order is None else group_order
-        if len(data) != go:
-            raise ValueError("expected %d coefficients, got %d" % (go, len(data)))
-        return cls(field, enumerate(CycloElt.from_json(field, row) for row in data), go)
-
 
 def diag_action_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     """zeta -> zeta^u on coefficients and sigma^b -> sigma^(u b), u a unit mod p."""

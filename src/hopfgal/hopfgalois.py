@@ -298,11 +298,6 @@ class RadicalElt:
         return {"radicand": rat_str(self.a),
                 "coords": dense(self.terms, self.p ** self.n, _ZERO_STR, rat_str)}
 
-    @classmethod
-    def from_json(cls, p: int, n: int, data) -> "RadicalElt":
-        return cls(p, n, parse_rat(data["radicand"]),
-                   [parse_rat(s) for s in data["coords"]])
-
 
 def act(h: HopfElt, x: RadicalElt) -> RadicalElt:
     """Action on K: the i-th idempotent projects onto the w^i component.

@@ -83,9 +83,6 @@ class SparseEchelon:
             q: {q: _ONE, **{c: Fraction(v, d) for c, v in tail.items()}}
             for q, (d, tail) in self._rows.items()})
 
-    def pivot_columns(self) -> list[int]:
-        return sorted(self._rows)
-
     def _reduce(self, x: dict[int, int]) -> dict[int, int]:
         """Reduce the integer row `x` in place against the stored pivots;
         the result spans the same line modulo the stored rows.

@@ -94,45 +94,42 @@ def commute_square_check(p: int, jn: int, i: int) -> Report:
 
 @dataclass(frozen=True, slots=True)
 class CoherentH:
-    """A sequence (h_1, ..., h_L), h_n at level n, with nu_h(h_n) == h_(n-1)."""
+    """A sequence (h_1, ..., h_L), h_n at level n, with nu_h(h_n) == h_(n-1).
+    Its depth L is the number of levels."""
     p: int
-    L: int
     levels: tuple
 
     def __post_init__(self):
         levels = tuple(self.levels)
         object.__setattr__(self, "levels", levels)
-        if self.L != len(levels) or self.L < 1:
-            raise ValueError("expected %d levels" % self.L)
+        if not levels:
+            raise ValueError("expected at least one level")
         for k, h in enumerate(levels, start=1):
             if not isinstance(h, HopfElt) or (h.p, h.n) != (self.p, k):
                 raise ValueError("level %d entry mismatched" % k)
-        for n in range(2, self.L + 1):
+        for n in range(2, len(levels) + 1):
             if nu_h(n, levels[n - 1]) != levels[n - 2]:
                 raise ValueError("sequence breaks at level %d: truncation of the level-%d "
                                  "entry does not match level %d" % (n, n, n - 1))
 
+    @property
+    def L(self) -> int:
+        return len(self.levels)
+
     def to_json(self) -> dict:
-        return {"p": self.p, "L": self.L, "levels": [h.to_json() for h in self.levels]}
+        return {"p": self.p, "levels": [h.to_json() for h in self.levels]}
 
     @classmethod
     def from_json(cls, data) -> "CoherentH":
-        p, L = data["p"], data["L"]
-        levels = tuple(HopfElt.from_json(p, k + 1, row)
-                       for k, row in enumerate(data["levels"]))
-        return cls(p, L, levels)
-
-
-def project(c: CoherentH, n: int) -> HopfElt:
-    if not (1 <= n <= c.L):
-        raise ValueError("no level %d in a depth-%d sequence" % (n, c.L))
-    return c.levels[n - 1]
+        p = data["p"]
+        return cls(p, [HopfElt.from_json(p, k + 1, row)
+                       for k, row in enumerate(data["levels"])])
 
 
 def generator_sequence(p: int, L: int, i1: int = 1) -> CoherentH:
     """The coherent sequence with level-n entry the idempotent of index i1 * p^(n-1)."""
-    return CoherentH(p, L, [HopfElt.basis_vector(p, n, i1 * p ** (n - 1))
-                            for n in range(1, L + 1)])
+    return CoherentH(p, [HopfElt.basis_vector(p, n, i1 * p ** (n - 1))
+                         for n in range(1, L + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -144,45 +141,38 @@ class PadicTrunc:
 
     Unit sequences (residues coprime to p) model automorphism-tower elements
     (values of the cyclotomic character); the rest model limit-group
-    exponents.  The flag is derived from the residues; constructing with
-    unit=True additionally asserts unitness.
+    exponents.  The depth L and the unit flag are read off the residues.
     """
     p: int
-    L: int
     residues: tuple
-    unit: bool = False
 
     def __post_init__(self):
-        if len(self.residues) != self.L or self.L < 1:
-            raise ValueError("expected %d residues" % self.L)
-        object.__setattr__(self, "residues",
-                           tuple(r % self.p ** (k + 1) for k, r in enumerate(self.residues)))
-        for k in range(1, self.L):
-            lo, hi = self.residues[k - 1], self.residues[k]
-            if hi % self.p ** k != lo:
+        residues = tuple(r % self.p ** k for k, r in enumerate(self.residues, start=1))
+        object.__setattr__(self, "residues", residues)
+        if not residues:
+            raise ValueError("expected at least one residue")
+        for k in range(1, len(residues)):
+            if residues[k] % self.p ** k != residues[k - 1]:
                 raise ValueError("residues incompatible at level %d" % (k + 1))
-        if self.unit and any(r % self.p == 0 for r in self.residues):
-            raise ValueError("unit flag set but residues are divisible by %d" % self.p)
-        object.__setattr__(self, "unit", self.residues[0] % self.p != 0)
+
+    @property
+    def L(self) -> int:
+        return len(self.residues)
+
+    @property
+    def unit(self) -> bool:
+        return self.residues[0] % self.p != 0
 
     @classmethod
-    def from_int(cls, p: int, L: int, value: int, unit: bool = False) -> "PadicTrunc":
-        return cls(p, L, tuple(value % p ** k for k in range(1, L + 1)), unit)
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "L": self.L, "residues": list(self.residues),
-                "unit": self.unit}
-
-    @classmethod
-    def from_json(cls, data) -> "PadicTrunc":
-        return cls(data["p"], data["L"], tuple(data["residues"]), data["unit"])
+    def from_int(cls, p: int, L: int, value: int) -> "PadicTrunc":
+        return cls(p, tuple(value % p ** k for k in range(1, L + 1)))
 
 
 def _residue_wise(op, x: PadicTrunc, y: PadicTrunc) -> PadicTrunc:
-    """op residue by residue; the constructor reduces and sets `unit`."""
+    """op residue by residue; the constructor reduces."""
     if (x.p, x.L) != (y.p, y.L):
         raise ValueError("mismatched truncations")
-    return PadicTrunc(x.p, x.L, tuple(map(op, x.residues, y.residues)))
+    return PadicTrunc(x.p, tuple(map(op, x.residues, y.residues)))
 
 
 def padd(x: PadicTrunc, y: PadicTrunc) -> PadicTrunc:
@@ -203,29 +193,23 @@ def delta_inf_action(d: PadicTrunc, c: CoherentH) -> CoherentH:
         raise ValueError("action requires a unit sequence")
     if (d.p, d.L) != (c.p, c.L):
         raise ValueError("mismatched truncation data")
-    out = []
-    for n in range(1, c.L + 1):
-        u = d.residues[n - 1]
-        moved = diag_action_unit(u, hopf_to_groupring(project(c, n)))
-        out.append(hopf_from_groupring(moved))
-    return CoherentH(c.p, c.L, out)
+    return CoherentH(c.p, [
+        hopf_from_groupring(diag_action_unit(u, hopf_to_groupring(h)))
+        for u, h in zip(d.residues, c.levels)])
 
 
 def coherent_sequence_check(p: int, L: int) -> Report:
     """Generator sequences (coherent, or the constructor refuses them)
-    project consistently, survive a JSON round-trip, and a broken sequence is
-    rejected by the constructor."""
+    survive a JSON round-trip, and a broken sequence is rejected by the
+    constructor."""
     def body():
         for i1 in range(1, p):
             c = generator_sequence(p, L, i1)
-            for n in range(1, L + 1):
-                if project(c, n) != c.levels[n - 1]:
-                    return False, {"stage": "projection", "i1": i1, "n": n}
             if CoherentH.from_json(c.to_json()) != c:
                 return False, {"stage": "round-trip", "i1": i1}
         broken = [HopfElt.basis_vector(p, 1, 1), HopfElt.basis_vector(p, 2, 1)]
         try:
-            CoherentH(p, 2, broken)
+            CoherentH(p, broken)
             return False, {"stage": "broken-sequence-accepted"}
         except ValueError:
             pass
@@ -251,10 +235,12 @@ def padic_model_check(p: int, L: int) -> Report:
                         PadicTrunc.from_int(p, L, y)) != \
                         PadicTrunc.from_int(p, L, x * y):
                     return False, {"stage": "multiplication", "x": x, "y": y}
-            if PadicTrunc.from_int(p, L, x).residues[0] % p != (x % p):
+            fx = PadicTrunc.from_int(p, L, x)
+            if fx.residues[0] % p != (x % p):
                 return False, {"stage": "residue", "x": x}
-        units = [PadicTrunc.from_int(p, L, v, unit=True)
-                 for v in (1, p + 1, p * p - 1)]
+            if fx.unit != (x % p != 0):
+                return False, {"stage": "unit-flag", "x": x}
+        units = [PadicTrunc.from_int(p, L, v) for v in (1, p + 1, p * p - 1)]
         for i1 in {1, p - 1}:
             c = generator_sequence(p, L, i1)
             if delta_inf_action(units[1], c) != c:

@@ -87,13 +87,6 @@ class TowerAut:
             k >>= 1
         return acc
 
-    def order(self) -> int:
-        k, g = 1, self
-        while g != TowerAut.identity(self.p, self.n):
-            g = g.compose(self)
-            k += 1
-        return k
-
 
 # ---------------------------------------------------------------------------
 # normal complements of <beta>

@@ -60,12 +60,6 @@ def oracle_cyclo_mul(p: int, n: int, xs, ys) -> list[Fraction]:
     return poly_to_vec(p, n, vec_to_poly(xs) * vec_to_poly(ys))
 
 
-def oracle_cyclo_inverse(p: int, n: int, xs) -> list[Fraction]:
-    inv = sympy.invert(vec_to_poly(xs).as_expr(),
-                       minimal_poly(p, n).as_expr(), _X)
-    return poly_to_vec(p, n, sympy.Poly(inv, _X, domain="QQ"))
-
-
 def oracle_zeta_power(p: int, n: int, e: int) -> list[Fraction]:
     e %= p ** n
     return poly_to_vec(p, n, sympy.Poly([1] + [0] * e, _X, domain="QQ"))

@@ -321,11 +321,15 @@ _MATRIX_HUGE_N = {"p": 3, "n": 100_000_000, "a": "2/1", "rows": []}
     (("variants", "--p", "3", "--n", "16"), 3, "size 43046721 exceeds"),
     (("variants", "--p", "4", "--n", "1"), 2, "odd prime, got 4"),
     (("variants", "--p", "3", "--n", "0"), 2, "n must be >= 1"),
+    # verify-all's filters name a field too, before any check runs
+    (("verify-all", "--p", "4"), 2, "odd prime, got 4"),
+    (("verify-all", "--p", "2"), 2, "odd prime, got 2"),
+    (("verify-all", "--n", "0"), 2, "n must be >= 1"),
 ], ids=["smash_n_negative", "act_n_negative", "act_n_zero", "smash_p4", "act_p4",
         "nu_p4", "decompose_p4", "basis_p10007", "profinite_l1e6",
         "profinite_l1e8", "smash_n1e8", "decompose_n1e8", "act_n25", "act_n15",
         "nu_n15", "nu_n25", "variants_n1e8", "variants_n16", "variants_p4",
-        "variants_n_zero"])
+        "variants_n_zero", "verify_all_p4", "verify_all_p2", "verify_all_n_zero"])
 def test_bad_or_oversized_request_exits_at_once(tmp_path, argv, code, message):
     if isinstance(argv[-1], dict):
         path = tmp_path / "matrix.json"
@@ -473,6 +477,12 @@ def test_verify_all_reports_failure_with_exit_one(capsys, monkeypatch):
 
 def test_verify_all_rejects_bad_radicand(capsys):
     assert main(["verify-all", "--p", "3", "--a", "0"]) == 2
+
+
+def test_verify_all_skips_every_criterion_for_an_odd_prime_outside_the_matrix(capsys):
+    code, data = run_json(capsys, "verify-all", "--p", "11")
+    assert code == 0
+    assert data["summary"] == {"pass": 0, "fail": 0, "skipped": 10}
 
 
 # ---------------------------------------------------------------------------

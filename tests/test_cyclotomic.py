@@ -8,13 +8,13 @@ from hypothesis import given, strategies as st
 
 from hopfgal import cyclotomic, groupring, linalg, variants
 from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, embed, embed_preimage,
-                                fixed_space, from_exponents, inverse, is_prime,
+                                fixed_space, from_exponents, is_prime,
                                 mul, parse_rat, primitive_root, rat_str,
                                 terms_to_vector, unit_apply)
 from hopfgal.hopfgalois import e_basis
 from hopfgal.linalg import sparse_nullspace
 
-from oracle_tools import (action_rows, oracle_cyclo_inverse, oracle_cyclo_mul,
+from oracle_tools import (action_rows, oracle_cyclo_mul,
                           oracle_multiplicative_order, oracle_primitive_root,
                           oracle_unit_apply, oracle_zeta_power, poly_to_vec,
                           vec_to_poly)
@@ -130,7 +130,7 @@ def test_descriptor_holds_its_zero_and_cells(p, n):
     assert len(f.table) == len(f.cells) == m
     for k, cell in enumerate(f.cells):
         assert_canonical(cell)
-        assert cell == CycloElt.zeta_power(f, k) / m
+        assert cell == CycloElt.zeta_power(f, k) * Fraction(1, m)
     ids = {id(c) for c in f.cells}
     for i in range(m):
         assert all(id(c) in ids for _, c in e_basis(p, n, i).terms)
@@ -175,7 +175,7 @@ def test_every_operation_returns_the_stored_form(p, n, data):
     assert sixth != third and sixth.terms == third.terms      # told apart by den
     results = [x, s, CycloElt(f, [0] * phi), CycloElt(f, [Fraction(2, 4)] * phi),
                x + s, x - s, s + (-s), s - s, x - x, half, sixth - third,
-               -x, -s, x * 0, s * 0, x * r, s * r, s / r,
+               -x, -s, x * 0, s * 0, x * r, s * r, s * (1 / r),
                mul(x, s), mul(s, s), mul(x, CycloElt.zero(f)),
                x.shift(e), s.shift(e), s.shift(m),
                unit_apply(u, x), unit_apply(u, s), unit_apply(u, CycloElt.zero(f)),
@@ -183,7 +183,6 @@ def test_every_operation_returns_the_stored_form(p, n, data):
                embed_preimage(n, n + 1, embed(n, n + 1, s)), embed_preimage(n, n, s)]
     # zeta^e with e below phi is one basis numerator; from phi on it is p-1
     results += [unit_apply(u, CycloElt.zeta_power(f, k)) for k in (0, phi - 1, phi, m - 1)]
-    results += [inverse(s), inverse(s) * s]
     for y in results:
         assert_canonical(y)
     assert (s + (-s)).terms == () and (x - x) == CycloElt.zero(f)
@@ -282,20 +281,6 @@ def test_ring_axioms(p, n, data):
     assert x * (y + z) == x * y + x * z
     assert x + (-x) == CycloElt.zero(x.field)
     assert x * CycloElt.one(x.field) == x
-
-
-@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
-@given(data=st.data())
-def test_inverse_matches_sympy(p, n, data):
-    x = data.draw(elements(p, n).filter(bool))
-    inv = inverse(x)
-    assert x * inv == CycloElt.one(x.field)
-    assert list(inv.coeffs) == oracle_cyclo_inverse(p, n, x.coeffs)
-
-
-def test_inverse_of_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        inverse(CycloElt.zero(FieldDescriptor(3, 1)))
 
 
 # -- Galois operations --------------------------------------------------------

@@ -9,6 +9,7 @@ lattice in `oracle_tools`, and the holomorphs against counting formulas.
 
 from __future__ import annotations
 
+import json
 import time
 from math import gcd
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 from sympy.combinatorics import Permutation as SymPerm
 
-from hopfgal import gp_enum
+from hopfgal import cli, gp_enum
 from hopfgal.gp_enum import (
     MAX_DEGREE,
     CapExceeded,
@@ -28,6 +29,7 @@ from hopfgal.gp_enum import (
     almost_classical,
     beta_subgroup,
     census_instances,
+    census_json,
     census_reports,
     coset_action,
     cyclotomic_subgroup,
@@ -42,7 +44,6 @@ from hopfgal.gp_enum import (
     is_regular,
     mulclose,
     push_through_action,
-    results_to_json,
     zeta1_galois_group,
 )
 from oracle_tools import (oracle_normal_complements, oracle_normal_subgroups,
@@ -187,12 +188,29 @@ def test_census_reads_the_coset_action_on_generators_only(monkeypatch):
 
     monkeypatch.setattr(gp_enum, "coset_action", recording)
     gamma, delta = full_galois_group(3, 2), cyclotomic_subgroup(3, 2)
-    results = enumerate_regular_normalized(gamma, delta)
+    enumerate_regular_normalized(gamma, delta)
     assert read == list(gamma.generators)
     read.clear()
-    results_to_json(gamma, delta, results)
-    assert read == [g for comp in almost_classical(gamma, delta)
-                    for g in comp.generators]
+    # one action: the search reads it, then the complements are pushed
+    census_json(gamma, delta)
+    assert read == list(gamma.generators) + [
+        g for comp in almost_classical(gamma, delta) for g in comp.generators]
+
+
+def test_one_coset_action_per_census_run(monkeypatch, tmp_path, capsys):
+    calls, real = [], gp_enum.coset_action
+    monkeypatch.setattr(gp_enum, "coset_action",
+                        lambda gamma, delta: calls.append(gamma) or real(gamma, delta))
+    for instance in census_instances():
+        calls.clear()
+        assert [r.status for r in census_reports(instance)] == ["pass", "pass"]
+        assert len(calls) == 1
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_json(full_galois_group(5, 2),
+                                                cyclotomic_subgroup(5, 2))))
+    calls.clear()
+    assert cli.main(["census", str(path), "--format", "json"]) == 0
+    assert len(calls) == 1
 
 
 def test_enumeration_finds_the_image_generators_once(monkeypatch):
@@ -609,7 +627,7 @@ def test_results_json_shape():
     gamma = full_galois_group(3, 1)
     delta = cyclotomic_subgroup(3, 1)
     results = enumerate_regular_normalized(gamma, delta)
-    data = results_to_json(gamma, delta, results)
+    data = census_json(gamma, delta)
     assert data["degree"] == 3
     assert data["count"] == len(results) == 1
     entry = data["subgroups"][0]

@@ -174,10 +174,9 @@ def test_dense_and_sparse_construction_agree(p, n, data):
     for z in (x, x + y, diag_action_unit(u, x - y)):
         # with or without a zero cell (at p^n = 3, three cells fill the group)
         assert z.to_json() == [c.to_json() for c in z.coeffs]
-        for dense in (GroupRingElt.from_json(z.field, z.to_json()),
-                      GroupRingElt(z.field, enumerate(z.coeffs))):
-            assert dense == z and hash(dense) == hash(z)
-            assert dense.terms == z.terms
+        dense = GroupRingElt(z.field, enumerate(z.coeffs))
+        assert dense == z and hash(dense) == hash(z)
+        assert dense.terms == z.terms
 
 
 def test_constructor_refuses_bad_terms():
@@ -189,8 +188,6 @@ def test_constructor_refuses_bad_terms():
         GroupRingElt(field, [(1, one), (1, one)])       # exponent given twice
     with pytest.raises(ValueError):
         GroupRingElt(field, [(0, CycloElt.one(FieldDescriptor(3, 2)))])
-    with pytest.raises(ValueError):
-        GroupRingElt.from_json(field, [one.to_json()] * 2)   # one cell short
     x = GroupRingElt(field, [(2, one), (0, CycloElt.zero(field)), (1, -one)])
     assert x.terms == ((1, -one), (2, one))
 

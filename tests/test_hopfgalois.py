@@ -317,9 +317,6 @@ def test_sparse_elements_match_the_dense_reference(p, n, data):
     assert json.dumps(x.to_json(), sort_keys=True) == json.dumps(
         {"radicand": q(a), "coords": [q(v) for v in dx]}, sort_keys=True)
     assert_hopf(HopfElt.from_json(p, n, [q(v) for v in dh]), p, n, dh)
-    assert_radical(RadicalElt.from_json(p, n, {"radicand": q(a),
-                                               "coords": [q(v) for v in dx]}),
-                   p, n, a, dx)
 
 
 def test_no_zero_is_stored_after_a_cancellation():

@@ -1,6 +1,6 @@
 """Truncation tower, coherent sequences, and the residue model of the limit."""
 
-from fractions import Fraction
+import dataclasses
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +14,7 @@ from hopfgal.profinite import (CoherentH, PadicTrunc, coherent_sequence_check,
                                fixed_truncation_check, generator_sequence,
                                nu_consistency_check,
                                nu_groupring, nu_h, padd, padic_model_check,
-                               pmul, project)
+                               pmul)
 
 ints = st.integers(-500, 500)
 
@@ -109,20 +109,20 @@ def test_generator_sequence_is_coherent():
     assert c.levels[1] == HopfElt.basis_vector(3, 2, 6)
     assert c.levels[2] == HopfElt.basis_vector(3, 3, 18)
     for n in (2, 3):
-        assert nu_h(n, project(c, n)) == project(c, n - 1)
+        assert nu_h(n, c.levels[n - 1]) == c.levels[n - 2]
 
 
 def test_broken_sequence_rejected():
     # nu_h of the level-2 idempotent e_1 is not the level-1 e_1, so the
     # constructor itself refuses the pair
     with pytest.raises(ValueError, match="sequence breaks at level 2"):
-        CoherentH(3, 2, (HopfElt.basis_vector(3, 1, 1),
-                         HopfElt.basis_vector(3, 2, 1)))
+        CoherentH(3, (HopfElt.basis_vector(3, 1, 1),
+                      HopfElt.basis_vector(3, 2, 1)))
 
 
 def test_levels_are_stored_as_a_tuple():
     levels = [HopfElt.basis_vector(3, 1, 2), HopfElt.basis_vector(3, 2, 6)]
-    c = CoherentH(3, 2, levels)
+    c = CoherentH(3, levels)
     assert c.levels == tuple(levels)
     assert c == generator_sequence(3, 2, 2)
 
@@ -130,12 +130,18 @@ def test_levels_are_stored_as_a_tuple():
 def test_coherent_json_round_trip():
     c = generator_sequence(5, 2, 3)
     assert CoherentH.from_json(c.to_json()) == c
+    assert sorted(c.to_json()) == ["levels", "p"]          # L is len(levels)
 
 
-def test_project_bounds():
-    c = generator_sequence(3, 2, 1)
+def test_depth_is_read_off_the_levels_and_the_residues():
+    assert [f.name for f in dataclasses.fields(CoherentH)] == ["p", "levels"]
+    assert [f.name for f in dataclasses.fields(PadicTrunc)] == ["p", "residues"]
+    assert generator_sequence(3, 3, 2).L == 3
+    assert PadicTrunc.from_int(5, 4, 7).L == 4
     with pytest.raises(ValueError):
-        project(c, 3)
+        CoherentH(3, [])
+    with pytest.raises(ValueError):
+        PadicTrunc(3, ())
 
 
 # -- residue model of the limit ------------------------------------------------------
@@ -158,32 +164,27 @@ def test_residue_arithmetic_refuses_mismatched_truncations(op, other):
 def test_unit_flag_is_derived():
     assert PadicTrunc.from_int(3, 2, 4).unit is True
     assert PadicTrunc.from_int(3, 2, 6).unit is False
-    with pytest.raises(ValueError):
-        PadicTrunc.from_int(3, 2, 6, unit=True)
+    assert PadicTrunc(3, (1, 4)).unit is True
+    assert PadicTrunc(3, (0, 3)).unit is False
 
 
 def test_incompatible_residues_rejected():
     with pytest.raises(ValueError):
-        PadicTrunc(3, 2, (1, 5))               # 5 mod 3 != 1
-
-
-def test_padic_json_round_trip():
-    x = PadicTrunc.from_int(3, 3, 11)
-    assert PadicTrunc.from_json(x.to_json()) == x
+        PadicTrunc(3, (1, 5))                  # 5 mod 3 != 1
 
 
 # -- limit action -----------------------------------------------------------------------
 
 def test_limit_action_fixes_idempotent_sequences():
-    d = PadicTrunc.from_int(3, 3, 4, unit=True)
+    d = PadicTrunc.from_int(3, 3, 4)
     for i1 in (1, 2):
         c = generator_sequence(3, 3, i1)
         assert delta_inf_action(d, c) == c
 
 
 def test_limit_action_composes_multiplicatively():
-    d1 = PadicTrunc.from_int(3, 2, 4, unit=True)
-    d2 = PadicTrunc.from_int(3, 2, 7, unit=True)
+    d1 = PadicTrunc.from_int(3, 2, 4)
+    d2 = PadicTrunc.from_int(3, 2, 7)
     c = generator_sequence(3, 2, 1)
     assert delta_inf_action(pmul(d1, d2), c) == \
         delta_inf_action(d1, delta_inf_action(d2, c))
@@ -201,6 +202,14 @@ def test_profinite_suite_reports():
     assert coherent_sequence_check(3, 3).status == "pass"
     assert padic_model_check(3, 2).status == "pass"
     assert fixed_truncation_check(3, 2).status == "pass"
+
+
+def test_padic_model_check_reads_the_unit_flag_of_every_sample(monkeypatch):
+    # a flag that reads "unit" for 0 must fail the check at the first sample
+    monkeypatch.setattr(PadicTrunc, "unit", property(lambda self: True))
+    report = padic_model_check(3, 2)
+    assert report.status == "fail"
+    assert report.witness == {"stage": "unit-flag", "x": 0}
 
 
 def test_coherent_sequence_check_truncates_only_in_the_constructor(monkeypatch):

@@ -31,8 +31,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hopfgal"
 # name -> (build one value, build an equal value another way)
 VALUES = {
     "GroupRingElt": (lambda: e_basis(3, 2, 4),
-                     lambda: GroupRingElt.from_json(FieldDescriptor(3, 2),
-                                                    e_basis(3, 2, 4).to_json())),
+                     lambda: GroupRingElt(FieldDescriptor(3, 2),
+                                          enumerate(e_basis(3, 2, 4).coeffs))),
     "HopfElt": (lambda: HopfElt(3, 1, [1, Fraction(1, 2), 0]),
                 lambda: HopfElt(3, 1, ["1", "1/2", Fraction(0)])),
     "RadicalElt": (lambda: RadicalElt(3, 1, 2, [0, 1, 0]),
@@ -48,7 +48,7 @@ VALUES = {
     "CoherentH": (lambda: generator_sequence(3, 2),
                   lambda: CoherentH.from_json(generator_sequence(3, 2).to_json())),
     "PadicTrunc": (lambda: PadicTrunc.from_int(3, 3, 5),
-                   lambda: PadicTrunc(3, 3, (2, 5, 32))),
+                   lambda: PadicTrunc(3, (2, 5, 32))),
     "CensusInstance": (lambda: census_instances()[0],
                        lambda: census_instances()[0]),
 }
@@ -57,13 +57,9 @@ UNHASHABLE = {"SmashElt"}                   # its terms are a dict
 
 # name -> (to JSON, back from JSON)
 ROUND_TRIPS = {
-    "GroupRingElt": (lambda x: x.to_json(),
-                     lambda d: GroupRingElt.from_json(FieldDescriptor(3, 2), d)),
     "HopfElt": (lambda x: x.to_json(), lambda d: HopfElt.from_json(3, 1, d)),
-    "RadicalElt": (lambda x: x.to_json(), lambda d: RadicalElt.from_json(3, 1, d)),
     "QMatrix": (lambda x: x.to_json(), QMatrix.from_json),
     "CoherentH": (lambda x: x.to_json(), CoherentH.from_json),
-    "PadicTrunc": (lambda x: x.to_json(), PadicTrunc.from_json),
 }
 
 @pytest.mark.parametrize("name", sorted(VALUES))
