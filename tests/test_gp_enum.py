@@ -197,7 +197,7 @@ def test_census_reads_the_coset_action_on_generators_only(monkeypatch):
         g for comp in almost_classical(gamma, delta) for g in comp.generators]
 
 
-def test_one_coset_action_per_census_run(monkeypatch, tmp_path, capsys):
+def test_one_coset_action_per_census_run(monkeypatch, tmp_path):
     calls, real = [], gp_enum.coset_action
     monkeypatch.setattr(gp_enum, "coset_action",
                         lambda gamma, delta: calls.append(gamma) or real(gamma, delta))
