@@ -96,11 +96,18 @@ _makers: dict[type, object] = {}
 def _maker(cls):
     """`new` for `cls`, built on the class's first use: a closure over the
     allocator and the slot setters that sets each field by its own call,
-    with no loop per element.  The value classes have three or four
+    with no loop per element.  The value classes have one, three or four
     fields; unpacking refuses any other count."""
     alloc = object.__new__
     setters = _slot_setters(cls)
-    if len(setters) == 4:
+    if len(setters) == 1:
+        s0, = setters
+
+        def make(v0):
+            obj = alloc(cls)
+            s0(obj, v0)
+            return obj
+    elif len(setters) == 4:
         s0, s1, s2, s3 = setters
 
         def make(v0, v1, v2, v3):
@@ -125,7 +132,7 @@ def _maker(cls):
 def new(cls, *values):
     """An instance of the frozen slotted dataclass `cls` with its fields,
     in declaration order, set to `values`; none of the public
-    constructor's checks or conversions run.  `act`, the truncations and
-    the group-ring sums build one element per call, so the per-class
-    closure of `_maker` does the work."""
+    constructor's checks or conversions run.  `act`, the truncations, the
+    group-ring sums and the permutation products build one element per
+    call, so the per-class closure of `_maker` does the work."""
     return (_makers.get(cls) or _maker(cls))(*values)

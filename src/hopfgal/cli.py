@@ -36,11 +36,15 @@ EXIT_REFUSED = 3
 
 # The one size bound of `basis`, `profinite`, `smash`, `act`, `nu` and
 # `variants`.  For `basis` and `profinite` the size is the idempotents built
-# times the p^n * phi(p^n) rationals of each: (3,5) = 9,565,938 ran in
-# 12.9 s and 147 MB, (7,3) = 34,588,806 in 43 s and 517 MB (2-core host);
-# the bound sits between.  For `smash` it is the matrices emitted times their
-# p^2n rationals: the largest admitted, (3,7) with --right = 14,348,907, ran
-# in 6.6 s and 135 MB.  For `act` and `nu` it is the rationals emitted.  For
+# times the p^n * phi(p^n) rationals of each.  Each run below is one
+# subprocess writing to /dev/null, on a 2-core host with Python 3.11, with
+# its peak RSS.  `basis` at (3,5) = 9,565,938 takes 2.8-2.9 s and 108 MB,
+# and at (7,3) = 34,588,806 10.3 s and 311 MB; the bound sits between.
+# `profinite` takes 1.6-1.7 s and 26 MB at (3,5), and 2.3 s and 38 MB at
+# (7,3), which the bound refuses: for `profinite` the measure overstates
+# the cost.  For `smash` the size is the matrices emitted times their p^2n
+# rationals: the largest admitted, (3,7) with --right = 14,348,907, takes
+# 3.8 s and 26 MB.  For `act` and `nu` it is the rationals emitted.  For
 # `variants` it is p^n alone, which refuses a huge level at once but is no
 # measure of a variants run's cost.
 MAX_REQUEST_SIZE = 16_000_000

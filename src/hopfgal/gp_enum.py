@@ -25,6 +25,15 @@ lands in the enumerated family.  The models come from one catalogue
 of order p^2 cyclic or elementary abelian; any other degree is refused
 rather than enumerated incompletely.
 
+`Perm` checks its images once, in its constructor, where data comes in
+(`Perm(...)`, `instance_from_json`, `grid_aut`, `_models`).  Inside the
+kernels (`mulclose`, `FiniteGroup`'s closure, the coset table, the
+retraction walk, the labelings and the holomorph products) elements are
+bare image tuples: x*g is `tuple(map(x.__getitem__, g))`, and hashing,
+equality and sorting are the tuple's, all in C.  A composition of
+bijections is a bijection, so each result that leaves a loop is wrapped in
+a `Perm` once, by the trusted constructor `_terms.new`.
+
 The census instances are Galois groups of radical towers Q(zeta, w),
 w^(p^n) rational, acting on the exponents of zeta^A w^B: the grid point
 A*p^n + B.  `grid_aut` builds their generators there, and no other module
@@ -35,9 +44,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from math import gcd, inf, isqrt
+from math import gcd, inf, isqrt, lcm
 from dataclasses import dataclass, field
 
+from ._terms import new
 from .cyclotomic import primitive_root
 from .reporting import Report, checked
 
@@ -72,14 +82,26 @@ SEARCH_BUDGET_SECONDS = 300.0
 
 @dataclass(frozen=True, slots=True, order=True)
 class Perm:
-    """A permutation of 0..d-1 given by its image vector."""
+    """A permutation of 0..d-1 given by its image vector.
+
+    The constructor checks its input: the images are stored as a tuple,
+    and each must be an `int` (not a `bool`), together a bijection on
+    0..d-1.  Equality, hashing and order are those of the image tuple.  A
+    product or an inverse of checked permutations is a bijection, so they
+    and the group kernels below wrap their image tuples with the trusted
+    constructor `_terms.new`."""
 
     images: tuple
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
+        images = tuple(self.images)
+        if any(type(x) is not int for x in images):
+            raise ValueError("image vector must hold integers, got %r"
+                             % (images,))
+        if sorted(images) != list(range(len(images))):
             raise ValueError("image vector is not a bijection on 0..%d"
-                             % (len(self.images) - 1))
+                             % (len(images) - 1))
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -91,57 +113,72 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Composition: (self * other)(x) = self(other(x))."""
-        im = self.images
-        return Perm(tuple(im[j] for j in other.images))
+        if len(self.images) != len(other.images):
+            raise ValueError("permutations of degrees %d and %d do not compose"
+                             % (len(self.images), len(other.images)))
+        return new(Perm, tuple(map(self.images.__getitem__, other.images)))
 
     def __call__(self, point: int) -> int:
         return self.images[point]
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(tuple(inv))
+        return new(Perm, _inverse(self.images))
 
     def order(self) -> int:
-        seen, result = [False] * len(self.images), 1
-        for start in range(len(self.images)):
+        images = self.images
+        seen, result = [False] * len(images), 1
+        for start in range(len(images)):
             if seen[start]:
                 continue
             length, x = 0, start
             while not seen[x]:
                 seen[x] = True
-                x = self.images[x]
+                x = images[x]
                 length += 1
-            a, b = result, length
-            while b:
-                a, b = b, a % b
-            result = result * length // a
+            result = lcm(result, length)
         return result
 
     def is_fixed_point_free(self) -> bool:
         return all(j != i for i, j in enumerate(self.images))
 
 
-def mulclose(gens):
-    """Closure of a set of permutations under composition, as the set of
-    group elements."""
-    gens = list(gens)
+def _inverse(images: tuple) -> tuple:
+    """The image tuple of the inverse: the points sorted by their images."""
+    return tuple(sorted(range(len(images)), key=images.__getitem__))
+
+
+def _closure(gens) -> set:
+    """The image tuples of the group generated by the permutations `gens`.
+
+    The walk composes image tuples, x*g = x[g[0]], x[g[1]], ..., and keeps
+    them in a set of tuples, so composing, hashing and comparing run in C;
+    no `Perm` is built."""
+    gens = [g.images for g in gens]
     if not gens:
-        raise ValueError("need at least one permutation")
-    ident = Perm.identity(gens[0].degree)
+        raise ValueError("need at least one generator")
+    degree = len(gens[0])
+    if any(len(g) != degree for g in gens):
+        raise ValueError("generators act on different point sets")
+    ident = tuple(range(degree))
     seen = {ident}
     frontier = [ident]
     while frontier:
-        new = []
+        fresh = []
         for x in frontier:
+            image = x.__getitem__
             for g in gens:
-                y = x * g
+                y = tuple(map(image, g))
                 if y not in seen:
                     seen.add(y)
-                    new.append(y)
-        frontier = new
+                    fresh.append(y)
+        frontier = fresh
     return seen
+
+
+def mulclose(gens) -> set:
+    """Closure of a set of permutations under composition, as the set of
+    group elements."""
+    return {new(Perm, t) for t in _closure(gens)}
 
 
 # eq=False: equality and hashing are on the element set, whatever generators
@@ -149,7 +186,8 @@ def mulclose(gens):
 @dataclass(frozen=True, slots=True, eq=False)
 class FiniteGroup:
     """A concrete permutation group: its generators, and `elements`, the
-    sorted closure that the constructor computes from them."""
+    sorted closure that the constructor computes from them.  `_set` holds
+    the elements' image tuples."""
 
     generators: tuple
     elements: tuple = field(init=False, repr=False)
@@ -158,14 +196,10 @@ class FiniteGroup:
 
     def __post_init__(self):
         gens = tuple(self.generators)
-        if not gens:
-            raise ValueError("need at least one generator")
-        degree = gens[0].degree
-        if any(g.degree != degree for g in gens):
-            raise ValueError("generators act on different point sets")
-        closure = mulclose(gens)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "elements", tuple(sorted(closure)))
+        closure = sorted(_closure(gens))
+        object.__setattr__(self, "degree", len(closure[0]))
+        object.__setattr__(self, "elements",
+                           tuple([new(Perm, t) for t in closure]))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_set", frozenset(closure))
 
@@ -174,7 +208,7 @@ class FiniteGroup:
         return len(self.elements)
 
     def __contains__(self, perm: Perm) -> bool:
-        return perm in self._set
+        return perm.images in self._set
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteGroup)
@@ -202,22 +236,27 @@ def coset_action(gamma: FiniteGroup, delta: FiniteGroup):
     Returns (number of cosets, act), act(g) the coset permutation of one
     element g, built when asked.  The identity coset gets index 0 and coset
     indices follow the first appearance of a coset when scanning gamma's
-    canonical element order, so the construction is deterministic.
+    canonical element order, so the construction is deterministic.  The
+    table from elements to cosets is keyed by image tuples.
     """
     if not delta <= gamma:
         raise ValueError("delta is not a subgroup of gamma")
-    elt_to_coset: dict[Perm, int] = {}
-    reps: list[Perm] = []
+    elt_to_coset: dict[tuple, int] = {}
+    reps: list[tuple] = []
     for g in gamma.elements:
+        g = g.images
         if g in elt_to_coset:
             continue
         idx = len(reps)
         reps.append(g)
+        image = g.__getitem__
         for d in delta.elements:
-            elt_to_coset[g * d] = idx
+            elt_to_coset[tuple(map(image, d.images))] = idx
 
     def act(g: Perm) -> Perm:
-        return Perm(tuple(elt_to_coset[g * r] for r in reps))
+        image = g.images.__getitem__
+        return new(Perm, tuple([elt_to_coset[tuple(map(image, r))]
+                                for r in reps]))
 
     return len(reps), act
 
@@ -236,27 +275,30 @@ def is_regular(group: FiniteGroup, size: int) -> bool:
 # almost-classical complements: kernels of retractions
 
 def _retraction(gamma: FiniteGroup, gens, images) -> dict | None:
-    """The homomorphism on gamma with gens[i] -> images[i], or None.
+    """The homomorphism on gamma with gens[i] -> images[i], or None, as a
+    map between image tuples.
 
     Walks gamma (generated by `gens`) from the identity along x -> x*g and
     checks every edge, r(x*g) = r(x)*r(g): the first conflict refutes the
     assignment, and a map that passes is a homomorphism.
     """
-    ident = gamma.identity()
+    edges = [(g.images, h.images) for g, h in zip(gens, images)]
+    ident = tuple(range(gamma.degree))
     r = {ident: ident}
     frontier = [ident]
     while frontier:
-        new = []
+        fresh = []
         for x in frontier:
-            for g, h in zip(gens, images):
-                y, want = x * g, r[x] * h
+            x_image, rx_image = x.__getitem__, r[x].__getitem__
+            for g, h in edges:
+                y, want = tuple(map(x_image, g)), tuple(map(rx_image, h))
                 got = r.get(y)
                 if got is None:
                     r[y] = want
-                    new.append(y)
+                    fresh.append(y)
                 elif got != want:
                     return None
-        frontier = new
+        frontier = fresh
     return r
 
 
@@ -273,25 +315,28 @@ def almost_classical(gamma: FiniteGroup, delta: FiniteGroup) -> list[FiniteGroup
     """
     if not delta <= gamma:
         raise ValueError("delta is not a subgroup of gamma")
-    ident = gamma.identity()
+    ident = tuple(range(gamma.degree))
     index = gamma.order // delta.order
     gens, closed = [], {ident}
     for g in gamma.generators:
-        if g not in closed:
+        # the closure of the kept generators, built only to test the next one
+        if closed is None:
+            closed = _closure(gens)
+        if g.images not in closed:
             gens.append(g)
-            closed = mulclose(gens)
+            closed = None
     candidates = [[g] if g in delta else
                   [d for d in delta.elements if g.order() % d.order() == 0]
                   for g in gens]
     out = []
     for images in itertools.product(*candidates):
         r = _retraction(gamma, gens, images)
-        if r is None or any(r[d] != d for d in delta.generators):
+        if r is None or any(r[d.images] != d.images for d in delta.generators):
             continue
-        nset = frozenset(x for x, y in r.items() if y == ident)
-        if len(nset) != index:
+        kernel = [new(Perm, x) for x, y in r.items() if y == ident]
+        if len(kernel) != index:
             raise AssertionError("order count violated by a complement")
-        out.append(FiniteGroup(_generating_sequence(nset)))
+        out.append(FiniteGroup(_generating_sequence(kernel)))
     out.sort(key=lambda g: [p.images for p in g.elements])
     return out
 
@@ -304,8 +349,8 @@ def push_through_action(act, subgroup: FiniteGroup) -> FiniteGroup:
 
 def _generating_sequence(elements) -> list[Perm]:
     """Small deterministic generating sequence for a closed element list."""
-    elements = sorted(elements)
-    full = set(elements)
+    elements = list(elements)
+    full = {p.images for p in elements}
     if len(full) == 1:
         return [elements[0]]
     by_order = sorted(elements, key=lambda p: (-p.order(), p.images))
@@ -313,15 +358,14 @@ def _generating_sequence(elements) -> list[Perm]:
     if top.order() == len(full):
         return [top]
     for b in by_order:
-        closed = mulclose([top, b])
-        if closed == full:
+        if _closure([top, b]) == full:
             return [top, b]
     gens, closed = [], None
     for x in by_order:
-        if closed is not None and x in closed:
+        if closed is not None and x.images in closed:
             continue
         gens.append(x)
-        closed = mulclose(gens)
+        closed = _closure(gens)
         if closed == full:
             return gens
     raise AssertionError("element list is not closed")
@@ -336,10 +380,13 @@ def _deadline_check(deadline: float):
 
 
 def _normalizes(lam_gens, members: frozenset) -> bool:
+    """Whether conjugation by each image tuple of `lam_gens` maps the image
+    tuples `members` into themselves: g x g^-1 = g[x[gi[0]]], ..."""
     for g in lam_gens:
-        gi = g.inverse()
-        if any(g * x * gi not in members for x in members):
-            return False
+        g_image, gi = g.__getitem__, _inverse(g)
+        for x in members:
+            if tuple(map(g_image, map(x.__getitem__, gi))) not in members:
+                return False
     return True
 
 
@@ -353,22 +400,25 @@ def _label_cosets(size: int, lam_gens, hol_images) -> list | None:
     h_i = L g_i L^-1 and the assignment extends to the homomorphism
     g -> L g L^-1.  Against a regular group's own generators, with each h_i
     in the group, the labelings are its automorphisms (see `_holomorph`).
+    The g_i and h_i are given by their image tuples.
     """
+    edges = list(zip(lam_gens, hol_images))
     labels = [-1] * size
     labels[0] = 0
     frontier = [0]
     while frontier:
-        new = []
+        fresh = []
         for x in frontier:
-            for g, h in zip(lam_gens, hol_images):
-                y = g(x)
-                want = h(labels[x])
+            label = labels[x]
+            for g, h in edges:
+                y = g[x]
+                want = h[label]
                 if labels[y] == -1:
                     labels[y] = want
-                    new.append(y)
+                    fresh.append(y)
                 elif labels[y] != want:
                     return None
-        frontier = new
+        frontier = fresh
     if sorted(labels) != list(range(size)):
         return None
     return labels
@@ -389,19 +439,24 @@ def _holomorph(model: FiniteGroup) -> list[Perm]:
 
     A permutation fixing 0 normalizes N exactly when it is a `_label_cosets`
     labeling against N's generators, each sent to an element of its order.
+    The products t·a are formed on image tuples.
     """
+    gens = [g.images for g in model.generators]
     candidates = _candidates(model.elements, model.generators)
     aut = []
-    for images in itertools.product(*candidates):
-        labels = _label_cosets(model.degree, model.generators, images)
+    for images in itertools.product(*[[h.images for h in hs]
+                                      for hs in candidates]):
+        labels = _label_cosets(model.degree, gens, images)
         if labels is not None:
-            aut.append(Perm(tuple(labels)))
-    return [t * a for t in model.elements for a in aut]
+            aut.append(labels)
+    return [new(Perm, tuple(map(t.images.__getitem__, a)))
+            for t in model.elements for a in aut]
 
 
 def _holomorph_search(lam_gens, model: FiniteGroup, deadline) -> set:
     """Regular subgroups of the model's abstract type normalized by the
-    action image, given by a generating sequence `lam_gens`.
+    action image, given by a generating sequence `lam_gens`, each as the
+    frozenset of its elements' image tuples.
 
     Labeling the cosets by such an N from a basepoint gives a homomorphism
     of the action image into Hol(model), under which the labeling is
@@ -413,25 +468,25 @@ def _holomorph_search(lam_gens, model: FiniteGroup, deadline) -> set:
     along it recovers every N.
     """
     size = model.degree
+    lam = [g.images for g in lam_gens]
+    model_images = [t.images for t in model.elements]
     candidates = _candidates(_holomorph(model), lam_gens)
     found: set[frozenset] = set()
     count = 0
-    for assignment in itertools.product(*candidates):
+    for assignment in itertools.product(*[[h.images for h in hs]
+                                          for hs in candidates]):
         count += 1
         if count % 512 == 0:
             _deadline_check(deadline)
-        labels = _label_cosets(size, lam_gens, assignment)
+        labels = _label_cosets(size, lam, assignment)
         if labels is None:
             continue
-        position = [0] * size
-        for x, lab in enumerate(labels):
-            position[lab] = x
-        members = frozenset(
-            Perm(tuple(position[tr(labels[x])] for x in range(size)))
-            for tr in model.elements)
+        position = _inverse(labels).__getitem__
+        members = frozenset(tuple(map(position, map(t.__getitem__, labels)))
+                            for t in model_images)
         if members in found:
             continue
-        if not _normalizes(lam_gens, members):
+        if not _normalizes(lam, members):
             raise AssertionError("holomorph transport produced an "
                                  "unnormalized subgroup")
         found.add(members)
@@ -500,8 +555,8 @@ def _enumerate(gamma: FiniteGroup, delta: FiniteGroup, budget_seconds: float):
         found |= _holomorph_search(lam_gens, model, deadline)
 
     results = []
-    for members in sorted(found, key=lambda s: sorted(p.images for p in s)):
-        group = FiniteGroup(_generating_sequence(members))
+    for members in sorted(found, key=sorted):
+        group = FiniteGroup(_generating_sequence([new(Perm, t) for t in members]))
         if not is_regular(group, size):
             raise AssertionError("enumeration produced a non-regular group")
         results.append(group)

@@ -6,8 +6,14 @@ library's own reduction/elimination code, so a test comparing the two routes
 is a genuine dual computation.  The normal complements are filtered from the
 whole lattice of normal subgroups, never through retractions.  The regular
 normalized subgroups are found by exhaustive search over fixed-point-free
-candidates, never through holomorphs or labelings; only the coset action
-and the catalogue of group types are the library's.
+candidates, never through holomorphs or labelings.  The census oracles do
+share the library's group kernels: `Perm` (its product and inverse),
+`mulclose`, `FiniteGroup`, `_generating_sequence` (the generators of each
+complement listed), `coset_action` and the catalogue `_models`.  Those
+shared parts are checked against `sympy.combinatorics` instead, in
+`tests/test_gp_enum.py`: the product, inverse and order of `Perm`, the
+closure and the sorted elements of `FiniteGroup`, and the coset action as
+a homomorphism.
 """
 
 from __future__ import annotations

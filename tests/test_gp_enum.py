@@ -15,9 +15,10 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy.combinatorics import Permutation as SymPerm
+from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
 
 from hopfgal import cli, gp_enum
+from hopfgal._terms import new
 from hopfgal.gp_enum import (
     MAX_DEGREE,
     CapExceeded,
@@ -86,6 +87,26 @@ def test_perm_rejects_non_bijection():
         Perm((0, 0, 1))
 
 
+@pytest.mark.parametrize("images", [(1.0, 0.0), (True, False), (1, 0.0)],
+                         ids=["float", "bool", "mixed"])
+def test_perm_refuses_images_that_are_not_int(images):
+    # each of these sorts to [0, 1], so only the type check refuses it
+    with pytest.raises(ValueError, match="must hold integers"):
+        Perm(images)
+
+
+def test_perm_stores_its_images_as_a_tuple():
+    f = Perm([1, 2, 0])
+    assert type(f.images) is tuple
+    assert f == Perm((1, 2, 0)) and hash(f) == hash(Perm((1, 2, 0)))
+    assert f * f == Perm((2, 0, 1))
+
+
+def test_perm_product_refuses_mixed_degrees():
+    with pytest.raises(ValueError):
+        Perm((1, 0)) * Perm((1, 2, 0))
+
+
 def test_perm_composition_convention():
     # (f * g)(x) = f(g(x)): apply the right factor first
     f = Perm((1, 2, 0))
@@ -110,6 +131,38 @@ def test_perm_inverse_and_identity(f):
 @given(perms(7))
 def test_perm_order_matches_sympy(f):
     assert f.order() == SymPerm(list(f.images)).order()
+
+
+@given(perms(7), perms(7))
+def test_perm_product_and_inverse_match_sympy(f, g):
+    # sympy's p*q applies p first, so f*g here is g*f there
+    assert list((f * g).images) == (SymPerm(list(g.images))
+                                    * SymPerm(list(f.images))).array_form
+    assert list(f.inverse().images) == (~SymPerm(list(f.images))).array_form
+
+
+@given(perms(7), perms(7))
+def test_trusted_and_checked_perms_are_one_value(f, g):
+    # the kernels wrap their image tuples with `_terms.new`; such a Perm
+    # must be equal to, hash like and sort with the checked one
+    trusted = new(Perm, f.images)
+    assert trusted == f and hash(trusted) == hash(f)
+    assert sorted([trusted, g]) == sorted([f, g])
+    assert (trusted < g) == (f < g) and (g < trusted) == (g < f)
+
+
+generator_lists = st.integers(min_value=1, max_value=7).flatmap(
+    lambda degree: st.lists(perms(degree), min_size=1, max_size=3))
+
+
+@given(generator_lists)
+def test_closure_matches_sympy(gens):
+    expected = {tuple(p.array_form) for p in
+                PermutationGroup([SymPerm(list(g.images)) for g in gens]).elements}
+    closure = mulclose(gens)
+    assert {p.images for p in closure} == expected
+    # the group's elements: the same set, in the order of sorting Perms
+    assert FiniteGroup(gens).elements == tuple(sorted(closure))
 
 
 def test_fixed_point_free():
@@ -177,6 +230,19 @@ def test_coset_action_is_homomorphism():
         for g in gamma.elements:
             for h in gamma.elements:
                 assert image[g * h] == image[g] * image[h]
+
+
+@pytest.mark.parametrize("gamma, delta", [
+    *((inst.gamma, inst.delta) for inst in census_instances()),
+    (full_galois_group(5, 2), cyclotomic_subgroup(5, 2)),
+], ids=[inst.label for inst in census_instances()] + ["deg25_over_Q"])
+def test_coset_action_is_a_homomorphism_on_the_census_instances(gamma, delta):
+    # act(g*h) == act(g)*act(h) for every element g and every generator h,
+    # which generate gamma, so act is a homomorphism
+    _, action = coset_action(gamma, delta)
+    for g in gamma.elements:
+        for h in gamma.generators:
+            assert action(g * h) == action(g) * action(h)
 
 
 def test_census_reads_the_coset_action_on_generators_only(monkeypatch):
