@@ -82,14 +82,9 @@ SEARCH_BUDGET_SECONDS = 300.0
 
 @dataclass(frozen=True, slots=True, order=True)
 class Perm:
-    """A permutation of 0..d-1 given by its image vector.
-
-    The constructor checks its input: the images are stored as a tuple,
-    and each must be an `int` (not a `bool`), together a bijection on
-    0..d-1.  Equality, hashing and order are those of the image tuple.  A
-    product or an inverse of checked permutations is a bijection, so they
-    and the group kernels below wrap their image tuples with the trusted
-    constructor `_terms.new`."""
+    """A permutation of 0..d-1 given by its image vector, which the
+    constructor checks (`int`s, not `bool`s, forming a bijection) and
+    stores as a tuple; products and inverses are built trusted."""
 
     images: tuple
 
