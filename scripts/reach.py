@@ -6,9 +6,9 @@
 Runs, in one process under `sys.setprofile`, every caller of the library
 outside its tests: the golden CLI invocations of tests/test_cli.py,
 `decompose`, `census PATH` on the degree-9-over-Q(zeta_3) and
-degree-25-over-Q instances, `verify-all` (default, `--p 3 --n 1`,
-`--p 3 --n 3`, and the text format), and the calls of the `tower`,
-`kernels`, `census` and `queries` plans of perfbench/ at size `full`, seed 1.
+degree-25-over-Q instances, `verify-all` (default and the text format),
+and the calls of the `tower`, `kernels`, `census` and `queries` plans of
+perfbench/ at size `full`, seed 1.
 Then it prints each named function (comprehensions and lambdas left out)
 whose code never ran, as `module:line qualified.name`, and their count.
 Takes about 15 s; needs Python 3.11 or later (`co_qualname`).
@@ -37,6 +37,9 @@ from hopfgal.gp_enum import (cyclotomic_subgroup, full_galois_group,  # noqa: E4
 GOLDEN_ARGV = [
     ["verify-all", "--p", "3", "--n", "1"],
     ["verify-all", "--p", "3", "--n", "3"],
+    ["verify-all", "--p", "5"],
+    ["verify-all", "--n", "2"],
+    ["verify-all", "--p", "11"],
     ["variants", "--p", "3", "--n", "2"],
     ["profinite", "--p", "3", "--level", "3"],
     ["basis", "--p", "3", "--n", "2"],

@@ -26,8 +26,7 @@ from .profinite import nu_h
 from .smash_end import (QMatrix, SmashElt, decompose_endomorphism, smash_mult,
                         to_end_matrix)
 from .variants import variant_reports
-from .verify import (DEFAULT_SEED, criterion_census, criterion_profinite,
-                     full_suite)
+from .verify import DEFAULT_SEED, criterion, full_suite
 
 EXIT_PASS = 0
 EXIT_REPORT_FAILURE = 1
@@ -213,7 +212,7 @@ def _cmd_profinite(args) -> dict:
     if args.level < 1:
         raise ValueError("--level must be >= 1, got %d" % args.level)
     _guard_size(args.p, args.level, True)
-    reports = criterion_profinite((args.p,), args.level)
+    reports = criterion("inverse-system", (args.p,), level=args.level)
     return {"command": "profinite", "p": args.p, "level": args.level,
             "reports": [r.to_dict(args.timings) for r in reports]}
 
@@ -234,7 +233,7 @@ def _cmd_census(args) -> dict:
         payload = census_json(gamma, delta, args.budget_seconds)
         payload["command"] = "census"
         return payload
-    reports = criterion_census(None, args.budget_seconds)
+    reports = criterion("census", budget_seconds=args.budget_seconds)
     return {"command": "census",
             "reports": [r.to_dict(args.timings) for r in reports]}
 

@@ -144,16 +144,3 @@ def fixed_ring_kernel(p: int, n: int) -> list[tuple]:
     go, pi = field.modulus, field.multiplier
     return fixed_space(field, [(pi, [((b * pi) % go, 0) for b in range(go)])], go)
 
-
-def fixed_ring(p: int, n: int) -> list[GroupRingElt]:
-    """Q-basis of the fixed ring of the diagonal action on Q(zeta)[C_{p^n}].
-
-    Computed as the exact kernel of (action - id), orbit by orbit; the
-    returned basis has exactly p^n elements.
-    """
-    kernel = fixed_ring_kernel(p, n)
-    field = FieldDescriptor(p, n)
-    if len(kernel) != field.modulus:
-        raise AssertionError("fixed ring dimension %d != %d" % (len(kernel), field.modulus))
-    # the terms are sorted by cell and hold no zero cell: canonical already
-    return [new(GroupRingElt, field, terms, field.modulus) for terms in kernel]

@@ -47,9 +47,9 @@ def common_denominator(values) -> tuple[list[int], int]:
 
 def _integer_row(row) -> dict[int, int]:
     """The nonzero entries of a row of ints or Fractions, times the lcm of
-    their denominators."""
-    nums, _ = common_denominator(row.values())
-    return {c: a for c, a in zip(row, nums) if a}
+    their denominators, as a fresh dict: `_reduce` and `insert` mutate it."""
+    den = lcm(*[v.denominator for v in row.values()])
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
 class SparseEchelon:

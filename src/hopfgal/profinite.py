@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from . import linalg
 from ._terms import canonical, new
 from .cyclotomic import CycloElt, FieldDescriptor, embed, leading_columns, restrict
-from .groupring import GroupRingElt, diag_action, diag_action_unit, fixed_ring
+from .groupring import (GroupRingElt, diag_action, diag_action_unit,
+                        fixed_ring_kernel)
 from .hopfgalois import HopfElt, e_basis, hopf_from_groupring, hopf_to_groupring
 from .reporting import Report, checked
 
@@ -286,15 +287,16 @@ def fixed_truncation_check(p: int, L: int) -> Report:
             if any(diag_action(e) != e for e in es):
                 return False, {"level": n, "problem": "idempotent not fixed"}
             # the kernel comes first: the rank reads its leading columns
-            kernel = fixed_ring(p, n)                    # exact kernel; asserts dim
-            leads = leading_columns([v.terms for v in kernel])
+            kernel = fixed_ring_kernel(p, n)
+            leads = leading_columns(kernel)
             rk = linalg.sparse_rank(restrict(e.terms, leads) for e in es)
             if rk != go or len(kernel) != go:
                 return False, {"level": n, "kernel_dim": len(kernel), "span_rank": rk}
             if n >= 2:
                 # truncation maps fixed space into fixed space...
-                for v in kernel:
-                    img = nu_groupring(n, n - 1, v)
+                field = FieldDescriptor(p, n)
+                for terms in kernel:
+                    img = nu_groupring(n, n - 1, new(GroupRingElt, field, terms, go))
                     if diag_action(img) != img:
                         return False, {"level": n, "problem": "truncated vector not fixed"}
                 # ...and onto it: every lower idempotent is hit

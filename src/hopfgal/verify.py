@@ -1,15 +1,16 @@
 """Criterion-organized verification suites shared by the CLI and the tests.
 
-Each ``criterion_*`` function runs the exact checks for one acceptance
-criterion on its default desk-scale instance family and returns the list of
-resulting reports.  ``full_suite`` assembles all ten criteria, optionally
-filtered to a single prime / level via the same flags the CLI exposes, and
-returns ``(criterion_slug, reports)`` groups in a fixed deterministic order.
+`CRITERIA` is the one ordered table of the ten acceptance criteria: a new
+criterion is one more `Criterion` entry.  `criterion` runs one entry on its
+default desk-scale family or on given instances; `full_suite` runs them all
+in table order, optionally filtered to a single prime / level, and returns
+``(slug, reports)`` groups.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .gp_enum import SEARCH_BUDGET_SECONDS, census_instances, census_reports
 from .hopfgalois import (base_change_report, dual_pairing_report,
@@ -45,126 +46,114 @@ DEFAULT_RADICAND = Fraction(2)
 DEFAULT_SEED = 20240901
 
 
-def skipped(claim: str, parameters: dict) -> Report:
-    return Report(claim=claim, parameters=parameters, status="skipped")
+class Options(NamedTuple):
+    """What a criterion's reports read besides its family."""
+    a: Fraction = DEFAULT_RADICAND
+    seed: int = DEFAULT_SEED
+    level: int = PROFINITE_LEVEL
+    budget_seconds: float = SEARCH_BUDGET_SECONDS
 
 
-def criterion_dual_basis(instances=MAIN_INSTANCES) -> list[Report]:
-    """Dual pairing of the idempotent basis against group generators is the identity."""
-    if not instances:
-        return [skipped("dual-pairing-identity", {"instances": []})]
-    return [dual_pairing_report(p, n) for p, n in instances]
+class Criterion(NamedTuple):
+    """One criterion: its reports on a family, and how `--p` / `--n` filter it."""
+    slug: str
+    family: tuple
+    key: Callable      # family member -> (p, n); None matches any value
+    skip: tuple        # (claim, parameter key) of an emptied family's report
+    reports: Callable  # (family, Options) -> list[Report]
 
 
-def criterion_fixed_ring(instances=MAIN_INSTANCES) -> list[Report]:
-    """Fixed subring of the cyclotomic group ring has the right dimension and span."""
-    if not instances:
-        return [skipped("fixed-ring-dimension", {"instances": []})]
-    out: list[Report] = []
-    for p, n in instances:
-        out.extend(fixed_ring_reports(p, n))
-    return out
-
-
-def criterion_measuring(instances=MEASURING_INSTANCES,
-                        a=DEFAULT_RADICAND) -> list[Report]:
-    """Exhaustive measuring identity on the radical extension."""
-    if not instances:
-        return [skipped("measuring", {"instances": []})]
-    return [measuring_check(p, n, a) for p, n in instances]
-
-
-def criterion_fixed_field(instances=MAIN_INSTANCES,
-                          a=DEFAULT_RADICAND) -> list[Report]:
-    """The invariants of the radical extension under the full algebra are the rationals."""
-    if not instances:
-        return [skipped("fixed-field", {"instances": []})]
-    return [fixed_field_check(p, n, a) for p, n in instances]
-
-
-def criterion_smash_end(instances=ISO_INSTANCES, a=DEFAULT_RADICAND,
-                        seed: int = DEFAULT_SEED) -> list[Report]:
+def _smash_end(instances, o: Options) -> list[Report]:
     """Smash product is isomorphic to the endomorphism algebra; pinned matrices match."""
-    if not instances:
-        return [skipped("smash-end-iso", {"instances": []})]
-    out = [iso_check(p, n, a, seed=seed) for p, n in instances]
+    out = [iso_check(p, n, o.a, seed=o.seed) for p, n in instances]
     if (3, 1) in instances:
-        out.append(nine_matrices_report(a))
+        out.append(nine_matrices_report(o.a))
     return out
 
 
-def criterion_base_change(triples=BASE_CHANGE_TRIPLES) -> list[Report]:
-    """Scalar extension turns the level-m generator into a power of the level-n one."""
-    if not triples:
-        return [skipped("base-change", {"instances": []})]
-    return [base_change_report(p, n, m) for p, n, m in triples]
-
-
-def criterion_profinite(primes=PROFINITE_PRIMES,
-                        level: int = PROFINITE_LEVEL) -> list[Report]:
+def _inverse_system(primes, o: Options) -> list[Report]:
     """Truncation tower: compatibility, commuting squares, coherent sequences,
     residue-model action, and fixed points of the limit action."""
-    if not primes:
-        return [skipped("truncation-compat", {"primes": []})]
     out: list[Report] = []
     for p in primes:
-        for source in range(2, level + 1):
+        for source in range(2, o.level + 1):
             out.append(nu_consistency_check(p, source))
             for target in range(1, source):
                 out.append(commute_square_check(p, source, target))
-        out.append(coherent_sequence_check(p, level))
-        out.append(padic_model_check(p, level))
-        out.append(fixed_truncation_check(p, level))
+        out.append(coherent_sequence_check(p, o.level))
+        out.append(padic_model_check(p, o.level))
+        out.append(fixed_truncation_check(p, o.level))
     return out
 
 
-def criterion_hom_subalgebra(pairs=HOM_SUBALGEBRA_PAIRS,
-                             p: int = HOM_SUBALGEBRA_PRIME,
-                             a=DEFAULT_RADICAND) -> list[Report]:
+def _hom_subalgebra(pairs, o: Options) -> list[Report]:
     """Cross-level hom spaces: dimension count and multiplicative closure."""
-    if not pairs:
-        return [skipped("hom-subalgebra-dimension", {"instances": []})]
     out: list[Report] = []
     for n, m in pairs:
-        out.append(hom_subalgebra_dimension_report(p, n, m, a))
-        out.append(hom_subalgebra_closure_check(p, n, m, a))
+        out.append(hom_subalgebra_dimension_report(HOM_SUBALGEBRA_PRIME, n, m, o.a))
+        out.append(hom_subalgebra_closure_check(HOM_SUBALGEBRA_PRIME, n, m, o.a))
     return out
 
 
-def criterion_variants(instances=VARIANT_INSTANCES,
-                       nu_instances=VARIANT_NU_INSTANCES,
-                       a=DEFAULT_RADICAND) -> list[Report]:
-    """Twisted-complement algebra family: complement count, ranks, actions,
-    generator assignment under truncation, and the fixed-field containment
+def _variant_truncation(p: int, n: int, a) -> list[Report]:
+    """Generator assignment under truncation and the fixed-field containment
     pattern across levels."""
-    if not instances and not nu_instances:
-        return [skipped("variant-complements", {"instances": []})]
-    out: list[Report] = []
-    for p, n in instances:
-        out.extend(variant_reports(p, n, a))
-    for p, n in nu_instances:
-        out.append(variant_nu_check(p, n))
-        out.append(e_containment_check(p, n, a))
-    return out
+    return [variant_nu_check(p, n), e_containment_check(p, n, a)]
 
 
-def criterion_census(labels=None,
-                     budget_seconds: float = SEARCH_BUDGET_SECONDS) -> list[Report]:
+def _census(levels, o: Options) -> list[Report]:
     """Regular-subgroup census counts and structure types on the pinned instances."""
-    chosen = [inst for inst in census_instances()
-              if labels is None or inst.label in labels]
-    if not chosen:
-        return [skipped("census-counts", {"instances": []})]
-    out: list[Report] = []
-    for inst in chosen:
-        out.extend(census_reports(inst, budget_seconds))
-    return out
+    labels = {label for label, _ in levels}
+    return [r for inst in census_instances() if inst.label in labels
+            for r in census_reports(inst, o.budget_seconds)]
 
 
-def _pair_filter(p: int | None, n: int | None):
-    def keep(pair):
-        return (p is None or pair[0] == p) and (n is None or pair[1] == n)
-    return keep
+CRITERIA = (
+    Criterion("dual-basis", MAIN_INSTANCES, lambda t: t,
+              ("dual-pairing-identity", "instances"),
+              lambda family, o: [dual_pairing_report(p, n) for p, n in family]),
+    Criterion("fixed-ring", MAIN_INSTANCES, lambda t: t,
+              ("fixed-ring-dimension", "instances"),
+              lambda family, o: [r for p, n in family
+                                 for r in fixed_ring_reports(p, n)]),
+    Criterion("measuring", MEASURING_INSTANCES, lambda t: t,
+              ("measuring", "instances"),
+              lambda family, o: [measuring_check(p, n, o.a) for p, n in family]),
+    Criterion("fixed-field", MAIN_INSTANCES, lambda t: t,
+              ("fixed-field", "instances"),
+              lambda family, o: [fixed_field_check(p, n, o.a) for p, n in family]),
+    Criterion("smash-endomorphism", ISO_INSTANCES, lambda t: t,
+              ("smash-end-iso", "instances"), _smash_end),
+    Criterion("base-change", BASE_CHANGE_TRIPLES, lambda t: t[:2],
+              ("base-change", "instances"),
+              lambda family, o: [base_change_report(*t) for t in family]),
+    Criterion("inverse-system", PROFINITE_PRIMES, lambda p: (p, None),
+              ("truncation-compat", "primes"), _inverse_system),
+    Criterion("hom-subalgebra", HOM_SUBALGEBRA_PAIRS,
+              lambda pair: (HOM_SUBALGEBRA_PRIME, pair[0]),
+              ("hom-subalgebra-dimension", "instances"), _hom_subalgebra),
+    # complement counts, ranks and actions, then the truncation checks
+    Criterion("variants",
+              tuple((variant_reports, p, n) for p, n in VARIANT_INSTANCES)
+              + tuple((_variant_truncation, p, n) for p, n in VARIANT_NU_INSTANCES),
+              lambda t: t[1:], ("variant-complements", "instances"),
+              lambda family, o: [r for check, p, n in family
+                                 for r in check(p, n, o.a)]),
+    Criterion("census", tuple(CENSUS_LEVELS.items()), lambda t: t[1],
+              ("census-counts", "instances"), _census),
+)
+
+
+def criterion(slug: str, instances=None, **options) -> list[Report]:
+    """The reports of one criterion on `instances` (default: its family),
+    or its one skip report when `instances` is empty.  `options` are the
+    fields of `Options`."""
+    entry = {c.slug: c for c in CRITERIA}[slug]
+    family = entry.family if instances is None else tuple(instances)
+    if not family:
+        claim, key = entry.skip
+        return [Report(claim=claim, parameters={key: []}, status="skipped")]
+    return entry.reports(family, Options(**options))
 
 
 def full_suite(p: int | None = None, n: int | None = None,
@@ -177,28 +166,10 @@ def full_suite(p: int | None = None, n: int | None = None,
     criterion keeps only its matching default instances and reports a skip
     when nothing remains.
     """
-    keep = _pair_filter(p, n)
-    main = tuple(t for t in MAIN_INSTANCES if keep(t))
-    measuring = tuple(t for t in MEASURING_INSTANCES if keep(t))
-    iso = tuple(t for t in ISO_INSTANCES if keep(t))
-    triples = tuple(t for t in BASE_CHANGE_TRIPLES if keep((t[0], t[1])))
-    primes = tuple(q for q in PROFINITE_PRIMES if p is None or q == p)
-    pairs = (HOM_SUBALGEBRA_PAIRS if p in (None, HOM_SUBALGEBRA_PRIME)
-             else ())
-    pairs = tuple(t for t in pairs if n is None or t[0] == n)
-    variant = tuple(t for t in VARIANT_INSTANCES if keep(t))
-    variant_nu = tuple(t for t in VARIANT_NU_INSTANCES if keep(t))
-    labels = {label for label, level in CENSUS_LEVELS.items() if keep(level)}
+    def keep(key):
+        return all(want is None or got in (None, want)
+                   for got, want in zip(key, (p, n)))
 
-    return [
-        ("dual-basis", criterion_dual_basis(main)),
-        ("fixed-ring", criterion_fixed_ring(main)),
-        ("measuring", criterion_measuring(measuring, a)),
-        ("fixed-field", criterion_fixed_field(main, a)),
-        ("smash-endomorphism", criterion_smash_end(iso, a, seed)),
-        ("base-change", criterion_base_change(triples)),
-        ("inverse-system", criterion_profinite(primes)),
-        ("hom-subalgebra", criterion_hom_subalgebra(pairs, a=a)),
-        ("variants", criterion_variants(variant, variant_nu, a)),
-        ("census", criterion_census(labels, budget_seconds)),
-    ]
+    return [(c.slug, criterion(c.slug, [t for t in c.family if keep(c.key(t))],
+                               a=a, seed=seed, budget_seconds=budget_seconds))
+            for c in CRITERIA]

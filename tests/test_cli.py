@@ -505,6 +505,12 @@ GOLDEN = Path(__file__).parent / "golden"
     ("verify-all", "--p", "3", "--n", "1"),
     # the truncation-only variants instance, (3,3)
     ("verify-all", "--p", "3", "--n", "3"),
+    # the filter paths: --p 5 empties the hom-subalgebra, variants and
+    # census families; --n 2 keeps both inverse-system primes, a family
+    # filtered on p alone; --p 11 empties every family into its skip report
+    ("verify-all", "--p", "5"),
+    ("verify-all", "--n", "2"),
+    ("verify-all", "--p", "11"),
     ("variants", "--p", "3", "--n", "2"),
     ("profinite", "--p", "3", "--level", "3"),
     ("basis", "--p", "3", "--n", "2"),
@@ -517,7 +523,8 @@ GOLDEN = Path(__file__).parent / "golden"
      "--x-coords", "0,4,1/2,0,-3,0,0,2/7,6"),
     ("nu", "--p", "3", "--n", "3", "--coords",
      "1,0,0,-2/3,5,0,0,0,7/2,4,0,1,0,0,-1,3/4,0,0,2,0,0,0,1/9,0,-5,0,8"),
-], ids=["verify_all_p3_n1", "verify_all_p3_n3", "variants_p3_n2",
+], ids=["verify_all_p3_n1", "verify_all_p3_n3", "verify_all_p5",
+        "verify_all_n2", "verify_all_p11", "variants_p3_n2",
         "profinite_p3_l3", "basis_p3_n2", "census", "smash_p3_n2",
         "variants_p3_n3_i2", "act_p3_n2", "nu_p3_n3"])
 def test_json_output_matches_golden_bytes(capsys, request, argv):
@@ -525,7 +532,8 @@ def test_json_output_matches_golden_bytes(capsys, request, argv):
     # runs through (the unified elimination and coordinates, the integer
     # cyclotomic core, the census catalogue, the sparse matrix model, the
     # variant algebras kept as fixed-space terms, the sparse Hopf and radical
-    # elements, the report-layer cuts); any byte difference is a regression
+    # elements, the report-layer cuts, the criteria table); any byte
+    # difference is a regression
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     golden = GOLDEN / (request.node.callspec.id + ".json")

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from hopfgal.cyclotomic import CycloElt, FieldDescriptor, terms_to_vector
 from hopfgal.groupring import (GroupRingElt, diag_action, diag_action_unit,
-                               fixed_ring)
+                               fixed_ring_kernel)
 from hopfgal.hopfgalois import e_basis
 from hopfgal.linalg import sparse_nullspace
 from hopfgal.profinite import nu_groupring
@@ -262,14 +262,18 @@ def test_fixed_ring_is_the_full_grid_kernel_basis(p, n):
     """The orbit-wise basis is the canonical kernel basis of the full-grid
     rows: the same vectors in the same order."""
     rows, ncols = fixed_ring_rows(p, n)
-    assert ([terms_to_vector(x.terms) for x in fixed_ring(p, n)]
+    assert ([terms_to_vector(terms) for terms in fixed_ring_kernel(p, n)]
             == sparse_nullspace(rows, ncols))
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2)])
 def test_fixed_ring_elements_are_pointwise_fixed(p, n):
     field = FieldDescriptor(p, n)
-    basis = fixed_ring(p, n)
+    # the public constructor checks every cell of every kernel vector, and
+    # keeps its terms as they are: they are canonical already
+    kernel = fixed_ring_kernel(p, n)
+    basis = [GroupRingElt(field, terms) for terms in kernel]
+    assert [x.terms for x in basis] == kernel
     assert len(basis) == p ** n
     for x in basis:
         assert diag_action(x) == x

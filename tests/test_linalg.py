@@ -103,6 +103,17 @@ def test_sparse_insert_reports_rank_growth():
     assert ech.rank == 2 and sorted(ech.pivot_rows) == [0, 1]
 
 
+def test_insert_and_contains_leave_the_rows_unchanged():
+    # the echelon pops, scales and reduces the integer row it builds, never
+    # the caller's row: int rows come straight from `terms_to_row`
+    rows = [{0: 2, 1: 4, 3: -1}, {0: 1, 2: Fraction(1, 3)}, {1: 1, 2: 1, 3: 5}]
+    copies = [dict(row) for row in rows]
+    ech = SparseEchelon()
+    for row in rows:
+        assert ech.insert(row) and ech.contains(row)
+    assert rows == copies
+
+
 def test_nullspace_refuses_columns_past_ncols():
     # the matrix has 4 columns; asking for a 2-column kernel must not
     # silently drop columns 2 and 3

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfgal import profinite
+from hopfgal import cli, profinite
 from hopfgal.cyclotomic import CycloElt, FieldDescriptor, unit_apply
 from hopfgal.groupring import GroupRingElt
 from hopfgal.hopfgalois import HopfElt
@@ -236,3 +236,16 @@ def test_fixed_truncation_check_fails_when_an_idempotent_repeats(monkeypatch):
     report = fixed_truncation_check(3, 2)
     assert report.status == "fail"
     assert report.witness == {"level": 2, "kernel_dim": 9, "span_rank": 8}
+
+
+def test_fixed_truncation_check_fails_on_a_short_kernel(monkeypatch, capsys):
+    # a kernel one vector short at level 2 is a failing report with its
+    # witness, not an exception, and the CLI exits 1 on it
+    real = profinite.fixed_ring_kernel
+    monkeypatch.setattr(profinite, "fixed_ring_kernel",
+                        lambda p, n: real(p, n)[:-1] if n == 2 else real(p, n))
+    report = fixed_truncation_check(3, 2)
+    assert report.status == "fail"
+    assert report.witness == {"level": 2, "kernel_dim": 8, "span_rank": 8}
+    assert cli.main(["profinite", "--p", "3", "--level", "2"]) == 1
+    assert "limit-fixed-points" in capsys.readouterr().out
