@@ -218,7 +218,7 @@ def _cmd_profinite(args) -> dict:
 
 
 def _cmd_variants(args) -> dict:
-    # p^n is a floor, not a cost measure: (3,3) takes seconds
+    # p^n is a floor, not a cost measure: (3,3) takes under a second
     go = _guard_level(args.p, args.n)
     _refuse_over_bound(args.p, args.n, go, "p^n")
     a = validate_radicand(args.p, parse_rat(args.a))

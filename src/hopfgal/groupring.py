@@ -1,5 +1,6 @@
-"""Group rings Q(zeta)[C] for C a cyclic p-power group, and the diagonal Galois
-action whose fixed ring is the object of interest.
+"""Group rings Q(zeta)[C] for C a cyclic p-power group, the diagonal Galois
+action whose fixed ring is the object of interest, and the one builder of
+the fixed rings of twisted group rings.
 
 An element stores only its nonzero cells: the (exponent, coefficient) pairs
 with exponent in 0..group_order-1, sorted by exponent, with cyclotomic
@@ -12,9 +13,9 @@ case is group_order == p^n with coefficients in Q(zeta_{p^n}).
 
 The diagonal action sends  c * sigma^b  to  (zeta->zeta^u)(c) * sigma^(u*b)
 for a unit u; its generator takes u = multiplier.  It permutes the cells,
-so its fixed ring, the exact kernel of (action - identity) on the rational
-monomial basis, is found one orbit of cells at a time (`cyclotomic.fixed_space`), at any level: no size
-is checked here; the CLI decides which requests are too large to start.
+as do the automorphisms behind the descent algebras and fixed fields of
+`variants`: `twisted_kernel` turns any of them into cell moves, and
+`cyclotomic.fixed_space` finds the fixed space one orbit of cells at a time.
 """
 
 from __future__ import annotations
@@ -133,14 +134,29 @@ def diag_action(x: GroupRingElt) -> GroupRingElt:
 
 
 # ---------------------------------------------------------------------------
-# fixed ring
+# fixed rings of twisted group rings
+
+def twisted_kernel(p: int, n: int, generators, copies: int,
+                   width: int) -> list[tuple]:
+    """Q-basis of the part of a twisted group ring that every generator
+    fixes, as `fixed_space` basis vectors over copies * width cells.
+
+    Cell k*width + B holds the Q(zeta_{p^n}) coefficient of g^k w^B: k runs
+    over `copies` group exponents, B over `width` powers of w (width 1: no
+    w; copies 1: a field).  A generator (u, s, twist) is zeta -> zeta^u,
+    w -> zeta^s * w, g^k -> g^(twist*k): it sends x in cell k*width + B to
+    zeta^(s*B) * sigma_u(x) in cell (twist*k mod copies)*width + B.  Runs
+    at any level: sizes are decided where requests enter (`cli`)."""
+    return fixed_space(FieldDescriptor(p, n),
+                       [(u, [((twist * k) % copies * width + B, s * B)
+                             for k in range(copies) for B in range(width)])
+                        for u, s, twist in generators],
+                       copies * width)
+
 
 def fixed_ring_kernel(p: int, n: int) -> list[tuple]:
-    """The space fixed by the diagonal generator, as `fixed_space` basis
-    vectors over the p^n cells: cell b holds the coefficient of sigma^b,
-    which the generator sends to sigma^(b*pi) under zeta -> zeta^pi.
-    Runs at any level: sizes are decided where requests enter (`cli`)."""
-    field = FieldDescriptor(p, n)
-    go, pi = field.modulus, field.multiplier
-    return fixed_space(field, [(pi, [((b * pi) % go, 0) for b in range(go)])], go)
-
+    """The space fixed by the diagonal generator: `twisted_kernel` on the
+    p^n group exponents, where zeta -> zeta^pi sends sigma^b to
+    sigma^(b*pi)."""
+    pi = FieldDescriptor(p, n).multiplier
+    return twisted_kernel(p, n, [(pi, 0, pi)], p ** n, 1)

@@ -9,10 +9,10 @@ Over the base Q(zeta_1) = Q(zeta^{p^{n-1}}) its Galois group is generated by
 where pi is the fixed primitive root.  This module builds that group, the p
 cyclic normal complements of <beta> inside it, their fixed fields, and the
 descent Hopf algebras -- fixed rings of twisted group rings -- that act on
-Q(zeta_1, w)/Q(zeta_1).  Their elements stay as `cyclotomic.fixed_space`
-returns them, tuples of (cell, `CycloElt`) terms sorted by cell: cell B holds
-the coefficient of w^B in Q(zeta, w), and cell k*p^n + B that of g^k w^B in
-a descent algebra, g the complement generator.  It also provides the
+Q(zeta_1, w)/Q(zeta_1).  Both are `groupring.twisted_kernel` calls with
+width p^n, one copy for a field and p^n for a descent algebra (g the
+complement generator), and their elements stay as it returns them: tuples
+of (cell, `CycloElt`) terms sorted by cell.  It also provides the
 generator-level truncation maps connecting consecutive levels.
 """
 
@@ -23,8 +23,9 @@ from fractions import Fraction
 
 from . import linalg
 from ._terms import add, sub
-from .cyclotomic import (FieldDescriptor, embed, embed_preimage, fixed_space,
-                         primitive_root, rat_str, terms_to_row, terms_to_vector)
+from .cyclotomic import (FieldDescriptor, embed, embed_preimage, primitive_root,
+                         rat_str, terms_to_row, terms_to_vector)
+from .groupring import twisted_kernel
 from .reporting import Report, checked
 
 
@@ -159,22 +160,11 @@ def conjugation_exponent(p: int, n: int, i: int) -> int:
 # ---------------------------------------------------------------------------
 # fixed fields (exact kernels on the monomial grid, orbit by orbit)
 
-def _aut_generator(p: int, n: int, g: TowerAut, copies: int = 1,
-                   conj_pow: int = 1) -> tuple[int, list[tuple[int, int]]]:
-    """g as a `fixed_space` generator (u, moves) on `copies` copies of
-    Q(zeta, w), indexed by group powers k: cell k*p^n + B holds the
-    coefficient of w^B in copy k.  g multiplies it by zeta^(s*B) and moves
-    copy k to copy conj_pow * k."""
-    pn = p ** n
-    return g.unit(), [((conj_pow * k) % pn * pn + B, g.s * B)
-                      for k in range(copies) for B in range(pn)]
-
-
 def fixed_field(p: int, n: int, gens) -> list[tuple]:
     """Q-basis of the subfield fixed by the subgroup the generators produce,
-    as (w-power, coefficient) terms."""
-    f = FieldDescriptor(p, n)
-    return fixed_space(f, [_aut_generator(p, n, g) for g in gens], f.modulus)
+    as (w-power, coefficient) terms: `twisted_kernel` on one copy of
+    Q(zeta, w)."""
+    return twisted_kernel(p, n, [(g.unit(), g.s, 1) for g in gens], 1, p ** n)
 
 
 def field_tower_lift(m: int, n: int, terms) -> tuple:
@@ -192,24 +182,20 @@ def field_tower_lift(m: int, n: int, terms) -> tuple:
 def h_variant(p: int, n: int, i: int) -> list[tuple]:
     """Q-basis of the fixed ring (E_i[N_i])^beta, dimension (p-1)p^n over Q.
 
-    Each basis vector is a tuple of (cell, coefficient) terms: cell
-    k*p^n + B holds the coefficient of g^k w^B, g the complement generator.
     The ring is the subspace of the full field-coefficient group ring fixed
-    by two maps: the complement generator acting on coefficients only
+    by two maps: the complement generator g acting on coefficients only
     (coefficients in the fixed field), and beta acting on coefficients
-    together with conjugation on the group index.  Both permute the p^{2n}
-    cells (copy k, w-power B), so `fixed_space` finds the ring by Galois
-    descent, one small fixed-field problem per orbit of cells.
+    together with conjugation g^k -> g^(m*k), beta g beta^{-1} = g^m, on
+    the group index: `twisted_kernel` on p^n copies of Q(zeta, w).
     """
     if n < 2:
         raise ValueError("descent Hopf algebras need level >= 2")
-    f = FieldDescriptor(p, n)
-    pn = f.modulus
+    pn = FieldDescriptor(p, n).modulus
     g = complement_generator(p, n, i)
-    m = conjugation_exponent(p, n, i)
-    kernel = fixed_space(f, [_aut_generator(p, n, g, pn),
-                             _aut_generator(p, n, TowerAut.beta(p, n), pn, m)],
-                         pn * pn)
+    kernel = twisted_kernel(
+        p, n, [(g.unit(), g.s, 1),
+               (TowerAut.beta(p, n).unit(), 0, conjugation_exponent(p, n, i))],
+        pn, pn)
     if len(kernel) != (p - 1) * pn:
         raise AssertionError("fixed ring has dimension %d, expected %d"
                              % (len(kernel), (p - 1) * pn))
@@ -289,8 +275,8 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
 
         # the target subfield as a monomial-support subspace of the closure:
         # only zeta-exponents divisible by p^(n-1) in every w-coefficient
-        beta_fixed = [terms_to_row(terms)[0] for terms in fixed_space(
-            f, [_aut_generator(p, n, TowerAut.beta(p, n))], pn)]
+        beta_fixed = [terms_to_row(terms)[0] for terms in
+                      fixed_field(p, n, [TowerAut.beta(p, n)])]
         if len(beta_fixed) != deg1 * pn:
             return False, {"stage": "subfield-dimension", "dim": len(beta_fixed)}
         for vec in beta_fixed:
@@ -371,38 +357,34 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
     the i = 0 span is exactly the diagonal algebra, matching the level-0
     idempotent action on w-powers.
 
-    Two spans coincide exactly when each contains the other's vectors.  The
-    diagonal algebra is every matrix supported on the cells B*(p^n+1), the
-    entries (B, B), with entries in Q(zeta_1): Q-dimension (p-1)*p^n.  The
-    i = 0 span lies inside it when all its vectors have that support, and a
-    subspace of rank (p-1)*p^n is then all of it."""
+    Each span is kept as its reduced echelon form, which is unique, so two
+    spans coincide exactly when their forms are equal.  The diagonal algebra
+    is every matrix supported on the cells B*(p^n+1), the entries (B, B),
+    with entries in Q(zeta_1): Q-dimension (p-1)*p^n.  The i = 0 span lies
+    inside it when all its echelon rows have that support, and a subspace
+    of rank (p-1)*p^n is then all of it."""
     def body():
         pn = p ** n
         deg1 = p - 1
         spans = []
-        vecs_by_i = []
         for i in range(p):
-            vecs = []
+            ech = linalg.SparseEchelon()
             for terms in h_variant(p, n, i):
                 mat = action_matrix(p, n, i, a, terms)
                 if mat is None:
                     return False, {"stage": "image-support", "i": i}
-                vecs.extend(terms_to_row(line)[0] for line in _zeta1_multiples(
-                    p, ((r * pn + B, y) for (r, B), y in mat)))
-            ech = linalg.SparseEchelon()
-            for v in vecs:
-                ech.insert(v)
-            spans.append(ech)
-            vecs_by_i.append(vecs)
+                for line in _zeta1_multiples(
+                        p, ((r * pn + B, y) for (r, B), y in mat)):
+                    ech.insert(terms_to_row(line)[0])
+            spans.append(dict(ech.pivot_rows))
         for i in range(p):
             for j in range(i + 1, p):
-                if (all(spans[j].contains(v) for v in vecs_by_i[i])
-                        and all(spans[i].contains(v) for v in vecs_by_i[j])):
+                if spans[i] == spans[j]:
                     return False, {"stage": "coincident-spans", "pair": [i, j]}
         # i = 0 gives the diagonal algebra: e_B acts as the matrix unit E_BB
         if not (all(k // deg1 % (pn + 1) == 0
-                    for v in vecs_by_i[0] for k in v)
-                and spans[0].rank == deg1 * pn):
+                    for row in spans[0].values() for k in row)
+                and len(spans[0]) == deg1 * pn):
             return False, {"stage": "level-0-not-diagonal"}
         return True, None
 
@@ -521,6 +503,12 @@ def e_containment_check(p: int, n: int, a=Fraction(2)) -> Report:
                    body)
 
 
+def truncation_reports(p: int, n: int, a=Fraction(2)) -> list[Report]:
+    """The truncation checks at level n >= 3: the generator assignment,
+    then the fixed-field containment pattern across levels."""
+    return [variant_nu_check(p, n), e_containment_check(p, n, a)]
+
+
 def complements_report(p: int, n: int) -> Report:
     """Wrap the construction-with-verification of the p normal complements."""
     def body():
@@ -546,6 +534,5 @@ def variant_reports(p: int, n: int, a=Fraction(2),
     if i is None:
         out.append(distinct_action_images(p, n, a))
     if n >= 3:
-        out.append(variant_nu_check(p, n))
-        out.append(e_containment_check(p, n, a))
+        out.extend(truncation_reports(p, n, a))
     return out

@@ -23,7 +23,7 @@ from .reporting import Report
 from .smash_end import (hom_subalgebra_closure_check,
                         hom_subalgebra_dimension_report, iso_check,
                         nine_matrices_report)
-from .variants import e_containment_check, variant_nu_check, variant_reports
+from .variants import truncation_reports, variant_reports
 
 # Default desk-scale instance families.  The heavier checks run on smaller
 # subsets so each criterion stays inside its runtime budget.
@@ -95,12 +95,6 @@ def _hom_subalgebra(pairs, o: Options) -> list[Report]:
     return out
 
 
-def _variant_truncation(p: int, n: int, a) -> list[Report]:
-    """Generator assignment under truncation and the fixed-field containment
-    pattern across levels."""
-    return [variant_nu_check(p, n), e_containment_check(p, n, a)]
-
-
 def _census(levels, o: Options) -> list[Report]:
     """Regular-subgroup census counts and structure types on the pinned instances."""
     labels = {label for label, _ in levels}
@@ -135,7 +129,7 @@ CRITERIA = (
     # complement counts, ranks and actions, then the truncation checks
     Criterion("variants",
               tuple((variant_reports, p, n) for p, n in VARIANT_INSTANCES)
-              + tuple((_variant_truncation, p, n) for p, n in VARIANT_NU_INSTANCES),
+              + tuple((truncation_reports, p, n) for p, n in VARIANT_NU_INSTANCES),
               lambda t: t[1:], ("variant-complements", "instances"),
               lambda family, o: [r for check, p, n in family
                                  for r in check(p, n, o.a)]),

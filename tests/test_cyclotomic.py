@@ -501,8 +501,7 @@ def recorded_problems(monkeypatch, build) -> list[tuple]:
         problems.append((field, generators, ncells, len(calls) - before))
         return basis
 
-    for module in (cyclotomic, groupring, variants):
-        monkeypatch.setattr(module, "fixed_space", recording_fixed_space)
+    monkeypatch.setattr(groupring, "fixed_space", recording_fixed_space)
     BUILDS[build]()
     return problems
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from hopfgal.cyclotomic import CycloElt, FieldDescriptor, terms_to_vector
 from hopfgal.groupring import (GroupRingElt, diag_action, diag_action_unit,
-                               fixed_ring_kernel)
+                               fixed_ring_kernel, twisted_kernel)
 from hopfgal.hopfgalois import e_basis
 from hopfgal.linalg import sparse_nullspace
 from hopfgal.profinite import nu_groupring
@@ -264,6 +264,45 @@ def test_fixed_ring_is_the_full_grid_kernel_basis(p, n):
     rows, ncols = fixed_ring_rows(p, n)
     assert ([terms_to_vector(terms) for terms in fixed_ring_kernel(p, n)]
             == sparse_nullspace(rows, ncols))
+
+
+def assert_full_grid_kernel(p, n, generators, copies, width):
+    """`twisted_kernel` is the canonical kernel basis of the full-grid rows
+    of its generators, whose moves are written out here: a generator
+    (u, s, twist) sends cell k*width + B to (twist*k mod copies)*width + B,
+    times zeta^(s*B)."""
+    field = FieldDescriptor(p, n)
+    rows = [row for u, s, twist in generators
+            for row in action_rows(field, u, [((twist * k) % copies * width + B, s * B)
+                                              for k in range(copies)
+                                              for B in range(width)])]
+    assert ([terms_to_vector(terms)
+             for terms in twisted_kernel(p, n, generators, copies, width)]
+            == sparse_nullspace(rows, copies * width * field.degree))
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 1)])
+@pytest.mark.parametrize("k", [0, 2, -1])
+def test_twisted_forms_of_the_group_ring_are_full_grid_kernel_bases(p, n, k):
+    """The Hopf forms of Q[C_{p^n}] with twist pi^k, k != 1, which no library
+    caller builds yet: zeta -> zeta^pi with sigma^b -> sigma^(pi^k * b) on
+    the p^n width-1 cells."""
+    field = FieldDescriptor(p, n)
+    pi = field.multiplier
+    assert_full_grid_kernel(p, n, [(pi, 0, pow(pi, k, field.modulus))],
+                            field.modulus, 1)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 1)])
+@pytest.mark.parametrize("which", ["one", "two"])
+def test_twisted_root_scalings_are_full_grid_kernel_bases(p, n, which):
+    """A twist != 1 together with w -> zeta^s w, s != 0, on the p^n x p^n
+    grid, for one generator and for two."""
+    field = FieldDescriptor(p, n)
+    pn, pi = field.modulus, field.multiplier
+    generators = {"one": [(pi, 1, pi * pi % pn)],
+                  "two": [(1, 1, pi), (pi, p, 1)]}[which]
+    assert_full_grid_kernel(p, n, generators, pn, pn)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2)])

@@ -130,6 +130,18 @@ def test_only_the_term_module_and_the_interned_field_call_object_new():
         {"_terms.py": 1, "cyclotomic.py": 2}
 
 
+def test_only_the_twisted_group_ring_builder_calls_fixed_space():
+    # every fixed ring and fixed field is one `groupring.twisted_kernel` call
+    calling = {path.name: path.read_text().count("fixed_space(")
+               for path in sorted(SRC.glob("*.py"))}
+    assert {name: k for name, k in calling.items() if k} == \
+        {"cyclotomic.py": 1, "groupring.py": 1}
+    assert "def fixed_space(" in (SRC / "cyclotomic.py").read_text()
+    builder = next(node for node in ast.parse((SRC / "groupring.py").read_text()).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "twisted_kernel")
+    assert "fixed_space(" in ast.unparse(builder)
+
+
 @pytest.mark.parametrize("name", sorted(VALUES))
 def test_value_classes_leave_slots_and_comparison_to_the_dataclass(name):
     node = next(node for node in _class_defs() if node.name == name)
