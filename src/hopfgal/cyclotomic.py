@@ -13,8 +13,8 @@ dense views are built when asked for: `CycloElt.coeffs` (the `Fraction`
 coefficients) and `CycloElt.to_json`.  Reduction, the shift by zeta^e and
 the automorphism zeta -> zeta^u all go through the field's table of zeta^e
 in the power basis; the field also holds its zero and the cells zeta^k/p^n
-of the idempotents, all three built with the field.  Nothing here is
-approximate.
+of the idempotents, all three built with the field; `add_all` sums k
+elements in one pass.  Nothing here is approximate.
 
 The same fixed multiplier (the smallest primitive root mod p^2, which is a
 primitive root mod every p^k for odd p) drives the Galois action at every
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from ._terms import canonical, dense, sparse
@@ -394,6 +394,30 @@ def from_exponents(field: FieldDescriptor, pairs, den: int = 1) -> CycloElt:
     Passing `enumerate(sums)` folds a table of exponent sums; every entry
     goes through the reduction table, with no shortcut for special sums."""
     return _normalized(field, canonical(_fold(field, pairs)), den)
+
+
+def add_all(field: FieldDescriptor, elements) -> CycloElt:
+    """The sum of the sequence `elements`, all of `field`: their numerators
+    over the lcm of their denominators, with one reduction, not one per `+`."""
+    if len(elements) == 1 and elements[0].field is field:
+        return elements[0]
+    den = lcm(*[x.den for x in elements])
+    acc: dict[int, int] = {}
+    for x in elements:
+        if x.field is not field:
+            raise ValueError("field mismatch: %r vs %r" % (field, x.field))
+        f = den // x.den
+        for i, a in x.terms:
+            acc[i] = acc.get(i, 0) + a * f
+    return _normalized(field, canonical(acc), den)
+
+
+def add_by_key(field: FieldDescriptor, pairs) -> tuple:
+    """Terms of (key, element) pairs summed by key (`add_all`), zeros dropped."""
+    groups: dict = {}
+    for k, x in pairs:
+        groups.setdefault(k, []).append(x)
+    return canonical({k: add_all(field, xs) for k, xs in groups.items()})
 
 
 def mul(x: CycloElt, y: CycloElt) -> CycloElt:

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
-from ._terms import add, sub
-from .cyclotomic import (FieldDescriptor, embed, embed_preimage, primitive_root,
-                         rat_str, terms_to_row, terms_to_vector)
+from ._terms import sub
+from .cyclotomic import (FieldDescriptor, add_by_key, embed, embed_preimage,
+                         primitive_root, rat_str, terms_to_row, terms_to_vector)
 from .groupring import twisted_kernel
 from .reporting import Report, checked
 
@@ -104,7 +105,8 @@ def complement_generator(p: int, n: int, i: int) -> TowerAut:
     return TowerAut(p, n, i, p ** (n - 2))
 
 
-def complement_elements(p: int, n: int, i: int) -> list[TowerAut]:
+@lru_cache(maxsize=None)
+def complement_elements(p: int, n: int, i: int) -> tuple[TowerAut, ...]:
     g = complement_generator(p, n, i)
     out, cur = [], TowerAut.identity(p, n)
     for _ in range(p ** n):
@@ -112,7 +114,7 @@ def complement_elements(p: int, n: int, i: int) -> list[TowerAut]:
         cur = cur.compose(g)
     if cur != TowerAut.identity(p, n):
         raise AssertionError("complement generator does not have order p^n")
-    return out
+    return tuple(out)
 
 
 def normal_complements(p: int, n: int) -> list[TowerAut]:
@@ -249,7 +251,7 @@ def action_matrix(p: int, n: int, i: int, a, terms):
                 y, r = y * a, r - pn
             images.append(((r, B), y))
     entries = []
-    for key, y in add((), images):
+    for key, y in add_by_key(FieldDescriptor(p, n), images):
         y = embed_preimage(1, n, y)
         if y is None:
             return None

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfgal import cyclotomic, groupring, linalg, variants
-from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, embed, embed_preimage,
-                                fixed_space, from_exponents, is_prime,
+from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, add_all, embed,
+                                embed_preimage, fixed_space, from_exponents, is_prime,
                                 mul, parse_rat, primitive_root, rat_str,
                                 terms_to_vector, unit_apply)
 from hopfgal.hopfgalois import e_basis
@@ -235,6 +235,38 @@ def test_canonical_form_does_not_depend_on_the_route(p, n, data):
     assert_canonical(lifted)
     dilated = CycloElt(f2, [want[i // p] if i % p == 0 else 0 for i in range(f2.degree)])
     assert lifted == dilated and hash(lifted) == hash(dilated)
+
+
+# -- the k-ary sum -------------------------------------------------------------
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@given(data=st.data())
+def test_add_all_is_the_sum_of_the_coefficients(p, n, data):
+    f = FieldDescriptor(p, n)
+    xs = data.draw(st.lists(st.one_of(elements(p, n), sparse_elements(p, n)),
+                            min_size=1, max_size=5))
+    # scaled by 1/7, a nonzero element drawn here has a 7 in its denominator,
+    # which no other has: the lcm is over mixed denominators
+    d = data.draw(st.integers(0, len(xs) - 1))
+    xs[d] = xs[d] * Fraction(1, 7)
+    total = add_all(f, xs)
+    assert_canonical(total)                   # lowest terms
+    assert list(total.coeffs) == [sum(cs) for cs in zip(*(x.coeffs for x in xs))]
+    assert add_all(f, xs[:1]) is xs[0]
+    assert add_all(f, xs + [-x for x in reversed(xs)]) is f.zero
+
+
+def test_add_all_over_mixed_denominators_ends_in_lowest_terms():
+    f = FieldDescriptor(3, 2)
+    z = CycloElt.zeta_power(f, 1)
+    quarter = CycloElt.rational(f, Fraction(1, 4))
+    # 1/6 + 1/3 = 1/2 on zeta over the lcm 12, and the quarters cancel
+    total = add_all(f, [z * Fraction(1, 6), quarter, z * Fraction(1, 3), -quarter])
+    assert total.terms == ((1, 1),) and total.den == 2
+    assert add_all(f, [quarter, -quarter]) is f.zero
+    assert add_all(f, []) is f.zero
+    with pytest.raises(ValueError):
+        add_all(f, [quarter, CycloElt.one(FieldDescriptor(3, 1))])
 
 
 # -- power-basis reduction ----------------------------------------------------

@@ -165,6 +165,26 @@ def test_truncation_drops_a_cancelled_cell(p, n, data):
     assert down.terms == () and down == GroupRingElt.zero(field, p ** i)
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3)])
+@given(data=st.data())
+def test_truncation_merges_cells_over_different_denominators(p, n, data):
+    # target k gets three cells that cancel, one over a denominator with a
+    # 7 in it; target t gets cells over that denominator and over another
+    field = FieldDescriptor(p, n)
+    i = data.draw(st.integers(1, n - 1))
+    tgt = p ** i
+    k, t = data.draw(st.lists(st.integers(0, tgt - 1), min_size=2, max_size=2,
+                              unique=True))
+    c1, c2 = (data.draw(cyclo_elements(field).filter(bool)) for _ in range(2))
+    c1 = c1 * Fraction(1, 7)
+    assert c1.den % 7 == 0 and c2.den % 7 != 0
+    x = GroupRingElt(field, [(k, c1), (k + tgt, c2), (k + 2 * tgt, -(c1 + c2)),
+                             (t, c1), (t + tgt, c2)])
+    down = nu_groupring(n, i, x)
+    assert_matches_dense(down, dense_nu(i, x))
+    assert k not in dict(down.terms)
+
+
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
 @given(data=st.data())
 def test_dense_and_sparse_construction_agree(p, n, data):

@@ -101,6 +101,41 @@ def test_commute_square_fails_on_an_action_that_is_not_diagonal(monkeypatch):
     assert report.witness == {"zeta_exp": 0, "sigma_exp": 3}
 
 
+def test_commute_square_fails_when_the_truncation_changes_a_coefficient_inside_a_residue_class(
+        monkeypatch):
+    # a truncation that doubles the coefficient of sigma^3 at (3,2) -> 1:
+    # sigma^3 and sigma^0 share the truncated exponent 0 but not their
+    # image, so delta(nu(sigma^3)) may not be the one kept for sigma^0.
+    # Reused on the exponent alone it would be, and the square would fail
+    # only at b = 6, where delta(sigma^6) = sigma^3 is doubled on the left.
+    real = profinite.nu_groupring
+
+    def doubled(j, i, x):
+        return real(j, i, GroupRingElt(x.field, [(b, c + c if b == 3 else c)
+                                                 for b, c in x.terms], x.group_order))
+
+    monkeypatch.setattr(profinite, "nu_groupring", doubled)
+    report = commute_square_check(3, 2, 1)
+    assert report.status == "fail"
+    assert report.witness == {"zeta_exp": 0, "sigma_exp": 3}
+
+
+def test_commute_square_acts_once_per_truncated_monomial(monkeypatch):
+    # at (3,3) -> 1: phi = 18 coefficients; each of the 27 monomials runs
+    # delta on its left side, and delta(nu(x)) runs once per truncated
+    # exponent, 3 per coefficient: 18*27 + 18*3 calls
+    calls = []
+    real = profinite.diag_action
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(profinite, "diag_action", counted)
+    assert commute_square_check(3, 3, 1).status == "pass"
+    assert len(calls) == 18 * 27 + 18 * 3
+
+
 # -- coherent sequences ------------------------------------------------------------
 
 def test_generator_sequence_is_coherent():
