@@ -9,30 +9,35 @@ generators, Hol(N) = N·Aut(N) with Aut(N) read off equivariant labelings;
 each generator of the action image gets an element of Hol(N), and an
 assignment is kept when S admits an equivariant bijective labeling by N,
 which is then the homomorphism into Hol(N) — feasible up to `MAX_DEGREE`.
-Each generator is offered only the elements of its own order, and each
-element's order is computed once per list (`_candidates`).  A time budget
-that is negative, nan or infinite is refused before any coset action is
-built.  The tests check the search against an exhaustive search over
+Each generator is offered only the elements of its own order.  The models,
+their holomorphs and the holomorph elements grouped by order depend on the
+degree alone, not on the instance or its labels: `_search_table` builds
+them on first use and keeps them for the process, so each holomorph
+element's order is computed once per process.  A time budget that is
+negative, nan or infinite is refused before any coset action is built.
+The tests check the search against an exhaustive search over
 fixed-point-free candidates (`oracle_regular_normalized` in
 `tests/oracle_tools.py`).
 
 The normal complements of the subgroup in the big group ("descent" data)
 are the kernels of its retractions, found by an edge-checked walk over the
-big group that shares no code with the search; pushing a complement
-through the coset action (the closure of its generators' images) always
-lands in the enumerated family.  The models come from one catalogue
-(`_models`): every group of order m is cyclic when gcd(m, phi(m)) = 1, and
-of order p^2 cyclic or elementary abelian; any other degree is refused
-rather than enumerated incompletely.
+big group that shares no code with the search.  The big group is numbered
+once in walk order, so each candidate retraction is checked on integer
+tables.  Pushing a complement through the coset action (the closure of its
+generators' images) always lands in the enumerated family.  The models
+come from one catalogue (`_models`): every group of order m is cyclic when
+gcd(m, phi(m)) = 1, and of order p^2 cyclic or elementary abelian; any
+other degree is refused rather than enumerated incompletely.
 
 `Perm` checks its images once, in its constructor, where data comes in
 (`Perm(...)`, `instance_from_json`, `grid_aut`, `_models`).  Inside the
 kernels (`mulclose`, `FiniteGroup`'s closure, the coset table, the
-retraction walk, the labelings and the holomorph products) elements are
-bare image tuples: x*g is `tuple(map(x.__getitem__, g))`, and hashing,
-equality and sorting are the tuple's, all in C.  A composition of
-bijections is a bijection, so each result that leaves a loop is wrapped in
-a `Perm` once, by the trusted constructor `_terms.new`.
+numbering of the retraction walk, the labelings and the holomorph
+products) elements are bare image tuples: x*g is
+`tuple(map(x.__getitem__, g))`, and hashing, equality and sorting are the
+tuple's, all in C.  A composition of bijections is a bijection, so each
+result that leaves a loop is wrapped in a `Perm` once, by the trusted
+constructor `_terms.new`.
 
 The census instances are Galois groups of radical towers Q(zeta, w),
 w^(p^n) rational, acting on the exponents of zeta^A w^B: the grid point
@@ -42,6 +47,7 @@ knows that layout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from math import gcd, inf, isqrt, lcm
@@ -120,21 +126,26 @@ class Perm:
         return new(Perm, _inverse(self.images))
 
     def order(self) -> int:
-        images = self.images
-        seen, result = [False] * len(images), 1
-        for start in range(len(images)):
-            if seen[start]:
-                continue
-            length, x = 0, start
-            while not seen[x]:
-                seen[x] = True
-                x = images[x]
-                length += 1
-            result = lcm(result, length)
-        return result
+        return _order(self.images)
 
     def is_fixed_point_free(self) -> bool:
         return all(j != i for i, j in enumerate(self.images))
+
+
+def _order(images: tuple) -> int:
+    """The order of the permutation with this image tuple: the lcm of its
+    cycle lengths."""
+    seen, result = [False] * len(images), 1
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        result = lcm(result, length)
+    return result
 
 
 def _inverse(images: tuple) -> tuple:
@@ -269,31 +280,48 @@ def is_regular(group: FiniteGroup, size: int) -> bool:
 # ---------------------------------------------------------------------------
 # almost-classical complements: kernels of retractions
 
-def _retraction(gamma: FiniteGroup, gens, images) -> dict | None:
-    """The homomorphism on gamma with gens[i] -> images[i], or None, as a
-    map between image tuples.
+def _walk(degree: int, gens) -> tuple[dict, list]:
+    """The group generated by the image tuples `gens` on 0..degree-1,
+    numbered in the order of a walk from the identity (index 0) along
+    x -> x*g: (number, steps), `number` the map from each element to its
+    index, in walk order, and steps[x] the indices of x*g for the
+    generators g in turn."""
+    ident = tuple(range(degree))
+    number, steps = {ident: 0}, []
+    walk = [ident]
+    for x in walk:  # the list grows while it is walked
+        image, step = x.__getitem__, []
+        for g in gens:
+            y = tuple(map(image, g))
+            k = number.get(y)
+            if k is None:
+                k = number[y] = len(walk)
+                walk.append(y)
+            step.append(k)
+        steps.append(step)
+    return number, steps
 
-    Walks gamma (generated by `gens`) from the identity along x -> x*g and
-    checks every edge, r(x*g) = r(x)*r(g): the first conflict refutes the
-    assignment, and a map that passes is a homomorphism.
+
+def _retraction(steps, moves) -> list | None:
+    """The homomorphism on gamma with g_i -> h_i, or None, as the list of
+    the delta indices r(x) of gamma's elements x in walk order.
+
+    `steps` is gamma numbered by `_walk` on the g_i, and moves[i][a] is the
+    index of d_a*h_i among delta's elements d_a (the identity is index 0
+    on both sides).  The walk checks every edge, r(x*g_i) = r(x)*h_i, with
+    two list lookups: the first conflict refutes the assignment, and a map
+    that passes is a homomorphism.
     """
-    edges = [(g.images, h.images) for g, h in zip(gens, images)]
-    ident = tuple(range(gamma.degree))
-    r = {ident: ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            x_image, rx_image = x.__getitem__, r[x].__getitem__
-            for g, h in edges:
-                y, want = tuple(map(x_image, g)), tuple(map(rx_image, h))
-                got = r.get(y)
-                if got is None:
-                    r[y] = want
-                    fresh.append(y)
-                elif got != want:
-                    return None
-        frontier = fresh
+    r = [-1] * len(steps)
+    r[0] = 0
+    for x, step in enumerate(steps):
+        rx = r[x]
+        for y, move in zip(step, moves):
+            want, got = move[rx], r[y]
+            if got == -1:
+                r[y] = want
+            elif got != want:
+                return None
     return r
 
 
@@ -305,30 +333,49 @@ def almost_classical(gamma: FiniteGroup, delta: FiniteGroup) -> list[FiniteGroup
     then r(n·d) = d is unique.  Each generator in an irredundant generating
     sequence of gamma is sent to itself if it lies in delta, else to each
     element of delta of order dividing its own; the candidates `_retraction`
-    extends that fix delta's generators give the complements.  Push them
-    through the coset action to land in the enumerated regular family.
+    extends that fix delta's generators give the complements.  Gamma is
+    numbered once (`_walk`), and delta's right multiplications by the
+    candidate images are index lists built once, so every walk runs on
+    integer tables.  Push the complements through the coset action to land
+    in the enumerated regular family.
     """
     if not delta <= gamma:
         raise ValueError("delta is not a subgroup of gamma")
     ident = tuple(range(gamma.degree))
     index = gamma.order // delta.order
-    gens, closed = [], {ident}
+    kept, closed = [], {ident}
     for g in gamma.generators:
         # the closure of the kept generators, built only to test the next one
         if closed is None:
-            closed = _closure(gens)
+            closed = _closure(kept)
         if g.images not in closed:
-            gens.append(g)
+            kept.append(g)
             closed = None
-    candidates = [[g] if g in delta else
-                  [d for d in delta.elements if g.order() % d.order() == 0]
-                  for g in gens]
+    gens = [g.images for g in kept]
+    number, steps = _walk(gamma.degree, gens)
+    # delta's elements are sorted, so the identity is index 0
+    ds = [d.images for d in delta.elements]
+    d_number = {d: k for k, d in enumerate(ds)}
+    d_orders = [_order(d) for d in ds]
+    candidates = []
+    for g in gens:
+        if g in d_number:
+            candidates.append([d_number[g]])
+        else:
+            g_order = _order(g)
+            candidates.append([k for k, o in enumerate(d_orders)
+                               if g_order % o == 0])
+    # column k: the index of d*ds[k] for each d, for every candidate image
+    right = {k: [d_number[tuple(map(d.__getitem__, ds[k]))] for d in ds]
+             for k in {k for ks in candidates for k in ks}}
+    fixed = [(number[d.images], d_number[d.images]) for d in delta.generators]
+    walk = list(number)
     out = []
     for images in itertools.product(*candidates):
-        r = _retraction(gamma, gens, images)
-        if r is None or any(r[d.images] != d.images for d in delta.generators):
+        r = _retraction(steps, [right[k] for k in images])
+        if r is None or any(r[x] != a for x, a in fixed):
             continue
-        kernel = [new(Perm, x) for x, y in r.items() if y == ident]
+        kernel = [new(Perm, walk[x]) for x, a in enumerate(r) if a == 0]
         if len(kernel) != index:
             raise AssertionError("order count violated by a complement")
         out.append(FiniteGroup(_generating_sequence(kernel)))
@@ -419,39 +466,64 @@ def _label_cosets(size: int, lam_gens, hol_images) -> list | None:
     return labels
 
 
-def _candidates(elements, gens) -> list[list[Perm]]:
-    """For each generator, the elements of its order, in the order of
-    `elements`: the orders are computed once per element, and the lists
-    are those of filtering `elements` by each generator's order."""
-    by_order: dict[int, list[Perm]] = {}
+def _by_order(elements) -> tuple:
+    """The image tuples `elements` grouped by element order: a tuple of
+    (order, group) pairs sorted by order, each group the tuple of the
+    elements of that order in the order of `elements`.  Each element's
+    order is computed once."""
+    groups: dict[int, list] = {}
     for h in elements:
-        by_order.setdefault(h.order(), []).append(h)
-    return [by_order.get(g.order(), []) for g in gens]
+        groups.setdefault(_order(h), []).append(h)
+    return tuple(sorted((k, tuple(v)) for k, v in groups.items()))
 
 
-def _holomorph(model: FiniteGroup) -> list[Perm]:
-    """Hol(N) = N·Aut(N) for a regular permutation group N, the model.
+def _candidates(groups, gens) -> list[tuple]:
+    """For each generator (an image tuple), the group of `groups` (made by
+    `_by_order`) of its order: the elements of exactly its order."""
+    of_order = dict(groups)
+    return [of_order.get(_order(g), ()) for g in gens]
+
+
+def _holomorph(model: FiniteGroup) -> list[tuple]:
+    """Hol(N) = N·Aut(N) for a regular permutation group N, the model, as
+    image tuples.
 
     A permutation fixing 0 normalizes N exactly when it is a `_label_cosets`
     labeling against N's generators, each sent to an element of its order.
     The products t·a are formed on image tuples.
     """
     gens = [g.images for g in model.generators]
-    candidates = _candidates(model.elements, model.generators)
+    elements = [t.images for t in model.elements]
     aut = []
-    for images in itertools.product(*[[h.images for h in hs]
-                                      for hs in candidates]):
+    for images in itertools.product(*_candidates(_by_order(elements), gens)):
         labels = _label_cosets(model.degree, gens, images)
         if labels is not None:
             aut.append(labels)
-    return [new(Perm, tuple(map(t.images.__getitem__, a)))
-            for t in model.elements for a in aut]
+    return [tuple(map(t.__getitem__, a)) for t in elements for a in aut]
 
 
-def _holomorph_search(lam_gens, model: FiniteGroup, deadline) -> set:
+@functools.lru_cache(maxsize=None)
+def _search_table(size: int) -> tuple | None:
+    """What the holomorph search reads at one degree: for each model N of
+    `_models(size)`, the pair (N, `_by_order` of Hol(N)); None where the
+    catalogue does not cover the degree.
+
+    It depends on the degree alone, not on the instance or its labels, so
+    it is built on first use and kept for the process, at most one per
+    degree up to `MAX_DEGREE` (the only degrees `_enumerate` asks for).  It
+    holds only tuples, ints and frozen groups, which no caller can change.
+    """
+    models = _models(size)
+    if models is None:
+        return None
+    return tuple((model, _by_order(_holomorph(model))) for model in models)
+
+
+def _holomorph_search(lam_gens, model: FiniteGroup, groups, deadline) -> set:
     """Regular subgroups of the model's abstract type normalized by the
     action image, given by a generating sequence `lam_gens`, each as the
-    frozenset of its elements' image tuples.
+    frozenset of its elements' image tuples; `groups` is Hol(model) grouped
+    by element order, from `_search_table`.
 
     Labeling the cosets by such an N from a basepoint gives a homomorphism
     of the action image into Hol(model), under which the labeling is
@@ -465,11 +537,9 @@ def _holomorph_search(lam_gens, model: FiniteGroup, deadline) -> set:
     size = model.degree
     lam = [g.images for g in lam_gens]
     model_images = [t.images for t in model.elements]
-    candidates = _candidates(_holomorph(model), lam_gens)
     found: set[frozenset] = set()
     count = 0
-    for assignment in itertools.product(*[[h.images for h in hs]
-                                          for hs in candidates]):
+    for assignment in itertools.product(*_candidates(groups, lam)):
         count += 1
         if count % 512 == 0:
             _deadline_check(deadline)
@@ -537,8 +607,8 @@ def _enumerate(gamma: FiniteGroup, delta: FiniteGroup, budget_seconds: float):
     size = gamma.order // delta.order
     if size > MAX_DEGREE:
         raise CapExceeded(size, MAX_DEGREE)
-    models = _models(size)
-    if models is None:
+    table = _search_table(size)
+    if table is None:
         raise UnsupportedInstance(
             "degree %d admits group types beyond cyclic and elementary "
             "abelian of rank two; refusing an incomplete enumeration" % size)
@@ -546,8 +616,8 @@ def _enumerate(gamma: FiniteGroup, delta: FiniteGroup, budget_seconds: float):
     lam_gens = _generating_sequence(mulclose([act(g) for g in gamma.generators]))
     deadline = time.monotonic() + budget_seconds
     found: set[frozenset] = set()
-    for model in models:
-        found |= _holomorph_search(lam_gens, model, deadline)
+    for model, groups in table:
+        found |= _holomorph_search(lam_gens, model, groups, deadline)
 
     results = []
     for members in sorted(found, key=sorted):

@@ -9,9 +9,16 @@ lattice in `oracle_tools`, and the holomorphs against counting formulas.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,10 +43,14 @@ from hopfgal.gp_enum import (
     cyclotomic_subgroup,
     enumerate_regular_normalized,
     full_galois_group,
+    _by_order,
     _candidates,
     _generating_sequence,
     _holomorph,
     _models,
+    _retraction,
+    _search_table,
+    _walk,
     instance_from_json,
     instance_to_json,
     is_regular,
@@ -504,7 +515,7 @@ def test_engines_agree_on_regular_and_affine_actions(gamma, delta, count):
 
 
 def _assert_holomorph(model: FiniteGroup, order: int):
-    hol = _holomorph(model)
+    hol = [Perm(h) for h in _holomorph(model)]
     assert len(hol) == len(set(hol)) == order
     members = set(model.elements)
     for h in hol:
@@ -606,26 +617,175 @@ def test_over_cap_degree_refused_before_the_coset_action(monkeypatch):
         enumerate_regular_normalized(cyclic_group(6), trivial_group(6))
 
 
+def _order_filter(elements, gens) -> list[tuple]:
+    """For each generator, the elements of its order, one by one."""
+    return [tuple(h for h in elements if Perm(h).order() == Perm(g).order())
+            for g in gens]
+
+
 @pytest.mark.parametrize("gamma, delta", [
     (full_galois_group(3, 2), cyclotomic_subgroup(3, 2)),
     (zeta1_galois_group(3, 2), beta_subgroup(3, 2)),
     (full_galois_group(5, 2), cyclotomic_subgroup(5, 2)),
     (zeta1_galois_group(5, 2), beta_subgroup(5, 2)),
 ], ids=["deg9_over_Q", "deg9_over_zeta3", "deg25_over_Q", "deg25_over_zeta5"])
-def test_candidates_are_the_per_element_order_filter(gamma, delta):
+def test_candidates_are_the_per_element_order_filter(monkeypatch, gamma, delta):
     """For both models of degree 9 and of degree 25, the candidate lists
-    of the model's own generators and of the action image's generators in
-    its holomorph are those of filtering each element by order, list for
-    list and in the same order."""
+    that the holomorph search reads for the action image's generators, and
+    those that `_holomorph` reads for the model's own generators, are those
+    of filtering each element by order, list for list and in the same
+    order."""
+    table = _search_table(gamma.order // delta.order)  # built before recording
+    assert len(table) == 2
+    read = []
+
+    def recording(groups, gens):
+        lists = _candidates(groups, gens)
+        read.append((groups, gens, lists))
+        return lists
+
+    monkeypatch.setattr(gp_enum, "_candidates", recording)
+    enumerate_regular_normalized(gamma, delta)
     _, act = coset_action(gamma, delta)
-    lam_gens = _generating_sequence(mulclose([act(g) for g in gamma.generators]))
-    models = _models(gamma.order // delta.order)
-    assert len(models) == 2
-    for model in models:
-        for elements, gens in ((model.elements, model.generators),
-                               (_holomorph(model), lam_gens)):
-            assert _candidates(elements, gens) == [
-                [h for h in elements if h.order() == g.order()] for g in gens]
+    lam = [g.images for g in
+           _generating_sequence(mulclose([act(g) for g in gamma.generators]))]
+    assert len(read) == len(table)
+    for (model, groups), (read_groups, gens, lists) in zip(table, read):
+        assert read_groups is groups and gens == lam
+        assert lists == _order_filter(_holomorph(model), gens)
+    for model, _ in table:
+        read.clear()
+        _holomorph(model)
+        [(_, gens, lists)] = read
+        assert gens == [g.images for g in model.generators]
+        assert lists == _order_filter([t.images for t in model.elements], gens)
+
+
+def _immutable_parts(value):
+    """Every container reachable from `value`, each checked immutable."""
+    if isinstance(value, (tuple, frozenset)):
+        yield type(value)
+        for item in value:
+            yield from _immutable_parts(item)
+    elif dataclasses.is_dataclass(value):
+        assert type(value).__dataclass_params__.frozen
+        yield type(value)
+        for f in dataclasses.fields(value):
+            yield from _immutable_parts(getattr(value, f.name))
+    else:
+        assert type(value) is int, type(value)
+
+
+@pytest.mark.parametrize("size", [3, 9, 25])
+def test_search_table_is_kept_and_holds_only_immutable_containers(size):
+    table = _search_table(size)
+    assert _search_table(size) is table
+    assert set(_immutable_parts(table)) <= {tuple, frozenset, FiniteGroup, Perm}
+    for model, groups in table:
+        assert model in _models(size)
+        assert groups == _by_order(_holomorph(model))
+        assert sorted(h for _, group in groups for h in group) == sorted(
+            _holomorph(model))
+    assert _search_table(6) is None
+
+
+def _relabeled(gamma: FiniteGroup, delta: FiniteGroup, seed: int):
+    """The instance with its grid points permuted by a seeded shuffle."""
+    perm = list(range(gamma.degree))
+    random.Random(seed).shuffle(perm)
+    pi = Perm(tuple(perm))
+    pinv = pi.inverse()
+    return [FiniteGroup([pi * g * pinv for g in group.generators])
+            for group in (gamma, delta)]
+
+
+_CENSUS_CHILD = """\
+import json, sys
+from hopfgal.gp_enum import almost_classical, census_json, instance_from_json
+out = []
+for data in json.load(sys.stdin):
+    gamma, delta = instance_from_json(data)
+    out.append([census_json(gamma, delta), len(almost_classical(gamma, delta))])
+print(json.dumps(out))
+"""
+
+
+def test_relabeled_census_is_the_same_before_after_and_in_a_fresh_process():
+    """The search tables are kept per degree for the process: a census of
+    relabeled degree-9 instances run before and after the pinned census
+    gives the structures and complement counts of a fresh process."""
+    relabeled = [_relabeled(inst.gamma, inst.delta, seed)
+                 for seed, inst in enumerate(census_instances())
+                 if inst.gamma.order // inst.delta.order == 9]
+    assert len(relabeled) == 2
+
+    def census():
+        return [[census_json(g, d), len(almost_classical(g, d))]
+                for g, d in relabeled]
+
+    _search_table.cache_clear()
+    before = census()
+    for instance in census_instances():
+        assert [r.status for r in census_reports(instance)] == ["pass", "pass"]
+    after = census()
+    src = str(Path(gp_enum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CENSUS_CHILD], capture_output=True, text=True,
+        input=json.dumps([instance_to_json(g, d) for g, d in relabeled]),
+        env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert before == after == json.loads(proc.stdout)
+    assert [[data["count"], n] for data, n in before] == [[1, 1], [3, 3]]
+
+
+def _retraction_tables(gamma: FiniteGroup, delta: FiniteGroup, images):
+    """`_walk`'s numbering of gamma on its generators, and the moves of
+    sending them to `images` in delta, composed here on image tuples."""
+    number, steps = _walk(gamma.degree, [g.images for g in gamma.generators])
+    ds = [d.images for d in delta.elements]
+    moves = [[ds.index(tuple(d[x] for x in h.images)) for d in ds]
+             for h in images]
+    return list(number), steps, moves
+
+
+def test_retraction_refuses_an_assignment_that_breaks_one_edge():
+    # S3 generated by two transpositions, delta = <(0 1)>: the sign map sends
+    # both to (0 1); sending the second to the identity instead breaks the
+    # edge at their product, a 3-cycle that would map to (0 1)
+    t1, t2 = Perm((1, 0, 2)), Perm((0, 2, 1))
+    gamma, delta = FiniteGroup([t1, t2]), FiniteGroup([t1])
+    walk, steps, moves = _retraction_tables(gamma, delta, [t1, t1])
+    r = _retraction(steps, moves)
+    assert r is not None
+    kernel = [x for x, a in zip(walk, r) if a == 0]
+    assert len(kernel) == gamma.order // delta.order == 3
+    assert FiniteGroup([new(Perm, x) for x in kernel]).is_cyclic()
+    _, steps, moves = _retraction_tables(gamma, delta, [t1, Perm.identity(3)])
+    assert _retraction(steps, moves) is None
+
+
+@pytest.mark.parametrize("label", sorted(COMPLEMENT_CASES))
+def test_passing_retraction_fixing_delta_has_kernel_of_index_order(label):
+    # every assignment of delta elements to gamma's generators: those that
+    # pass and fix delta's generators have a kernel of order |gamma|/|delta|,
+    # and there are as many as the lattice oracle's complements
+    gamma, delta = COMPLEMENT_CASES[label]()
+    passing = 0
+    for images in itertools.product(delta.elements,
+                                    repeat=len(gamma.generators)):
+        walk, steps, moves = _retraction_tables(gamma, delta, images)
+        r = _retraction(steps, moves)
+        if r is None:
+            continue
+        hom = dict(zip(walk, r))
+        ds = [d.images for d in delta.elements]
+        if any(ds[hom[d.images]] != d.images for d in delta.generators):
+            continue
+        passing += 1
+        assert r.count(0) == gamma.order // delta.order
+    assert passing == len(oracle_normal_complements(gamma, delta))
 
 
 def test_incomplete_degree_refused():
