@@ -12,9 +12,12 @@ those pairs, so an element with k nonzero numerators costs k, not phi.  The
 dense views are built when asked for: `CycloElt.coeffs` (the `Fraction`
 coefficients) and `CycloElt.to_json`.  Reduction, the shift by zeta^e and
 the automorphism zeta -> zeta^u all go through the field's table of zeta^e
-in the power basis; the field also holds its zero and the cells zeta^k/p^n
-of the idempotents, all three built with the field; `add_all` sums k
-elements in one pass.  Nothing here is approximate.
+in the power basis.  Built with the field beside that table are its zero,
+the shared roots of unity zeta^e (`powers`) and the cells zeta^k/p^n of the
+idempotents, and the index from each table row to its exponent: a shift or
+an automorphism of one root of unity over a denominator is a lookup, and
+over 1 or p^n it returns the shared element.  `add_all` sums k elements in
+one pass.  Nothing here is approximate.
 
 The same fixed multiplier (the smallest primitive root mod p^2, which is a
 primitive root mod every p^k for odd p) drives the Galois action at every
@@ -118,14 +121,20 @@ class FieldDescriptor:
 
     - `table`: entry e (0 <= e < p^n) is zeta^e in the power basis, as
       ((index, +/-1), ...) sorted by index, the terms of the element zeta^e;
+      a row has one term or p - 1 of them;
+    - `exponents`: the index of `table`, {row: e};
     - `zero`: the field's zero element;
+    - `powers`: entry e is the element zeta^e;
     - `cells`: entry k is zeta^k / p^n.  Every cell of an idempotent e_i
       (`hopfgalois.e_basis`) is one of them, so the p^2n cells of a level's
       idempotents are p^n shared elements.
+
+    `CycloElt.zeta_power`, `CycloElt.shift` and `unit_apply` return the
+    shared `powers` and `cells` entries for the roots of unity they make.
     """
 
-    __slots__ = ("p", "n", "modulus", "degree", "multiplier", "table", "zero",
-                 "cells")
+    __slots__ = ("p", "n", "modulus", "degree", "multiplier", "table",
+                 "exponents", "zero", "powers", "cells")
     _instances: dict[tuple[int, int], "FieldDescriptor"] = {}
 
     def __new__(cls, p: int, n: int):
@@ -146,7 +155,11 @@ class FieldDescriptor:
                             ("degree", phi),                      # [Q(zeta) : Q]
                             # generator of the Galois action on exponents
                             ("multiplier", primitive_root(p)),
-                            ("table", table), ("zero", _make(field, (), 1)),
+                            ("table", table),
+                            # the rows are distinct: so are the roots of unity
+                            ("exponents", {row: e for e, row in enumerate(table)}),
+                            ("zero", _make(field, (), 1)),
+                            ("powers", tuple(_make(field, row, 1) for row in table)),
                             # a row's numerators are +/-1: coprime to m
                             ("cells", tuple(_make(field, row, m) for row in table))):
             object.__setattr__(field, name, value)
@@ -231,7 +244,8 @@ class CycloElt:
 
     @classmethod
     def zeta_power(cls, field: FieldDescriptor, e: int) -> "CycloElt":
-        return from_exponents(field, ((e, 1),))
+        """zeta^e, e taken mod p^n: the field's shared `powers[e]`."""
+        return field.powers[e % field.modulus]
 
     # -- ring structure ------------------------------------------------------
 
@@ -334,10 +348,12 @@ class CycloElt:
 
     def shift(self, e: int) -> "CycloElt":
         """Multiply by zeta^e.  Multiplying by a root of unity permutes Z[zeta],
-        so the numerators keep gcd 1 with the denominator."""
+        so the numerators keep gcd 1 with the denominator.  A root of unity
+        zeta^k/d goes to zeta^(k+e)/d, read from the field's tables (`_move`):
+        the shared element when d is 1 or p^n."""
         if e % self.field.modulus == 0 or not self.terms:
             return self
-        return _make(self.field, _transport(self.field, self.terms, 1, e), self.den)
+        return _move(self.field, self.terms, self.den, 1, e)
 
     # -- serialization -------------------------------------------------------
 
@@ -388,6 +404,26 @@ def _transport(field: FieldDescriptor, terms, u: int, s: int) -> tuple:
     return canonical(_fold(field, ((u * i + s, a) for i, a in terms)))
 
 
+def _move(field: FieldDescriptor, terms: tuple, den: int, u: int, s: int) -> CycloElt:
+    """zeta^s * sigma_u(x) for x with the canonical `terms` over `den`.
+
+    If x is one root of unity zeta^e over den, its terms are the table row
+    of e, and the image zeta^(u*e + s)/den is a lookup: the shared `powers`
+    entry over 1, the shared `cells` entry over p^n, one row read otherwise.
+    A row has at most p - 1 terms, so a longer x skips the lookup; every
+    other x goes through `_transport`."""
+    if len(terms) < field.p:
+        e = field.exponents.get(terms)
+        if e is not None:
+            e = (u * e + s) % field.modulus
+            if den == 1:
+                return field.powers[e]
+            if den == field.modulus:
+                return field.cells[e]
+            return _make(field, field.table[e], den)
+    return _make(field, _transport(field, terms, u, s), den)
+
+
 def from_exponents(field: FieldDescriptor, pairs, den: int = 1) -> CycloElt:
     """(1/den) * sum c * zeta^e over integer pairs (e, c), e taken mod p^n.
 
@@ -435,12 +471,14 @@ def mul(x: CycloElt, y: CycloElt) -> CycloElt:
 
 
 def unit_apply(u: int, x: CycloElt) -> CycloElt:
-    """The automorphism zeta -> zeta^u for u a unit mod p^n."""
+    """The automorphism zeta -> zeta^u for u a unit mod p^n.  A root of
+    unity zeta^e/d goes to zeta^(u*e)/d, read from the field's tables
+    (`_move`): the shared element when d is 1 or p^n."""
     field = x.field
     if u % field.p == 0:
         raise ValueError("exponent multiplier %d is not a unit mod %d" % (u, field.modulus))
     # an automorphism permutes Z[zeta], so the numerators keep gcd 1 with den
-    return _make(field, _transport(field, x.terms, u, 0), x.den)
+    return _move(field, x.terms, x.den, u, 0)
 
 
 def embed(m: int, n: int, x: CycloElt) -> CycloElt:

@@ -35,9 +35,9 @@ from math import lcm
 
 from . import linalg
 from ._terms import add, dense, fill, new, pointwise, sparse, sub
-from .cyclotomic import (CycloElt, FieldDescriptor, Rat, embed, embed_preimage,
-                         from_exponents, leading_columns, parse_rat, rat_str,
-                         restrict, terms_to_row)
+from .cyclotomic import (CycloElt, FieldDescriptor, Rat, add_by_key, embed,
+                         embed_preimage, from_exponents, leading_columns,
+                         parse_rat, rat_str, restrict, terms_to_row)
 from .groupring import GroupRingElt, fixed_ring_kernel
 from .reporting import Report, checked
 
@@ -453,16 +453,20 @@ def base_change_report(p: int, n: int, m: int) -> Report:
 
 def base_change_sigma(p: int, n: int, m: int) -> tuple[list[CycloElt], bool]:
     """Coefficients c_i = zeta^(i p^(n-m)) with  sum_i c_i e_i = sigma^(p^(n-m)),
-    each c_i lying in the level-m subfield.  Returns (coefficients, verified)."""
+    each c_i lying in the level-m subfield.  Returns (coefficients, verified).
+
+    c_i is a root of unity, so c_i e_i is e_i with every cell shifted by
+    i p^(n-m); the p^2n shifted cells are summed by group exponent in one
+    `add_by_key`, and the sum must equal sigma^(p^(n-m)) exactly."""
     if not (1 <= m < n):
         raise ValueError("need 1 <= m < n, got m=%d, n=%d" % (m, n))
     field = FieldDescriptor(p, n)
     go = field.modulus
     step = p ** (n - m)
-    cs = [CycloElt.zeta_power(field, (i * step) % go) for i in range(go)]
-    acc = GroupRingElt.zero(field)
-    for i, c in enumerate(cs):
-        acc = acc + e_basis(p, n, i).scale(c)
+    cs = [CycloElt.zeta_power(field, i * step) for i in range(go)]
+    shifted = ((j, cell.shift(i * step))
+               for i in range(go) for j, cell in e_basis(p, n, i).terms)
+    acc = new(GroupRingElt, field, add_by_key(field, shifted), go)
     ok = acc == GroupRingElt.sigma_power(field, step)
     ok = ok and all(embed_preimage(m, n, c) is not None for c in cs)
     # round-trip: the contracted coefficients dilate back to the originals

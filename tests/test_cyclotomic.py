@@ -14,6 +14,7 @@ from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, add_all, embed,
 from hopfgal.hopfgalois import e_basis
 from hopfgal.linalg import sparse_nullspace
 
+import oracle_tools
 from oracle_tools import (action_rows, oracle_cyclo_mul,
                           oracle_multiplicative_order, oracle_primitive_root,
                           oracle_unit_apply, oracle_zeta_power, poly_to_vec,
@@ -358,6 +359,84 @@ def test_unit_apply_matches_sympy_substitution(p, n, data):
             want = oracle_unit_apply(p, n, u, z.coeffs)
             assert list(unit_apply(u, z).coeffs) == want
             assert list(unit_apply(u + f.modulus, z).coeffs) == want
+
+
+def counted_transports(monkeypatch) -> list:
+    """Record every call of `cyclotomic._transport`, the general path."""
+    calls, real = [], cyclotomic._transport
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cyclotomic, "_transport", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (3, 3)])
+def test_roots_of_unity_move_by_table_lookup(monkeypatch, p, n):
+    """zeta^e/d under zeta -> zeta^u and under a shift by zeta^s is the
+    oracle's value and `_transport`'s, read without `_transport`; over 1 and
+    p^n it is the field's shared element."""
+    f = FieldDescriptor(p, n)
+    m = f.modulus
+    assert f.exponents == {row: e for e, row in enumerate(f.table)}
+    assert len(f.exponents) == len(f.powers) == m          # the rows are distinct
+    units = sorted({1, 1 + p, f.multiplier, m - 1})
+    shifts = (1, 2, m - 1)                   # a shift by 0 mod p^n returns x itself
+    transports = counted_transports(monkeypatch)
+    for e in range(m):
+        assert CycloElt.zeta_power(f, e) is f.powers[e]
+        assert CycloElt.zeta_power(f, e - 2 * m) is f.powers[e]
+        assert_canonical(f.powers[e])
+        root = oracle_zeta_power(p, n, e)
+        assert list(f.powers[e].coeffs) == root
+        for d in (1, m, 7):
+            x = f.powers[e] * Fraction(1, d)
+            assert x.terms == f.table[e] and x.den == d
+            for u in units:
+                got = unit_apply(u, x)
+                assert list(got.coeffs) == oracle_unit_apply(p, n, u, x.coeffs)
+                assert got == cyclotomic._make(
+                    f, cyclotomic._transport(f, x.terms, u, 0), d)
+                if d != 7:
+                    shared = f.powers if d == 1 else f.cells
+                    assert got is shared[u * e % m]
+            for s in shifts:
+                got = x.shift(s)
+                assert list(got.coeffs) == [c / d for c in oracle_zeta_power(p, n, e + s)]
+                assert got == cyclotomic._make(
+                    f, cyclotomic._transport(f, x.terms, 1, s), d)
+                if d != 7:
+                    shared = f.powers if d == 1 else f.cells
+                    assert got is shared[(e + s) % m]
+        for k in range(m):
+            assert unit_apply(f.multiplier, f.cells[k]) is f.cells[f.multiplier * k % m]
+    # every `_transport` call above is the test's own reference call
+    assert len(transports) == m * 3 * (len(units) + len(shifts))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (3, 3)])
+def test_other_elements_take_the_general_path(monkeypatch, p, n):
+    """-zeta^e, 2 zeta^e, zeta^a + zeta^b and zero are no table row: each
+    move goes through `_transport` and matches the oracle."""
+    f = FieldDescriptor(p, n)
+    m = f.modulus
+    zeta = f.powers
+    others = [f.zero]
+    for e in range(m):
+        others += [-zeta[e], 2 * zeta[e], zeta[e] + zeta[(e + 1) % m],
+                   (zeta[e] + zeta[(3 * e + 2) % m]) * Fraction(1, m)]
+    transports = counted_transports(monkeypatch)
+    for x in others:
+        assert x.terms not in f.exponents
+        got = unit_apply(f.multiplier, x)
+        assert list(got.coeffs) == oracle_unit_apply(p, n, f.multiplier, x.coeffs)
+        got = x.shift(1)
+        assert list(got.coeffs) == list(
+            oracle_tools.oracle_cyclo_mul(p, n, x.coeffs, zeta[1].coeffs))
+    # zero is returned as it is by a shift
+    assert len(transports) == 2 * len(others) - 1
 
 
 # -- tower embeddings ---------------------------------------------------------

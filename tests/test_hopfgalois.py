@@ -4,11 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from hopfgal import hopfgalois, linalg
-from hopfgal.cyclotomic import (FieldDescriptor, from_exponents, leading_columns,
-                                restrict, terms_to_row, terms_to_vector)
+from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, from_exponents,
+                                leading_columns, restrict, terms_to_row,
+                                terms_to_vector)
 from hopfgal.groupring import GroupRingElt, fixed_ring_kernel
 from hopfgal.linalg import sparse_nullspace
 from hopfgal.profinite import nu_h
@@ -406,7 +408,55 @@ def test_base_change(p, n, m):
     assert base_change_report(p, n, m).status == "pass"
 
 
+@pytest.mark.parametrize("p,n,m", [(3, 2, 1), (3, 3, 1), (3, 3, 2), (5, 2, 1)])
+def test_base_change_fold_is_the_termwise_sum(monkeypatch, p, n, m):
+    """The one `add_by_key` fold of the shifted idempotent cells is
+    sum_i c_i e_i built with `scale` and `+`, and is sigma^(p^(n-m)); with
+    every c_i one power of zeta further the check fails."""
+    field = FieldDescriptor(p, n)
+    step = p ** (n - m)
+    folds, real_fold = [], hopfgalois.add_by_key
+
+    def recorded(*args):
+        folds.append(real_fold(*args))
+        return folds[-1]
+
+    monkeypatch.setattr(hopfgalois, "add_by_key", recorded)
+    coeffs, ok = base_change_sigma(p, n, m)
+    assert ok and len(folds) == 1
+    folded = GroupRingElt(field, folds[0])
+    termwise = GroupRingElt.zero(field)
+    for i, c in enumerate(coeffs):
+        assert c == CycloElt.zeta_power(field, i * step)
+        termwise = termwise + e_basis(p, n, i).scale(c)
+    assert folded == termwise == GroupRingElt.sigma_power(field, step)
+
+    real_shift = CycloElt.shift
+    monkeypatch.setattr(CycloElt, "shift", lambda x, e: real_shift(x, e + 1))
+    _, ok = base_change_sigma(p, n, m)
+    assert not ok and len(folds) == 2
+    mutant = GroupRingElt(field, folds[1])
+    assert mutant != termwise
+    assert mutant == termwise.scale(CycloElt.zeta_power(field, 1))
+    report = base_change_report(p, n, m)
+    assert report.status == "fail"
+    assert report.witness == {"stage": "identity-or-subfield"}
+
+
 # -- radicand validation --------------------------------------------------------------
+
+def test_radicand_rule_is_not_a_pth_power_not_a_pnth_power():
+    """8 is no 9th power, yet x^9 - 8 = (x^3 - 2)(x^6 + 2x^3 + 4) is
+    reducible: the rule refuses p-th powers (Capelli), not only p^n-th."""
+    x = sympy.Symbol("x")
+    assert sympy.factor_list(x ** 9 - 8) == \
+        (1, [(x ** 3 - 2, 1), (x ** 6 + 2 * x ** 3 + 4, 1)])
+    assert not is_pth_power(8, 9) and is_pth_power(8, 3)
+    with pytest.raises(ValueError, match="is a 3-th power"):
+        validate_radicand(3, 8)
+    assert sympy.factor_list(x ** 9 - 2) == (1, [(x ** 9 - 2, 1)])
+    assert validate_radicand(3, 2) == Fraction(2)
+
 
 def test_validate_radicand():
     assert validate_radicand(3, 2) == Fraction(2)
