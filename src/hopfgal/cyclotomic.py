@@ -39,16 +39,30 @@ Rat = Fraction
 def rat_str(x: Rat | int) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
+
+# Wire rationals repeat: the coordinates of the data requests are a few
+# hundred distinct small fractions, sent tens of thousands of times.
+PARSE_CACHE_SIZE = 4096
+
+
 def parse_rat(s: str) -> Rat:
     """The rational `rat_str` prints as s, or an integer "num": ASCII digits,
     a minus sign only in front of the numerator, and a nonzero denominator
     after a slash.  `int` alone would also take spaces, a sign on either
-    part, underscores and non-ASCII digits; those are refused."""
-    try:
-        num, slash, den = s.partition("/")
-    except AttributeError:
-        raise ValueError("expected a rational as a 'num/den' string, got %r"
-                         % (s,)) from None
+    part, underscores and non-ASCII digits; those are refused.
+
+    A non-string is refused before any cache.  Each distinct string is
+    parsed once per process, while it stays among the `PARSE_CACHE_SIZE`
+    strings read most recently; callers share the one `Fraction` it gives,
+    which is immutable.  A refusal raises every time and is not cached."""
+    if not isinstance(s, str):
+        raise ValueError("expected a rational as a 'num/den' string, got %r" % (s,))
+    return _parse_str(s)
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_str(s: str) -> Rat:
+    num, slash, den = s.partition("/")
     # "".isdigit() is False: an empty part is refused, "3/" as well as "/2"
     if not (s.isascii()
             and (num.isdigit() or num[:1] == "-" and num[1:].isdigit())

@@ -192,6 +192,11 @@ class HopfElt:
 
     @classmethod
     def from_json(cls, p: int, n: int, data) -> "HopfElt":
+        """The element whose `to_json` is data, a list of p^n "num/den"
+        strings; ValueError on anything else."""
+        if not isinstance(data, list):
+            raise ValueError("Hopf element JSON must be a list, got %s"
+                             % type(data).__name__)
         return cls(p, n, [parse_rat(s) for s in data])
 
 

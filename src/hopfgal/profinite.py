@@ -126,6 +126,9 @@ class CoherentH:
 
     @classmethod
     def from_json(cls, data) -> "CoherentH":
+        if not isinstance(data, dict):
+            raise ValueError("coherent sequence JSON must be an object, got %s"
+                             % type(data).__name__)
         p = data["p"]
         return cls(p, [HopfElt.from_json(p, k + 1, row)
                        for k, row in enumerate(data["levels"])])

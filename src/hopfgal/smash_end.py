@@ -193,7 +193,9 @@ class QMatrix:
     def from_json(cls, data) -> "QMatrix":
         """The matrix of `to_json`'s layout.  Every entry other than the exact
         string "0/1" goes through `parse_rat`, so ints, non-strings and zero
-        denominators are refused wherever they sit."""
+        denominators are refused wherever they sit.  Matrices are sparse: a
+        row that is all "0/1" is passed over with one `list.count`, and any
+        other row is read entry by entry."""
         if not isinstance(data, dict):
             raise ValueError("matrix JSON must be an object, got %s"
                              % type(data).__name__)
@@ -205,6 +207,7 @@ class QMatrix:
             raise ValueError("matrix field 'rows' must be a list of lists")
         a = parse_rat(data["a"])
         cells = {(r, k): parse_rat(s) for r, row in enumerate(rows)
+                 if row.count(_ZERO_STR) != len(row)
                  for k, s in enumerate(row) if s != _ZERO_STR}
         # p^n >= 2^n, so an n past the row count's bit length cannot match:
         # the power is not computed for it

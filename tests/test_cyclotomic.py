@@ -49,9 +49,13 @@ def sparse_elements(p, n, coeff=frac):
 # -- scalar utilities --------------------------------------------------------
 
 def test_rat_str_round_trip():
+    """A first call parses, a second reads the memo: both give the value."""
+    cyclotomic._parse_str.cache_clear()
     for s in ("0/1", "5/3", "-7/2", "4/1"):
-        assert rat_str(parse_rat(s)) == s
-    assert parse_rat("6") == Fraction(6)
+        first = parse_rat(s)
+        assert rat_str(first) == s and parse_rat(s) == first
+    assert parse_rat("6") == Fraction(6) == parse_rat("6")
+    assert cyclotomic._parse_str.cache_info().misses == 5
 
 
 @pytest.mark.parametrize("s", ["3/", "/2", "/", "", "3/0", "3/-4", "3/+4", "+3/4",
@@ -59,9 +63,30 @@ def test_rat_str_round_trip():
                                "3 /4", "3/4 ", "-", "--3/4", "- 3/4", "3/4/5"])
 def test_parse_rat_refuses_an_empty_or_zero_part(s):
     """Only the forms `rat_str` prints, and a bare integer: no sign but a
-    leading minus, no space, no underscore, ASCII digits only."""
-    with pytest.raises(ValueError):
+    leading minus, no space, no underscore, ASCII digits only.  A refusal
+    is not remembered: the second call raises too."""
+    cyclotomic._parse_str.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            parse_rat(s)
+    assert cyclotomic._parse_str.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("s", [5, None, ["1/2"], Fraction(1, 2)])
+def test_parse_rat_refuses_a_non_string_before_the_memo(s):
+    with pytest.raises(ValueError, match="expected a rational as a 'num/den' "
+                                         "string, got "):
         parse_rat(s)
+
+
+def test_parse_rat_memo_stays_correct_past_its_cap():
+    cap = cyclotomic.PARSE_CACHE_SIZE
+    cyclotomic._parse_str.cache_clear()
+    for rounds in range(2):                 # the second round reads evicted strings
+        for k in range(cap + 100):
+            assert parse_rat("%d/7" % (k - 50)) == Fraction(k - 50, 7)
+            assert cyclotomic._parse_str.cache_info().currsize <= cap
+    assert cyclotomic._parse_str.cache_info().currsize == cap
 
 
 def test_is_prime():

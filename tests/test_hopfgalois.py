@@ -321,6 +321,14 @@ def test_sparse_elements_match_the_dense_reference(p, n, data):
     assert_hopf(HopfElt.from_json(p, n, [q(v) for v in dh]), p, n, dh)
 
 
+@pytest.mark.parametrize("data", ["123", {"0": "1/1", "1": "0/1", "2": "0/1"},
+                                  ("1/1", "0/1", "0/1"), None])
+def test_hopf_json_must_be_a_list(data):
+    """A string or an object is not read as its characters or keys."""
+    with pytest.raises(ValueError, match="must be a list"):
+        HopfElt.from_json(3, 1, data)
+
+
 def test_no_zero_is_stored_after_a_cancellation():
     h = HopfElt(3, 1, [1, Fraction(1, 2), 0])
     assert (h - h).terms == () and not (h - h)

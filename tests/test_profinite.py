@@ -168,6 +168,17 @@ def test_coherent_json_round_trip():
     assert sorted(c.to_json()) == ["levels", "p"]          # L is len(levels)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"p": 3, "levels": ["120"]}, "must be a list"),
+    ({"p": 3, "levels": "1"}, "must be a list"),
+    ([3, [["1/1", "0/1", "0/1"]]], "must be an object"),
+    ("{}", "must be an object"),
+])
+def test_coherent_json_refuses_other_shapes(data, message):
+    with pytest.raises(ValueError, match=message):
+        CoherentH.from_json(data)
+
+
 def test_depth_is_read_off_the_levels_and_the_residues():
     assert [f.name for f in dataclasses.fields(CoherentH)] == ["p", "levels"]
     assert [f.name for f in dataclasses.fields(PadicTrunc)] == ["p", "residues"]

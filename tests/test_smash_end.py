@@ -250,11 +250,29 @@ def test_no_zero_is_stored_after_a_cancellation():
 
 
 def test_zero_strings_parse_to_zero_and_are_not_stored():
-    rows = [["0", "0/7", "-0/3"], ["0/1", "5/10", "0"], ["-0/3", "0/7", "0"]]
-    m = QMatrix.from_json({"p": 3, "n": 1, "a": "2/1", "rows": rows})
-    assert m.entries == (((1, 1), Fraction(1, 2)),)
-    assert m.rows[0] == (Fraction(0),) * 3
-    assert m.to_json()["rows"] == [["0/1"] * 3, ["0/1", "1/2", "0/1"], ["0/1"] * 3]
+    for rows in ([["0", "0/7", "-0/3"], ["0/1", "5/10", "0"], ["-0/3", "0/7", "0"]],
+                 # a zero that is not "0/1" keeps its row from being passed over
+                 [["0/1", "0/7", "0/1"], ["0/1", "5/10", "0/1"], ["0/1", "0/1", "-0/3"]]):
+        m = QMatrix.from_json({"p": 3, "n": 1, "a": "2/1", "rows": rows})
+        assert m.entries == (((1, 1), Fraction(1, 2)),)
+        assert m.rows[0] == (Fraction(0),) * 3
+        assert m.to_json()["rows"] == [["0/1"] * 3, ["0/1", "1/2", "0/1"], ["0/1"] * 3]
+
+
+@pytest.mark.parametrize("row, message", [
+    ([0, "0/1", "0/1"], "'num/den' string, got 0"),
+    (["0/1", "3/0", "0/1"], "zero denominator"),
+    (["0/1", "0/1", None], "'num/den' string, got None"),
+    (["0/1"] * 4, "expected a p\\^n x p\\^n matrix"),
+    (["0/1"] * 2, "expected a p\\^n x p\\^n matrix"),
+], ids=["int-zero", "zero-denominator", "null", "long-row", "short-row"])
+def test_a_row_with_one_stray_entry_is_refused(row, message):
+    """Only a row of exactly p^n strings "0/1" is passed over unread."""
+    for r in range(3):
+        rows = [["0/1"] * 3 for _ in range(3)]
+        rows[r] = row
+        with pytest.raises(ValueError, match=message):
+            QMatrix.from_json({"p": 3, "n": 1, "a": "2/1", "rows": rows})
 
 
 def test_equal_matrices_hash_equal():
