@@ -82,7 +82,7 @@ def test_parse_rat_refuses_a_non_string_before_the_memo(s):
 def test_parse_rat_memo_stays_correct_past_its_cap():
     cap = cyclotomic.PARSE_CACHE_SIZE
     cyclotomic._parse_str.cache_clear()
-    for rounds in range(2):                 # the second round reads evicted strings
+    for _ in range(2):                      # the second round reads evicted strings
         for k in range(cap + 100):
             assert parse_rat("%d/7" % (k - 50)) == Fraction(k - 50, 7)
             assert cyclotomic._parse_str.cache_info().currsize <= cap
