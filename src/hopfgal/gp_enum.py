@@ -12,9 +12,14 @@ which is then the homomorphism into Hol(N) — feasible up to `MAX_DEGREE`.
 Each generator is offered only the elements of its own order.  The models,
 their holomorphs and the holomorph elements grouped by order depend on the
 degree alone, not on the instance or its labels: `_search_table` builds
-them on first use and keeps them for the process, so each holomorph
-element's order is computed once per process.  A time budget that is
-negative, nan or infinite is refused before any coset action is built.
+them on first use and keeps them for the process.  It reads each holomorph
+element's order off its factorization x = t·a, t in N and a in Aut(N):
+with m = ord(a), x^m lies in the regular group N, so ord(x) is m times
+the order of the element of N that takes 0 to x^m(0), a few point steps
+where a cycle walk would visit every point.  The image's generating pair
+(`_generating_sequence`) skips every element that a refuted pair already
+rules out.  A time budget that is negative, nan or infinite is refused
+before any coset action is built.
 The tests check the search against an exhaustive search over
 fixed-point-free candidates (`oracle_regular_normalized` in
 `tests/oracle_tools.py`).
@@ -23,7 +28,12 @@ The normal complements of the subgroup in the big group ("descent" data)
 are the kernels of its retractions, found by an edge-checked walk over the
 big group that shares no code with the search.  The big group is numbered
 once in walk order, so each candidate retraction is checked on integer
-tables.  Pushing a complement through the coset action (the closure of its
+tables.  That walk and the coset table know each element of the big group
+by its base key (`_base`), its images on a few points that tell the
+group's elements apart, so neither composes permutations on all the
+points of the exponent grid; the coset action refuses a permutation
+outside the big group, which a key cannot tell apart from a member.
+Pushing a complement through the coset action (the closure of its
 generators' images) always lands in the enumerated family.  The models
 come from one catalogue (`_models`): every group of order m is cyclic when
 gcd(m, phi(m)) = 1, and of order p^2 cyclic or elementary abelian; any
@@ -31,11 +41,11 @@ other degree is refused rather than enumerated incompletely.
 
 `Perm` checks its images once, in its constructor, where data comes in
 (`Perm(...)`, `instance_from_json`, `grid_aut`, `_models`).  Inside the
-kernels (`mulclose`, `FiniteGroup`'s closure, the coset table, the
-numbering of the retraction walk, the labelings and the holomorph
-products) elements are bare image tuples: x*g is
+kernels (`mulclose`, `FiniteGroup`'s closure, the labelings and the
+holomorph products) elements are bare image tuples: x*g is
 `tuple(map(x.__getitem__, g))`, and hashing, equality and sorting are the
-tuple's, all in C.  A composition of bijections is a bijection, so each
+tuple's, all in C; the coset table and the retraction walk compose base
+keys the same way.  A composition of bijections is a bijection, so each
 result that leaves a loop is wrapped in a `Perm` once, by the trusted
 constructor `_terms.new`.
 
@@ -236,30 +246,58 @@ class FiniteGroup:
 # ---------------------------------------------------------------------------
 # coset actions
 
+def _base(group: FiniteGroup) -> tuple:
+    """A base of the group: points b_1, ..., b_k whose images tell its
+    elements apart, so that an element x is known by its base key
+    (x(b_1), ..., x(b_k)).  Each b_i is the least point that some
+    nonidentity element fixing b_1, ..., b_(i-1) moves, until only the
+    identity fixes them all: then x and y with one key are equal, since
+    x^-1·y fixes every base point.
+
+    The key of a product x*g is x(g(b_1)), ..., x(g(b_k)), k lookups in x
+    once g's key is known, where the product itself is a composition over
+    all the points.  A key tells apart only the group's own elements: a
+    permutation outside the group may share one."""
+    # the identity is the least image tuple, so elements[0]
+    base, fixing, point = [], [x.images for x in group.elements[1:]], 0
+    while fixing:
+        while all(x[point] == point for x in fixing):
+            point += 1
+        base.append(point)
+        fixing = [x for x in fixing if x[point] == point]
+    return tuple(base)
+
+
 def coset_action(gamma: FiniteGroup, delta: FiniteGroup):
     """Action of gamma on the left cosets of delta.
 
     Returns (number of cosets, act), act(g) the coset permutation of one
-    element g, built when asked.  The identity coset gets index 0 and coset
-    indices follow the first appearance of a coset when scanning gamma's
-    canonical element order, so the construction is deterministic.  The
-    table from elements to cosets is keyed by image tuples.
+    element g, built when asked; act refuses a permutation outside gamma.
+    The identity coset gets index 0 and coset indices follow the first
+    appearance of a coset when scanning gamma's canonical element order, so
+    the construction is deterministic.  The table from elements to cosets is
+    keyed by base keys (`_base`): the coset of g*r is read off g's images on
+    the points r(b) of the base, never from the product on all points.
     """
     if not delta <= gamma:
         raise ValueError("delta is not a subgroup of gamma")
+    base = _base(gamma)
+    d_keys = [tuple(map(d.images.__getitem__, base)) for d in delta.elements]
     elt_to_coset: dict[tuple, int] = {}
     reps: list[tuple] = []
     for g in gamma.elements:
-        g = g.images
-        if g in elt_to_coset:
+        image = g.images.__getitem__
+        key = tuple(map(image, base))
+        if key in elt_to_coset:
             continue
         idx = len(reps)
-        reps.append(g)
-        image = g.__getitem__
-        for d in delta.elements:
-            elt_to_coset[tuple(map(image, d.images))] = idx
+        reps.append(key)
+        for d in d_keys:
+            elt_to_coset[tuple(map(image, d))] = idx
 
     def act(g: Perm) -> Perm:
+        if g not in gamma:
+            raise ValueError("the permutation is not an element of gamma")
         image = g.images.__getitem__
         return new(Perm, tuple([elt_to_coset[tuple(map(image, r))]
                                 for r in reps]))
@@ -280,23 +318,27 @@ def is_regular(group: FiniteGroup, size: int) -> bool:
 # ---------------------------------------------------------------------------
 # almost-classical complements: kernels of retractions
 
-def _walk(degree: int, gens) -> tuple[dict, list]:
-    """The group generated by the image tuples `gens` on 0..degree-1,
-    numbered in the order of a walk from the identity (index 0) along
-    x -> x*g: (number, steps), `number` the map from each element to its
-    index, in walk order, and steps[x] the indices of x*g for the
-    generators g in turn."""
-    ident = tuple(range(degree))
-    number, steps = {ident: 0}, []
-    walk = [ident]
+def _walk(members: dict, base: tuple, moves) -> tuple[dict, list]:
+    """The group `members`, a map from each element's base key (`_base`)
+    to the element, numbered in the order of a walk from the identity
+    (index 0, its key the base itself) along x -> x*g, each generator g
+    given by its key `moves`: (number, steps), `number` the map from each
+    element's key to its index, in walk order, and steps[x] the indices of
+    x*g for the generators g in turn.
+
+    The key of x*g is x's images at g's key, so each step is found among
+    the members by k lookups and one dict lookup; no product is composed on
+    all the points."""
+    number, steps = {base: 0}, []
+    walk = [members[base].images]
     for x in walk:  # the list grows while it is walked
         image, step = x.__getitem__, []
-        for g in gens:
+        for g in moves:
             y = tuple(map(image, g))
             k = number.get(y)
             if k is None:
                 k = number[y] = len(walk)
-                walk.append(y)
+                walk.append(members[y].images)
             step.append(k)
         steps.append(step)
     return number, steps
@@ -334,10 +376,11 @@ def almost_classical(gamma: FiniteGroup, delta: FiniteGroup) -> list[FiniteGroup
     sequence of gamma is sent to itself if it lies in delta, else to each
     element of delta of order dividing its own; the candidates `_retraction`
     extends that fix delta's generators give the complements.  Gamma is
-    numbered once (`_walk`), and delta's right multiplications by the
-    candidate images are index lists built once, so every walk runs on
-    integer tables.  Push the complements through the coset action to land
-    in the enumerated regular family.
+    numbered once (`_walk`), each element found by its base key (`_base`),
+    and delta's right multiplications by the candidate images are index
+    lists built once on those keys, so every walk runs on integer tables and
+    no product is composed on all the points.  Push the complements through
+    the coset action to land in the enumerated regular family.
     """
     if not delta <= gamma:
         raise ValueError("delta is not a subgroup of gamma")
@@ -351,31 +394,41 @@ def almost_classical(gamma: FiniteGroup, delta: FiniteGroup) -> list[FiniteGroup
         if g.images not in closed:
             kept.append(g)
             closed = None
-    gens = [g.images for g in kept]
-    number, steps = _walk(gamma.degree, gens)
-    # delta's elements are sorted, so the identity is index 0
-    ds = [d.images for d in delta.elements]
+    base = _base(gamma)
+
+    def key(x: tuple) -> tuple:
+        return tuple(map(x.__getitem__, base))
+
+    members = {key(x.images): x for x in gamma.elements}
+    gens = [key(g.images) for g in kept]
+    number, steps = _walk(members, base, gens)
+    # delta's elements are sorted, so the identity is index 0; gamma's base
+    # tells them apart, and a generator lies in delta when its key is theirs
+    ds = [key(d.images) for d in delta.elements]
     d_number = {d: k for k, d in enumerate(ds)}
-    d_orders = [_order(d) for d in ds]
+    d_orders = [d.order() for d in delta.elements]
     candidates = []
-    for g in gens:
-        if g in d_number:
-            candidates.append([d_number[g]])
+    for g, gk in zip(kept, gens):
+        if gk in d_number:
+            candidates.append([d_number[gk]])
         else:
-            g_order = _order(g)
+            g_order = g.order()
             candidates.append([k for k, o in enumerate(d_orders)
                                if g_order % o == 0])
-    # column k: the index of d*ds[k] for each d, for every candidate image
-    right = {k: [d_number[tuple(map(d.__getitem__, ds[k]))] for d in ds]
+    # column k: the index of d*ds[k] for each d, for every candidate image;
+    # the key of d*e is d's images at e's key
+    right = {k: [d_number[tuple(map(d.images.__getitem__, ds[k]))]
+                 for d in delta.elements]
              for k in {k for ks in candidates for k in ks}}
-    fixed = [(number[d.images], d_number[d.images]) for d in delta.generators]
-    walk = list(number)
+    fixed = [(number[k], d_number[k]) for k in
+             (key(d.images) for d in delta.generators)]
+    walk = [members[k] for k in number]
     out = []
     for images in itertools.product(*candidates):
         r = _retraction(steps, [right[k] for k in images])
         if r is None or any(r[x] != a for x, a in fixed):
             continue
-        kernel = [new(Perm, walk[x]) for x, a in enumerate(r) if a == 0]
+        kernel = [walk[x] for x, a in enumerate(r) if a == 0]
         if len(kernel) != index:
             raise AssertionError("order count violated by a complement")
         out.append(FiniteGroup(_generating_sequence(kernel)))
@@ -390,7 +443,16 @@ def push_through_action(act, subgroup: FiniteGroup) -> FiniteGroup:
 
 
 def _generating_sequence(elements) -> list[Perm]:
-    """Small deterministic generating sequence for a closed element list."""
+    """Small deterministic generating sequence for a closed element list.
+
+    Sorted by decreasing order, then by image tuple, the first element
+    `top` is returned alone if it generates; else with the first b in that
+    order such that top and b generate; else the greedy sequence of the
+    elements not yet in the closure of those before them.  The pair scan
+    skips every b that lies in <top> or in a <top, b'> already refuted:
+    top and such a b generate at most that proper subgroup, so b would
+    fail too, and the pair returned is the one an unpruned scan returns.
+    """
     elements = list(elements)
     full = {p.images for p in elements}
     if len(full) == 1:
@@ -399,9 +461,14 @@ def _generating_sequence(elements) -> list[Perm]:
     top = by_order[0]
     if top.order() == len(full):
         return [top]
+    refuted = _closure([top])
     for b in by_order:
-        if _closure([top, b]) == full:
+        if b.images in refuted:
+            continue
+        closed = _closure([top, b])
+        if closed == full:
             return [top, b]
+        refuted |= closed
     gens, closed = [], None
     for x in by_order:
         if closed is not None and x.images in closed:
@@ -467,13 +534,18 @@ def _label_cosets(size: int, lam_gens, hol_images) -> list | None:
 
 
 def _by_order(elements) -> tuple:
-    """The image tuples `elements` grouped by element order: a tuple of
+    """The image tuples `elements` grouped by element order, each order
+    computed by `_order`: see `_grouped`."""
+    return _grouped(elements, map(_order, elements))
+
+
+def _grouped(elements, orders) -> tuple:
+    """The image tuples `elements`, of the given orders, as a tuple of
     (order, group) pairs sorted by order, each group the tuple of the
-    elements of that order in the order of `elements`.  Each element's
-    order is computed once."""
+    elements of that order in the order of `elements`."""
     groups: dict[int, list] = {}
-    for h in elements:
-        groups.setdefault(_order(h), []).append(h)
+    for h, k in zip(elements, orders):
+        groups.setdefault(k, []).append(h)
     return tuple(sorted((k, tuple(v)) for k, v in groups.items()))
 
 
@@ -486,7 +558,11 @@ def _candidates(groups, gens) -> list[tuple]:
 
 def _holomorph(model: FiniteGroup) -> list[tuple]:
     """Hol(N) = N·Aut(N) for a regular permutation group N, the model, as
-    image tuples.
+    image tuples, listed as the products t·a with t running over N's
+    elements and, for each t, a over Aut(N): the entry at i·|Aut(N)| + j is
+    the i-th element of N times the j-th automorphism.  N's elements are
+    sorted, so the identity comes first, and the first |Aut(N)| entries are
+    Aut(N) itself, the stabilizer of 0.
 
     A permutation fixing 0 normalizes N exactly when it is a `_label_cosets`
     labeling against N's generators, each sent to an element of its order.
@@ -505,8 +581,17 @@ def _holomorph(model: FiniteGroup) -> list[tuple]:
 @functools.lru_cache(maxsize=None)
 def _search_table(size: int) -> tuple | None:
     """What the holomorph search reads at one degree: for each model N of
-    `_models(size)`, the pair (N, `_by_order` of Hol(N)); None where the
-    catalogue does not cover the degree.
+    `_models(size)`, the pair (N, Hol(N) grouped by element order, as
+    `_by_order` groups it); None where the catalogue does not cover the
+    degree.
+
+    Each order is read off the element's factorization x = t·a, t in N and
+    a in Aut(N) fixing 0, which `_holomorph`'s listing gives.  With
+    m = ord(a), x^m = t·(a t a^-1)···(a^(m-1) t a^(1-m)) lies in N, since a
+    normalizes N, and N is regular, so x^m is the element of N that takes 0
+    to x^m(0), and ord(x) = m·ord_N(x^m(0)).  That costs |N| + |Aut(N)|
+    `_order` calls and m point steps per element, where `_by_order` walks
+    every cycle of every element.
 
     It depends on the degree alone, not on the instance or its labels, so
     it is built on first use and kept for the process, at most one per
@@ -516,7 +601,21 @@ def _search_table(size: int) -> tuple | None:
     models = _models(size)
     if models is None:
         return None
-    return tuple((model, _by_order(_holomorph(model))) for model in models)
+    table = []
+    for model in models:
+        hol = _holomorph(model)
+        aut_orders = [_order(a) for a in hol[:len(hol) // size]]
+        point_order = [0] * size
+        for t in model.elements:
+            point_order[t.images[0]] = _order(t.images)
+        orders = []
+        for x, m in zip(hol, itertools.cycle(aut_orders)):
+            y = 0
+            for _ in range(m):
+                y = x[y]
+            orders.append(m * point_order[y])
+        table.append((model, _grouped(hol, orders)))
+    return tuple(table)
 
 
 def _holomorph_search(lam_gens, model: FiniteGroup, groups, deadline) -> set:
@@ -632,13 +731,20 @@ def _enumerate(gamma: FiniteGroup, delta: FiniteGroup, budget_seconds: float):
 # JSON interfaces
 
 def instance_from_json(data: dict):
-    """Parse {degree, gamma_generators, delta_generators} into groups."""
+    """Parse {degree, gamma_generators, delta_generators} into groups; a
+    missing field, a degree that is not an integer >= 1 or a generator that
+    is not a permutation of 0..degree-1 is a ValueError."""
     if not isinstance(data, dict):
         raise ValueError("instance JSON must be an object, got %s"
                          % type(data).__name__)
+    for key in ("degree", "gamma_generators", "delta_generators"):
+        if key not in data:
+            raise ValueError("instance field %r is missing" % key)
     degree = data["degree"]
     if type(degree) is not int:
         raise ValueError("instance field 'degree' must be an integer")
+    if degree < 1:
+        raise ValueError("instance field 'degree' must be >= 1, got %d" % degree)
     def parse(key):
         rows = data[key]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):

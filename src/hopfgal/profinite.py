@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import linalg
 from ._terms import new
 from .cyclotomic import (CycloElt, FieldDescriptor, add_by_key, embed,
-                         leading_columns, restrict)
+                         leading_columns, restrict, validate_field)
 from .groupring import (GroupRingElt, diag_action, diag_action_unit,
                         fixed_ring_kernel)
 from .hopfgalois import HopfElt, e_basis, hopf_from_groupring, hopf_to_groupring
@@ -126,12 +126,23 @@ class CoherentH:
 
     @classmethod
     def from_json(cls, data) -> "CoherentH":
+        """The sequence whose `to_json` is data: an object with an odd prime
+        `p` (an int, not a bool) and a list `levels`; ValueError on anything
+        else, as `QMatrix.from_json` refuses."""
         if not isinstance(data, dict):
             raise ValueError("coherent sequence JSON must be an object, got %s"
                              % type(data).__name__)
-        p = data["p"]
+        for key in ("p", "levels"):
+            if key not in data:
+                raise ValueError("coherent sequence field %r is missing" % key)
+        p, levels = data["p"], data["levels"]
+        if type(p) is not int:
+            raise ValueError("coherent sequence field 'p' must be an integer")
+        validate_field(p, 1)
+        if not isinstance(levels, list):
+            raise ValueError("coherent sequence field 'levels' must be a list")
         return cls(p, [HopfElt.from_json(p, k + 1, row)
-                       for k, row in enumerate(data["levels"])])
+                       for k, row in enumerate(levels)])
 
 
 def generator_sequence(p: int, L: int, i1: int = 1) -> CoherentH:

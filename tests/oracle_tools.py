@@ -6,7 +6,9 @@ library's own reduction/elimination code, so a test comparing the two routes
 is a genuine dual computation.  The normal complements are filtered from the
 whole lattice of normal subgroups, never through retractions.  The regular
 normalized subgroups are found by exhaustive search over fixed-point-free
-candidates, never through holomorphs or labelings.  The census oracles do
+candidates, never through holomorphs or labelings.  The generating pair
+and the walk of a group are found with every product composed on all
+points, never pruned or keyed by a base.  The census oracles do
 share the library's group kernels: `Perm` (its product and inverse),
 `mulclose`, `FiniteGroup`, `_generating_sequence` (the generators of each
 complement listed), `coset_action` and the catalogue `_models`.  Those
@@ -24,6 +26,7 @@ from functools import lru_cache
 from math import isqrt
 
 import sympy
+from sympy.combinatorics import Permutation as SymPerm
 
 from hopfgal.gp_enum import (FiniteGroup, Perm, _generating_sequence, _models,
                              coset_action, mulclose)
@@ -413,3 +416,60 @@ def oracle_regular_normalized(gamma: FiniteGroup, delta: FiniteGroup) -> list[tu
         found |= _naive_elementary(size, isqrt(size), lam_gens)
     return [tuple(sorted(members))
             for members in sorted(found, key=lambda s: sorted(p.images for p in s))]
+
+
+# ---------------------------------------------------------------------------
+# generating pairs and walks, with every product composed on all points
+
+def _generated(gens) -> set:
+    """The image tuples of the group generated by the image tuples `gens`."""
+    ident = tuple(range(len(gens[0])))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(x[i] for i in g)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return seen
+
+
+def oracle_generating_pair(elements) -> list[Perm] | None:
+    """The naive first-success pair scan of a closed list of Perms: sorted
+    by decreasing order (sympy's) and then by image tuple, the first
+    element `top` alone if it generates the group, else `top` with the
+    first b in that order such that the two generate it, else None.  Every
+    b is tried, none skipped."""
+    full = {p.images for p in elements}
+    by_order = sorted(elements, key=lambda p: (
+        -SymPerm(list(p.images)).order(), p.images))
+    top = by_order[0]
+    if _generated([top.images]) == full:
+        return [top]
+    for b in by_order:
+        if _generated([top.images, b.images]) == full:
+            return [top, b]
+    return None
+
+
+def oracle_walk(degree: int, gens) -> tuple[list, list]:
+    """The group generated by the image tuples `gens` on 0..degree-1 in the
+    order of a walk from the identity along x -> x*g: the elements in walk
+    order, and for each the walk indices of x*g for the generators g in
+    turn, each product composed on every point."""
+    ident = tuple(range(degree))
+    number, steps = {ident: 0}, []
+    walk = [ident]
+    for x in walk:
+        step = []
+        for g in gens:
+            y = tuple(x[i] for i in g)
+            if y not in number:
+                number[y] = len(walk)
+                walk.append(y)
+            step.append(number[y])
+        steps.append(step)
+    return walk, steps

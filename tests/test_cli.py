@@ -422,6 +422,21 @@ def test_census_mistyped_instance_is_a_usage_error(capsys, tmp_path, data):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"degree": 0, "gamma_generators": [], "delta_generators": []},
+     "'degree' must be >= 1"),
+    ({"degree": 3, "delta_generators": []}, "'gamma_generators' is missing"),
+], ids=["degree-0", "no-gamma"])
+def test_census_instance_of_degree_0_or_a_missing_field_is_a_usage_error(
+        capsys, tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["census", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    assert message in captured.err
+
+
 def test_census_refuses_oversized_instance(capsys, tmp_path):
     images = [(i + 1) % 30 for i in range(30)]
     path = tmp_path / "big.json"

@@ -43,6 +43,7 @@ from hopfgal.gp_enum import (
     cyclotomic_subgroup,
     enumerate_regular_normalized,
     full_galois_group,
+    _base,
     _by_order,
     _candidates,
     _generating_sequence,
@@ -58,8 +59,9 @@ from hopfgal.gp_enum import (
     push_through_action,
     zeta1_galois_group,
 )
-from oracle_tools import (oracle_normal_complements, oracle_normal_subgroups,
-                          oracle_regular_normalized)
+from oracle_tools import (oracle_generating_pair, oracle_normal_complements,
+                          oracle_normal_subgroups, oracle_regular_normalized,
+                          oracle_walk)
 
 
 def cycle(degree: int) -> Perm:
@@ -741,13 +743,17 @@ def test_relabeled_census_is_the_same_before_after_and_in_a_fresh_process():
 
 
 def _retraction_tables(gamma: FiniteGroup, delta: FiniteGroup, images):
-    """`_walk`'s numbering of gamma on its generators, and the moves of
-    sending them to `images` in delta, composed here on image tuples."""
-    number, steps = _walk(gamma.degree, [g.images for g in gamma.generators])
+    """`_walk`'s numbering of gamma on its generators, as the image tuples
+    in walk order, and the moves of sending them to `images` in delta,
+    composed here on image tuples."""
+    base = _base(gamma)
+    members = {tuple(x.images[b] for b in base): x for x in gamma.elements}
+    number, steps = _walk(members, base, [tuple(g.images[b] for b in base)
+                                          for g in gamma.generators])
     ds = [d.images for d in delta.elements]
     moves = [[ds.index(tuple(d[x] for x in h.images)) for d in ds]
              for h in images]
-    return list(number), steps, moves
+    return [members[k].images for k in number], steps, moves
 
 
 def test_retraction_refuses_an_assignment_that_breaks_one_edge():
@@ -786,6 +792,87 @@ def test_passing_retraction_fixing_delta_has_kernel_of_index_order(label):
         passing += 1
         assert r.count(0) == gamma.order // delta.order
     assert passing == len(oracle_normal_complements(gamma, delta))
+
+
+# ---------------------------------------------------------------------------
+# generating pairs, bases and the keyed walk, against full-tuple oracles
+
+
+SCAN_CASES = dict(PUSH_CASES)
+SCAN_CASES["degree-25-over-zeta5"] = (zeta1_galois_group(5, 2),
+                                      beta_subgroup(5, 2))
+
+
+def _action_image(gamma: FiniteGroup, delta: FiniteGroup) -> list[Perm]:
+    _, act = coset_action(gamma, delta)
+    return sorted(mulclose([act(g) for g in gamma.generators]))
+
+
+@pytest.mark.parametrize("label", sorted(SCAN_CASES))
+def test_generating_pair_is_the_first_of_the_unpruned_scan(label):
+    # on the action image and on every structure found, the pruned scan
+    # returns the pair of the scan that tries every b
+    gamma, delta = SCAN_CASES[label]
+    image = _action_image(gamma, delta)
+    want = oracle_generating_pair(image)
+    assert want is not None and _generating_sequence(image) == want
+    for group in enumerate_regular_normalized(gamma, delta):
+        want = oracle_generating_pair(list(group.elements))
+        assert want is not None
+        assert list(group.generators) == _generating_sequence(group.elements) == want
+
+
+def test_pair_scan_closures_on_the_degree_25_image_over_Q(monkeypatch):
+    # <top>, one refuted <top, b> and the pair that generates; the unpruned
+    # scan closes 101 groups here
+    image = _action_image(full_galois_group(5, 2), cyclotomic_subgroup(5, 2))
+    assert len(image) == 500
+    calls, real = [], gp_enum._closure
+    monkeypatch.setattr(gp_enum, "_closure",
+                        lambda gens: calls.append(len(gens)) or real(gens))
+    assert len(_generating_sequence(image)) == 2
+    assert calls == [1, 2, 2]
+
+
+def _relabelings():
+    """The census instances and the degree-25 ones, each relabeled by two
+    seeded shuffles of its grid points."""
+    return [pytest.param(*_relabeled(gamma, delta, seed), id="%s-%d" % (label, seed))
+            for label, (gamma, delta) in sorted(SCAN_CASES.items())
+            for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("gamma, delta", _relabelings())
+def test_base_tells_gamma_apart_and_the_keyed_walk_is_the_full_tuple_walk(
+        gamma, delta):
+    base = _base(gamma)
+    keys = {tuple(x.images[b] for b in base) for x in gamma.elements}
+    assert len(keys) == gamma.order
+    # each base point is needed: without the last one two elements meet
+    assert len({tuple(x.images[b] for b in base[:-1])
+                for x in gamma.elements}) < gamma.order
+    walk, steps, _ = _retraction_tables(gamma, delta, [])
+    assert (walk, steps) == oracle_walk(gamma.degree,
+                                        [g.images for g in gamma.generators])
+
+
+def test_act_refuses_a_permutation_outside_gamma():
+    gamma, delta = full_galois_group(3, 2), cyclotomic_subgroup(3, 2)
+    _, act = coset_action(gamma, delta)
+    base = _base(gamma)
+    # x with the images at two points off the base swapped: the base key of
+    # a member of gamma, but not a member
+    x = list(gamma.generators[0].images)
+    i, j = [k for k in range(gamma.degree) if k not in base][:2]
+    x[i], x[j] = x[j], x[i]
+    outside = Perm(tuple(x))
+    assert outside not in gamma
+    assert [outside.images[b] for b in base] == [
+        gamma.generators[0].images[b] for b in base]
+    for g in (outside, Perm((1, 0) + tuple(range(2, gamma.degree)))):
+        with pytest.raises(ValueError, match="not an element of gamma"):
+            act(g)
+    assert act(gamma.identity()) == Perm.identity(9)
 
 
 def test_incomplete_degree_refused():
@@ -840,6 +927,23 @@ def test_instance_from_json_checks_degree():
         instance_from_json({"degree": 4,
                             "gamma_generators": [[1, 2, 0]],
                             "delta_generators": []})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"degree": 0, "gamma_generators": [], "delta_generators": []},
+     "'degree' must be >= 1, got 0"),
+    ({"degree": -3, "gamma_generators": [], "delta_generators": []},
+     "'degree' must be >= 1, got -3"),
+    ({"gamma_generators": [[1, 2, 0]], "delta_generators": []},
+     "'degree' is missing"),
+    ({"degree": 3, "delta_generators": []}, "'gamma_generators' is missing"),
+    ({"degree": 3, "gamma_generators": [[1, 2, 0]]},
+     "'delta_generators' is missing"),
+], ids=["degree-0", "degree-negative", "no-degree", "no-gamma", "no-delta"])
+def test_instance_from_json_refuses_a_degree_below_1_or_a_missing_field(
+        data, message):
+    with pytest.raises(ValueError, match=message):
+        instance_from_json(data)
 
 
 def test_instance_from_json_empty_generators_mean_trivial():

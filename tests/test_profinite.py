@@ -179,6 +179,20 @@ def test_coherent_json_refuses_other_shapes(data, message):
         CoherentH.from_json(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"p": "p", "levels": [["1/1", "0/1", "0/1"]]}, "'p' must be an integer"),
+    ({"p": True, "levels": [["1/1", "0/1"]]}, "'p' must be an integer"),
+    ({"p": 4, "levels": [["1/1", "0/1", "0/1", "0/1"]]}, "odd prime, got 4"),
+    ({"p": 2, "levels": [["1/1", "0/1"]]}, "odd prime, got 2"),
+    ({"levels": [["1/1", "0/1", "0/1"]]}, "'p' is missing"),
+    ({"p": 3}, "'levels' is missing"),
+    ({"p": 3, "levels": {"1": ["1/1", "0/1", "0/1"]}}, "'levels' must be a list"),
+], ids=["p-string", "p-bool", "p-4", "p-2", "no-p", "no-levels", "levels-object"])
+def test_coherent_json_refuses_a_bad_p_or_a_missing_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        CoherentH.from_json(data)
+
+
 def test_depth_is_read_off_the_levels_and_the_residues():
     assert [f.name for f in dataclasses.fields(CoherentH)] == ["p", "levels"]
     assert [f.name for f in dataclasses.fields(PadicTrunc)] == ["p", "residues"]
