@@ -173,13 +173,6 @@ def test_coherent_json_round_trip():
     ({"p": 3, "levels": "1"}, "must be a list"),
     ([3, [["1/1", "0/1", "0/1"]]], "must be an object"),
     ("{}", "must be an object"),
-])
-def test_coherent_json_refuses_other_shapes(data, message):
-    with pytest.raises(ValueError, match=message):
-        CoherentH.from_json(data)
-
-
-@pytest.mark.parametrize("data, message", [
     ({"p": "p", "levels": [["1/1", "0/1", "0/1"]]}, "'p' must be an integer"),
     ({"p": True, "levels": [["1/1", "0/1"]]}, "'p' must be an integer"),
     ({"p": 4, "levels": [["1/1", "0/1", "0/1", "0/1"]]}, "odd prime, got 4"),
@@ -187,8 +180,8 @@ def test_coherent_json_refuses_other_shapes(data, message):
     ({"levels": [["1/1", "0/1", "0/1"]]}, "'p' is missing"),
     ({"p": 3}, "'levels' is missing"),
     ({"p": 3, "levels": {"1": ["1/1", "0/1", "0/1"]}}, "'levels' must be a list"),
-], ids=["p-string", "p-bool", "p-4", "p-2", "no-p", "no-levels", "levels-object"])
-def test_coherent_json_refuses_a_bad_p_or_a_missing_field(data, message):
+])
+def test_coherent_json_refuses_other_shapes(data, message):
     with pytest.raises(ValueError, match=message):
         CoherentH.from_json(data)
 
