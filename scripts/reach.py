@@ -3,10 +3,10 @@
 
     PYTHONPATH=src python3 scripts/reach.py
 
-Runs, in one process under `sys.setprofile`, every caller of the library
-outside its tests: the golden CLI invocations of tests/test_cli.py,
-`decompose`, `census PATH` on the degree-9-over-Q(zeta_3) and
-degree-25-over-Q instances, `verify-all` (default and the text format),
+Runs, in one process under `sys.setprofile`, the library's import and every
+caller of the library outside its tests: the golden CLI invocations of
+tests/test_cli.py, `decompose`, `census PATH` on the degree-9-over-Q(zeta_3)
+and degree-25-over-Q instances, `verify-all` (default and the text format),
 and the calls of the `tower`, `kernels`, `census` and `queries` plans of
 perfbench/ at size `full`, seed 1.
 Then it prints each named function (comprehensions and lambdas left out)
@@ -29,10 +29,26 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hopfgal"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+
+def recorder(reached: set):
+    """A `sys.setprofile` function that adds (file, first line, name) of
+    each called function to `reached`."""
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            reached.add((code.co_filename, code.co_firstlineno, code.co_name))
+    return profile
+
+
+# importing the library runs some of its functions too: each sparse value
+# class binds its constructor (`_terms.maker`) at import
+AT_IMPORT: set = set()
+sys.setprofile(recorder(AT_IMPORT))
 from hopfgal import cli  # noqa: E402
 from hopfgal.gp_enum import (cyclotomic_subgroup, full_galois_group,  # noqa: E402
                              instance_to_json, zeta1_galois_group,
                              beta_subgroup)
+sys.setprofile(None)
 
 GOLDEN_ARGV = [
     ["verify-all", "--p", "3", "--n", "1"],
@@ -107,14 +123,8 @@ def main() -> int:
     names = defined()
     with tempfile.TemporaryDirectory() as tmp:
         runs = workload(Path(tmp))
-        reached = set()
-
-        def profile(frame, event, arg):
-            if event == "call":
-                code = frame.f_code
-                reached.add((code.co_filename, code.co_firstlineno, code.co_name))
-
-        sys.setprofile(profile)
+        reached = set(AT_IMPORT)
+        sys.setprofile(recorder(reached))
         try:
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [cli.main(argv) for argv in runs]

@@ -7,7 +7,10 @@ need only `+`, `-`, `*` and truth (`Fraction` and `CycloElt` both serve),
 and no helper makes a zero of its own: the caller passes in its field's
 zero where a dense view needs one.  Each helper runs its own loop, one
 element operation per step, so the hot paths gain no call per term.
-`new` and `fill` are the trusted constructor of the frozen slotted classes.
+The frozen slotted classes are built trusted in two ways: `fill` sets
+the fields of an instance that the class's own `__init__` has made, and
+`maker(cls)` gives the one bound constructor per class, which each class's
+module binds once, at import (`GroupRingElt`'s `new_groupring`, say).
 """
 
 from __future__ import annotations
@@ -90,14 +93,16 @@ def fill(obj, *values) -> None:
         set_slot(obj, value)
 
 
-_makers: dict[type, object] = {}
-
-
-def _maker(cls):
-    """`new` for `cls`, built on the class's first use: a closure over the
-    allocator and the slot setters that sets each field by its own call,
-    with no loop per element.  The value classes have one, three or four
-    fields; unpacking refuses any other count."""
+def maker(cls):
+    """The trusted constructor of the frozen slotted dataclass `cls`: a
+    function of its field values, in declaration order, that returns an
+    instance with none of the public constructor's checks or conversions.
+    It is a closure over the allocator and the slot setters that sets each
+    field by its own call, with no loop and no lookup per element.  Each
+    value class binds its maker once, at import, beside the class; `act`,
+    the truncations, the group-ring sums and the permutation products call
+    it once per element they build.  The value classes have one, three or
+    four fields; unpacking refuses any other count."""
     alloc = object.__new__
     setters = _slot_setters(cls)
     if len(setters) == 1:
@@ -126,13 +131,4 @@ def _maker(cls):
             s1(obj, v1)
             s2(obj, v2)
             return obj
-    return _makers.setdefault(cls, make)
-
-
-def new(cls, *values):
-    """An instance of the frozen slotted dataclass `cls` with its fields,
-    in declaration order, set to `values`; none of the public
-    constructor's checks or conversions run.  `act`, the truncations, the
-    group-ring sums and the permutation products build one element per
-    call, so the per-class closure of `_maker` does the work."""
-    return (_makers.get(cls) or _maker(cls))(*values)
+    return make

@@ -26,6 +26,7 @@ level, so towers of these fields share one generator convention.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -74,14 +75,40 @@ def _parse_str(s: str) -> Rat:
     return Fraction(int(num), den)
 
 
+# Miller-Rabin on the 13 primes 2..41 as bases decides primality exactly
+# below this bound, the least strong pseudoprime to all of them (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(m: int) -> bool:
+    """Whether the integer m is prime, by deterministic Miller-Rabin on
+    `PRIME_BASES`: exact below `PRIMALITY_BOUND`, at most 13 modular powers.
+    A multiple of a base is decided at any size; any other m at or above
+    the bound is a ValueError, since the bases no longer decide it."""
     if m < 2:
         return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1
+    for q in PRIME_BASES:
+        if m % q == 0:
+            return m == q
+    if m >= PRIMALITY_BOUND:
+        raise ValueError("primality of %d is not decided: it is at or above %d"
+                         % (m, PRIMALITY_BOUND))
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for q in PRIME_BASES:
+        x = pow(q, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False                      # q witnesses that m is composite
     return True
 
 
@@ -117,7 +144,9 @@ def primitive_root(p: int) -> int:
 
 def validate_field(p: int, n: int) -> None:
     """ValueError unless p is an odd prime and n >= 1, the (p, n) that name a
-    field; builds nothing."""
+    field; builds nothing.  Primality is decided by `is_prime`, so an odd p
+    with no prime factor up to 41 at or above `PRIMALITY_BOUND` (about
+    3.3 * 10^24) is refused with a ValueError too, whether prime or not."""
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime, got %r" % (p,))
     if n < 1:
@@ -441,9 +470,28 @@ def _move(field: FieldDescriptor, terms: tuple, den: int, u: int, s: int) -> Cyc
 def from_exponents(field: FieldDescriptor, pairs, den: int = 1) -> CycloElt:
     """(1/den) * sum c * zeta^e over integer pairs (e, c), e taken mod p^n.
 
-    Passing `enumerate(sums)` folds a table of exponent sums; every entry
-    goes through the reduction table, with no shortcut for special sums."""
+    For sparse pairs (`mul`'s products, `hopf_to_groupring`'s cells): each
+    pair goes through its row of the reduction table (`_fold`, as in
+    `_transport`).  A dense table of all p^n exponent sums is folded in
+    closed form by `from_exponent_table`."""
     return _normalized(field, canonical(_fold(field, pairs)), den)
+
+
+def from_exponent_table(field: FieldDescriptor, sums, den: int = 1) -> CycloElt:
+    """(1/den) * sum_e sums[e] * zeta^e for a list of p^n integer sums.
+
+    The defining relation zeta^(phi + d) = -sum_{k < p-1} zeta^(k*s + d),
+    s = p^(n-1) and d < s, sends the sum at phi + d to minus itself at
+    every index == d mod s below phi, so the numerator at index i is
+    sums[i] - sums[phi + i mod s]: one subtraction per index, with the tail
+    of the table repeated p - 1 times.  Equal to
+    `from_exponents(field, enumerate(sums), den)`; ValueError unless the
+    table has p^n entries."""
+    phi = field.degree
+    if len(sums) != field.modulus:
+        raise ValueError("expected %d exponent sums, got %d" % (field.modulus, len(sums)))
+    nums = map(operator.sub, sums[:phi], sums[phi:] * (field.p - 1))
+    return _normalized(field, sparse(nums), den)
 
 
 def add_all(field: FieldDescriptor, elements) -> CycloElt:

@@ -63,7 +63,7 @@ import time
 from math import gcd, inf, isqrt, lcm
 from dataclasses import dataclass, field
 
-from ._terms import new
+from ._terms import maker
 from .cyclotomic import primitive_root
 from .reporting import Report, checked
 
@@ -127,19 +127,22 @@ class Perm:
         if len(self.images) != len(other.images):
             raise ValueError("permutations of degrees %d and %d do not compose"
                              % (len(self.images), len(other.images)))
-        return new(Perm, tuple(map(self.images.__getitem__, other.images)))
+        return new_perm(tuple(map(self.images.__getitem__, other.images)))
 
     def __call__(self, point: int) -> int:
         return self.images[point]
 
     def inverse(self) -> "Perm":
-        return new(Perm, _inverse(self.images))
+        return new_perm(_inverse(self.images))
 
     def order(self) -> int:
         return _order(self.images)
 
     def is_fixed_point_free(self) -> bool:
         return all(j != i for i, j in enumerate(self.images))
+
+
+new_perm = maker(Perm)
 
 
 def _order(images: tuple) -> int:
@@ -194,7 +197,7 @@ def _closure(gens) -> set:
 def mulclose(gens) -> set:
     """Closure of a set of permutations under composition, as the set of
     group elements."""
-    return {new(Perm, t) for t in _closure(gens)}
+    return {new_perm(t) for t in _closure(gens)}
 
 
 # eq=False: equality and hashing are on the element set, whatever generators
@@ -215,7 +218,7 @@ class FiniteGroup:
         closure = sorted(_closure(gens))
         object.__setattr__(self, "degree", len(closure[0]))
         object.__setattr__(self, "elements",
-                           tuple([new(Perm, t) for t in closure]))
+                           tuple([new_perm(t) for t in closure]))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_set", frozenset(closure))
 
@@ -299,8 +302,7 @@ def coset_action(gamma: FiniteGroup, delta: FiniteGroup):
         if g not in gamma:
             raise ValueError("the permutation is not an element of gamma")
         image = g.images.__getitem__
-        return new(Perm, tuple([elt_to_coset[tuple(map(image, r))]
-                                for r in reps]))
+        return new_perm(tuple([elt_to_coset[tuple(map(image, r))] for r in reps]))
 
     return len(reps), act
 
@@ -720,7 +722,7 @@ def _enumerate(gamma: FiniteGroup, delta: FiniteGroup, budget_seconds: float):
 
     results = []
     for members in sorted(found, key=sorted):
-        group = FiniteGroup(_generating_sequence([new(Perm, t) for t in members]))
+        group = FiniteGroup(_generating_sequence([new_perm(t) for t in members]))
         if not is_regular(group, size):
             raise AssertionError("enumeration produced a non-regular group")
         results.append(group)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._terms import add, canonical, dense, new, sub
-from .cyclotomic import CycloElt, FieldDescriptor, fixed_space, unit_apply
+from ._terms import add, canonical, dense, maker, sub
+from .cyclotomic import CycloElt, FieldDescriptor, _move, fixed_space
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +66,7 @@ class GroupRingElt:
     @classmethod
     def zero(cls, field: FieldDescriptor, group_order: int | None = None) -> "GroupRingElt":
         go = field.modulus if group_order is None else group_order
-        return new(cls, field, (), go)
+        return new_groupring(field, (), go)
 
     @classmethod
     def one(cls, field: FieldDescriptor, group_order: int | None = None) -> "GroupRingElt":
@@ -76,7 +76,7 @@ class GroupRingElt:
     def sigma_power(cls, field: FieldDescriptor, b: int,
                     group_order: int | None = None) -> "GroupRingElt":
         go = field.modulus if group_order is None else group_order
-        return new(cls, field, ((b % go, CycloElt.one(field)),), go)
+        return new_groupring(field, ((b % go, CycloElt.one(field)),), go)
 
     def _check(self, other: "GroupRingElt"):
         if self.field is not other.field or self.group_order != other.group_order:
@@ -84,15 +84,15 @@ class GroupRingElt:
 
     def __add__(self, other):
         self._check(other)
-        return new(GroupRingElt, self.field, add(self.terms, other.terms), self.group_order)
+        return new_groupring(self.field, add(self.terms, other.terms), self.group_order)
 
     def __sub__(self, other):
         self._check(other)
-        return new(GroupRingElt, self.field, sub(self.terms, other.terms), self.group_order)
+        return new_groupring(self.field, sub(self.terms, other.terms), self.group_order)
 
     def __neg__(self):
-        return new(GroupRingElt, self.field, tuple((b, -c) for b, c in self.terms),
-                   self.group_order)
+        return new_groupring(self.field, tuple((b, -c) for b, c in self.terms),
+                             self.group_order)
 
     def scale(self, c) -> "GroupRingElt":
         """Multiply by a scalar (rational or cyclotomic)."""
@@ -101,8 +101,8 @@ class GroupRingElt:
         if not c:
             return GroupRingElt.zero(self.field, self.group_order)
         # a product of nonzero field elements is nonzero: no cell drops out
-        return new(GroupRingElt, self.field, tuple((b, c * a) for b, a in self.terms),
-                   self.group_order)
+        return new_groupring(self.field, tuple((b, c * a) for b, a in self.terms),
+                             self.group_order)
 
     def __bool__(self):
         return bool(self.terms)
@@ -114,17 +114,27 @@ class GroupRingElt:
         return dense(self.terms, go, zero, CycloElt.to_json)
 
 
+new_groupring = maker(GroupRingElt)
+
+
 def diag_action_unit(u: int, x: GroupRingElt) -> GroupRingElt:
-    """zeta -> zeta^u on coefficients and sigma^b -> sigma^(u b), u a unit mod p."""
-    if u % x.field.p == 0:
+    """zeta -> zeta^u on coefficients and sigma^b -> sigma^(u b), u a unit mod p.
+
+    u is checked once per element; each cell then moves by the field's
+    tables (`cyclotomic._move`, what `unit_apply` runs after its own check),
+    so a root-of-unity cell is one lookup."""
+    field = x.field
+    if u % field.p == 0:
         raise ValueError("%d is not a unit multiplier" % u)
     go = x.group_order
     if len(x.terms) == 1:                     # a monomial: nothing to sort
         (b, c), = x.terms
-        return new(GroupRingElt, x.field, (((b * u) % go, unit_apply(u, c)),), go)
+        return new_groupring(field, (((b * u) % go, _move(field, c.terms, c.den, u, 0)),),
+                             go)
     # b -> u*b permutes Z/go, and an automorphism keeps every cell nonzero
-    terms = sorted(((b * u) % go, unit_apply(u, c)) for b, c in x.terms)
-    return new(GroupRingElt, x.field, tuple(terms), go)
+    terms = sorted(((b * u) % go, _move(field, c.terms, c.den, u, 0))
+                   for b, c in x.terms)
+    return new_groupring(field, tuple(terms), go)
 
 
 def diag_action(x: GroupRingElt) -> GroupRingElt:

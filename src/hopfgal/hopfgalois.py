@@ -34,11 +34,12 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from ._terms import add, dense, fill, new, pointwise, sparse, sub
+from ._terms import add, dense, fill, maker, pointwise, sparse, sub
 from .cyclotomic import (CycloElt, FieldDescriptor, Rat, add_by_key, embed,
-                         embed_preimage, from_exponents, leading_columns,
-                         parse_rat, rat_str, restrict, terms_to_row)
-from .groupring import GroupRingElt, fixed_ring_kernel
+                         embed_preimage, from_exponent_table, from_exponents,
+                         leading_columns, parse_rat, rat_str, restrict,
+                         terms_to_row)
+from .groupring import GroupRingElt, fixed_ring_kernel, new_groupring
 from .reporting import Report, checked
 
 _ZERO = Fraction(0)
@@ -93,20 +94,20 @@ def e_basis(p: int, n: int, i: int) -> GroupRingElt:
     field = FieldDescriptor(p, n)
     go, cells = field.modulus, field.cells
     # cell j is zeta^(-ij) / p^n, never zero, shared by every e_i of the level
-    return new(GroupRingElt, field, tuple((j, cells[-i * j % go]) for j in range(go)), go)
+    return new_groupring(field, tuple((j, cells[-i * j % go]) for j in range(go)), go)
 
 
 def dual_pairing(p: int, n: int, i: int, k: int) -> Rat:
     """<e_i, sigma^k> = (1/p^n) sum_j zeta^(-ij) * zeta^(kj), evaluated as the
-    full character sum in the cyclotomic field (no Kronecker shortcut): the
-    p^n terms are counted in a table by exponent, and every entry is folded
-    through the field's reduction."""
+    full character sum in the cyclotomic field (no Kronecker shortcut): all
+    p^n terms are counted in a table by exponent, and the table is folded by
+    the relation of Phi_{p^n} (`from_exponent_table`), every entry read."""
     field = FieldDescriptor(p, n)
     go = field.modulus
     sums = [0] * go
     for j in range(go):
         sums[(-i * j + k * j) % go] += 1
-    return from_exponents(field, enumerate(sums), go).rational_value()
+    return from_exponent_table(field, sums, go).rational_value()
 
 
 def h_comul(p: int, n: int, i: int) -> list[tuple[int, int]]:
@@ -155,30 +156,30 @@ class HopfElt:
 
     @classmethod
     def basis_vector(cls, p: int, n: int, i: int) -> "HopfElt":
-        return new(cls, p, n, ((i % p ** n, _ONE),))
+        return new_hopf(p, n, ((i % p ** n, _ONE),))
 
     @classmethod
     def unit(cls, p: int, n: int) -> "HopfElt":
         # sum of all idempotents = 1
-        return new(cls, p, n, tuple((i, _ONE) for i in range(p ** n)))
+        return new_hopf(p, n, tuple((i, _ONE) for i in range(p ** n)))
 
     def __add__(self, other):
         self._check(other)
-        return new(HopfElt, self.p, self.n, add(self.terms, other.terms))
+        return new_hopf(self.p, self.n, add(self.terms, other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        return new(HopfElt, self.p, self.n, sub(self.terms, other.terms))
+        return new_hopf(self.p, self.n, sub(self.terms, other.terms))
 
     def __mul__(self, other):
         # idempotent basis is pointwise-orthogonal, so the product is pointwise
         self._check(other)
-        return new(HopfElt, self.p, self.n, pointwise(self.terms, other.terms))
+        return new_hopf(self.p, self.n, pointwise(self.terms, other.terms))
 
     def scale(self, c) -> "HopfElt":
         f = Fraction(c)
-        return new(HopfElt, self.p, self.n,
-                   tuple((i, f * a) for i, a in self.terms) if f else ())
+        return new_hopf(self.p, self.n,
+                        tuple((i, f * a) for i, a in self.terms) if f else ())
 
     def _check(self, other):
         if not isinstance(other, HopfElt) or (self.p, self.n) != (other.p, other.n):
@@ -200,6 +201,9 @@ class HopfElt:
         return cls(p, n, [parse_rat(s) for s in data])
 
 
+new_hopf = maker(HopfElt)
+
+
 def hopf_to_groupring(h: HopfElt) -> GroupRingElt:
     """sum_i c_i e_i: the coefficient of sigma^j is (1/p^n) sum_i c_i zeta^(-ij),
     its integer numerators over a common denominator folded once per j.  A
@@ -208,7 +212,7 @@ def hopf_to_groupring(h: HopfElt) -> GroupRingElt:
     go = field.modulus
     den = lcm(*(c.denominator for _, c in h.terms))
     terms = [(i, c.numerator * (den // c.denominator)) for i, c in h.terms]
-    return new(GroupRingElt, field, sparse(
+    return new_groupring(field, sparse(
         from_exponents(field, ((-i * j, a) for i, a in terms), den * go)
         for j in range(go)), go)
 
@@ -219,8 +223,9 @@ def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
     Evaluation against the group basis (the Fourier transform sigma^k ->
     sum_b x_b zeta^(bk)) carries the idempotent span exactly onto rational
     vectors; a non-rational evaluation certifies non-membership.  Each
-    evaluation sums numerators over a common denominator in one exponent
-    table and folds it once.
+    evaluation sums numerators over a common denominator in one table of
+    p^n exponent sums and folds it once, in closed form
+    (`from_exponent_table`).
     """
     field = x.field
     if x.group_order != field.modulus:
@@ -233,13 +238,13 @@ def hopf_from_groupring(x: GroupRingElt) -> HopfElt:
         sums = [0] * go
         for b, A, a in terms:
             sums[(A + b * k) % go] += a
-        acc = from_exponents(field, enumerate(sums), den)
+        acc = from_exponent_table(field, sums, den)
         if not acc.is_rational():
             raise ValueError("element is not in the idempotent span "
                              "(evaluation at exponent %d is irrational)" % k)
         if acc:
             out.append((k, acc.rational_value()))
-    return new(HopfElt, field.p, field.n, tuple(out))
+    return new_hopf(field.p, field.n, tuple(out))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -268,7 +273,7 @@ class RadicalElt:
         a = Fraction(a)
         wrap, k = divmod(k, p ** n)
         c = a ** wrap
-        return new(cls, p, n, a, ((k, c),) if c else ())
+        return new_radical(p, n, a, ((k, c),) if c else ())
 
     def _check(self, other):
         if (self.p, self.n, self.a) != (other.p, other.n, other.a):
@@ -276,21 +281,21 @@ class RadicalElt:
 
     def __add__(self, other):
         self._check(other)
-        return new(RadicalElt, self.p, self.n, self.a, add(self.terms, other.terms))
+        return new_radical(self.p, self.n, self.a, add(self.terms, other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        return new(RadicalElt, self.p, self.n, self.a, sub(self.terms, other.terms))
+        return new_radical(self.p, self.n, self.a, sub(self.terms, other.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return new(RadicalElt, self.p, self.n, self.a,
-                       tuple((k, f * x) for k, x in self.terms) if f else ())
+            return new_radical(self.p, self.n, self.a,
+                               tuple((k, f * x) for k, x in self.terms) if f else ())
         self._check(other)
         go, a = self.p ** self.n, self.a
         # w^e with e >= p^n wraps into the radicand: w^e = a w^(e - p^n)
-        return new(RadicalElt, self.p, self.n, a, add((), (
+        return new_radical(self.p, self.n, a, add((), (
             (j + k, x * y) if j + k < go else (j + k - go, x * y * a)
             for j, x in self.terms for k, y in other.terms)))
 
@@ -304,6 +309,9 @@ class RadicalElt:
                 "coords": dense(self.terms, self.p ** self.n, _ZERO_STR, rat_str)}
 
 
+new_radical = maker(RadicalElt)
+
+
 def act(h: HopfElt, x: RadicalElt) -> RadicalElt:
     """Action on K: the i-th idempotent projects onto the w^i component.
 
@@ -312,7 +320,7 @@ def act(h: HopfElt, x: RadicalElt) -> RadicalElt:
     """
     if (h.p, h.n) != (x.p, x.n):
         raise ValueError("mismatched levels")
-    return new(RadicalElt, x.p, x.n, x.a, pointwise(h.terms, x.terms))
+    return new_radical(x.p, x.n, x.a, pointwise(h.terms, x.terms))
 
 # ---------------------------------------------------------------------------
 # structural checks
@@ -471,7 +479,7 @@ def base_change_sigma(p: int, n: int, m: int) -> tuple[list[CycloElt], bool]:
     cs = [CycloElt.zeta_power(field, i * step) for i in range(go)]
     shifted = ((j, cell.shift(i * step))
                for i in range(go) for j, cell in e_basis(p, n, i).terms)
-    acc = new(GroupRingElt, field, add_by_key(field, shifted), go)
+    acc = new_groupring(field, add_by_key(field, shifted), go)
     ok = acc == GroupRingElt.sigma_power(field, step)
     ok = ok and all(embed_preimage(m, n, c) is not None for c in cs)
     # round-trip: the contracted coefficients dilate back to the originals

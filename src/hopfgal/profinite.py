@@ -17,35 +17,37 @@ import operator
 from dataclasses import dataclass
 
 from . import linalg
-from ._terms import new
 from .cyclotomic import (CycloElt, FieldDescriptor, add_by_key, embed,
                          leading_columns, restrict, validate_field)
 from .groupring import (GroupRingElt, diag_action, diag_action_unit,
-                        fixed_ring_kernel)
-from .hopfgalois import HopfElt, e_basis, hopf_from_groupring, hopf_to_groupring
+                        fixed_ring_kernel, new_groupring)
+from .hopfgalois import (HopfElt, e_basis, hopf_from_groupring, hopf_to_groupring,
+                         new_hopf)
 from .reporting import Report, checked
 
 
 def nu_groupring(j: int, i: int, x: GroupRingElt) -> GroupRingElt:
     """Collapse group exponents mod p^i (identity on coefficients); j = source level.
-    Cells that meet in one target exponent are summed by one (exact) `add_all`."""
-    if x.field.n != j or x.group_order != x.field.p ** j:
+    Cells that meet in one target exponent are summed by one (exact) `add_all`.
+    x lives at level j when its field has n = j and its group order is that
+    field's `modulus` p^j."""
+    field = x.field
+    if field.n != j or x.group_order != field.modulus:
         raise ValueError("element does not live at level %d" % j)
     if not (1 <= i < j):
         raise ValueError("need 1 <= target < source, got %d -> %d" % (j, i))
-    tgt = x.field.p ** i
+    tgt = field.p ** i
     if len(x.terms) == 1:                     # a monomial: nothing to merge
         (b, c), = x.terms
-        return new(GroupRingElt, x.field, ((b % tgt, c),), tgt)
-    return new(GroupRingElt, x.field,
-               add_by_key(x.field, ((b % tgt, c) for b, c in x.terms)), tgt)
+        return new_groupring(field, ((b % tgt, c),), tgt)
+    return new_groupring(field, add_by_key(field, ((b % tgt, c) for b, c in x.terms)), tgt)
 
 
 def _lift_coefficients(x: GroupRingElt) -> GroupRingElt:
     """x with its coefficients embedded one field level up; the group stays."""
     n = x.field.n
-    return new(GroupRingElt, FieldDescriptor(x.field.p, n + 1),
-               tuple((b, embed(n, n + 1, c)) for b, c in x.terms), x.group_order)
+    return new_groupring(FieldDescriptor(x.field.p, n + 1),
+                         tuple((b, embed(n, n + 1, c)) for b, c in x.terms), x.group_order)
 
 
 def nu_h(n: int, h: HopfElt) -> HopfElt:
@@ -53,7 +55,7 @@ def nu_h(n: int, h: HopfElt) -> HopfElt:
     if h.n != n or n < 2:
         raise ValueError("need an element at level n >= 2")
     p = h.p
-    return new(HopfElt, p, n - 1, tuple((i // p, c) for i, c in h.terms if i % p == 0))
+    return new_hopf(p, n - 1, tuple((i // p, c) for i, c in h.terms if i % p == 0))
 
 
 def nu_consistency_check(p: int, n: int) -> Report:
@@ -81,7 +83,7 @@ def commute_square_check(p: int, jn: int, i: int) -> Report:
             coeff = CycloElt.zeta_power(field, a)
             kept: dict = {}                   # b mod p^i -> (nu(x), delta(nu(x)))
             for b in range(go):
-                x = new(GroupRingElt, field, ((b, coeff),), go)  # zeta^a sigma^b
+                x = new_groupring(field, ((b, coeff),), go)  # zeta^a sigma^b
                 left = nu_groupring(jn, i, diag_action(x))
                 down = nu_groupring(jn, i, x)
                 last = kept.get(b % tgt)
@@ -314,7 +316,7 @@ def fixed_truncation_check(p: int, L: int) -> Report:
                 # truncation maps fixed space into fixed space...
                 field = FieldDescriptor(p, n)
                 for terms in kernel:
-                    img = nu_groupring(n, n - 1, new(GroupRingElt, field, terms, go))
+                    img = nu_groupring(n, n - 1, new_groupring(field, terms, go))
                     if diag_action(img) != img:
                         return False, {"level": n, "problem": "truncated vector not fixed"}
                 # ...and onto it: every lower idempotent is hit

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from ._terms import add, canonical, fill, grid, new, sub
+from ._terms import add, canonical, fill, grid, maker, sub
 from .cyclotomic import Rat, parse_rat, rat_str
 from .reporting import Report, checked
 
@@ -69,7 +69,7 @@ class SmashElt:
     def basis(cls, p: int, n: int, a, j: int, i: int) -> "SmashElt":
         go = p ** n
         a = a if type(a) is Fraction else Fraction(a)
-        return new(cls, p, n, a, {(j % go, i % go): _ONE})
+        return new_smash(p, n, a, {(j % go, i % go): _ONE})
 
     def _check(self, other):
         if (self.p, self.n, self.a) != (other.p, other.n, other.a):
@@ -99,6 +99,9 @@ class SmashElt:
     def __repr__(self):
         return "SmashElt(p=%d, n=%d, a=%s, %r)" % (
             self.p, self.n, self.a, {k: str(v) for k, v in sorted(self.terms.items())})
+
+
+new_smash = maker(SmashElt)
 
 
 _ZERO = Fraction(0)
@@ -136,7 +139,7 @@ def _product_terms(go: int, a: Fraction, xterms, yterms) -> dict:
 
 def smash_mult(x: SmashElt, y: SmashElt) -> SmashElt:
     x._check(y)
-    return new(SmashElt, x.p, x.n, x.a, dict(canonical(_product_terms(
+    return new_smash(x.p, x.n, x.a, dict(canonical(_product_terms(
         x.p ** x.n, x.a, x.terms.items(), y.terms.items()))))
 
 
@@ -183,7 +186,7 @@ class QMatrix:
         for (r, k), v in self.entries:
             for c, w in by_row.get(k, ()):
                 cells[(r, c)] = cells.get((r, c), _ZERO) + v * w
-        return new(QMatrix, self.p, self.n, self.a, canonical(cells))
+        return new_qmatrix(self.p, self.n, self.a, canonical(cells))
 
     def to_json(self) -> dict:
         return {"p": self.p, "n": self.n, "a": rat_str(self.a),
@@ -215,7 +218,10 @@ class QMatrix:
         if (n > go.bit_length() or p ** n != go
                 or any(len(row) != go for row in rows)):
             raise ValueError("expected a p^n x p^n matrix for p=%d n=%d" % (p, n))
-        return new(cls, p, n, a, canonical(cells))
+        return new_qmatrix(p, n, a, canonical(cells))
+
+
+new_qmatrix = maker(QMatrix)
 
 
 def to_end_matrix(x: SmashElt) -> QMatrix:
@@ -232,7 +238,7 @@ def to_end_matrix(x: SmashElt) -> QMatrix:
             cells[(r, i)] = c
         else:
             cells[(r - go, i)] = c * a
-    return new(QMatrix, x.p, x.n, a, canonical(cells))
+    return new_qmatrix(x.p, x.n, a, canonical(cells))
 
 
 def decompose_endomorphism(m: QMatrix) -> SmashElt:
@@ -244,7 +250,7 @@ def decompose_endomorphism(m: QMatrix) -> SmashElt:
     terms = {}
     for (r, k), v in m.entries:
         terms[((r - k) % go, k)] = v / m.a if r < k else v
-    out = new(SmashElt, m.p, m.n, m.a, terms)
+    out = new_smash(m.p, m.n, m.a, terms)
     if to_end_matrix(out) != m:
         raise AssertionError("decomposition failed to round-trip")
     return out

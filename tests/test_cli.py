@@ -325,11 +325,18 @@ _MATRIX_HUGE_N = {"p": 3, "n": 100_000_000, "a": "2/1", "rows": []}
     (("verify-all", "--p", "4"), 2, "odd prime, got 4"),
     (("verify-all", "--p", "2"), 2, "odd prime, got 2"),
     (("verify-all", "--n", "0"), 2, "n must be >= 1"),
+    # primality is decided by Miller-Rabin at once: 10^18 + 3 is prime and
+    # refused by size; 2^89 - 1 is prime but past the bound of the bases
+    (("basis", "--p", "1000000000000000003", "--n", "1"), 3, "exceeds the bound 16000000"),
+    (("basis", "--p", str(2 ** 89 - 1), "--n", "1"), 2, "is not decided"),
+    (("verify-all", "--p", str(2 ** 89 - 1)), 2, "is not decided"),
 ], ids=["smash_n_negative", "act_n_negative", "act_n_zero", "smash_p4", "act_p4",
         "nu_p4", "decompose_p4", "basis_p10007", "profinite_l1e6",
         "profinite_l1e8", "smash_n1e8", "decompose_n1e8", "act_n25", "act_n15",
         "nu_n15", "nu_n25", "variants_n1e8", "variants_n16", "variants_p4",
-        "variants_n_zero", "verify_all_p4", "verify_all_p2", "verify_all_n_zero"])
+        "variants_n_zero", "verify_all_p4", "verify_all_p2", "verify_all_n_zero",
+        "basis_p1e18", "basis_p_past_primality_bound",
+        "verify_all_p_past_primality_bound"])
 def test_bad_or_oversized_request_exits_at_once(tmp_path, argv, code, message):
     if isinstance(argv[-1], dict):
         path = tmp_path / "matrix.json"
@@ -498,6 +505,22 @@ def test_verify_all_skips_every_criterion_for_an_odd_prime_outside_the_matrix(ca
     code, data = run_json(capsys, "verify-all", "--p", "11")
     assert code == 0
     assert data["summary"] == {"pass": 0, "fail": 0, "skipped": 10}
+
+
+def test_verify_all_on_a_large_prime_outside_the_matrix_exits_at_once():
+    # 10^18 + 3 is prime: thirteen modular powers decide it, where trial
+    # division would take 10^9 steps; it then skips like any other prime
+    outcomes = {}
+    for p in ("11", "1000000000000000003"):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "hopfgal.cli", "verify-all",
+                               "--p", p, "--format", "json"],
+                              capture_output=True, text=True, env=_child_env(),
+                              timeout=60)
+        assert time.perf_counter() - t0 < 5.0
+        outcomes[p] = proc.returncode, json.loads(proc.stdout)["summary"]
+    assert outcomes["1000000000000000003"] == outcomes["11"] == \
+        (0, {"pass": 0, "fail": 0, "skipped": 10})
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Cyclotomic arithmetic against sympy polynomial-quotient oracles."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from hopfgal import cyclotomic, groupring, linalg, variants
-from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, add_all, embed,
-                                embed_preimage, fixed_space, from_exponents, is_prime,
-                                mul, parse_rat, primitive_root, rat_str,
-                                terms_to_vector, unit_apply)
-from hopfgal.hopfgalois import e_basis
+from hopfgal.cyclotomic import (PRIMALITY_BOUND, PRIME_BASES, CycloElt,
+                                FieldDescriptor, add_all, embed, embed_preimage,
+                                fixed_space, from_exponent_table, from_exponents,
+                                is_prime, mul, parse_rat, primitive_root, rat_str,
+                                terms_to_vector, unit_apply, validate_field)
+from hopfgal.groupring import GroupRingElt
+from hopfgal.hopfgalois import e_basis, hopf_from_groupring
 from hopfgal.linalg import sparse_nullspace
 
 from oracle_tools import (action_rows, oracle_cyclo_mul,
@@ -93,6 +97,67 @@ def test_is_prime():
     assert [m for m in range(2, 30) if is_prime(m)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
+
+
+def _trial_division(m: int) -> bool:
+    return m >= 2 and all(m % f for f in range(2, int(m ** 0.5) + 1))
+
+
+def _strong_probable_prime(m: int, a: int) -> bool:
+    """m passes one Miller-Rabin round to base a, written out on its own."""
+    d = m - 1
+    while d % 2 == 0:
+        d //= 2
+    x = pow(a, d, m)
+    if x in (1, m - 1):
+        return True
+    while d < m - 1:
+        x, d = x * x % m, 2 * d
+        if x == m - 1:
+            return True
+    return False
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    assert [m for m in range(-3, 10 ** 5) if is_prime(m)] == \
+        [m for m in range(-3, 10 ** 5) if _trial_division(m)]
+
+
+def test_is_prime_refuses_a_strong_pseudoprime_to_the_first_four_bases():
+    m = 3215031751
+    assert m == 151 * 751 * 28351
+    # four rounds would call it prime; the bases up to 41 do not
+    assert all(_strong_probable_prime(m, a) for a in (2, 3, 5, 7))
+    assert not is_prime(m)
+    with pytest.raises(ValueError, match="odd prime, got 3215031751"):
+        validate_field(m, 1)
+
+
+def test_is_prime_matches_sympy_below_the_bound():
+    rng = random.Random(3501)
+    big = [10 ** 18 + 3, 10 ** 18 + 9, sympy.prevprime(PRIMALITY_BOUND),
+           PRIMALITY_BOUND - 2, 2 ** 61 - 1,
+           sympy.nextprime(10 ** 11) * sympy.nextprime(10 ** 12)]
+    big += [rng.randrange(10 ** 6, PRIMALITY_BOUND) for _ in range(300)]
+    assert [is_prime(m) for m in big] == [sympy.isprime(m) for m in big]
+    assert is_prime(10 ** 18 + 3)
+    validate_field(10 ** 18 + 3, 1)
+
+
+def test_primality_at_or_past_the_bound_is_refused():
+    # the bound is the least strong pseudoprime to all thirteen bases
+    assert not sympy.isprime(PRIMALITY_BOUND)
+    assert all(_strong_probable_prime(PRIMALITY_BOUND, a) for a in PRIME_BASES)
+    assert PRIME_BASES == tuple(sympy.primerange(2, 42))
+    for m in (PRIMALITY_BOUND, 2 ** 89 - 1):           # 2^89 - 1 is prime
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(m)
+        with pytest.raises(ValueError, match="not decided"):
+            validate_field(m, 1)
+    # a multiple of a base is decided at any size
+    assert not is_prime(PRIMALITY_BOUND + 1) and not is_prime(41 * 2 ** 89)
+    with pytest.raises(ValueError, match="odd prime"):
+        validate_field(3 * 2 ** 89, 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -309,6 +374,50 @@ def test_reduce_terms_handles_arbitrary_exponents():
     # zeta^5 = zeta^2 = -1 - zeta
     assert from_exponents(f, ((5, 1),)) == CycloElt(f, [-1, -1])
     assert from_exponents(f, ((0, 1), (1, 1), (2, 1))) == CycloElt.zero(f)
+
+
+def _exponent_tables(field: FieldDescriptor, rng: random.Random):
+    """Tables of p^n exponent sums: zero, dense with negatives, mostly zero,
+    and fibre-constant (equal on each e == d mod p^(n-1), so every fibre
+    folds to 0) plus an integer at exponent 0, whose sum is that integer."""
+    m, s = field.modulus, field.modulus // field.p
+    yield [0] * m, None
+    yield [rng.randint(-9, 9) for _ in range(m)], None
+    yield [rng.choice((0, 0, 0, rng.randint(-40, 40))) for _ in range(m)], None
+    for _ in range(2):
+        fibre = [rng.randint(-6, 6) for _ in range(s)]
+        r = rng.randint(-5, 5)
+        yield [fibre[e % s] + (r if e == 0 else 0) for e in range(m)], r
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2),
+                                 (7, 1), (11, 1)])
+def test_exponent_table_fold_is_the_pairwise_fold_and_sympy(p, n):
+    field = FieldDescriptor(p, n)
+    rng = random.Random(35000 + 100 * p + n)
+    for sums, rational in _exponent_tables(field, rng):
+        for den in (1, p, 12, field.modulus):
+            got = from_exponent_table(field, sums, den)
+            assert got == from_exponents(field, enumerate(sums), den)
+            want = [c / den for c in poly_to_vec(p, n, vec_to_poly(sums))]
+            assert list(got.coeffs) == want
+            if rational is not None:
+                assert got.is_rational() and got.rational_value() == Fraction(rational, den)
+    with pytest.raises(ValueError, match="expected %d exponent sums" % field.modulus):
+        from_exponent_table(field, [1] * (field.modulus - 1))
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 1)])
+def test_hopf_from_groupring_refuses_a_non_member_with_the_exponent(p, n):
+    field = FieldDescriptor(p, n)
+    # sigma^1 evaluates to zeta^k at exponent k: rational at 0, not at 1
+    with pytest.raises(ValueError, match=r"^element is not in the idempotent span "
+                                         r"\(evaluation at exponent 1 is irrational\)$"):
+        hopf_from_groupring(GroupRingElt.sigma_power(field, 1))
+    # a member: sigma^0 is the sum of every e_k
+    x = e_basis(p, n, 2) + e_basis(p, n, 1) + GroupRingElt.sigma_power(field, 0)
+    assert hopf_from_groupring(x).terms == \
+        ((0, 1), (1, 2), (2, 2), *((k, 1) for k in range(3, field.modulus)))
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])

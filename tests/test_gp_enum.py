@@ -25,7 +25,6 @@ from hypothesis import given, strategies as st
 from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
 
 from hopfgal import cli, gp_enum
-from hopfgal._terms import new
 from hopfgal.gp_enum import (
     MAX_DEGREE,
     CapExceeded,
@@ -56,6 +55,7 @@ from hopfgal.gp_enum import (
     instance_to_json,
     is_regular,
     mulclose,
+    new_perm,
     push_through_action,
     zeta1_galois_group,
 )
@@ -156,9 +156,9 @@ def test_perm_product_and_inverse_match_sympy(f, g):
 
 @given(perms(7), perms(7))
 def test_trusted_and_checked_perms_are_one_value(f, g):
-    # the kernels wrap their image tuples with `_terms.new`; such a Perm
+    # the kernels wrap their image tuples with `new_perm`; such a Perm
     # must be equal to, hash like and sort with the checked one
-    trusted = new(Perm, f.images)
+    trusted = new_perm(f.images)
     assert trusted == f and hash(trusted) == hash(f)
     assert sorted([trusted, g]) == sorted([f, g])
     assert (trusted < g) == (f < g) and (g < trusted) == (g < f)
@@ -767,7 +767,7 @@ def test_retraction_refuses_an_assignment_that_breaks_one_edge():
     assert r is not None
     kernel = [x for x, a in zip(walk, r) if a == 0]
     assert len(kernel) == gamma.order // delta.order == 3
-    assert FiniteGroup([new(Perm, x) for x in kernel]).is_cyclic()
+    assert FiniteGroup([new_perm(x) for x in kernel]).is_cyclic()
     _, steps, moves = _retraction_tables(gamma, delta, [t1, Perm.identity(3)])
     assert _retraction(steps, moves) is None
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfgal.cyclotomic import CycloElt, FieldDescriptor, terms_to_vector
+from hopfgal.cyclotomic import CycloElt, FieldDescriptor, terms_to_vector, unit_apply
 from hopfgal.groupring import (GroupRingElt, diag_action, diag_action_unit,
                                fixed_ring_kernel, twisted_kernel)
 from hopfgal.hopfgalois import e_basis
@@ -15,7 +15,7 @@ from hopfgal.profinite import nu_groupring
 from groupring_tools import (TensorElt, dense_add, dense_diag_action_unit,
                              dense_neg, dense_nu, dense_scale, dense_sub,
                              gr_antipode, gr_comul, gr_counit, gr_mul)
-from oracle_tools import action_rows, oracle_nullity
+from oracle_tools import action_rows, oracle_nullity, oracle_unit_apply
 
 # The values of st.fractions(min_value=-2, max_value=2, max_denominator=3),
 # simplest first.  Sampling them directly skips the per-draw flatmap of
@@ -226,6 +226,46 @@ def test_diag_action_is_ring_automorphism(p, n, data):
     assert diag_action_unit(u, x + y) == \
         diag_action_unit(u, x) + diag_action_unit(u, y)
     assert diag_action_unit(1, x) == x
+
+
+def cellwise_unit_apply(u, x):
+    """The diagonal action built cell by cell through the public
+    `unit_apply`, each cell checked again, and the public constructor."""
+    go = x.group_order
+    return GroupRingElt(x.field, [((b * u) % go, unit_apply(u, c)) for b, c in x.terms], go)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (3, 3)])
+@given(data=st.data())
+def test_diag_action_unit_is_the_cellwise_unit_apply(p, n, data):
+    field = FieldDescriptor(p, n)
+    m = field.modulus
+    b, k = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    inputs = [data.draw(sparse_elements(p, n, max_cells=4)),
+              data.draw(monomials(p, n)),
+              # one shared root-of-unity cell: the lookup branch of the move
+              GroupRingElt(field, [(b, field.cells[k])]),
+              GroupRingElt(field, [(b, field.powers[k]), ((b + 1) % m, field.cells[k])])]
+    if n >= 2:                                  # a truncated group, same field
+        inputs.append(nu_groupring(n, n - 1, inputs[0]))
+    for u in (1, field.multiplier, m - 1, field.multiplier + m):
+        for x in inputs:
+            got = diag_action_unit(u, x)
+            assert got == cellwise_unit_apply(u, x)
+            assert_matches_dense(got, list(got.coeffs))
+            cells = dict(got.terms)
+            for b0, c in x.terms:
+                moved = cells[(b0 * u) % x.group_order]
+                assert list(moved.coeffs) == oracle_unit_apply(p, n, u, c.coeffs)
+
+
+@pytest.mark.parametrize("u", [0, 3, 6, -3])
+def test_diag_action_refuses_a_multiple_of_p_on_every_shape(u):
+    field = FieldDescriptor(3, 2)
+    for x in (GroupRingElt.zero(field), GroupRingElt.one(field), e_basis(3, 2, 4),
+              nu_groupring(2, 1, e_basis(3, 2, 4))):
+        with pytest.raises(ValueError, match="^%d is not a unit multiplier$" % u):
+            diag_action_unit(u, x)
 
 
 def test_diag_action_rejects_non_units():

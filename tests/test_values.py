@@ -5,24 +5,26 @@ this checks that fields cannot be set and no attribute can be added, that equal 
 `==` and hash equal (where the class is hashable), and that `to_json` /
 `from_json` round-trip (where the class has them).  Source scans keep the
 hand-rolled idiom confined to the two classes that need it, and the trusted
-constructor to the shared term module.
+constructor to the shared term module: one maker per class, bound at import.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hopfgal.cyclotomic import FieldDescriptor
-from hopfgal.gp_enum import FiniteGroup, Perm, census_instances
-from hopfgal.groupring import GroupRingElt
-from hopfgal.hopfgalois import HopfElt, RadicalElt, e_basis
+from hopfgal import _terms
+from hopfgal.cyclotomic import CycloElt, FieldDescriptor
+from hopfgal.gp_enum import FiniteGroup, Perm, census_instances, new_perm
+from hopfgal.groupring import GroupRingElt, new_groupring
+from hopfgal.hopfgalois import HopfElt, RadicalElt, e_basis, new_hopf, new_radical
 from hopfgal.profinite import CoherentH, PadicTrunc, generator_sequence
-from hopfgal.smash_end import QMatrix, SmashElt, to_end_matrix
+from hopfgal.smash_end import QMatrix, SmashElt, new_qmatrix, new_smash, to_end_matrix
 from hopfgal.variants import TowerAut
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hopfgal"
@@ -54,6 +56,22 @@ VALUES = {
 }
 
 UNHASHABLE = {"SmashElt"}                   # its terms are a dict
+
+_F32 = FieldDescriptor(3, 2)
+
+# class name -> (its bound maker, a value from the public constructor)
+MAKERS = {
+    "GroupRingElt": (new_groupring, lambda: GroupRingElt(
+        _F32, [(7, CycloElt.zeta_power(_F32, 5)),
+               (2, CycloElt.rational(_F32, Fraction(-3, 4)))])),
+    "HopfElt": (new_hopf, lambda: HopfElt(3, 1, [0, "2/3", -5])),
+    "RadicalElt": (new_radical,
+                   lambda: RadicalElt(3, 1, Fraction(2, 7), [1, 0, "-1/9"])),
+    "SmashElt": (new_smash, lambda: SmashElt(3, 1, 5, {(1, 2): 3, (4, 0): "1/2"})),
+    "QMatrix": (new_qmatrix,
+                lambda: QMatrix(3, 1, 2, [[0, 1, 0], [0, 0, "3/2"], [7, 0, 0]])),
+    "Perm": (new_perm, lambda: Perm((2, 0, 3, 1))),
+}
 
 # name -> (to JSON, back from JSON)
 ROUND_TRIPS = {
@@ -115,6 +133,27 @@ def _defined_names(node: ast.ClassDef) -> set[str]:
     return names
 
 
+@pytest.mark.parametrize("name", sorted(MAKERS))
+def test_bound_maker_builds_the_public_constructors_value(name):
+    # the maker takes the stored fields in declaration order, unchecked
+    make, build = MAKERS[name]
+    x = build()
+    y = make(*(getattr(x, f.name) for f in dataclasses.fields(x)))
+    assert type(y) is type(x) and y is not x and y == x
+    assert all(getattr(y, f.name) == getattr(x, f.name) for f in dataclasses.fields(x))
+    if name not in UNHASHABLE:
+        assert hash(y) == hash(x)
+
+
+def test_each_sparse_value_class_binds_one_maker_at_import():
+    bound = [m.groups() for path in sorted(SRC.glob("*.py"))
+             for m in re.finditer(r"^(\w+) = maker\((\w+)\)$", path.read_text(), re.M)]
+    assert sorted(cls for _, cls in bound) == sorted(MAKERS)
+    assert len({name for name, _ in bound}) == len(bound)
+    # no second constructor path beside the makers
+    assert not hasattr(_terms, "new")
+
+
 def test_only_the_interned_and_hot_path_classes_define_setattr():
     hand_rolled = sorted(node.name for node in _class_defs()
                          if "__setattr__" in _defined_names(node))
@@ -122,7 +161,7 @@ def test_only_the_interned_and_hot_path_classes_define_setattr():
 
 
 def test_only_the_term_module_and_the_interned_field_call_object_new():
-    # the trusted constructor of the sparse value classes is `_terms.new`;
+    # the trusted constructor of each sparse value class is its `_terms.maker`;
     # cyclotomic keeps its own for FieldDescriptor and `_make`
     calling = {path.name: path.read_text().count("object.__new__")
                for path in sorted(SRC.glob("*.py"))}
