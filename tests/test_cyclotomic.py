@@ -93,12 +93,6 @@ def test_parse_rat_memo_stays_correct_past_its_cap():
     assert cyclotomic._parse_str.cache_info().currsize == cap
 
 
-def test_is_prime():
-    assert [m for m in range(2, 30) if is_prime(m)] == \
-        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert not is_prime(1)
-
-
 def _trial_division(m: int) -> bool:
     return m >= 2 and all(m % f for f in range(2, int(m ** 0.5) + 1))
 
@@ -118,7 +112,11 @@ def _strong_probable_prime(m: int, a: int) -> bool:
     return False
 
 
-def test_is_prime_agrees_with_trial_division_below_10_5():
+def test_is_prime():
+    assert [m for m in range(2, 30) if is_prime(m)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert not is_prime(1)
+    # every m below 10^5 agrees with trial division
     assert [m for m in range(-3, 10 ** 5) if is_prime(m)] == \
         [m for m in range(-3, 10 ** 5) if _trial_division(m)]
 

@@ -32,36 +32,18 @@ def test_nu_groupring_collapses_exponents():
 
 def test_nu_groupring_validates_levels():
     field = FieldDescriptor(3, 2)
-    x = GroupRingElt.one(field)
-    with pytest.raises(ValueError):
-        nu_groupring(3, 1, x)                  # wrong source level
-    with pytest.raises(ValueError):
-        nu_groupring(2, 2, x)                  # target not below source
-
-
-def test_nu_groupring_refuses_a_wrong_level_or_target_with_its_message():
-    field = FieldDescriptor(3, 2)
-    x = GroupRingElt.sigma_power(field, 4)
-    for j in (1, 3):                           # the field's level is 2
-        with pytest.raises(ValueError, match="^element does not live at level %d$" % j):
-            nu_groupring(j, 1, x)
-    # the right field level with a truncated group is not level 2 either
-    with pytest.raises(ValueError, match="^element does not live at level 2$"):
-        nu_groupring(2, 1, nu_groupring(2, 1, x))
-    for i in (0, 2, 3, -1):
-        with pytest.raises(ValueError,
-                           match=r"^need 1 <= target < source, got 2 -> %d$" % i):
-            nu_groupring(2, i, x)
-
-
-def test_coherent_json_decides_a_large_prime_at_once():
-    # 10^18 + 3 is prime (sympy agrees); primality is decided by
-    # Miller-Rabin, so the refusal of the empty sequence comes at once
-    with pytest.raises(ValueError, match="expected at least one level"):
-        CoherentH.from_json({"p": 1000000000000000003, "levels": []})
-    # 2^89 - 1 is prime but past the bound below which primality is decided
-    with pytest.raises(ValueError, match="not decided"):
-        CoherentH.from_json({"p": 2 ** 89 - 1, "levels": []})
+    for x in (GroupRingElt.one(field), GroupRingElt.sigma_power(field, 4)):
+        for j in (1, 3):                       # wrong source level: the field's is 2
+            with pytest.raises(ValueError,
+                               match="^element does not live at level %d$" % j):
+                nu_groupring(j, 1, x)
+        # the right field level with a truncated group is not level 2 either
+        with pytest.raises(ValueError, match="^element does not live at level 2$"):
+            nu_groupring(2, 1, nu_groupring(2, 1, x))
+        for i in (0, 2, 3, -1):                # target not below source
+            with pytest.raises(ValueError,
+                               match=r"^need 1 <= target < source, got 2 -> %d$" % i):
+                nu_groupring(2, i, x)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2)])
@@ -205,6 +187,10 @@ def test_coherent_json_round_trip():
     ({"levels": [["1/1", "0/1", "0/1"]]}, "'p' is missing"),
     ({"p": 3}, "'levels' is missing"),
     ({"p": 3, "levels": {"1": ["1/1", "0/1", "0/1"]}}, "'levels' must be a list"),
+    # 10^18 + 3 is prime and decided at once; 2^89 - 1 is prime but past
+    # the bound below which primality is decided
+    ({"p": 1000000000000000003, "levels": []}, "expected at least one level"),
+    ({"p": 2 ** 89 - 1, "levels": []}, "is not decided"),
 ])
 def test_coherent_json_refuses_other_shapes(data, message):
     with pytest.raises(ValueError, match=message):
