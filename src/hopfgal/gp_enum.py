@@ -47,7 +47,7 @@ holomorph products) elements are bare image tuples: x*g is
 tuple's, all in C; the coset table and the retraction walk compose base
 keys the same way.  A composition of bijections is a bijection, so each
 result that leaves a loop is wrapped in a `Perm` once, by the trusted
-constructor `_terms.new`.
+constructor `new_perm`.
 
 The census instances are Galois groups of radical towers Q(zeta, w),
 w^(p^n) rational, acting on the exponents of zeta^A w^B: the grid point

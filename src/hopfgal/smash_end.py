@@ -18,7 +18,7 @@ The product rule has one definition, the kernel `_product_terms`, which
 multiplies term tables ({(j, i): coefficient} items) and builds no element.
 `smash_mult` is its public wrapper: it checks that the factors share p, n
 and a, drops the cancelled terms and wraps the table in a `SmashElt`
-(`_terms.new`; its keys are reduced).  `hom_subalgebra_closure_check`
+(`new_smash`; its keys are reduced).  `hom_subalgebra_closure_check`
 calls the kernel directly, since it reads only which terms each product
 has: once per left basis element w^j1 # e_i1, on that element's one term
 against the basis elements w^j2 # e_i2 with j2 + i2 = i1 (mod p^n), the
