@@ -2,8 +2,9 @@
 
 Exit codes: 0 all reports pass (or pure data command succeeded), 1 at least
 one report failed, 2 usage or value error, 3 refusal: a census cap or budget,
-or a `basis`, `profinite`, `smash`, `act`, `nu` or `variants` request over
-`MAX_REQUEST_SIZE`.
+or a `basis`, `profinite`, `smash`, `act`, `nu` or `variants` request whose
+measure of its work or output, decided by `_guard` from p and n alone, is
+over `MAX_REQUEST_SIZE`.
 Rationals cross the boundary as "num/den" strings; JSON output is
 byte-deterministic for fixed inputs (timings are included only with
 ``--timings``).
@@ -34,18 +35,23 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
 # The one size bound of `basis`, `profinite`, `smash`, `act`, `nu` and
-# `variants`.  For `basis` and `profinite` the size is the idempotents built
-# times the p^n * phi(p^n) rationals of each.  Each run below is one
-# subprocess writing to /dev/null, on a 2-core host with Python 3.11, with
-# its peak RSS.  `basis` at (3,5) = 9,565,938 takes 2.8-2.9 s and 108 MB,
-# and at (7,3) = 34,588,806 10.3 s and 311 MB; the bound sits between.
-# `profinite` takes 1.6-1.7 s and 26 MB at (3,5), and 2.3 s and 38 MB at
-# (7,3), which the bound refuses: for `profinite` the measure overstates
-# the cost.  For `smash` the size is the matrices emitted times their p^2n
-# rationals: the largest admitted, (3,7) with --right = 14,348,907, takes
-# 3.8 s and 26 MB.  For `act` and `nu` it is the rationals emitted.  For
-# `variants` it is p^n alone, which refuses a huge level at once but is no
-# measure of a variants run's cost.
+# `variants`; each handler states its measure in its `_guard` call.  `basis`,
+# `smash`, `act` and `nu` count the rationals they emit.  `profinite` counts
+# 4 x (L+1) p^2L: p^2L group-ring cells for the level-L truncation check and
+# for each of its L-1 commute squares, and p^2L for the idempotents that the
+# fixed-point check holds at once.  `variants` counts 64 x p(p-1)^2 p^2n: the
+# rows that its p action echelons insert.  The integers 4 and 64 put both
+# cuts near 15-20 s.
+# One subprocess each, writing to /dev/null, 2-core host, Python 3.11.7:
+#   basis      (3,5) 9,565,938 2.8 s 108 MB; refused (7,3) 10.3 s 311 MB
+#   smash      (3,7) --right 14,348,907 3.8 s 26 MB
+#   profinite  (3,5) 1,417,176 1.7 s 26 MB; (7,3) 1,882,384 2.1 s 38 MB;
+#              (5,4) 7,812,500 9.2 s 88 MB; (3,6) 14,880,348 12.9 s 108 MB;
+#              (1409,1) 15,882,248 9.8 s 464 MB; refused (1423,1) 16,199,432
+#              10.2 s 473 MB, (11,3) 28,344,976 21.2 s 381 MB
+#   variants   (3,2) 62,208 0.1 s; (3,3) 559,872 0.4 s; (5,2) 3,200,000
+#              2.4 s 22 MB; (3,4) 5,038,848 6.0 s 28 MB; refused (7,2)
+#              38,723,328 43.2 s 73 MB
 MAX_REQUEST_SIZE = 16_000_000
 
 
@@ -94,44 +100,31 @@ def _smash_terms_json(x: SmashElt) -> list[list]:
     return [[j, i, rat_str(c)] for (j, i), c in sorted(x.terms.items())]
 
 
-def _guard_level(p: int, n: int) -> int:
+def _guard(p: int, n: int, size, what: str) -> int:
     """p^n, for a p and n that name a field (a usage error otherwise, at any
-    size) and a p^n not over `MAX_REQUEST_SIZE` (refused otherwise).  Every
-    request's size is at least p^n.  Builds no field, and computes no power
-    past the bound."""
+    size) and a request whose `size(p^n)`, the count that `what` names, is
+    not over `MAX_REQUEST_SIZE` (refused otherwise).  Builds no field, and
+    computes no power past the bound: every size is at least p^n."""
     validate_field(p, n)
     # p > 2, so p^n > 2^n > MAX_REQUEST_SIZE once n reaches its bit length
     if n >= MAX_REQUEST_SIZE.bit_length():
         raise EnumerationRefusal("p=%d n=%d: p^n alone exceeds the bound %d"
                                  % (p, n, MAX_REQUEST_SIZE))
-    return p ** n
-
-
-def _refuse_over_bound(p: int, n: int, size: int, measure: str) -> None:
-    """Refuse a request whose `size`, the rationals it builds or emits as
-    `measure` counts them, is over `MAX_REQUEST_SIZE`."""
-    if size > MAX_REQUEST_SIZE:
+    go = p ** n
+    if (count := size(go)) > MAX_REQUEST_SIZE:
         raise EnumerationRefusal("p=%d n=%d: %s = size %d exceeds the bound %d"
-                                 % (p, n, measure, size, MAX_REQUEST_SIZE))
-
-
-def _guard_size(p: int, n: int, all_indices: bool) -> None:
-    """Refuse a request over `MAX_REQUEST_SIZE` (p^n idempotents at level n,
-    or one without `all_indices`) before any field table or element is built;
-    a p or n that names no field stays a usage error at any size."""
-    go = _guard_level(p, n)
-    count = go if all_indices else 1
-    _refuse_over_bound(p, n, count * go * (go - go // p),
-                       "%d idempotents x p^n*phi(p^n) rationals" % count)
+                                 % (p, n, what, count, MAX_REQUEST_SIZE))
+    return go
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns the output payload dict)
 
 def _cmd_basis(args) -> dict:
-    _guard_size(args.p, args.n, args.i is None)
-    go = args.p ** args.n
-    indices = [args.i % go] if args.i is not None else list(range(go))
+    every = args.i is None
+    go = _guard(args.p, args.n, lambda go: (go if every else 1) * go * (go - go // args.p),
+                "%s idempotents x p^n*phi(p^n) rationals" % ("p^n" if every else "1"))
+    indices = list(range(go)) if every else [args.i % go]
     elements = [{"i": i, "coefficients": e_basis(args.p, args.n, i).to_json()}
                 for i in indices]
     return {"command": "basis", "p": args.p, "n": args.n, "elements": elements}
@@ -139,8 +132,7 @@ def _cmd_basis(args) -> dict:
 
 def _cmd_act(args) -> dict:
     # the acting element, the input and the output: p^n rationals each
-    go = _guard_level(args.p, args.n)
-    _refuse_over_bound(args.p, args.n, 3 * go, "3 elements x p^n rationals")
+    go = _guard(args.p, args.n, lambda go: 3 * go, "3 elements x p^n rationals")
     a = validate_radicand(args.p, parse_rat(args.a))
     if args.h_coords is not None:
         h = HopfElt(args.p, args.n, _parse_coords(args.h_coords, go, "--h-coords"))
@@ -158,10 +150,9 @@ def _cmd_act(args) -> dict:
 
 def _cmd_smash(args) -> dict:
     # one p^n x p^n matrix per factor, and one for the product
-    go = _guard_level(args.p, args.n)
     count = 1 if args.right is None else 3
-    _refuse_over_bound(args.p, args.n, count * go * go,
-                       "%d matrices x p^2n rationals" % count)
+    _guard(args.p, args.n, lambda go: count * go * go,
+           "%d matrices x p^2n rationals" % count)
     a = validate_radicand(args.p, parse_rat(args.a))
     j, i = _parse_pair(args.left, "--left")
     left = SmashElt.basis(args.p, args.n, a, j, i)
@@ -193,12 +184,13 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_nu(args) -> dict:
-    go = _guard_level(args.p, args.n)
+    # a level below 2 is a usage error at any size
+    validate_field(args.p, args.n)
     if args.n < 2:
         raise ValueError("truncation needs --n >= 2 (maps level n to n-1)")
     # the input at level n and the output at level n-1
-    _refuse_over_bound(args.p, args.n, go + go // args.p,
-                       "p^n + p^(n-1) rationals")
+    go = _guard(args.p, args.n, lambda go: go + go // args.p,
+                "p^n + p^(n-1) rationals")
     if args.coords is not None:
         h = HopfElt(args.p, args.n, _parse_coords(args.coords, go, "--coords"))
     else:
@@ -211,16 +203,20 @@ def _cmd_nu(args) -> dict:
 def _cmd_profinite(args) -> dict:
     if args.level < 1:
         raise ValueError("--level must be >= 1, got %d" % args.level)
-    _guard_size(args.p, args.level, True)
+    _guard(args.p, args.level, lambda go: 4 * (args.level + 1) * go * go,
+           "4 x (level + 1) x p^(2 level) cells")
     reports = criterion("inverse-system", (args.p,), level=args.level)
     return {"command": "profinite", "p": args.p, "level": args.level,
             "reports": [r.to_dict(args.timings) for r in reports]}
 
 
 def _cmd_variants(args) -> dict:
-    # p^n is a floor, not a cost measure: (3,3) takes under a second
-    go = _guard_level(args.p, args.n)
-    _refuse_over_bound(args.p, args.n, go, "p^n")
+    # a level below 2 is a usage error at any size
+    validate_field(args.p, args.n)
+    if args.n < 2:
+        raise ValueError("descent Hopf algebras need level >= 2")
+    _guard(args.p, args.n, lambda go: 64 * args.p * (args.p - 1) ** 2 * go * go,
+           "64 x p(p-1)^2 p^2n echelon rows")
     a = validate_radicand(args.p, parse_rat(args.a))
     reports = variant_reports(args.p, args.n, a, args.i)
     return {"command": "variants", "p": args.p, "n": args.n, "radicand": rat_str(a),

@@ -89,6 +89,10 @@ class SearchBudgetExceeded(EnumerationRefusal):
 # the largest degree the census enumerates; larger ones are refused for cost
 MAX_DEGREE = 25
 
+# the largest point count of an instance that `instance_from_json` reads: the
+# grid of a degree-m census over Q has m^2 points, 2,401 at degree 49
+MAX_INSTANCE_DEGREE = 4096
+
 # the default wall-clock budget of one enumeration, in seconds
 SEARCH_BUDGET_SECONDS = 300.0
 
@@ -117,10 +121,6 @@ class Perm:
     @classmethod
     def identity(cls, degree: int) -> "Perm":
         return cls(tuple(range(degree)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Composition: (self * other)(x) = self(other(x))."""
@@ -734,8 +734,10 @@ def _enumerate(gamma: FiniteGroup, delta: FiniteGroup, budget_seconds: float):
 
 def instance_from_json(data: dict):
     """Parse {degree, gamma_generators, delta_generators} into groups; a
-    missing field, a degree that is not an integer >= 1 or a generator that
-    is not a permutation of 0..degree-1 is a ValueError."""
+    missing field, a degree that is not an integer from 1 to
+    `MAX_INSTANCE_DEGREE` or a generator that is not a permutation of
+    0..degree-1 is a ValueError.  The degree and the generators' lengths
+    are checked before any `Perm` is built."""
     if not isinstance(data, dict):
         raise ValueError("instance JSON must be an object, got %s"
                          % type(data).__name__)
@@ -747,20 +749,21 @@ def instance_from_json(data: dict):
         raise ValueError("instance field 'degree' must be an integer")
     if degree < 1:
         raise ValueError("instance field 'degree' must be >= 1, got %d" % degree)
+    if degree > MAX_INSTANCE_DEGREE:
+        raise ValueError("instance field 'degree' must be <= %d, got %d"
+                         % (MAX_INSTANCE_DEGREE, degree))
     def parse(key):
         rows = data[key]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("instance field %r must be a list of lists" % key)
         if any(type(x) is not int for images in rows for x in images):
             raise ValueError("instance field %r must hold integers" % key)
-        gens = [Perm(tuple(images)) for images in rows]
-        if not gens:
-            gens = [Perm.identity(degree)]
-        for g in gens:
-            if g.degree != degree:
+        for images in rows:
+            if len(images) != degree:
                 raise ValueError("%s entry has degree %d, expected %d"
-                                 % (key, g.degree, degree))
-        return FiniteGroup(gens)
+                                 % (key, len(images), degree))
+        return FiniteGroup([Perm(tuple(images)) for images in rows]
+                           or [Perm.identity(degree)])
     return parse("gamma_generators"), parse("delta_generators")
 
 

@@ -1,9 +1,9 @@
 """End-to-end tests of the command-line interface, run in process.
 
 Covers payload shapes, exit codes (0 pass / 1 report failure / 2 usage /
-3 refusal), the size guard of `basis`, `profinite`, `smash`, `act` and `nu`,
-byte-determinism of JSON output, stdin and file plumbing, and the text
-renderer.  The exit-at-once cases also run in a fresh process.
+3 refusal), the size guard of `basis`, `profinite`, `smash`, `act`, `nu`
+and `variants`, byte-determinism of JSON output, stdin and file plumbing,
+and the text renderer.  The exit-at-once cases also run in a fresh process.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import pytest
 import hopfgal
 from hopfgal import cli, cyclotomic, verify
 from hopfgal.cli import MAX_REQUEST_SIZE, main
-from hopfgal.gp_enum import (EnumerationRefusal, beta_subgroup,
-                             cyclotomic_subgroup, full_galois_group,
-                             instance_to_json, zeta1_galois_group)
+from hopfgal.gp_enum import (beta_subgroup, cyclotomic_subgroup,
+                             full_galois_group, instance_to_json,
+                             zeta1_galois_group)
 from hopfgal.reporting import Report
 from hopfgal.smash_end import SmashElt, to_end_matrix
 
@@ -198,30 +198,56 @@ def test_profinite_suite_passes(capsys):
 
 
 def test_profinite_refuses_an_over_cap_level_before_any_report(capsys, monkeypatch):
-    # level 5 is admitted now; level 6 is over the size bound
+    # level 6 is admitted now; level 7 is over the size bound
     def no_report(p, n):
         raise AssertionError("a report ran before the size refusal")
 
     monkeypatch.setattr(verify, "nu_consistency_check", no_report)
-    assert main(["profinite", "--p", "3", "--level", "6"]) == 3
+    assert main(["profinite", "--p", "3", "--level", "7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("refused: ")
-    assert "size 258280326 exceeds the bound %d" % MAX_REQUEST_SIZE in captured.err
+    assert "size %d exceeds the bound %d" % (4 * 8 * 3 ** 14, MAX_REQUEST_SIZE) \
+        in captured.err
 
 
-def _no_work(*args):
+def _no_work(*args, **kwargs):
     raise AssertionError("work started before the size refusal")
 
 
+class _WorkStarted(Exception):
+    """Raised in place of a command's work, once its size was admitted."""
+
+
+def _start_work(*args, **kwargs):
+    raise _WorkStarted
+
+
+def _patch_work(monkeypatch, work):
+    """Put `work` in place of every command's work, and forbid building a
+    field, so that only the size guard runs."""
+    monkeypatch.setattr(cyclotomic.FieldDescriptor, "__new__", _no_work)
+    for name in ("e_basis", "criterion", "variant_reports"):
+        monkeypatch.setattr(cli, name, work)
+
+
 @pytest.mark.parametrize("argv", [
-    ("profinite", "--p", "7", "--level", "3"),
-    ("profinite", "--p", "5", "--level", "4"),
+    # profinite measures 4 x (level + 1) x p^(2 level), variants
+    # 64 x p(p-1)^2 p^2n
+    ("profinite", "--p", "11", "--level", "3"),
+    ("profinite", "--p", "3", "--level", "7"),
+    ("profinite", "--p", "5", "--level", "5"),
+    ("profinite", "--p", "7", "--level", "4"),
+    ("profinite", "--p", "1999", "--level", "1"),  # 4M idempotent cells held
+    ("variants", "--p", "5", "--n", "3"),
+    ("variants", "--p", "7", "--n", "2"),
+    ("variants", "--p", "3", "--n", "5"),
     ("basis", "--p", "3", "--n", "7"),
-], ids=["profinite_p7_l3", "profinite_p5_l4", "basis_p3_n7"])
+], ids=["profinite_p11_l3", "profinite_p3_l7", "profinite_p5_l5", "profinite_p7_l4",
+        "profinite_p1999_l1", "variants_p5_n3", "variants_p7_n2", "variants_p3_n5",
+        "basis_p3_n7"])
 def test_oversized_request_is_refused_at_once(capsys, monkeypatch, argv):
-    monkeypatch.setattr(verify, "nu_consistency_check", _no_work)
-    monkeypatch.setattr(cli, "e_basis", _no_work)
+    _patch_work(monkeypatch, _no_work)
     t0 = time.perf_counter()
     assert main(list(argv)) == 3
     assert time.perf_counter() - t0 < 1.0
@@ -267,21 +293,45 @@ def test_smash_over_the_bound_is_refused_at_once(capsys, monkeypatch, argv, size
     assert "size %d exceeds the bound %d" % (size, MAX_REQUEST_SIZE) in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    # each runs in at most 13 s (README's calibration table)
+    ("profinite", "--p", "3", "--level", "5"),
+    ("profinite", "--p", "7", "--level", "3"),
+    ("profinite", "--p", "5", "--level", "4"),
+    ("profinite", "--p", "3", "--level", "6"),
+    ("variants", "--p", "3", "--n", "2"),
+    ("variants", "--p", "3", "--n", "3"),
+    ("variants", "--p", "5", "--n", "2"),
+    ("variants", "--p", "3", "--n", "4"),
+], ids=["profinite_p3_l5", "profinite_p7_l3", "profinite_p5_l4", "profinite_p3_l6",
+        "variants_p3_n2", "variants_p3_n3", "variants_p5_n2", "variants_p3_n4"])
+def test_request_under_the_bound_starts_its_work(monkeypatch, argv):
+    _patch_work(monkeypatch, _start_work)
+    with pytest.raises(_WorkStarted):
+        main(list(argv))
+
+
+def _basis_argv(p: int, n: int, all_indices: bool) -> list[str]:
+    return ["basis", "--p", str(p), "--n", str(n), *([] if all_indices else ["--i", "0"])]
+
+
 @pytest.mark.parametrize("p, n, all_indices", [
     (3, 1, False), (3, 1, True), (3, 2, True),    # basis in tests and golden files
-    (3, 3, True), (3, 4, True), (5, 3, True),     # profinite in tests and the bench
+    (3, 3, True), (3, 4, True), (5, 3, True),
     (3, 5, True), (13, 2, True), (3, 7, False),
 ])
 def test_size_guard_admits(monkeypatch, p, n, all_indices):
-    monkeypatch.setattr(cyclotomic.FieldDescriptor, "__new__", _no_work)
-    cli._guard_size(p, n, all_indices)
+    # basis measures its idempotents x p^n * phi(p^n) rationals
+    _patch_work(monkeypatch, _start_work)
+    with pytest.raises(_WorkStarted):
+        main(_basis_argv(p, n, all_indices))
 
 
 @pytest.mark.parametrize("p, n", [(7, 3), (5, 4), (3, 6), (3, 7)])
-def test_size_guard_refuses(monkeypatch, p, n):
-    monkeypatch.setattr(cyclotomic.FieldDescriptor, "__new__", _no_work)
-    with pytest.raises(EnumerationRefusal):
-        cli._guard_size(p, n, True)
+def test_size_guard_refuses(capsys, monkeypatch, p, n):
+    _patch_work(monkeypatch, _no_work)
+    assert main(_basis_argv(p, n, True)) == 3
+    assert "exceeds the bound" in capsys.readouterr().err
 
 
 def _child_env() -> dict:
@@ -293,6 +343,8 @@ def _child_env() -> dict:
 
 _MATRIX_P4 = {"p": 4, "n": 1, "a": "2/1", "rows": [["0/1"] * 4] * 4}
 _MATRIX_HUGE_N = {"p": 3, "n": 100_000_000, "a": "2/1", "rows": []}
+_INSTANCE_DEGREE_3E5 = {"degree": 300_000, "gamma_generators": [], "delta_generators": []}
+_INSTANCE_DEGREE_4E6 = {"degree": 4_000_000, "gamma_generators": [], "delta_generators": []}
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -316,15 +368,20 @@ _MATRIX_HUGE_N = {"p": 3, "n": 100_000_000, "a": "2/1", "rows": []}
     (("act", "--p", "3", "--n", "15"), 3, "size 43046721 exceeds"),
     (("nu", "--p", "3", "--n", "15"), 3, "size 19131876 exceeds"),
     (("nu", "--p", "3", "--n", "25"), 3, "p^n alone exceeds"),
-    # variants is refused on p^n alone; its cost has no measure yet
+    # variants measures the 64 x p(p-1)^2 p^2n rows its echelons insert
     (("variants", "--p", "3", "--n", "100000000"), 3, "p^n alone exceeds"),
-    (("variants", "--p", "3", "--n", "16"), 3, "size 43046721 exceeds"),
+    (("variants", "--p", "3", "--n", "16"), 3,
+     "size %d exceeds" % (64 * 3 * 2 ** 2 * 3 ** 32)),
     (("variants", "--p", "4", "--n", "1"), 2, "odd prime, got 4"),
+    (("variants", "--p", "13", "--n", "1"), 2, "need level >= 2"),
     (("variants", "--p", "3", "--n", "0"), 2, "n must be >= 1"),
     # verify-all's filters name a field too, before any check runs
     (("verify-all", "--p", "4"), 2, "odd prime, got 4"),
     (("verify-all", "--p", "2"), 2, "odd prime, got 2"),
     (("verify-all", "--n", "0"), 2, "n must be >= 1"),
+    # a census instance's degree is bounded before any permutation is built
+    (("census", _INSTANCE_DEGREE_3E5), 2, "'degree' must be <= 4096, got 300000"),
+    (("census", _INSTANCE_DEGREE_4E6), 2, "'degree' must be <= 4096, got 4000000"),
     # primality is decided by Miller-Rabin at once: 10^18 + 3 is prime and
     # refused by size; 2^89 - 1 is prime but past the bound of the bases
     (("basis", "--p", "1000000000000000003", "--n", "1"), 3, "exceeds the bound 16000000"),
@@ -334,12 +391,13 @@ _MATRIX_HUGE_N = {"p": 3, "n": 100_000_000, "a": "2/1", "rows": []}
         "nu_p4", "decompose_p4", "basis_p10007", "profinite_l1e6",
         "profinite_l1e8", "smash_n1e8", "decompose_n1e8", "act_n25", "act_n15",
         "nu_n15", "nu_n25", "variants_n1e8", "variants_n16", "variants_p4",
-        "variants_n_zero", "verify_all_p4", "verify_all_p2", "verify_all_n_zero",
+        "variants_p13_n1", "variants_n_zero", "verify_all_p4", "verify_all_p2",
+        "verify_all_n_zero", "census_degree_3e5", "census_degree_4e6",
         "basis_p1e18", "basis_p_past_primality_bound",
         "verify_all_p_past_primality_bound"])
 def test_bad_or_oversized_request_exits_at_once(tmp_path, argv, code, message):
     if isinstance(argv[-1], dict):
-        path = tmp_path / "matrix.json"
+        path = tmp_path / "input.json"
         path.write_text(json.dumps(argv[-1]))
         argv = (*argv[:-1], str(path))
     t0 = time.perf_counter()

@@ -27,6 +27,7 @@ from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
 from hopfgal import cli, gp_enum
 from hopfgal.gp_enum import (
     MAX_DEGREE,
+    MAX_INSTANCE_DEGREE,
     CapExceeded,
     CensusInstance,
     FiniteGroup,
@@ -944,6 +945,22 @@ def test_instance_from_json_refuses_a_degree_below_1_or_a_missing_field(
         data, message):
     with pytest.raises(ValueError, match=message):
         instance_from_json(data)
+
+
+def test_instance_from_json_bounds_the_degree_before_any_perm(monkeypatch):
+    # degree 49's grid of 2,401 points is read; past the bound, no Perm is built
+    gamma, delta = instance_from_json({"degree": 49 ** 2, "gamma_generators": [],
+                                       "delta_generators": []})
+    assert gamma.degree == delta.degree == 49 ** 2 and gamma.order == 1
+
+    def no_perm(*args):
+        raise AssertionError("a Perm was built before the degree bound")
+
+    monkeypatch.setattr(gp_enum, "Perm", no_perm)
+    with pytest.raises(ValueError, match="'degree' must be <= %d, got %d"
+                       % (MAX_INSTANCE_DEGREE, MAX_INSTANCE_DEGREE + 1)):
+        instance_from_json({"degree": MAX_INSTANCE_DEGREE + 1,
+                            "gamma_generators": [], "delta_generators": []})
 
 
 def test_instance_from_json_empty_generators_mean_trivial():
