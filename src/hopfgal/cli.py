@@ -39,9 +39,12 @@ EXIT_REFUSED = 3
 # `smash`, `act` and `nu` count the rationals they emit.  `profinite` counts
 # 4 x (L+1) p^2L: p^2L group-ring cells for the level-L truncation check and
 # for each of its L-1 commute squares, and p^2L for the idempotents that the
-# fixed-point check holds at once.  `variants` counts 64 x p(p-1)^2 p^2n: the
-# rows that its p action echelons insert.  The integers 4 and 64 put both
-# cuts near 15-20 s.
+# fixed-point check holds at once.  `variants` counts p(p-1)p^3n / 8: the
+# exponent sums that its action matrices fold, p^n per entry, p^n entries
+# per matrix, (p-1)p^n matrices per algebra and p algebras.  The factor 4
+# and the divisor 8 put both cuts above the admitted runs of 10-13 s; the
+# first refused `variants` size, (11,2), spends its time in eliminations
+# that grow with p.
 # One subprocess each, writing to /dev/null, 2-core host, Python 3.11.7:
 #   basis      (3,5) 9,565,938 2.8 s 108 MB; refused (7,3) 10.3 s 311 MB
 #   smash      (3,7) --right 14,348,907 3.8 s 26 MB
@@ -49,9 +52,10 @@ EXIT_REFUSED = 3
 #              (5,4) 7,812,500 9.2 s 88 MB; (3,6) 14,880,348 12.9 s 108 MB;
 #              (1409,1) 15,882,248 9.8 s 464 MB; refused (1423,1) 16,199,432
 #              10.2 s 473 MB, (11,3) 28,344,976 21.2 s 381 MB
-#   variants   (3,2) 62,208 0.1 s; (3,3) 559,872 0.4 s; (5,2) 3,200,000
-#              2.4 s 22 MB; (3,4) 5,038,848 6.0 s 28 MB; refused (7,2)
-#              38,723,328 43.2 s 73 MB
+#   variants   (3,2) 546 0.1 s; (3,3) 14,762 0.2 s; (5,2) 39,062 0.4 s;
+#              (3,4) 398,580 0.7 s 22 MB; (7,2) 617,656 3.3 s 32 MB;
+#              (5,3) 4,882,812 6.2 s 39 MB; (3,5) 10,761,680 10.0 s 51 MB;
+#              refused (11,2) 24,358,963 108 s 171 MB
 MAX_REQUEST_SIZE = 16_000_000
 
 
@@ -215,8 +219,8 @@ def _cmd_variants(args) -> dict:
     validate_field(args.p, args.n)
     if args.n < 2:
         raise ValueError("descent Hopf algebras need level >= 2")
-    _guard(args.p, args.n, lambda go: 64 * args.p * (args.p - 1) ** 2 * go * go,
-           "64 x p(p-1)^2 p^2n echelon rows")
+    _guard(args.p, args.n, lambda go: args.p * (args.p - 1) * go ** 3 // 8,
+           "p(p-1)p^3n / 8 folded exponent sums")
     a = validate_radicand(args.p, parse_rat(args.a))
     reports = variant_reports(args.p, args.n, a, args.i)
     return {"command": "variants", "p": args.p, "n": args.n, "radicand": rat_str(a),

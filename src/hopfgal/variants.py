@@ -12,8 +12,10 @@ descent Hopf algebras -- fixed rings of twisted group rings -- that act on
 Q(zeta_1, w)/Q(zeta_1).  Both are `groupring.twisted_kernel` calls with
 width p^n, one copy for a field and p^n for a descent algebra (g the
 complement generator), and their elements stay as it returns them: tuples
-of (cell, `CycloElt`) terms sorted by cell.  It also provides the
-generator-level truncation maps connecting consecutive levels.
+of (cell, `CycloElt`) terms sorted by cell.  Each descent algebra is
+built once per (p, n, i), and its action matrices once per (p, n, i, a),
+which the rank, action and distinct-images checks share.  It also provides
+the generator-level truncation maps connecting consecutive levels.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import linalg
-from ._terms import sub
-from .cyclotomic import (FieldDescriptor, add_by_key, embed, embed_preimage,
-                         primitive_root, rat_str, terms_to_row, terms_to_vector)
+from .cyclotomic import (FieldDescriptor, embed, embed_preimage,
+                         from_exponent_table, primitive_root, rat_str,
+                         terms_to_row)
 from .groupring import twisted_kernel
 from .reporting import Report, checked
 
@@ -181,17 +184,25 @@ def field_tower_lift(m: int, n: int, terms) -> tuple:
 # ---------------------------------------------------------------------------
 # the descent Hopf algebras
 
-def h_variant(p: int, n: int, i: int) -> list[tuple]:
+def h_variant(p: int, n: int, i: int) -> tuple:
     """Q-basis of the fixed ring (E_i[N_i])^beta, dimension (p-1)p^n over Q.
 
     The ring is the subspace of the full field-coefficient group ring fixed
     by two maps: the complement generator g acting on coefficients only
     (coefficients in the fixed field), and beta acting on coefficients
     together with conjugation g^k -> g^(m*k), beta g beta^{-1} = g^m, on
-    the group index: `twisted_kernel` on p^n copies of Q(zeta, w).
+    the group index: `twisted_kernel` on p^n copies of Q(zeta, w).  Both
+    maps keep the w-power B of a cell k*p^n + B, so every basis element
+    holds one w-power.  Built once per (p, n, i): every call returns the
+    same tuple.
     """
     if n < 2:
         raise ValueError("descent Hopf algebras need level >= 2")
+    return _h_basis(p, n, i)
+
+
+@lru_cache(maxsize=None)
+def _h_basis(p: int, n: int, i: int) -> tuple:
     pn = FieldDescriptor(p, n).modulus
     g = complement_generator(p, n, i)
     kernel = twisted_kernel(
@@ -201,7 +212,7 @@ def h_variant(p: int, n: int, i: int) -> list[tuple]:
     if len(kernel) != (p - 1) * pn:
         raise AssertionError("fixed ring has dimension %d, expected %d"
                              % (len(kernel), (p - 1) * pn))
-    return kernel
+    return tuple(kernel)
 
 
 def h_variant_rank_certificate(p: int, n: int, i: int, a=Fraction(2)) -> Report:
@@ -239,24 +250,52 @@ def action_matrix(p: int, n: int, i: int, a, terms):
 
     With g^k = (s_k, b_k), the coefficient x of g^k w^B' sends w^B to
     x * zeta^(s_k B) * w^(B'+B), and w^(B'+B) = a * w^(B'+B-p^n) on wrap.
+    Entry (r, B) takes its contributions from the one w-power
+    B' = (r - B) mod p^n, so all of them wrap or none does.  They are summed
+    as one table of p^n integer exponent sums over the lcm of the cells'
+    denominators and folded in closed form (`from_exponent_table`); a
+    multiplies the entry once, after the fold, when it wraps.
     """
-    pn = p ** n
+    field = FieldDescriptor(p, n)
+    pn = field.modulus
     shifts = [g.s for g in complement_elements(p, n, i)]
-    images = []
+    den = lcm(*[x.den for _, x in terms])
+    cells_of: dict[int, list] = {}      # w-power B' -> (s_k, numerators)
     for c, x in terms:
         k, B2 = divmod(c, pn)
-        for B in range(pn):
-            y, r = x.shift(shifts[k] * B), B2 + B
-            if r >= pn:
-                y, r = y * a, r - pn
-            images.append(((r, B), y))
+        f = den // x.den
+        cells_of.setdefault(B2, []).append(
+            (shifts[k], [(A, v * f) for A, v in x.terms]))
     entries = []
-    for key, y in add_by_key(FieldDescriptor(p, n), images):
-        y = embed_preimage(1, n, y)
-        if y is None:
-            return None
-        entries.append((key, y))
+    for B2, cells in cells_of.items():
+        for B in range(pn):
+            sums = [0] * pn
+            for s, pairs in cells:
+                e = s * B
+                for A, v in pairs:
+                    sums[(A + e) % pn] += v
+            y = embed_preimage(1, n, from_exponent_table(field, sums, den))
+            if y is None:
+                return None
+            if y:
+                entries.append(((B2 + B - pn, B), y * a) if B2 + B >= pn
+                               else ((B2 + B, B), y))
+    entries.sort()
     return tuple(entries)
+
+
+@lru_cache(maxsize=None)
+def _action_matrices(p: int, n: int, i: int, a) -> tuple[tuple, int | None]:
+    """The `action_matrix` of each `h_variant` element in basis order, built
+    once per (p, n, i, a), and the basis index of the first one that leaves
+    Q(zeta_1), where the matrices stop (None if none does)."""
+    mats = []
+    for t, terms in enumerate(h_variant(p, n, i)):
+        mat = action_matrix(p, n, i, a, terms)
+        if mat is None:
+            return tuple(mats), t
+        mats.append(mat)
+    return tuple(mats), None
 
 
 def _zeta1_multiples(p: int, terms) -> list[list]:
@@ -266,12 +305,45 @@ def _zeta1_multiples(p: int, terms) -> list[list]:
     return [[(c, x.shift(j)) for c, x in terms] for j in range(p - 1)]
 
 
+def _span_rank(p: int, n: int, a, mats) -> int:
+    """Q-rank of the left w^c-multiples, c < p^n, of the action matrices
+    `mats`, each on one offset d: the sum of the ranks of the offset blocks
+    (`variant_action_check`), each its own elimination.  Block e holds
+    w^c M for c = e - d mod p^n, which moves the entry (r, B) of M to
+    (B + e mod p^n, B), times a when r + c wraps.  For a != 0 every block
+    has the rank of block 0, the one eliminated; for a = 0, w is nilpotent
+    and each block is eliminated."""
+    pn = p ** n
+    total = 0
+    for e in (range(pn) if a == 0 else (0,)):
+        ech = linalg.SparseEchelon()
+        for mat in mats:
+            if not mat:
+                continue
+            (r0, B0), _ = mat[0]
+            c = (e - r0 + B0) % pn
+            line = [(B, y * a if r + c >= pn else y) for (r, B), y in mat]
+            for j in range(p - 1):
+                ech.insert(terms_to_row((B, y.shift(j)) for B, y in line)[0])
+        total += ech.rank
+    return total if a == 0 else pn * total
+
+
 def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
     """The descent Hopf algebra makes Q(zeta_1, w)/Q(zeta_1) Hopf-Galois:
     module endomorphism images span the full p^{2n}-dimensional endomorphism
-    ring over the base, and the fixed space of the action is the base field."""
+    ring over the base, and the fixed space of the action is the base field.
+
+    Each action matrix lies on one offset d = (r - B) mod p^n: its element
+    holds one w-power (`h_variant`).  Left multiplication by w^c moves
+    offset d to d + c, so the span of the w-multiples is the direct sum of
+    p^n offset blocks.  For a != 0, w^e maps block 0 onto block e (w is
+    invertible, and w^(p^n) = a only rescales rows), so every block has
+    the rank of block 0: its (p-1)^2 p^n rows are the only ones eliminated,
+    and End is reached exactly when p^n times its rank is (p-1) p^{2n}
+    (`_span_rank`).  A matrix on two offsets fails before the span is
+    read, with the stage `offset-support`."""
     def body():
-        basis = h_variant(p, n, i)
         f = FieldDescriptor(p, n)
         pn, phi, step, deg1 = f.modulus, f.degree, p ** (n - 1), p - 1
 
@@ -287,12 +359,9 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
                 return False, {"stage": "subfield-support", "stray": stray[:4]}
 
         # action matrices over the base, with entries certified inside it
-        mats = []
-        for t, terms in enumerate(basis):
-            mat = action_matrix(p, n, i, a, terms)
-            if mat is None:
-                return False, {"stage": "image-support", "basis_index": t}
-            mats.append(mat)
+        mats, bad = _action_matrices(p, n, i, a)
+        if bad is not None:
+            return False, {"stage": "image-support", "basis_index": bad}
 
         # counits: h(1), column 0 of the matrix, must be a base-field
         # multiple of 1
@@ -300,27 +369,33 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
             if any(r and not B for (r, B), _ in mat):
                 return False, {"stage": "counit-support", "basis_index": t}
 
+        # every matrix on one offset, as its element holds one w-power
+        for t, mat in enumerate(mats):
+            if len({(r - B) % pn for (r, B), _ in mat}) > 1:
+                return False, {"stage": "offset-support", "basis_index": t}
+
         # fixed space of the action == the base field (Q-dimension p-1)
         # (column: the monomial zeta_1^j w^B, in the flat layout).  Each h
         # is Q(zeta_1)-linear, so h - eps(h) sends zeta_1^j w^B to zeta_1^j
-        # times column B of (M - eps I)
+        # times column B of (M - eps I).  On one offset a row meets one
+        # column, so its integer numerators over that column's denominator
+        # are a row of the same line
         dimq = deg1 * pn
-        stacked = []
+        ech = linalg.SparseEchelon()
         for mat in mats:
-            eps = dict(mat).get((0, 0))
-            columns: list[list] = [[] for _ in range(pn)]
+            cells = dict(mat)
+            eps = cells.get((0, 0))
+            if eps:         # on offset 0: M - eps I is diagonal, and full
+                mat = [((B, B), cells[B, B] - eps if (B, B) in cells else -eps)
+                       for B in range(pn)]
             for (r, B), y in mat:
-                columns[B].append((r, y))
-            rows: dict[int, dict[int, Fraction]] = {}
-            for B, column in enumerate(columns):
-                if eps:
-                    column = sub(column, ((B, eps),))
-                for j, vec in enumerate(map(terms_to_vector,
-                                            _zeta1_multiples(p, column))):
-                    for r, v in vec.items():
-                        rows.setdefault(r, {})[B * deg1 + j] = v
-            stacked.extend(rows.values())
-        kernel = linalg.sparse_nullspace(stacked, dimq)
+                rows: dict[int, dict[int, int]] = {}
+                for j in range(deg1):
+                    for A, v in y.shift(j).terms:
+                        rows.setdefault(r * deg1 + A, {})[B * deg1 + j] = v
+                for row in rows.values():
+                    ech.insert(row)
+        kernel = ech.kernel_basis(dimq)
         base_cols = {j for j in range(deg1)}          # w-power 0 coordinates
         if len(kernel) != deg1:
             return False, {"stage": "fixed-space-dimension", "dim": len(kernel)}
@@ -328,25 +403,10 @@ def variant_action_check(p: int, n: int, i: int, a=Fraction(2)) -> Report:
             if not set(vec) <= base_cols:
                 return False, {"stage": "fixed-space-content"}
 
-        # endomorphism span: left w-multiples of the action matrices fill
-        # all of End over the base -- Q-rank (p-1) * p^{2n}
-        # (w^c moves row r to (r + c) mod p^n and multiplies the entries
-        # that wrap by a; each matrix's zeta_1-multiples, and a times them,
-        # are made once)
-        lines = []
-        for mat in mats:
-            for j in range(deg1):
-                line = [(key, y.shift(j)) for key, y in mat]
-                lines.append([(key, x, x * a) for key, x in line])
-        ech = linalg.SparseEchelon()
-        for c in range(pn):
-            for line in lines:
-                ech.insert(terms_to_row(
-                    ((r + c) % pn * pn + B, xa if r + c >= pn else x)
-                    for (r, B), x, xa in line)[0])
-        want = deg1 * pn * pn
-        if ech.rank != want:
-            return False, {"stage": "endomorphism-rank", "rank": ech.rank,
+        # endomorphism span: left w-multiples of the action matrices
+        rank, want = _span_rank(p, n, a, mats), deg1 * pn * pn
+        if rank != want:
+            return False, {"stage": "endomorphism-rank", "rank": rank,
                            "expected": want}
         return True, None
 
@@ -364,17 +424,19 @@ def distinct_action_images(p: int, n: int, a=Fraction(2)) -> Report:
     is every matrix supported on the cells B*(p^n+1), the entries (B, B),
     with entries in Q(zeta_1): Q-dimension (p-1)*p^n.  The i = 0 span lies
     inside it when all its echelon rows have that support, and a subspace
-    of rank (p-1)*p^n is then all of it."""
+    of rank (p-1)*p^n is then all of it.  The matrices are the ones that
+    `variant_action_check` reads, built once per (p, n, i, a); an index
+    whose matrices leave Q(zeta_1) fails with the stage `image-support`."""
     def body():
         pn = p ** n
         deg1 = p - 1
         spans = []
         for i in range(p):
+            mats, bad = _action_matrices(p, n, i, a)
+            if bad is not None:
+                return False, {"stage": "image-support", "i": i}
             ech = linalg.SparseEchelon()
-            for terms in h_variant(p, n, i):
-                mat = action_matrix(p, n, i, a, terms)
-                if mat is None:
-                    return False, {"stage": "image-support", "i": i}
+            for mat in mats:
                 for line in _zeta1_multiples(
                         p, ((r * pn + B, y) for (r, B), y in mat)):
                     ech.insert(terms_to_row(line)[0])

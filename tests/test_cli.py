@@ -233,18 +233,18 @@ def _patch_work(monkeypatch, work):
 
 @pytest.mark.parametrize("argv", [
     # profinite measures 4 x (level + 1) x p^(2 level), variants
-    # 64 x p(p-1)^2 p^2n
+    # p(p-1)p^3n / 8
     ("profinite", "--p", "11", "--level", "3"),
     ("profinite", "--p", "3", "--level", "7"),
     ("profinite", "--p", "5", "--level", "5"),
     ("profinite", "--p", "7", "--level", "4"),
     ("profinite", "--p", "1999", "--level", "1"),  # 4M idempotent cells held
-    ("variants", "--p", "5", "--n", "3"),
-    ("variants", "--p", "7", "--n", "2"),
-    ("variants", "--p", "3", "--n", "5"),
+    ("variants", "--p", "11", "--n", "2"),
+    ("variants", "--p", "3", "--n", "6"),
+    ("variants", "--p", "5", "--n", "4"),
     ("basis", "--p", "3", "--n", "7"),
 ], ids=["profinite_p11_l3", "profinite_p3_l7", "profinite_p5_l5", "profinite_p7_l4",
-        "profinite_p1999_l1", "variants_p5_n3", "variants_p7_n2", "variants_p3_n5",
+        "profinite_p1999_l1", "variants_p11_n2", "variants_p3_n6", "variants_p5_n4",
         "basis_p3_n7"])
 def test_oversized_request_is_refused_at_once(capsys, monkeypatch, argv):
     _patch_work(monkeypatch, _no_work)
@@ -303,8 +303,12 @@ def test_smash_over_the_bound_is_refused_at_once(capsys, monkeypatch, argv, size
     ("variants", "--p", "3", "--n", "3"),
     ("variants", "--p", "5", "--n", "2"),
     ("variants", "--p", "3", "--n", "4"),
+    ("variants", "--p", "7", "--n", "2"),
+    ("variants", "--p", "5", "--n", "3"),
+    ("variants", "--p", "3", "--n", "5"),
 ], ids=["profinite_p3_l5", "profinite_p7_l3", "profinite_p5_l4", "profinite_p3_l6",
-        "variants_p3_n2", "variants_p3_n3", "variants_p5_n2", "variants_p3_n4"])
+        "variants_p3_n2", "variants_p3_n3", "variants_p5_n2", "variants_p3_n4",
+        "variants_p7_n2", "variants_p5_n3", "variants_p3_n5"])
 def test_request_under_the_bound_starts_its_work(monkeypatch, argv):
     _patch_work(monkeypatch, _start_work)
     with pytest.raises(_WorkStarted):
@@ -368,10 +372,10 @@ _INSTANCE_DEGREE_4E6 = {"degree": 4_000_000, "gamma_generators": [], "delta_gene
     (("act", "--p", "3", "--n", "15"), 3, "size 43046721 exceeds"),
     (("nu", "--p", "3", "--n", "15"), 3, "size 19131876 exceeds"),
     (("nu", "--p", "3", "--n", "25"), 3, "p^n alone exceeds"),
-    # variants measures the 64 x p(p-1)^2 p^2n rows its echelons insert
+    # variants measures the p(p-1)p^3n / 8 exponent sums its matrices fold
     (("variants", "--p", "3", "--n", "100000000"), 3, "p^n alone exceeds"),
     (("variants", "--p", "3", "--n", "16"), 3,
-     "size %d exceeds" % (64 * 3 * 2 ** 2 * 3 ** 32)),
+     "size %d exceeds" % (3 * 2 * 3 ** 48 // 8)),
     (("variants", "--p", "4", "--n", "1"), 2, "odd prime, got 4"),
     (("variants", "--p", "13", "--n", "1"), 2, "need level >= 2"),
     (("variants", "--p", "3", "--n", "0"), 2, "n must be >= 1"),

@@ -705,11 +705,12 @@ def holds_rotation(group) -> bool:
     return any(U == 1 and S != 0 for S, U in group)
 
 
+# `h_variant` keeps one basis per (p, n, i); each build here runs uncached
 BUILDS = {
-    "h_variant 3,3,0": lambda: variants.h_variant(3, 3, 0),
-    "h_variant 3,3,1": lambda: variants.h_variant(3, 3, 1),
-    "h_variant 3,3,2": lambda: variants.h_variant(3, 3, 2),
-    "h_variant 5,2,1": lambda: variants.h_variant(5, 2, 1),
+    "h_variant 3,3,0": lambda: variants._h_basis.__wrapped__(3, 3, 0),
+    "h_variant 3,3,1": lambda: variants._h_basis.__wrapped__(3, 3, 1),
+    "h_variant 3,3,2": lambda: variants._h_basis.__wrapped__(3, 3, 2),
+    "h_variant 5,2,1": lambda: variants._h_basis.__wrapped__(5, 2, 1),
     "fixed_ring_kernel 3,4": lambda: groupring.fixed_ring_kernel(3, 4),
     "fixed_ring_kernel 7,2": lambda: groupring.fixed_ring_kernel(7, 2),
 }

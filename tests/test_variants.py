@@ -1,5 +1,6 @@
 """Twisted-complement automorphisms, fixed fields, and the variant algebras."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ import sympy
 from hypothesis import given, strategies as st
 
 from hopfgal import variants
-from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, terms_to_vector,
-                                unit_apply)
+from hopfgal.cyclotomic import (CycloElt, FieldDescriptor, terms_to_row,
+                                terms_to_vector, unit_apply)
 from hopfgal.gp_enum import grid_aut
 from hopfgal.linalg import SparseEchelon, sparse_nullspace
 from hopfgal.variants import (TowerAut, action_matrix, complement_elements,
@@ -307,6 +308,16 @@ def test_variant_actions_differ():
     assert distinct_action_images(3, 2, Fraction(2)).status == "pass"
 
 
+@pytest.fixture
+def uncached(monkeypatch):
+    """`monkeypatch`, with the action matrices built anew on every call
+    (they are kept per (p, n, i, a)), so that a patched `h_variant` or
+    `action_matrix` reaches the checks."""
+    monkeypatch.setattr(variants, "_action_matrices",
+                        variants._action_matrices.__wrapped__)
+    return monkeypatch
+
+
 def _read_algebras(monkeypatch, swap):
     # complement index i builds the algebra, and its action, of swap[i]
     h, mat = variants.h_variant, variants.action_matrix
@@ -317,19 +328,139 @@ def _read_algebras(monkeypatch, swap):
                         mat(p, n, swap.get(i, i), a, terms))
 
 
-def test_distinct_action_images_names_a_coincident_pair(monkeypatch):
-    _read_algebras(monkeypatch, {1: 0})
+def test_distinct_action_images_names_a_coincident_pair(uncached):
+    _read_algebras(uncached, {1: 0})
     report = distinct_action_images(3, 2)
     assert (report.status, report.witness) == \
         ("fail", {"stage": "coincident-spans", "pair": [0, 1]})
 
 
-def test_distinct_action_images_needs_the_diagonal_at_level_0(monkeypatch):
+def test_distinct_action_images_needs_the_diagonal_at_level_0(uncached):
     # spans stay pairwise distinct, but index 0's is no longer the diagonal
-    _read_algebras(monkeypatch, {0: 1, 1: 0})
+    _read_algebras(uncached, {0: 1, 1: 0})
     report = distinct_action_images(3, 2)
     assert (report.status, report.witness) == \
         ("fail", {"stage": "level-0-not-diagonal"})
+
+
+def test_h_variant_is_built_once_per_index():
+    basis = h_variant(3, 2, 1)
+    assert isinstance(basis, tuple) and h_variant(3, 2, 1) is basis
+
+
+def test_variant_reports_build_each_algebra_and_matrix_once(monkeypatch):
+    # a radicand no other test uses: its matrices are not cached yet
+    p, n, a = 3, 2, Fraction(11, 13)
+    variants._h_basis.cache_clear()
+    builds, matrices = [], []
+    kernel, mat = variants.twisted_kernel, variants.action_matrix
+    monkeypatch.setattr(variants, "twisted_kernel",
+                        lambda p, n, gens, copies, width:
+                        builds.append(copies) or kernel(p, n, gens, copies, width))
+    monkeypatch.setattr(variants, "action_matrix",
+                        lambda *args: matrices.append(args[-1]) or mat(*args))
+    assert all(r.status == "pass" for r in variants.variant_reports(p, n, a))
+    assert builds.count(p ** n) == p                  # one algebra per index
+    assert len(matrices) == len({id(t) for t in matrices}) == p * (p - 1) * p ** n
+
+
+def full_span_rank(p, n, a, mats):
+    """Q-rank of the left w^c-multiples of `mats`, c < p^n, in one
+    elimination of all of them: w^c moves row r to (r + c) mod p^n and
+    multiplies the entries that wrap by a."""
+    pn = p ** n
+    ech = SparseEchelon()
+    for c in range(pn):
+        for mat in mats:
+            for j in range(p - 1):
+                ech.insert(terms_to_row(
+                    ((r + c) % pn * pn + B, (y * a if r + c >= pn else y).shift(j))
+                    for (r, B), y in mat)[0])
+    return ech.rank
+
+
+@pytest.mark.parametrize("a", [Fraction(2), Fraction(3, 7)])
+@pytest.mark.parametrize("p,n,i", [(3, 2, 0), (3, 2, 1), (3, 2, 2), (3, 3, 1),
+                                   (5, 2, 3)])
+def test_offset_block_rank_is_the_full_elimination_rank(p, n, i, a):
+    """p^n times the rank of offset block 0 is the rank of all the left
+    w-multiples, on every matrix and on seeded subsets, full or short."""
+    mats = [action_matrix(p, n, i, a, terms) for terms in h_variant(p, n, i)]
+    rng = random.Random(100 * p + 10 * n + i)
+    subsets = [mats] + [rng.sample(mats, k) for k in (len(mats) // 2, p)]
+    ranks = [full_span_rank(p, n, a, sub) for sub in subsets]
+    assert [variants._span_rank(p, n, a, sub) for sub in subsets] == ranks
+    full = (p - 1) * p ** (2 * n)
+    assert ranks[0] == full and min(ranks) < full
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_zero_radicand_fails_with_the_full_elimination_rank(i):
+    # w^(p^n) = 0: w is nilpotent, the offset blocks differ, each is counted
+    p, n, a = 3, 2, Fraction(0)
+    mats = [action_matrix(p, n, i, a, terms) for terms in h_variant(p, n, i)]
+    report = variant_action_check(p, n, i, a)
+    assert (report.status, report.witness) == \
+        ("fail", {"stage": "endomorphism-rank",
+                  "rank": full_span_rank(p, n, a, mats), "expected": 162})
+
+
+def test_a_matrix_on_two_offsets_fails_offset_support(uncached):
+    p, n, i, t = 3, 2, 1, 4
+    pn, target = p ** n, h_variant(p, n, i)[t]
+    mat, one = variants.action_matrix, CycloElt.rational(FieldDescriptor(p, 1), 1)
+
+    def two_offsets(p, n, i, a, terms):
+        entries = mat(p, n, i, a, terms)
+        if terms is not target:
+            return entries
+        (r, B), _ = entries[0]
+        # column 1, one offset past the matrix's own: no counit entry
+        return tuple(sorted(entries + ((((r - B + 2) % pn, 1), one),)))
+
+    uncached.setattr(variants, "action_matrix", two_offsets)
+    report = variant_action_check(p, n, i)
+    assert (report.status, report.witness) == \
+        ("fail", {"stage": "offset-support", "basis_index": t})
+
+
+@pytest.mark.parametrize("drop, rank", [(1, 162), (2, 144)])
+def test_dropping_a_zeta1_line_fails_endomorphism_rank(uncached, drop, rank):
+    # the last two basis elements hold one w-power and span one line over
+    # Q(zeta_1): with one of them dropped, the zeta_1-multiples of the other
+    # still span it; with both, End is not reached
+    p, n, i, a = 3, 2, 1, Fraction(2)
+    h = variants.h_variant
+    uncached.setattr(variants, "h_variant", lambda p, n, i: h(p, n, i)[:-drop])
+    mats = [action_matrix(p, n, i, a, terms) for terms in h(p, n, i)[:-drop]]
+    assert full_span_rank(p, n, a, mats) == rank
+    report = variant_action_check(p, n, i, a)
+    assert report.witness == (None if rank == 162 else
+                              {"stage": "endomorphism-rank", "rank": rank,
+                               "expected": 162})
+
+
+def test_an_entry_outside_zeta1_is_named_by_both_checks(uncached):
+    # zeta times a basis element acts by zeta times its matrix, whose
+    # nonzero entries leave Q(zeta_1)
+    p, n, t = 3, 2, 5
+    h = variants.h_variant
+
+    def moved(p, n, i):
+        basis = h(p, n, i)
+        if i != 1:
+            return basis
+        return (basis[:t] + (tuple((c, x.shift(1)) for c, x in basis[t]),)
+                + basis[t + 1:])
+
+    uncached.setattr(variants, "h_variant", moved)
+    assert action_matrix(p, n, 1, Fraction(2), moved(p, n, 1)[t]) is None
+    report = variant_action_check(p, n, 1)
+    assert (report.status, report.witness) == \
+        ("fail", {"stage": "image-support", "basis_index": t})
+    report = distinct_action_images(p, n)
+    assert (report.status, report.witness) == \
+        ("fail", {"stage": "image-support", "i": 1})
 
 
 # -- truncation of the variants ----------------------------------------------------------
