@@ -55,7 +55,7 @@ EXIT_REFUSED = 3
 #   variants   (3,2) 546 0.1 s; (3,3) 14,762 0.2 s; (5,2) 39,062 0.4 s;
 #              (3,4) 398,580 0.7 s 22 MB; (7,2) 617,656 3.3 s 32 MB;
 #              (5,3) 4,882,812 6.2 s 39 MB; (3,5) 10,761,680 10.0 s 51 MB;
-#              refused (11,2) 24,358,963 108 s 171 MB
+#              refused (11,2) 24,358,963 102 s 171 MB
 MAX_REQUEST_SIZE = 16_000_000
 
 

@@ -349,9 +349,9 @@ def test_h_variant_is_built_once_per_index():
 
 
 def test_variant_reports_build_each_algebra_and_matrix_once(monkeypatch):
-    # a radicand no other test uses: its matrices are not cached yet
     p, n, a = 3, 2, Fraction(11, 13)
     variants._h_basis.cache_clear()
+    variants._action_matrices.cache_clear()
     builds, matrices = [], []
     kernel, mat = variants.twisted_kernel, variants.action_matrix
     monkeypatch.setattr(variants, "twisted_kernel",
